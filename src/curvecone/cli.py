@@ -1,6 +1,9 @@
 """Batch command-line interface: complex export, distances, verification.
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
+Only errors raised while reading, parsing and validating the inputs map
+to exit 2; an exception from the computation itself is an internal fault
+and propagates with its traceback.
 """
 
 from __future__ import annotations
@@ -8,17 +11,35 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import contextmanager
 
-from .metric import ComplexMismatchError, OrbitMismatchError, distance, point_from_dict
-from .multicurves import InvalidMulticurve
+from .fenchel_nielsen import ModelConfig
+from .gridgraph import grid_units
+from .metric import distance, point_from_dict
 from .quotient import (
     build_complex,
     complex_from_json,
     complex_to_dot,
     complex_to_json,
 )
-from .surfaces import Surface, UnsupportedSurfaceError
+from .surfaces import Surface
 from .verify import run_verification
+
+_VERIFY_BOX = 8.0
+
+
+class InputError(Exception):
+    """A command's input could not be read, parsed or validated."""
+
+
+@contextmanager
+def _reading_input():
+    # Every input error the library raises is a ValueError (the typed
+    # ones subclass it), a KeyError (unknown orbit id) or an OSError.
+    try:
+        yield
+    except (ValueError, KeyError, OSError) as exc:
+        raise InputError(str(exc)) from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -65,8 +86,17 @@ def _summary_lines(cx) -> list[str]:
     return [f"dim {d}: {counts[d]} {plural(counts[d])}" for d in sorted(counts)]
 
 
+def _write(path: str, text: str) -> None:
+    with _reading_input():
+        handle = open(path, "w")
+    with handle:
+        handle.write(text if text.endswith("\n") else text + "\n")
+
+
 def _cmd_complex(args) -> int:
-    cx = build_complex(Surface(args.genus, args.marked))
+    with _reading_input():
+        surface = Surface(args.genus, args.marked)
+    cx = build_complex(surface)
     payload = complex_to_json(cx) if args.format == "json" else complex_to_dot(cx)
     summary = "\n".join(_summary_lines(cx))
     if args.out is None:
@@ -75,8 +105,7 @@ def _cmd_complex(args) -> int:
         print(summary, file=sys.stderr)
         sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
     else:
-        with open(args.out, "w") as handle:
-            handle.write(payload if payload.endswith("\n") else payload + "\n")
+        _write(args.out, payload)
         print(summary)
     return 0
 
@@ -85,30 +114,37 @@ def _emit(text: str, out: str | None) -> None:
     if out in (None, "-"):
         sys.stdout.write(text + "\n")
     else:
-        with open(out, "w") as handle:
-            handle.write(text + "\n")
+        _write(out, text)
 
 
 def _cmd_dist(args) -> int:
-    with open(args.complex_file) as handle:
-        cx = complex_from_json(handle.read())
-    points = []
-    for path in (args.point_p, args.point_q):
-        with open(path) as handle:
-            points.append(point_from_dict(cx, json.load(handle)))
+    with _reading_input():
+        with open(args.complex_file) as handle:
+            cx = complex_from_json(handle.read())
+        points = []
+        for path in (args.point_p, args.point_q):
+            with open(path) as handle:
+                points.append(point_from_dict(cx, json.load(handle)))
     result = distance(points[0], points[1])
     _emit(result.to_json(), args.out)
     return 0
 
 
 def _cmd_verify(args) -> int:
-    cx = build_complex(Surface(args.genus, args.marked))
+    with _reading_input():
+        surface = Surface(args.genus, args.marked)
+        ModelConfig(args.epsilon0)  # raises on an epsilon0 outside (0, 1)
+    cx = build_complex(surface)
+    if args.mesh is not None:
+        with _reading_input():
+            grid_units(cx, args.mesh, _VERIFY_BOX)
     report = run_verification(
         cx,
         seed=args.seed,
         samples=args.samples,
         epsilon0=args.epsilon0,
         mesh=args.mesh,
+        box=_VERIFY_BOX,
     )
     _emit(report.to_json(), args.out)
     return 0 if report.passed else 1
@@ -123,16 +159,7 @@ def main(argv=None) -> int:
     handlers = {"complex": _cmd_complex, "dist": _cmd_dist, "verify": _cmd_verify}
     try:
         return handlers[args.command](args)
-    except (
-        UnsupportedSurfaceError,
-        InvalidMulticurve,
-        ComplexMismatchError,
-        OrbitMismatchError,
-        ValueError,
-        KeyError,
-        OSError,
-        json.JSONDecodeError,
-    ) as exc:
+    except InputError as exc:
         print(f"curvecone: error: {exc}", file=sys.stderr)
         return 2
 

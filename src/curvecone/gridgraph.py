@@ -14,6 +14,7 @@ with the geodesic solver, not its search.
 
 from __future__ import annotations
 
+import math
 from itertools import product
 
 import numpy as np
@@ -22,6 +23,28 @@ from .metric import ConePoint, _require_same_complex
 from .quotient import QuotientComplex
 
 _APEX_KEY = ("", ())
+_MAX_NODES = 5_000_000
+
+
+def grid_units(cx: QuotientComplex, mesh: float, box: float) -> int:
+    """Validate a grid configuration and return the box side in mesh
+    units; raises :class:`ValueError` before any grid is allocated."""
+    if not mesh > 0:
+        raise ValueError(f"mesh must be positive, got {mesh}")
+    if not box > 0:
+        raise ValueError(f"box must be positive, got {box}")
+    ratio = box / mesh
+    if math.isinf(ratio):
+        raise ValueError(f"mesh {mesh} is too fine for box {box}")
+    units = int(round(ratio))
+    if units < 1 or abs(ratio - units) > 1e-9:
+        raise ValueError(f"box {box} must be a positive multiple of mesh {mesh}")
+    n_nodes = sum((units + 1) ** cx.orbit(oid).n_edges for oid in cx.maximal_ids)
+    if n_nodes > _MAX_NODES:
+        raise ValueError(
+            f"grid would hold {n_nodes} nodes; coarsen the mesh or shrink the box"
+        )
+    return units
 
 
 class GridOracle:
@@ -32,14 +55,7 @@ class GridOracle:
     """
 
     def __init__(self, cx: QuotientComplex, mesh: float, box: float):
-        if not mesh > 0:
-            raise ValueError(f"mesh must be positive, got {mesh}")
-        if not box > 0:
-            raise ValueError(f"box must be positive, got {box}")
-        units = box / mesh
-        self.units = int(round(units))
-        if self.units < 1 or abs(units - self.units) > 1e-9:
-            raise ValueError(f"box {box} must be a positive multiple of mesh {mesh}")
+        self.units = grid_units(cx, mesh, box)
         self.cx = cx
         self.mesh = float(mesh)
         self.box = float(box)
@@ -54,11 +70,6 @@ class GridOracle:
             self._blocks.append((start, start + size))
             start += size
         self.n_nodes = start
-        if self.n_nodes > 5_000_000:
-            raise ValueError(
-                f"grid would hold {self.n_nodes} nodes; coarsen the mesh "
-                f"or shrink the box"
-            )
 
         self._class_of_key: dict[tuple, int] = {}
         class_id = np.empty(self.n_nodes, dtype=np.int64)

@@ -8,11 +8,19 @@ orthant boundaries to each other.
 
 Distances are computed exactly: enumerate simple galleries (sequences of
 pairwise distinct top-dimensional orbits joined by shared-face
-identifications), minimize each gallery's length as a linear program in
-the transit breakpoints, and keep the best over all galleries and the
-route through the apex.  Restricting to simple galleries is what makes
-the search finite; a validation mode re-runs the search allowing orbit
-revisits so tests can corroborate that revisiting never helps.
+identifications) best-first by a lower bound on every completion,
+minimize each gallery's length as a linear program in the transit
+breakpoints, and keep the best over all galleries and the route through
+the apex.  Restricting to simple galleries is what makes the search
+finite; a validation mode re-runs the search allowing orbit revisits so
+tests can corroborate that revisiting never helps.
+
+A gallery program is an interval-covering problem: each curve
+coordinate, followed through the transits, demands a total length over
+a run of consecutive segments.  Its exact value is a weighted-interval
+DP (:func:`_gallery_bound`), which screens every program first; the
+simplex runs only where its value can still change the answer, and
+every value that reaches the result comes from the simplex.
 """
 
 from __future__ import annotations
@@ -29,6 +37,16 @@ SCHEMA_POINT = "curvecone/cone-point/1"
 SCHEMA_GEODESIC = "curvecone/geodesic/1"
 
 _TIE = 1e-12
+
+# Slack by which the interval-covering bound must clear the pruning
+# threshold before a gallery program is skipped without the simplex; it
+# is multiplied by ``1 + max p + max q``.  The bound and the simplex solve
+# the same program (for an open prefix the bound solves a relaxation),
+# so they differ only by rounding, which grows with the coordinates.
+# Over 2 209 closed galleries from searches on S(1,2), S(2,0), S(1,3),
+# S(0,6) and S(0,7) the largest difference was 8.4e-17 of that scale,
+# so the slack stays seven orders of magnitude above it at every scale.
+_SCREEN = 1e-9
 
 
 class ComplexMismatchError(ValueError):
@@ -331,6 +349,70 @@ def _gallery_lp(cx, seq, transits, emb_p, p, emb_q=None, q=None):
     return res.value, tuple(bps[: len(transits)])
 
 
+def _gallery_bound(cx, seq, transits, emb_p, p, emb_q=None, q=None):
+    """Interval-covering value of one gallery, without the simplex.
+
+    With the segment lengths fixed, the breakpoint program splits into
+    *threads*: one curve coordinate followed through the transits from
+    where it starts (a coordinate of ``p``, or 0 where it is born) to
+    where it ends (a coordinate of ``q``, or 0 where it dies).  A thread
+    over segments ``l..r`` is feasible exactly when those segments have
+    total length at least ``|a - b| / 2``, so the program is an
+    interval-covering LP.  Its matrix has consecutive ones and is totally
+    unimodular, so the optimum is the dual's: the heaviest set of
+    pairwise disjoint intervals, found by a weighted-interval DP.
+
+    A closed gallery gets exactly the value of :func:`_gallery_lp`.  An
+    open prefix drops the threads that reach its free end and the climb
+    term, a relaxation of the open program and hence a lower bound on it.
+    """
+    closed = emb_q is not None
+    n_seg = len(seq) if closed else len(seq) - 1
+    if n_seg == 0:
+        return 0.0
+    # ends[r] holds (l, |a - b|) for the threads over segments l..r.
+    ends: list[list[tuple[int, float]]] = [[] for _ in range(n_seg)]
+    height = _pad(emb_p, p.coords, cx.orbit(seq[0]).n_edges)
+    born = [0] * len(height)
+    for j, tr in enumerate(transits):
+        src = tr.into_source
+        for e, a in enumerate(height):
+            if a and e not in src:
+                ends[j].append((born[e], a))
+        if j + 1 == n_seg:
+            # Free end of an open prefix: surviving threads cost nothing.
+            break
+        m = cx.orbit(seq[j + 1]).n_edges
+        nxt_height = [0.0] * m
+        nxt_born = [j + 1] * m
+        for e, f in zip(src, tr.into_target):
+            nxt_height[f] = height[e]
+            nxt_born[f] = born[e]
+        height, born = nxt_height, nxt_born
+    if closed:
+        target = _pad(emb_q, q.coords, len(height))
+        for e, (a, b) in enumerate(zip(height, target)):
+            if a != b:
+                ends[n_seg - 1].append((born[e], abs(a - b)))
+    best = [0.0] * (n_seg + 1)
+    for r in range(n_seg):
+        top = best[r]
+        for first, w in ends[r]:
+            top = max(top, best[first] + w)
+        best[r + 1] = top
+    return 0.5 * best[n_seg]
+
+
+def _open_program_key(tr: Transit):
+    """What a child prefix's open program reads of its last transit.
+
+    The open program stops at the last breakpoint, so it never reads that
+    transit's ``into_target`` or the orbit it enters: children of one
+    expansion that share ``into_source`` share their program bit for bit.
+    """
+    return tr.into_source
+
+
 def _apex_route(p: ConePoint, q: ConePoint) -> GeodesicResult:
     value = 0.5 * p.max_coord + 0.5 * q.max_coord
     gallery = Gallery(
@@ -362,7 +444,10 @@ def distance(p: ConePoint, q: ConePoint, *, revisit_budget: int = 0) -> Geodesic
     identification; each closed gallery is scored by its breakpoint
     linear program, and the route through the apex is always considered.
     Among equal-length geodesics the lexicographically least orbit
-    sequence wins, with the apex route last.
+    sequence wins, with the apex route last.  Programs whose
+    interval-covering bound already clears the pruning threshold are
+    skipped without the simplex, which leaves the result unchanged bit
+    for bit.
     """
     _require_same_complex(p, q)
     cx = p.complex
@@ -375,6 +460,7 @@ def distance(p: ConePoint, q: ConePoint, *, revisit_budget: int = 0) -> Geodesic
 
     best = _apex_route(p, q)
     best_is_apex = True
+    margin = _SCREEN * (1.0 + p.max_coord + q.max_coord)
     max_ids = list(cx.maximal_ids)
     max_len = len(max_ids) + max(0, revisit_budget)
 
@@ -415,20 +501,39 @@ def distance(p: ConePoint, q: ConePoint, *, revisit_budget: int = 0) -> Geodesic
         if bound >= best.distance - _TIE and not lex_corridor(seq):
             continue
         cur = seq[-1]
+        # The screen skips only programs whose simplex value would be
+        # thrown away: a closed gallery that ``consider`` rejects, a child
+        # that is not pushed.  Heap, pop order and the values that reach
+        # ``consider`` are those of the unscreened search.
         for emb_q in cx.embeddings(q.orbit_id, cur):
+            screen = _gallery_bound(cx, seq, transits, emb_p, p, emb_q, q)
+            if screen > best.distance + _TIE + margin:
+                continue
             value, bps = _gallery_lp(cx, seq, transits, emb_p, p, emb_q, q)
             consider(value, seq, transits, emb_p, emb_q, bps)
         if len(seq) >= max_len:
             continue
         repeats = len(seq) - len(set(seq))
+        child_bounds = {}
         for nxt in max_ids:
             extra = 1 if nxt in seq else 0
             if repeats + extra > revisit_budget:
                 continue
             for tr in cx.transits(cur, nxt):
-                child_bound, _ = _gallery_lp(
-                    cx, seq + [nxt], transits + [tr], emb_p, p, None, q
-                )
+                key = _open_program_key(tr)
+                child_bound = child_bounds.get(key)
+                if child_bound is None:
+                    child_seq, child_transits = seq + [nxt], transits + [tr]
+                    screen = _gallery_bound(
+                        cx, child_seq, child_transits, emb_p, p, None, q
+                    )
+                    if screen > best.distance + _TIE + margin:
+                        child_bound = screen
+                    else:
+                        child_bound, _ = _gallery_lp(
+                            cx, child_seq, child_transits, emb_p, p, None, q
+                        )
+                    child_bounds[key] = child_bound
                 if child_bound <= best.distance + _TIE:
                     heapq.heappush(
                         heap,

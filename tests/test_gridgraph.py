@@ -10,6 +10,7 @@ from curvecone import (
     distance,
     orthant_distance,
 )
+from curvecone.gridgraph import grid_units
 
 
 @pytest.fixture(scope="module")
@@ -72,6 +73,24 @@ def test_box_too_small_rejected(s12):
     q = cone_point(s12, nn.id, (1.0, 1.0))
     with pytest.raises(ValueError):
         brute_force_distance(p, q, mesh=0.5, box=4.0)
+
+
+@pytest.mark.parametrize(
+    "mesh, box, message",
+    [
+        (0.0, 8.0, "mesh must be positive"),
+        (0.5, -1.0, "box must be positive"),
+        (0.3, 8.0, "positive multiple"),
+        (1e-320, 8.0, "too fine"),
+        (1e-4, 8.0, "coarsen the mesh"),
+    ],
+)
+def test_grid_configuration_rejected(s12, mesh, box, message):
+    # Checked up front, before any grid is allocated.
+    with pytest.raises(ValueError, match=message):
+        grid_units(s12, mesh, box)
+    with pytest.raises(ValueError, match=message):
+        GridOracle(s12, mesh, box)
 
 
 def test_one_shot_wrapper_defaults(s12):

@@ -178,3 +178,40 @@ def test_cli_verify_failure_exit_code(monkeypatch, s12, tmp_path):
     )
     assert code == 1
     assert json.loads(out.read_text())["passed"] is False
+
+
+def test_cli_verify_rejects_bad_options(capsys):
+    assert main(["verify", "-g", "1", "-n", "1", "--epsilon0", "2"]) == 2
+    assert main(["verify", "-g", "1", "-n", "1", "--mesh", "0.3"]) == 2
+    assert "error" in capsys.readouterr().err
+
+
+def test_cli_dist_missing_file(tmp_path):
+    missing = str(tmp_path / "missing.json")
+    assert main(["dist", missing, missing, missing]) == 2
+
+
+def test_cli_internal_fault_propagates(monkeypatch, tmp_path, s12, capsys):
+    # Only input errors map to exit 2; a KeyError or ValueError from the
+    # computation is a bug and must surface as itself.
+    import curvecone.cli as cli_mod
+    from curvecone import cone_point
+
+    cx_file = tmp_path / "cx.json"
+    main(["complex", "-g", "1", "-n", "2", "--out", str(cx_file)])
+    p_file = tmp_path / "p.json"
+    p_file.write_text(cone_point(s12, s12.maximal_ids[0], (1.0, 2.0)).to_json())
+
+    def broken(*args, **kwargs):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli_mod, "distance", broken)
+    with pytest.raises(KeyError, match="internal"):
+        main(["dist", str(cx_file), str(p_file), str(p_file)])
+
+    def broken_verify(*args, **kwargs):
+        raise ValueError("internal")
+
+    monkeypatch.setattr(cli_mod, "run_verification", broken_verify)
+    with pytest.raises(ValueError, match="internal"):
+        main(["verify", "-g", "1", "-n", "1", "--samples", "5"])
