@@ -43,6 +43,7 @@ from .multicurves import (
     InvalidMulticurve,
     MulticurveGraph,
     VertexDecoration,
+    add_curve,
     canonicalize,
     delete_curve,
     is_stable,
@@ -89,6 +90,7 @@ __all__ = [
     "Transit",
     "UnsupportedSurfaceError",
     "VertexDecoration",
+    "add_curve",
     "apex",
     "brute_force_distance",
     "build_complex",

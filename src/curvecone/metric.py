@@ -114,19 +114,13 @@ def _coerce_coords(orbit: SimplexOrbit, coords) -> list[float]:
 
 def _drop_zero_edges(cx: QuotientComplex, orbit_id: str, vec: list[float]):
     """Push a point onto the face spanned by its nonzero coordinates."""
-    while True:
-        zeros = [i for i, v in enumerate(vec) if v == 0.0]
-        if not zeros:
-            return orbit_id, vec
-        if len(vec) == 1:
-            return None, []
-        fm = cx.face(orbit_id, zeros[0])
-        inj = dict(fm.edge_injection)
-        new = [0.0] * (len(vec) - 1)
-        for s, t in inj.items():
-            new[t] = vec[s]
-        vec = new
-        orbit_id = fm.target
+    support = frozenset(i for i, v in enumerate(vec) if v != 0.0)
+    if len(support) == len(vec):
+        return orbit_id, vec
+    if not support:
+        return None, []
+    face_id, iota = cx.subfaces(orbit_id)[support]
+    return face_id, [vec[e] for e in iota]
 
 
 def _reduce_by_symmetry(orbit: SimplexOrbit, vec) -> tuple[float, ...]:

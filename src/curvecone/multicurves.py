@@ -345,3 +345,67 @@ def delete_curve(graph: MulticurveGraph, edge: int) -> MulticurveGraph | None:
 
     new_edges = tuple((renum(a), renum(b)) for a, b in rest)
     return MulticurveGraph(tuple(verts), new_edges)
+
+
+def add_curve(graph: MulticurveGraph, v: int) -> list[MulticurveGraph]:
+    """Every way to add one curve inside piece ``v``; the inverse of
+    :func:`delete_curve`.
+
+    A nonseparating curve is a loop at ``v`` and takes one genus from
+    the piece.  A separating curve splits the piece into ``v`` and a new
+    last vertex, dividing its genus, its marked points and the curve
+    ends incident to it between the two halves; each half must be
+    stable counting the new curve.  The two ends of a loop at ``v`` may
+    land on different sides.  The new curve is the last edge and the
+    other edges keep their order, so deleting the last edge of any
+    result gives back ``graph``.  Results that differ only by swapping
+    the two halves, or by which of several parallel edges went where,
+    are listed once.  ``graph`` may have no edges: one vertex ``(g, n)``
+    stands for the bare surface.
+
+    Examples::
+
+        >>> bare = MulticurveGraph((VertexDecoration(1, 2),), ())
+        >>> for h in add_curve(bare, 0):
+        ...     print([(d.piece_genus, d.piece_marked) for d in h.vertices], h.edges)
+        [(0, 2)] ((0, 0),)
+        [(0, 2), (1, 0)] ((0, 1),)
+        >>> delete_curve(add_curve(bare, 0)[1], 0) is None
+        True
+    """
+    dec = graph.vertices[v]
+    genus, marked = dec.piece_genus, dec.piece_marked
+    nv = len(graph.vertices)
+    found: list[MulticurveGraph] = []
+    if genus > 0:
+        verts = list(graph.vertices)
+        verts[v] = VertexDecoration(genus - 1, marked)
+        found.append(MulticurveGraph(tuple(verts), graph.edges + ((v, v),)))
+
+    # A split is listed under the smaller of its own key and its mirror's.
+    swap = {v: nv, nv: v}
+    splits: dict[tuple, MulticurveGraph] = {}
+
+    def key(h: MulticurveGraph, relabel: dict) -> tuple:
+        verts = [h.vertices[relabel.get(x, x)] for x in range(nv + 1)]
+        edges = sorted(
+            tuple(sorted((relabel.get(a, a), relabel.get(b, b)))) for a, b in h.edges
+        )
+        return tuple((d.piece_genus, d.piece_marked) for d in verts), tuple(edges)
+
+    ends = [(i, s) for i, e in enumerate(graph.edges) for s in (0, 1) if e[s] == v]
+    for sides in product((v, nv), repeat=len(ends)):
+        edges = [list(e) for e in graph.edges]
+        for (i, s), side in zip(ends, sides):
+            edges[i][s] = side
+        edges = tuple(map(tuple, edges)) + ((v, nv),)
+        moved = sides.count(nv)
+        for g1 in range(genus + 1):
+            for m1 in range(marked + 1):
+                half = VertexDecoration(g1, m1)
+                other = VertexDecoration(genus - g1, marked - m1)
+                if is_stable(half, len(ends) - moved + 1) and is_stable(other, moved + 1):
+                    verts = graph.vertices[:v] + (half,) + graph.vertices[v + 1:]
+                    h = MulticurveGraph(verts + (other,), edges)
+                    splits.setdefault(min(key(h, {}), key(h, swap)), h)
+    return found + list(splits.values())

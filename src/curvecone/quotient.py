@@ -1,8 +1,11 @@
 """The finite quotient complex of curve-system orbits for one surface.
 
 Every simplex orbit is stored once, as the canonical form of its cut
-graph, together with its edge-symmetry group.  Face maps record which
-orbit a curve deletion lands on and how the surviving curves are
+graph, together with its edge-symmetry group.  Orbits are enumerated as
+the closure of the bare surface under adding one curve at a time
+(:func:`~curvecone.multicurves.add_curve`), deduplicated by canonical
+form.  Face maps, from the inverse step of deleting a curve, record
+which orbit a deletion lands on and how the surviving curves are
 re-identified there.  The complex also exposes the derived gluing data
 needed by the metric layer: face tables for arbitrary curve subsets,
 the set of embeddings of an orbit into a host orbit, and the transit
@@ -12,14 +15,16 @@ identifications between pairs of top-dimensional orbits.
 from __future__ import annotations
 
 import json
+from collections import defaultdict
 from dataclasses import dataclass
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 
 from .multicurves import (
     CanonicalForm,
     InvalidMulticurve,
     MulticurveGraph,
     VertexDecoration,
+    add_curve,
     canonicalize,
     delete_curve,
     label_hash,
@@ -92,78 +97,51 @@ def orbit_from_canonical(cf: CanonicalForm) -> SimplexOrbit:
 # ---------------------------------------------------------------------------
 
 
-def _compositions(total: int, parts: int):
-    """All tuples of ``parts`` nonnegative integers summing to ``total``."""
-    if parts == 1:
-        yield (total,)
-        return
-    for first in range(total + 1):
-        for rest in _compositions(total - first, parts - 1):
-            yield (first,) + rest
+def _orbit_levels(surface: Surface, top: int) -> list[dict[str, CanonicalForm]]:
+    """Canonical forms of the ``k``-curve systems, keyed by label, for
+    ``k = 1 .. top``.
 
-
-def _spans_connected(nv: int, edges) -> bool:
-    parent = list(range(nv))
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for u, w in edges:
-        parent[find(u)] = find(w)
-    root = find(0)
-    return all(find(v) == root for v in range(nv))
+    Every curve system is one curve added to each of its faces, so level
+    ``k + 1`` is the canonical dedupe of :func:`add_curve` over level
+    ``k``, starting from the bare surface.  A curve is added in one
+    vertex per orbit of the graph's symmetries.
+    """
+    bare = VertexDecoration(surface.genus, surface.marked_points)
+    level = [(MulticurveGraph((bare,), ()), ((0,),))]
+    levels = []
+    for _ in range(top):
+        seen: dict[str, CanonicalForm] = {}
+        for graph, vertex_perms in level:
+            for v in range(len(graph.vertices)):
+                if any(tau[v] < v for tau in vertex_perms):
+                    continue
+                for bigger in add_curve(graph, v):
+                    cf = canonicalize(bigger)
+                    seen.setdefault(cf.label, cf)
+        levels.append(seen)
+        level = [
+            (cf.graph, {tau for tau, _eperm in cf.automorphism_pairs})
+            for cf in seen.values()
+        ]
+    return levels
 
 
 def enumerate_orbits(surface: Surface, k: int) -> list[SimplexOrbit]:
     """All orbits of ``k``-curve systems on ``surface``.
 
-    Generates connected decorated multigraphs with ``k`` edges satisfying
-    the genus and marked-point accounting and per-vertex stability, then
-    removes duplicates by canonical form.  Output is sorted by orbit id.
+    The closure of the bare surface under :func:`add_curve`, deduplicated
+    by canonical form after each added curve.  Output is sorted by orbit
+    id.
     """
     if not 1 <= k <= surface.complexity:
         raise ValueError(
             f"curve count {k} out of range [1, {surface.complexity}] for {surface}"
         )
-    seen: dict[str, CanonicalForm] = {}
-    for nv in range(1, k + 2):
-        b1 = k - nv + 1
-        if b1 < 0:
-            continue
-        g_res = surface.genus - b1
-        if g_res < 0:
-            continue
-        pairs = [(i, j) for i in range(nv) for j in range(i, nv)]
-        for eset in combinations_with_replacement(pairs, k):
-            if not _spans_connected(nv, eset):
-                continue
-            degs = [0] * nv
-            for u, w in eset:
-                degs[u] += 1
-                degs[w] += 1
-            for gdist in _compositions(g_res, nv):
-                # Stability forces a floor on each vertex's marked count.
-                mins = [
-                    max(0, 3 - 2 * g - d) for g, d in zip(gdist, degs)
-                ]
-                rem = surface.marked_points - sum(mins)
-                if rem < 0:
-                    continue
-                for extra in _compositions(rem, nv):
-                    decs = tuple(
-                        VertexDecoration(g, m + e)
-                        for g, m, e in zip(gdist, mins, extra)
-                    )
-                    graph = MulticurveGraph(decs, eset)
-                    cf = canonicalize(graph)
-                    if cf.label not in seen:
-                        seen[cf.label] = cf
-    orbits = [orbit_from_canonical(cf) for cf in seen.values()]
-    orbits.sort(key=lambda o: o.id)
-    return orbits
+    return _sorted_orbits(_orbit_levels(surface, k)[-1])
+
+
+def _sorted_orbits(level: dict[str, CanonicalForm]) -> list[SimplexOrbit]:
+    return sorted((orbit_from_canonical(cf) for cf in level.values()), key=lambda o: o.id)
 
 
 # ---------------------------------------------------------------------------
@@ -220,7 +198,8 @@ class QuotientComplex:
         """For each proper nonempty edge subset ``F`` of the orbit, the face
         orbit spanned by ``F`` and the injection of that face's canonical
         edges onto ``F`` (``iota[c]`` is the host edge carrying face edge
-        ``c``)."""
+        ``c``).  The face is reached by deleting the lowest-numbered edge
+        outside ``F`` first, one face map at a time."""
         cached = self._subface_cache.get(orbit_id)
         if cached is not None:
             return cached
@@ -304,43 +283,38 @@ class QuotientComplex:
             return cached
 
         def chart(orbit_id):
-            entries = [
-                (fid, iota) for (fid, iota) in self.subfaces(orbit_id).values()
-            ]
             k = self.orbit(orbit_id).n_edges
-            entries.append((orbit_id, tuple(range(k))))
-            return entries
+            return [*self.subfaces(orbit_id).values(), (orbit_id, tuple(range(k)))]
 
+        target_chart = defaultdict(list)
+        for fid, iota in chart(target_id):
+            target_chart[fid].append(iota)
         raw = set()
-        for fid_a, iota_a in chart(source_id):
-            for fid_b, iota_b in chart(target_id):
-                if fid_a != fid_b:
-                    continue
-                if fid_a == source_id and source_id != target_id:
-                    continue
-                for a in self.orbit(fid_a).automorphisms:
-                    twisted = tuple(iota_a[a[c]] for c in range(len(a)))
-                    raw.add((fid_a, twisted, iota_b))
+        for fid, iota_s in chart(source_id):
+            if fid == source_id and source_id != target_id:
+                continue
+            for iota_t in target_chart.get(fid, ()):
+                for a in self.orbit(fid).automorphisms:
+                    raw.add((fid, tuple(iota_s[c] for c in a), iota_t))
         candidates = sorted(raw)
 
-        kept = []
-        for fid, into_s, into_t in candidates:
-            dominated = False
-            for fid2, into_s2, into_t2 in candidates:
-                if len(into_s2) <= len(into_s):
-                    continue
-                for j in self.embeddings(fid, fid2):
-                    if all(
-                        into_s2[j[c]] == into_s[c] and into_t2[j[c]] == into_t[c]
-                        for c in range(len(into_s))
-                    ):
-                        dominated = True
-                        break
-                if dominated:
-                    break
-            if not dominated:
-                kept.append(Transit(fid, into_s, into_t))
-        result = tuple(kept)
+        # A candidate is dominated, and dropped, when its set of (source
+        # edge, target edge) pairs lies strictly inside a larger
+        # candidate's.  The larger one's source map is injective, so the
+        # inclusion fixes one edge map j of the smaller face into the
+        # larger; j(C) spans the same face of the source as the smaller
+        # candidate, so j is one of embeddings(fid, fid2): the test
+        # agrees with trying every embedding.
+        pair_sets = [frozenset(zip(into_s, into_t)) for _f, into_s, into_t in candidates]
+        maximal: set[frozenset] = set()
+        for pairs in sorted(set(pair_sets), key=len, reverse=True):
+            if not any(pairs < big for big in maximal):
+                maximal.add(pairs)
+        result = tuple(
+            Transit(*cand)
+            for cand, pairs in zip(candidates, pair_sets)
+            if pairs in maximal
+        )
         self._transit_cache[key] = result
         return result
 
@@ -378,14 +352,16 @@ class QuotientComplex:
 def build_complex(surface: Surface) -> QuotientComplex:
     """Enumerate all orbits of a surface and assemble face maps.
 
-    Orbits for every curve count up to the pants number, face maps via
-    curve deletion matched through canonical forms; structural invariants
-    are verified before the complex is returned.
+    One closure under :func:`~curvecone.multicurves.add_curve` yields the
+    orbits for every curve count up to the pants number; face maps come
+    from curve deletion matched through canonical forms.  Structural
+    invariants are verified before the complex is returned.
     """
-    d = surface.complexity
-    all_orbits: list[SimplexOrbit] = []
-    for k in range(1, d + 1):
-        all_orbits.extend(enumerate_orbits(surface, k))
+    all_orbits = [
+        orbit
+        for level in _orbit_levels(surface, surface.complexity)
+        for orbit in _sorted_orbits(level)
+    ]
 
     by_id = {o.id: o for o in all_orbits}
     face_maps = []

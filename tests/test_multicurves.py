@@ -5,7 +5,10 @@ from hypothesis import strategies as st
 from curvecone import (
     InvalidMulticurve,
     MulticurveGraph,
+    Surface,
     VertexDecoration,
+    add_curve,
+    build_complex,
     canonicalize,
     delete_curve,
     is_stable,
@@ -210,3 +213,67 @@ def test_delete_curve_preserves_accounting(pair):
         out.validate()
         assert out.genus == g.genus
         assert out.marked_points == g.marked_points
+
+
+# -- curve addition ------------------------------------------------------------
+
+ADD_CURVE_SURFACES = [(0, 7), (1, 4), (2, 1), (3, 0)]
+
+
+def bare(genus, marked):
+    return graph([(genus, marked)], [])
+
+
+def cut_graphs(genus, marked):
+    """The bare surface and the canonical graph of every orbit."""
+    return [bare(genus, marked)] + [
+        o.graph for o in build_complex(Surface(genus, marked)).orbits
+    ]
+
+
+@pytest.mark.parametrize("genus,marked", ADD_CURVE_SURFACES)
+def test_add_curve_outputs_validate_and_delete_back(genus, marked):
+    for g in cut_graphs(genus, marked):
+        for v in range(len(g.vertices)):
+            for h in add_curve(g, v):
+                h.validate()
+                assert h.surface() == Surface(genus, marked)
+                back = delete_curve(h, len(h.edges) - 1)
+                if not g.edges:
+                    assert back is None
+                    continue
+                assert back == g
+                assert canonicalize(back).label == canonicalize(g).label
+
+
+@pytest.mark.parametrize("genus,marked", ADD_CURVE_SURFACES)
+def test_add_curve_inverts_every_deletion(genus, marked):
+    # Every curve system is one curve added to each of its faces.
+    for g in cut_graphs(genus, marked)[1:]:
+        label = canonicalize(g).label
+        for e in range(len(g.edges)):
+            face = delete_curve(g, e) or bare(genus, marked)
+            grown = {
+                canonicalize(h).label
+                for v in range(len(face.vertices))
+                for h in add_curve(face, v)
+            }
+            assert label in grown
+
+
+def test_add_curve_splits_loop_ends():
+    # The loop on S(1,2) becomes two parallel curves when a separating
+    # curve takes one marked point and one loop end to each side.
+    grown = add_curve(graph([(0, 2)], [(0, 0)]), 0)
+    shapes = {
+        (tuple((d.piece_genus, d.piece_marked) for d in h.vertices), h.edges)
+        for h in grown
+    }
+    assert (((0, 1), (0, 1)), ((0, 1), (0, 1))) in shapes
+    assert len(grown) == len(shapes)
+
+
+def test_add_curve_on_pants_is_empty():
+    # A pair of pants holds no essential curve.
+    theta = graph([(0, 0), (0, 0)], [(0, 1), (0, 1), (0, 1)])
+    assert add_curve(theta, 0) == [] and add_curve(theta, 1) == []

@@ -12,6 +12,7 @@ from curvecone import (
     enumerate_orbits,
 )
 from graph_oracle import count_classes
+from test_acceptance import SUPPORTED
 
 
 # -- enumeration against documented examples ----------------------------------
@@ -72,6 +73,9 @@ def test_k_out_of_range():
         (0, 6, 1), (0, 6, 2), (0, 6, 3),
         (1, 4, 3), (1, 4, 4),
         (0, 7, 4), (2, 1, 4),
+        (2, 2, 2), (2, 2, 3), (2, 2, 4), (1, 5, 3),
+        (0, 8, 3), (0, 8, 4), (3, 0, 2), (3, 0, 3),
+        (2, 2, 5),
     ],
 )
 def test_counts_match_bruteforce_oracle(genus, marked, k):
@@ -193,6 +197,57 @@ def test_transit_domination(s2):
     theta, dumbbell = sorted(s2.maximal_ids)
     for t in s2.transits(theta, dumbbell):
         assert len(t.into_source) == 2
+
+
+def reference_transits(cx, source_id, target_id):
+    """Transits with dominance tested by trying every embedding of the
+    smaller shared face into the larger one."""
+    def chart(orbit_id):
+        k = cx.orbit(orbit_id).n_edges
+        return [*cx.subfaces(orbit_id).values(), (orbit_id, tuple(range(k)))]
+
+    raw = set()
+    for fid_a, iota_a in chart(source_id):
+        for fid_b, iota_b in chart(target_id):
+            if fid_a != fid_b or (fid_a == source_id and source_id != target_id):
+                continue
+            for a in cx.orbit(fid_a).automorphisms:
+                raw.add((fid_a, tuple(iota_a[a[c]] for c in range(len(a))), iota_b))
+    candidates = sorted(raw)
+
+    def dominated(fid, into_s, into_t):
+        return any(
+            all(
+                into_s2[j[c]] == into_s[c] and into_t2[j[c]] == into_t[c]
+                for c in range(len(into_s))
+            )
+            for fid2, into_s2, into_t2 in candidates
+            if len(into_s2) > len(into_s)
+            for j in cx.embeddings(fid, fid2)
+        )
+
+    return tuple(c for c in candidates if not dominated(*c))
+
+
+@pytest.mark.parametrize(
+    "genus,marked", SUPPORTED + [(0, 8), (2, 2), (1, 5)]
+)
+def test_transits_match_embedding_reference(genus, marked):
+    cx = complex_for(genus, marked)
+    for a in cx.maximal_ids:
+        for b in cx.maximal_ids:
+            got = tuple(
+                (t.face_id, t.into_source, t.into_target) for t in cx.transits(a, b)
+            )
+            assert got == reference_transits(cx, a, b)
+
+
+def test_genus3_closed_builds():
+    # The five top orbits are the five pants-decomposition types of the
+    # closed genus-3 surface.
+    cx = build_complex(Surface(3, 0))
+    cx.check_invariants()
+    assert cx.orbit_counts() == {0: 2, 1: 5, 2: 9, 3: 12, 4: 8, 5: 5}
 
 
 # -- serialization --------------------------------------------------------------
