@@ -1,8 +1,9 @@
 """Independent grid oracle for cone distances.
 
 Every top-dimensional orthant is sampled on a cubical mesh, grid points
-are identified across orthant charts and orbit symmetries exactly (via
-face tables and lexicographic reduction, in integer mesh units), and
+are identified across orthant charts and orbit symmetries exactly (each
+node, in integer mesh units, is keyed by
+:meth:`~curvecone.quotient.QuotientComplex.reduce`), and
 neighboring grid points are joined by all Chebyshev moves.  Each move
 has half-sup length ``mesh / 2`` regardless of direction, so shortest
 grid paths are breadth-first searches with uniform weights, and within
@@ -22,7 +23,7 @@ import numpy as np
 from .metric import ConePoint, _require_same_complex
 from .quotient import QuotientComplex
 
-_APEX_KEY = ("", ())
+_APEX_KEY = (None, ())
 _MAX_NODES = 5_000_000
 
 
@@ -75,30 +76,12 @@ class GridOracle:
         class_id = np.empty(self.n_nodes, dtype=np.int64)
         pos = 0
         for oid, m in zip(self._orbit_ids, self._dims):
-            auts = cx.orbit(oid).automorphisms
-            subfaces = cx.subfaces(oid) if m > 1 else {}
-            face_auts = {
-                fid: cx.orbit(fid).automorphisms
-                for fid, _ in subfaces.values()
-            }
             for ivec in product(range(self.units + 1), repeat=m):
-                key = self._key(oid, ivec, auts, subfaces, face_auts)
-                idx = self._class_of_key.setdefault(key, len(self._class_of_key))
-                class_id[pos] = idx
+                key = cx.reduce(oid, ivec)
+                class_id[pos] = self._class_of_key.setdefault(key, len(self._class_of_key))
                 pos += 1
         self._class_id = class_id
         self.n_classes = len(self._class_of_key)
-
-    def _key(self, oid, ivec, auts, subfaces, face_auts):
-        support = tuple(i for i, v in enumerate(ivec) if v > 0)
-        if not support:
-            return _APEX_KEY
-        if len(support) == len(ivec):
-            return (oid, min(tuple(ivec[a[i]] for i in range(len(a))) for a in auts))
-        fid, iota = subfaces[frozenset(support)]
-        vec = tuple(ivec[iota[t]] for t in range(len(iota)))
-        fauts = face_auts[fid]
-        return (fid, min(tuple(vec[a[i]] for i in range(len(a))) for a in fauts))
 
     def point_key(self, p: ConePoint) -> tuple:
         if p.is_apex:
@@ -107,7 +90,9 @@ class GridOracle:
         for v in p.coords:
             r = v / self.mesh
             i = int(round(r))
-            if abs(r - i) > 1e-6:
+            # A positive coordinate that rounds to zero would otherwise
+            # drop silently onto a face.
+            if i == 0 or abs(r - i) > 1e-6:
                 raise ValueError(
                     f"coordinate {v} is not aligned to mesh {self.mesh}"
                 )
@@ -116,11 +101,7 @@ class GridOracle:
                     f"coordinate {v} exceeds the box bound {self.box}"
                 )
             ivec.append(i)
-        orbit = self.cx.orbit(p.orbit_id)
-        reduced = min(
-            tuple(ivec[a[i]] for i in range(len(a))) for a in orbit.automorphisms
-        )
-        return (p.orbit_id, reduced)
+        return self.cx.reduce(p.orbit_id, ivec)
 
     def _dilate(self, frontier: np.ndarray) -> np.ndarray:
         out = np.zeros_like(frontier)

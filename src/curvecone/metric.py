@@ -112,21 +112,6 @@ def _coerce_coords(orbit: SimplexOrbit, coords) -> list[float]:
     return vec
 
 
-def _drop_zero_edges(cx: QuotientComplex, orbit_id: str, vec: list[float]):
-    """Push a point onto the face spanned by its nonzero coordinates."""
-    support = frozenset(i for i, v in enumerate(vec) if v != 0.0)
-    if len(support) == len(vec):
-        return orbit_id, vec
-    if not support:
-        return None, []
-    face_id, iota = cx.subfaces(orbit_id)[support]
-    return face_id, [vec[e] for e in iota]
-
-
-def _reduce_by_symmetry(orbit: SimplexOrbit, vec) -> tuple[float, ...]:
-    return min(tuple(vec[a[i]] for i in range(len(a))) for a in orbit.automorphisms)
-
-
 def cone_point(cx: QuotientComplex, orbit_id: str | None, coords=()) -> ConePoint:
     """Canonicalizing constructor: zero coordinates are dropped onto the
     spanned face, and the apex is returned when everything vanishes."""
@@ -134,13 +119,8 @@ def cone_point(cx: QuotientComplex, orbit_id: str | None, coords=()) -> ConePoin
         if any(float(v) != 0.0 for v in (coords.values() if isinstance(coords, dict) else coords)):
             raise ValueError("apex point cannot carry nonzero coordinates")
         return ConePoint(None, (), cx)
-    orbit = cx.orbit(orbit_id)
-    vec = _coerce_coords(orbit, coords)
-    support_id, vec = _drop_zero_edges(cx, orbit_id, vec)
-    if support_id is None:
-        return ConePoint(None, (), cx)
-    reduced = _reduce_by_symmetry(cx.orbit(support_id), vec)
-    return ConePoint(support_id, reduced, cx)
+    vec = _coerce_coords(cx.orbit(orbit_id), coords)
+    return ConePoint(*cx.reduce(orbit_id, vec), cx)
 
 
 def apex(cx: QuotientComplex) -> ConePoint:

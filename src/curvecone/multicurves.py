@@ -226,18 +226,24 @@ def canonicalize(graph: MulticurveGraph) -> CanonicalForm:
     as decorated multigraphs.  The search runs over vertex numberings
     compatible with the (decoration, degree, loop-count) partition, which
     every isomorphism preserves; parallel edges and loops are handled by
-    matching edge multisets and enumerating per-slot bijections.
+    matching edge multisets and enumerating per-slot bijections.  The
+    same scan yields the automorphisms: the numberings that reach the
+    least edge list are exactly the chosen one followed by each vertex
+    symmetry of the representative.
     """
     graph.validate()
     nv = len(graph.vertices)
     blocks = _class_blocks(graph)
 
     best_edges = None
-    best_sigma = None
+    ties = []
     for sigma in _class_respecting_perms(blocks, nv):
         cand = _relabel_edges(graph.edges, sigma)
-        if best_edges is None or (cand, sigma) < (best_edges, best_sigma):
-            best_edges, best_sigma = cand, sigma
+        if best_edges is None or cand < best_edges:
+            best_edges, ties = cand, [sigma]
+        elif cand == best_edges:
+            ties.append(sigma)
+    best_sigma = min(ties)
 
     decorations = [None] * nv
     for key, members, start in blocks:
@@ -257,7 +263,11 @@ def canonicalize(graph: MulticurveGraph) -> CanonicalForm:
         edge_order.append(slot_queue[pair][taken[pair]])
         taken[pair] += 1
 
-    pairs, eperms = _automorphism_search(rep)
+    # Representative vertex best_sigma[v] is input vertex v, which each
+    # tied numbering sends to sigma[v]: those are the vertex symmetries.
+    unbest = sorted(range(nv), key=best_sigma.__getitem__)
+    vertex_perms = [tuple(sigma[v] for v in unbest) for sigma in ties]
+    pairs, eperms = _automorphism_pairs(rep, slot_queue, vertex_perms)
 
     label = _label_string(rep)
     return CanonicalForm(
@@ -270,24 +280,16 @@ def canonicalize(graph: MulticurveGraph) -> CanonicalForm:
     )
 
 
-def _automorphism_search(rep: MulticurveGraph):
-    """All (vertex, edge) automorphism pairs of a canonical representative."""
-    nv = len(rep.vertices)
-    blocks = _class_blocks(rep)
-    rep_sorted = list(rep.edges)
-    positions_by_pair = defaultdict(list)
-    for j, pair in enumerate(rep.edges):
-        positions_by_pair[pair].append(j)
-
+def _automorphism_pairs(rep: MulticurveGraph, positions_by_pair, vertex_perms):
+    """Every (vertex, edge) automorphism pair of a canonical representative,
+    given its vertex symmetries: each extends to edges by every bijection
+    between the parallel-edge slots it matches up."""
     pairs = []
     eperm_set = set()
-    for tau in _class_respecting_perms(blocks, nv):
-        mapped = [tuple(sorted((tau[u], tau[w]))) for u, w in rep.edges]
-        if sorted(mapped) != rep_sorted:
-            continue
+    for tau in vertex_perms:
         sources_by_pair = defaultdict(list)
-        for i, pair in enumerate(mapped):
-            sources_by_pair[pair].append(i)
+        for i, (u, w) in enumerate(rep.edges):
+            sources_by_pair[tuple(sorted((tau[u], tau[w])))].append(i)
         keys = sorted(sources_by_pair)
         for combo in product(
             *(permutations(positions_by_pair[k]) for k in keys)

@@ -227,6 +227,20 @@ class QuotientComplex:
         self._subface_cache[orbit_id] = table
         return table
 
+    def reduce(self, orbit_id: str, vec) -> tuple[str | None, tuple]:
+        """Canonical form of a chart vector of ``orbit_id``: the face
+        spanned by its nonzero entries, and the lexicographically least
+        image of the vector there under that face's symmetries.  The
+        apex, where every entry vanishes, is ``(None, ())``."""
+        support = [i for i, v in enumerate(vec) if v != 0]
+        if len(support) < len(vec):
+            if not support:
+                return None, ()
+            orbit_id, iota = self.subfaces(orbit_id)[frozenset(support)]
+            vec = [vec[e] for e in iota]
+        auts = self.orbit(orbit_id).automorphisms
+        return orbit_id, min(tuple(vec[i] for i in a) for a in auts)
+
     def embeddings(self, face_id: str, host_id: str) -> tuple[tuple[int, ...], ...]:
         """All edge injections realizing ``face_id`` as a face of
         ``host_id``, automorphism twists of the face included.  When the
@@ -304,12 +318,16 @@ class QuotientComplex:
         # inclusion fixes one edge map j of the smaller face into the
         # larger; j(C) spans the same face of the source as the smaller
         # candidate, so j is one of embeddings(fid, fid2): the test
-        # agrees with trying every embedding.
+        # agrees with trying every embedding.  A strict superset holds
+        # every pair of the smaller set, so it is filed under its least.
         pair_sets = [frozenset(zip(into_s, into_t)) for _f, into_s, into_t in candidates]
         maximal: set[frozenset] = set()
+        by_pair = defaultdict(list)
         for pairs in sorted(set(pair_sets), key=len, reverse=True):
-            if not any(pairs < big for big in maximal):
+            if not any(pairs < big for big in by_pair.get(min(pairs), ())):
                 maximal.add(pairs)
+                for pair in pairs:
+                    by_pair[pair].append(pairs)
         result = tuple(
             Transit(*cand)
             for cand, pairs in zip(candidates, pair_sets)

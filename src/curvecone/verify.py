@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import time
 from dataclasses import dataclass, field
+from itertools import permutations
 
 import numpy as np
 
@@ -25,7 +26,9 @@ from .metric import (
     segment_lengths,
     symmetric_orthant_distance,
 )
-from .multicurves import InvalidMulticurve, canonicalize
+# ``canonicalize`` is not called here; perfbench's tracer looks it up on
+# this module, and reports the whole ``multicurves`` layer absent if not.
+from .multicurves import InvalidMulticurve, canonicalize  # noqa: F401
 from .quotient import QuotientComplex
 
 SCHEMA_REPORT = "curvecone/run-report/1"
@@ -97,6 +100,18 @@ def _permuted(vec, perm):
     return tuple(vec[perm[i]] for i in range(len(perm)))
 
 
+def _is_graph_automorphism(graph, eperm) -> bool:
+    """Whether some decoration-preserving vertex permutation sends the
+    endpoints of each edge ``i`` to those of edge ``eperm[i]``: a brute
+    force over all vertex permutations, independent of ``canonicalize``."""
+    verts, edges = graph.vertices, graph.edges
+    return sorted(eperm) == list(range(len(edges))) and any(
+        all(verts[v] == verts[x] for v, x in enumerate(vp))
+        and all(tuple(sorted((vp[u], vp[w]))) == edges[j] for (u, w), j in zip(edges, eperm))
+        for vp in permutations(range(len(verts)))
+    )
+
+
 # ---------------------------------------------------------------------------
 # Suites
 # ---------------------------------------------------------------------------
@@ -110,13 +125,12 @@ def _suite_automorphism_equivariance(cx, rng, samples, cfg):
     worst = 0.0
     checked = 0
     for orbit in cx.orbits:
-        truth = set(canonicalize(orbit.graph).automorphisms)
         ident = tuple(range(orbit.n_edges))
         if ident not in orbit.automorphisms:
             fails += 1
         for a in orbit.automorphisms:
             checked += 1
-            if tuple(a) not in truth:
+            if not _is_graph_automorphism(orbit.graph, a):
                 fails += 1
                 continue
             x = rng.uniform(0.25, 8.0, size=orbit.n_edges)
@@ -133,7 +147,6 @@ def _suite_automorphism_equivariance(cx, rng, samples, cfg):
 def _suite_complex_structure(cx, rng, samples, cfg):
     """Dimension formula, pants condition, coface coverage, the diamond
     property of deletion orders, and face/symmetry compatibility."""
-    worst = 0.0
     fails = 0
     try:
         cx.check_invariants()
@@ -155,7 +168,7 @@ def _suite_complex_structure(cx, rng, samples, cfg):
         k = cx.orbit(mid).n_edges
         if k < 3:
             continue
-        size = int(rng.integers(1, k - 1)) if k > 2 else 1
+        size = int(rng.integers(1, k - 1))
         keep = sorted(rng.choice(k, size=size, replace=False).tolist())
         checked += 1
         targets = set()
@@ -176,7 +189,7 @@ def _suite_complex_structure(cx, rng, samples, cfg):
             targets.add(cur)
         if len(targets) != 1:
             fails += 1
-    return SuiteResult("complex_structure", fails == 0, checked, worst,
+    return SuiteResult("complex_structure", fails == 0, checked, 0.0,
                        f"{fails} failures" if fails else "")
 
 

@@ -62,9 +62,12 @@ def test_identified_points_at_zero_distance(s12, oracle):
 
 def test_misaligned_coordinates_rejected(s12, oracle):
     nn = orbit_by_structure(s12, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
-    p = cone_point(s12, nn.id, (1.01, 3.0))
-    with pytest.raises(ValueError, match="aligned"):
-        oracle.distance(p, cone_point(s12, nn.id, (1.0, 1.0)))
+    q = cone_point(s12, nn.id, (1.0, 1.0))
+    # Off the mesh, and positive but rounding to zero mesh units.
+    for coords in [(1.01, 3.0), (1e-7, 2.0)]:
+        p = cone_point(s12, nn.id, coords)
+        with pytest.raises(ValueError, match="aligned"):
+            oracle.distance(p, q)
 
 
 def test_box_too_small_rejected(s12):

@@ -1,3 +1,6 @@
+import random
+from itertools import permutations
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -102,24 +105,44 @@ def test_theta_graph_symmetries():
     )
 
 
-def test_theta_pairs_verified_exhaustively():
-    # Independent check: every (vertex, edge) bijection pair that
-    # preserves decorations and incidence, found by raw search.
-    from itertools import permutations
+THETA = graph([(0, 0), (0, 0)], [(0, 1), (0, 1), (0, 1)])
 
-    g = graph([(0, 0), (0, 0)], [(0, 1), (0, 1), (0, 1)])
-    found = set()
-    for vp in permutations(range(2)):
-        for ep in permutations(range(3)):
-            ok = all(
-                tuple(sorted((vp[u], vp[w]))) == g.edges[ep[i]]
-                for i, (u, w) in enumerate(g.edges)
+
+@pytest.mark.parametrize(
+    "surface", [None, (0, 7), (1, 4), (2, 1), (3, 0)], ids=["theta", "0-7", "1-4", "2-1", "3-0"]
+)
+def test_theta_pairs_verified_exhaustively(surface):
+    # Independent check: every (vertex, edge) bijection pair that
+    # preserves decorations and incidence, found by raw search, on the
+    # theta graph alone or on every orbit graph of a surface; and a
+    # shuffled relabelling gets the same label.
+    graphs = [THETA] if surface is None else cut_graphs(*surface)[1:]
+    rng = random.Random(0)
+    for g in graphs:
+        cf = canonicalize(g)
+        rep = cf.graph
+        nv, ne = len(rep.vertices), len(rep.edges)
+        found = {
+            (vp, ep)
+            for vp in permutations(range(nv))
+            if all(rep.vertices[vp[v]] == rep.vertices[v] for v in range(nv))
+            for ep in permutations(range(ne))
+            if all(
+                tuple(sorted((vp[u], vp[w]))) == rep.edges[ep[i]]
+                for i, (u, w) in enumerate(rep.edges)
             )
-            if ok:
-                found.add((vp, ep))
-    cf = canonicalize(g)
-    assert set(cf.automorphism_pairs) == found
-    assert len(found) == 12
+        }
+        assert set(cf.automorphism_pairs) == found
+        vp = list(range(nv))
+        rng.shuffle(vp)
+        order = rng.sample(range(ne), ne)
+        shuffled = MulticurveGraph(
+            tuple(rep.vertices[vp.index(v)] for v in range(nv)),
+            tuple((vp[rep.edges[i][0]], vp[rep.edges[i][1]]) for i in order),
+        )
+        assert canonicalize(shuffled).label == cf.label
+    if surface is None:
+        assert len(found) == 12
 
 
 def test_automorphisms_extend_to_isomorphisms():
