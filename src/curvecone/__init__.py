@@ -20,7 +20,6 @@ from .fenchel_nielsen import (
     to_fenchel_nielsen,
     to_plane_coords,
 )
-from .gridgraph import GridOracle, brute_force_distance
 from .lp import LPInfeasibleError, LPResult, LPUnboundedError, solve_lp
 from .metric import (
     ComplexMismatchError,
@@ -63,6 +62,17 @@ from .surfaces import Surface, UnsupportedSurfaceError
 from .verify import RunReport, SuiteResult, run_verification
 
 __version__ = "0.1.0"
+
+
+def __getattr__(name):
+    # The grid oracle is the one numpy-backed layer; it loads on first use,
+    # so importing the package (and with it the CLI) does not import numpy.
+    if name in ("GridOracle", "brute_force_distance"):
+        from . import gridgraph
+
+        return getattr(gridgraph, name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "CanonicalForm",

@@ -14,7 +14,6 @@ import sys
 from contextlib import contextmanager
 
 from .fenchel_nielsen import ModelConfig
-from .gridgraph import grid_units
 from .metric import distance, point_from_dict
 from .quotient import (
     build_complex,
@@ -136,6 +135,8 @@ def _cmd_verify(args) -> int:
         ModelConfig(args.epsilon0)  # raises on an epsilon0 outside (0, 1)
     cx = build_complex(surface)
     if args.mesh is not None:
+        from .gridgraph import grid_units
+
         with _reading_input():
             grid_units(cx, args.mesh, _VERIFY_BOX)
     report = run_verification(

@@ -1,18 +1,30 @@
-"""Dense two-phase simplex solver for the small gallery programs.
+"""Sparse two-phase simplex solver for the small gallery programs.
 
 Solves ``min c.x  s.t.  A x <= b,  x >= 0`` with Bland's anti-cycling
-pivot rule, so runs are deterministic and finite even on the degenerate
-programs the geodesic search produces.  Problem sizes here are tiny
-(tens of variables), so a dense tableau is the right tool.
+pivot rule (Bland 1977), so runs are deterministic and finite even on
+the degenerate programs the geodesic search produces.
+
+The programs are tiny and sparse (about 17 rows and 7 variables, each
+row touching two or three of them), so each tableau row, the cost row
+included, is a ``{column: value}`` dict of its nonzero entries, with the
+right-hand side under the column after the last artificial.  Every
+stored entry comes from the IEEE operation a dense tableau would apply
+(``v / d`` on the pivot row, ``t - f * p`` on the others, where an
+absent ``t`` is 0 and ``0.0 - y`` is exactly ``-y``); an entry that
+cancels to zero is dropped, and a dense tableau would hold ``+0.0``
+there.  So the pivots and every nonzero entry match a dense tableau bit
+for bit; only the sign of a zero could differ, and no comparison depends
+on it (``tests/test_lp.py`` compares results with signed zeros too).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-
-import numpy as np
+from operator import itemgetter
 
 TOL = 1e-9
+
+_nonzero = itemgetter(1)
 
 
 class LPError(RuntimeError):
@@ -30,46 +42,63 @@ class LPUnboundedError(LPError):
 @dataclass(frozen=True)
 class LPResult:
     value: float
-    x: np.ndarray
+    x: tuple[float, ...]
 
 
-def _pivot(tab: np.ndarray, basis: list[int], row: int, col: int) -> None:
-    piv = tab[row] / tab[row, col]
-    factors = tab[:, col].copy()
-    factors[row] = 0.0
-    tab -= np.outer(factors, piv)
-    tab[row] = piv
-    basis[row] = col
+def _subtract(row: dict, f: float, other: dict) -> None:
+    """``row -= f * other``, keeping only nonzero entries."""
+    get = row.get
+    for k, p in other.items():
+        v = get(k, 0.0) - f * p
+        if v:
+            row[k] = v
+        else:
+            row.pop(k, None)
 
 
-def _bland_entering(costs: np.ndarray, ncols: int) -> int | None:
-    neg = np.flatnonzero(costs[:ncols] < -TOL)
-    return int(neg[0]) if neg.size else None
+def _pivot(tab: list[dict], basis: list[int], r: int, col: int) -> None:
+    # The pivot column cancels exactly in every other row (f - f * 1.0),
+    # so it is dropped there and set to d / d = 1.0 in the pivot row last.
+    # The row update is _subtract inlined: this loop is the solver's cost.
+    d = tab[r].pop(col)
+    piv = {k: q for k, v in tab[r].items() if (q := v / d)}
+    tab[r] = piv
+    for row in tab:
+        f = row.pop(col, None)
+        if f is not None:
+            get = row.get
+            for k, p in piv.items():
+                v = get(k, 0.0) - f * p
+                if v:
+                    row[k] = v
+                else:
+                    row.pop(k, None)
+    piv[col] = 1.0
+    basis[r] = col
 
 
-def _bland_leaving(tab: np.ndarray, basis: list[int], col: int) -> int | None:
-    column = tab[:, col]
-    rows = np.flatnonzero(column > TOL)
-    if not rows.size:
-        return None
-    ratios = tab[rows, -1] / column[rows]
-    floor = ratios.min()
-    ties = rows[ratios <= floor + TOL]
-    if ties.size == 1:
-        return int(ties[0])
-    basis_arr = np.asarray(basis)
-    return int(ties[np.argmin(basis_arr[ties])])
-
-
-def _run_simplex(tab: np.ndarray, basis: list[int], ncols: int) -> None:
+def _run_simplex(tab: list[dict], basis: list[int], ncols: int, rhs: int) -> None:
+    """Bland pivots on ``tab`` (cost row last) until no cost is below -TOL."""
     while True:
-        col = _bland_entering(tab[-1, :ncols], ncols)
-        if col is None:
+        neg = [j for j, v in tab[-1].items() if v < -TOL and j < ncols]
+        if not neg:
             return
-        row = _bland_leaving(tab[:-1], basis, col)
-        if row is None:
+        col = min(neg)
+        # Least ratio, ties within TOL to the least basis index.  The cost
+        # row's entry in ``col`` is below -TOL, so it is never a candidate.
+        cands = [
+            (row.get(rhs, 0.0) / a, i)
+            for i, row in enumerate(tab)
+            if (a := row.get(col, 0.0)) > TOL
+        ]
+        if not cands:
             raise LPUnboundedError(f"unbounded in column {col}")
-        _pivot(tab, basis, row, col)
+        if len(cands) == 1:
+            r = cands[0][1]
+        else:
+            floor = min(cands)[0] + TOL
+            r = min((i for ratio, i in cands if ratio <= floor), key=basis.__getitem__)
+        _pivot(tab, basis, r, col)
 
 
 def solve_lp(c, a_ub, b_ub) -> LPResult:
@@ -78,67 +107,75 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
     Raises :class:`LPInfeasibleError` / :class:`LPUnboundedError`; both
     indicate a malformed caller program rather than a recoverable state.
     """
-    c = np.asarray(c, dtype=float)
-    a = np.atleast_2d(np.asarray(a_ub, dtype=float))
-    b = np.asarray(b_ub, dtype=float)
-    m, n = a.shape
-    if c.shape != (n,) or b.shape != (m,):
-        raise ValueError("inconsistent LP dimensions")
+    c = list(map(float, c))
+    b = list(map(float, b_ub))
+    n, m = len(c), len(b)
 
     # Slack per row; rows with negative right-hand side get an artificial
     # after a sign flip, and phase 1 drives the artificials to zero.
-    neg = b < 0
-    n_art = int(neg.sum())
-    ncols = n + m + n_art
-    tab = np.zeros((m + 1, ncols + 1))
-    tab[:m, :n] = a
-    tab[:m, -1] = b
-    basis = [0] * m
-    art_col = n + m
-    art_cols = []
-    for i in range(m):
-        tab[i, n + i] = 1.0
-        if neg[i]:
-            tab[i] *= -1.0
-            tab[i, art_col] = 1.0
-            basis[i] = art_col
-            art_cols.append(art_col)
+    real = n + m  # structural and slack columns
+    n_art = sum(v < 0 for v in b)
+    rhs = ncols = real + n_art
+    tab: list[dict] = []
+    basis: list[int] = []
+    art_col = real
+    for i, a_row in enumerate(a_ub):
+        if i >= m or len(a_row) != n:
+            raise ValueError("inconsistent LP dimensions")
+        row = dict(filter(_nonzero, enumerate(map(float, a_row))))
+        row[n + i] = 1.0
+        if b[i] < 0:
+            row = {j: -v for j, v in row.items()}
+            row[rhs] = -b[i]
+            row[art_col] = 1.0
+            basis.append(art_col)
             art_col += 1
         else:
-            basis[i] = n + i
+            if b[i]:
+                row[rhs] = b[i]
+            basis.append(n + i)
+        tab.append(row)
+    if len(tab) != m:
+        raise ValueError("inconsistent LP dimensions")
 
     if n_art:
-        for j in art_cols:
-            tab[-1, j] = 1.0
+        cost = dict.fromkeys(range(real, rhs), 1.0)
         for i in range(m):
-            if basis[i] in art_cols:
-                tab[-1] -= tab[i]
-        _run_simplex(tab, basis, ncols)
-        if -tab[-1, -1] > 1e-7:
-            raise LPInfeasibleError(f"phase-1 residual {-tab[-1, -1]:g}")
+            if basis[i] >= real:
+                _subtract(cost, 1.0, tab[i])
+        tab.append(cost)
+        _run_simplex(tab, basis, ncols, rhs)
+        residual = -cost.get(rhs, 0.0)
+        if residual > 1e-7:
+            raise LPInfeasibleError(f"phase-1 residual {residual:g}")
         # Kick leftover artificials out of the basis.
         for i in range(m):
-            if basis[i] in art_cols:
-                pivot_col = None
-                for j in range(n + m):
-                    if abs(tab[i, j]) > TOL:
-                        pivot_col = j
-                        break
+            if basis[i] >= real:
+                pivot_col = min(
+                    (j for j, v in tab[i].items() if j < real and abs(v) > TOL),
+                    default=None,
+                )
                 if pivot_col is None:
                     continue  # redundant row, harmless
                 _pivot(tab, basis, i, pivot_col)
-        tab = np.delete(tab, np.s_[n + m : n + m + n_art], axis=1)
-        ncols = n + m
+        # Drop the phase-1 cost row and the artificial columns.  A basis
+        # entry still naming an artificial stays, as in a dense tableau.
+        del tab[m]
+        for row in tab:
+            for j in range(real, rhs):
+                row.pop(j, None)
+        ncols = real
 
-    tab[-1, :] = 0.0
-    tab[-1, :n] = c
+    cost = dict(filter(_nonzero, enumerate(c)))
     for i in range(m):
-        if basis[i] < ncols and tab[-1, basis[i]] != 0.0:
-            tab[-1] -= tab[-1, basis[i]] * tab[i]
-    _run_simplex(tab, basis, ncols)
+        f = cost.get(basis[i])
+        if f:
+            _subtract(cost, f, tab[i])
+    tab.append(cost)
+    _run_simplex(tab, basis, ncols, rhs)
 
-    x = np.zeros(ncols)
+    x = [0.0] * n
     for i in range(m):
-        if basis[i] < ncols:
-            x[basis[i]] = tab[i, -1]
-    return LPResult(value=float(-tab[-1, -1]), x=x[:n].copy())
+        if basis[i] < n:
+            x[basis[i]] = tab[i].get(rhs, 0.0)
+    return LPResult(value=-cost.get(rhs, 0.0), x=tuple(x))

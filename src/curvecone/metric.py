@@ -19,8 +19,9 @@ A gallery program is an interval-covering problem: each curve
 coordinate, followed through the transits, demands a total length over
 a run of consecutive segments.  Its exact value is a weighted-interval
 DP (:func:`_gallery_bound`), which screens every program first; the
-simplex runs only where its value can still change the answer, and
-every value that reaches the result comes from the simplex.
+simplex (the sparse Bland solver in :mod:`curvecone.lp`) runs only
+where its value can still change the answer, and every value that
+reaches the result comes from the simplex.
 """
 
 from __future__ import annotations
@@ -315,12 +316,11 @@ def _gallery_lp(cx, seq, transits, emb_p, p, emb_q=None, q=None):
             rows.append(row2)
             rhs.append(const[e])
     res = solve_lp(c, rows, rhs)
-    bps = []
-    for t, off in zip(transits, offsets):
-        bps.append(tuple(float(res.x[off + i]) for i in range(len(t.into_source))))
     if not closed:
         return res.value, ()
-    return res.value, tuple(bps[: len(transits)])
+    return res.value, tuple(
+        res.x[off : off + len(t.into_source)] for t, off in zip(transits, offsets)
+    )
 
 
 def _gallery_bound(cx, seq, transits, emb_p, p, emb_q=None, q=None):

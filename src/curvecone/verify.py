@@ -14,8 +14,6 @@ import time
 from dataclasses import dataclass, field
 from itertools import permutations
 
-import numpy as np
-
 from . import fenchel_nielsen as fn
 from .metric import (
     cone_point,
@@ -382,6 +380,8 @@ def run_verification(
     The grid-oracle suite runs only when a mesh is supplied; it is the
     slow one.  Sample counts are scaled down for the heavier suites.
     """
+    import numpy as np  # the seeded sampler, kept off the CLI import path
+
     cfg = fn.ModelConfig(epsilon0)
     config = {
         "surface": {"genus": cx.surface.genus, "marked_points": cx.surface.marked_points},

@@ -1,5 +1,9 @@
 import dataclasses
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -215,3 +219,50 @@ def test_cli_internal_fault_propagates(monkeypatch, tmp_path, s12, capsys):
     monkeypatch.setattr(cli_mod, "run_verification", broken_verify)
     with pytest.raises(ValueError, match="internal"):
         main(["verify", "-g", "1", "-n", "1", "--samples", "5"])
+
+
+_IMPORT_PATH_PROBE = """
+import json, sys
+loaded = {}
+import curvecone.cli
+loaded["import"] = "numpy" in sys.modules
+
+from curvecone import complex_from_json, cone_point
+from curvecone.cli import main
+work = sys.argv[1]
+main(["complex", "-g", "1", "-n", "2", "--out", work + "/cx.json"])
+with open(work + "/cx.json") as handle:
+    cx = complex_from_json(handle.read())
+for name, oid in zip("pq", cx.maximal_ids):
+    k = cx.orbit(oid).n_edges
+    with open(f"{work}/{name}.json", "w") as handle:
+        handle.write(cone_point(cx, oid, [1.0 + i for i in range(k)]).to_json())
+main(["dist", work + "/cx.json", work + "/p.json", work + "/q.json", "--out", work + "/d.json"])
+loaded["dist"] = "numpy" in sys.modules
+
+import curvecone
+lazy = [curvecone.GridOracle.__name__, curvecone.brute_force_distance.__name__]
+namespace = {}
+exec("from curvecone import *", namespace)
+star = sorted(n for n in curvecone.__all__ if n not in namespace)
+print(json.dumps({"loaded": loaded, "lazy": lazy, "missing": star}))
+"""
+
+
+def test_complex_and_dist_run_without_numpy(tmp_path):
+    # numpy serves only the grid oracle and verify's sampler, so the CLI's
+    # import and its complex and dist commands must not load it.
+    import curvecone
+
+    src = str(Path(curvecone.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-c", _IMPORT_PATH_PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    result = json.loads(run.stdout.splitlines()[-1])
+    assert result["loaded"] == {"import": False, "dist": False}
+    assert result["lazy"] == ["GridOracle", "brute_force_distance"]
+    assert result["missing"] == []
+    assert json.loads((tmp_path / "d.json").read_text())["distance"] > 0
