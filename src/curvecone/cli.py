@@ -133,6 +133,10 @@ def _cmd_verify(args) -> int:
     with _reading_input():
         surface = Surface(args.genus, args.marked)
         ModelConfig(args.epsilon0)  # raises on an epsilon0 outside (0, 1)
+        if args.seed < 0 or args.samples < 1:
+            raise ValueError(
+                f"--seed must be >= 0 and --samples >= 1, got {args.seed} and {args.samples}"
+            )
     cx = build_complex(surface)
     if args.mesh is not None:
         from .gridgraph import grid_units

@@ -5,26 +5,26 @@ pivot rule (Bland 1977), so runs are deterministic and finite even on
 the degenerate programs the geodesic search produces.
 
 The programs are tiny and sparse (about 17 rows and 7 variables, each
-row touching two or three of them), so each tableau row, the cost row
-included, is a ``{column: value}`` dict of its nonzero entries, with the
-right-hand side under the column after the last artificial.  Every
-stored entry comes from the IEEE operation a dense tableau would apply
-(``v / d`` on the pivot row, ``t - f * p`` on the others, where an
-absent ``t`` is 0 and ``0.0 - y`` is exactly ``-y``); an entry that
-cancels to zero is dropped, and a dense tableau would hold ``+0.0``
-there.  So the pivots and every nonzero entry match a dense tableau bit
-for bit; only the sign of a zero could differ, and no comparison depends
-on it (``tests/test_lp.py`` compares results with signed zeros too).
+row touching two or three of them).  The cost ``c`` is a dense list
+whose length is the number of variables; each row of ``A`` is a
+``{column: coefficient}`` mapping, absent columns being 0.  Each tableau
+row, the cost row included, is likewise a ``{column: value}`` dict of
+its nonzero entries, with the right-hand side under the column after
+the last artificial.  Every stored entry comes from the IEEE operation
+a dense tableau would apply (``v / d`` on the pivot row, ``t - f * p``
+on the others, where an absent ``t`` is 0 and ``0.0 - y`` is exactly
+``-y``); an entry that cancels to zero is dropped, and a dense tableau
+would hold ``+0.0`` there.  So the pivots and every nonzero entry match
+a dense tableau bit for bit; only the sign of a zero could differ, and
+no comparison depends on it (``tests/test_lp.py`` compares results with
+signed zeros too).
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import itemgetter
 
 TOL = 1e-9
-
-_nonzero = itemgetter(1)
 
 
 class LPError(RuntimeError):
@@ -104,6 +104,8 @@ def _run_simplex(tab: list[dict], basis: list[int], ncols: int, rhs: int) -> Non
 def solve_lp(c, a_ub, b_ub) -> LPResult:
     """Minimize ``c.x`` over ``a_ub x <= b_ub``, ``x >= 0``.
 
+    ``c`` is dense; each row of ``a_ub`` maps columns in
+    ``range(len(c))`` to coefficients, others raising ``ValueError``.
     Raises :class:`LPInfeasibleError` / :class:`LPUnboundedError`; both
     indicate a malformed caller program rather than a recoverable state.
     """
@@ -119,10 +121,11 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
     tab: list[dict] = []
     basis: list[int] = []
     art_col = real
+    columns = set(range(n))
     for i, a_row in enumerate(a_ub):
-        if i >= m or len(a_row) != n:
+        if i >= m or not a_row.keys() <= columns:
             raise ValueError("inconsistent LP dimensions")
-        row = dict(filter(_nonzero, enumerate(map(float, a_row))))
+        row = {j: float(v) for j, v in a_row.items() if v}
         row[n + i] = 1.0
         if b[i] < 0:
             row = {j: -v for j, v in row.items()}
@@ -166,7 +169,7 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
                 row.pop(j, None)
         ncols = real
 
-    cost = dict(filter(_nonzero, enumerate(c)))
+    cost = {j: v for j, v in enumerate(c) if v}
     for i in range(m):
         f = cost.get(basis[i])
         if f:

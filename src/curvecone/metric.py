@@ -135,12 +135,16 @@ def point_from_dict(cx: QuotientComplex, payload: dict) -> ConePoint:
 
 
 def scale(p: ConePoint, lam: float) -> ConePoint:
-    """Dilate a point by ``lam > 0``; the cone's self-similarity."""
+    """Dilate a point by ``lam > 0``; the cone's self-similarity.
+
+    The result goes through :func:`cone_point`: a coordinate that
+    overflows raises ``ValueError``, and one that underflows to zero
+    drops the point onto its face."""
     if not lam > 0:
         raise ValueError(f"scale factor must be positive, got {lam}")
     if p.is_apex:
         return p
-    return ConePoint(p.orbit_id, tuple(lam * v for v in p.coords), p.complex)
+    return cone_point(p.complex, p.orbit_id, [lam * v for v in p.coords])
 
 
 # ---------------------------------------------------------------------------
@@ -277,43 +281,28 @@ def _gallery_lp(cx, seq, transits, emb_p, p, emb_q=None, q=None):
     rows, rhs = [], []
     if climb_var is not None:
         # s + sum(w_last) / 2 >= max(q) / 2, an admissible completion cost.
-        last = transits[-1]
-        row = [0.0] * nvar
-        row[climb_var] = -1.0
-        for cidx in range(len(last.into_source)):
-            row[offsets[-1] + cidx] = -0.5
-        rows.append(row)
+        last = range(offsets[-1], offsets[-1] + len(transits[-1].into_source))
+        rows.append({climb_var: -1.0, **dict.fromkeys(last, -0.5)})
         rhs.append(-0.5 * max(q.coords))
     for j in range(n_seg):
         m = sizes[j]
-        const = [0.0] * m
-        coefs: list[list[tuple[int, float]]] = [[] for _ in range(m)]
-        if j == 0:
-            for e, v in enumerate(_pad(emb_p, p.coords, m)):
-                const[e] += v
-        else:
+        const = _pad(emb_p, p.coords, m) if j == 0 else [0.0] * m
+        coefs: list[dict[int, float]] = [{} for _ in range(m)]
+        if j > 0:
             t = transits[j - 1]
             for cidx, e in enumerate(t.into_target):
-                coefs[e].append((offsets[j - 1] + cidx, 1.0))
+                coefs[e][offsets[j - 1] + cidx] = 1.0
         if closed and j == n_seg - 1:
             for e, v in enumerate(_pad(emb_q, q.coords, m)):
                 const[e] -= v
         else:
             t = transits[j]
             for cidx, e in enumerate(t.into_source):
-                coefs[e].append((offsets[j] + cidx, -1.0))
+                coefs[e][offsets[j] + cidx] = -1.0
         for e in range(m):
-            row = [0.0] * nvar
-            row[j] = -2.0
-            for var, co in coefs[e]:
-                row[var] += co
-            rows.append(row)
+            rows.append({j: -2.0, **coefs[e]})
             rhs.append(-const[e])
-            row2 = [0.0] * nvar
-            row2[j] = -2.0
-            for var, co in coefs[e]:
-                row2[var] -= co
-            rows.append(row2)
+            rows.append({j: -2.0, **{var: -co for var, co in coefs[e].items()}})
             rhs.append(const[e])
     res = solve_lp(c, rows, rhs)
     if not closed:
@@ -421,8 +410,10 @@ def distance(p: ConePoint, q: ConePoint, *, revisit_budget: int = 0) -> Geodesic
     sequence wins, with the apex route last.  Programs whose
     interval-covering bound already clears the pruning threshold are
     skipped without the simplex, which leaves the result unchanged bit
-    for bit.
+    for bit.  A negative ``revisit_budget`` raises ``ValueError``.
     """
+    if revisit_budget < 0:
+        raise ValueError(f"revisit_budget must be nonnegative, got {revisit_budget}")
     _require_same_complex(p, q)
     cx = p.complex
     if p.is_apex and q.is_apex:
@@ -436,7 +427,7 @@ def distance(p: ConePoint, q: ConePoint, *, revisit_budget: int = 0) -> Geodesic
     best_is_apex = True
     margin = _SCREEN * (1.0 + p.max_coord + q.max_coord)
     max_ids = list(cx.maximal_ids)
-    max_len = len(max_ids) + max(0, revisit_budget)
+    max_len = len(max_ids) + revisit_budget
 
     def consider(value, seq, transits, emb_p, emb_q, bps):
         # Ties resolve to the lexicographically least orbit sequence,

@@ -169,6 +169,7 @@ class QuotientComplex:
             o.id for o in self.orbits if o.dim == self.max_dim
         )
         self._subface_cache: dict[str, dict] = {}
+        self._chart_cache: dict[str, dict] = {}
         self._embedding_cache: dict[tuple[str, str], tuple] = {}
         self._transit_cache: dict[tuple[str, str], tuple] = {}
 
@@ -198,34 +199,40 @@ class QuotientComplex:
         """For each proper nonempty edge subset ``F`` of the orbit, the face
         orbit spanned by ``F`` and the injection of that face's canonical
         edges onto ``F`` (``iota[c]`` is the host edge carrying face edge
-        ``c``).  The face is reached by deleting the lowest-numbered edge
-        outside ``F`` first, one face map at a time."""
+        ``c``).
+
+        The lowest-numbered edge outside ``F`` is deleted first: one face
+        map carries ``F`` into that face, whose own table (filled once)
+        gives the rest of the way down."""
         cached = self._subface_cache.get(orbit_id)
         if cached is not None:
             return cached
-        orbit = self.orbit(orbit_id)
-        k = orbit.n_edges
+        k = self.orbit(orbit_id).n_edges
         table = {}
         for size in range(1, k):
             for keep in combinations(range(k), size):
-                cur_id = orbit_id
-                cur_of = {f: f for f in keep}
-                while True:
-                    kept_now = set(cur_of.values())
-                    k_cur = self.orbit(cur_id).n_edges
-                    spare = [e for e in range(k_cur) if e not in kept_now]
-                    if not spare:
-                        break
-                    fm = self._face_at[(cur_id, spare[0])]
-                    inj = dict(fm.edge_injection)
-                    cur_of = {f: inj[c] for f, c in cur_of.items()}
-                    cur_id = fm.target
-                iota = [0] * len(keep)
-                for f, c in cur_of.items():
-                    iota[c] = f
-                table[frozenset(keep)] = (cur_id, tuple(iota))
+                spare = next(e for e in range(k) if e not in keep)
+                fm = self._face_at[(orbit_id, spare)]
+                inj = dict(fm.edge_injection)
+                host_of = {inj[f]: f for f in keep}
+                if size == k - 1:
+                    fid, iota = fm.target, range(size)
+                else:
+                    fid, iota = self.subfaces(fm.target)[frozenset(host_of)]
+                table[frozenset(keep)] = (fid, tuple(host_of[c] for c in iota))
         self._subface_cache[orbit_id] = table
         return table
+
+    def _chart(self, host_id: str) -> dict[str, list[tuple[int, ...]]]:
+        """Every face of the host, the host itself included, with the
+        injections that realize it: ``{face id: [iota, ...]}``."""
+        chart = self._chart_cache.get(host_id)
+        if chart is None:
+            chart = {host_id: [tuple(range(self.orbit(host_id).n_edges))]}
+            for fid, iota in self.subfaces(host_id).values():
+                chart.setdefault(fid, []).append(iota)
+            self._chart_cache[host_id] = chart
+        return chart
 
     def reduce(self, orbit_id: str, vec) -> tuple[str | None, tuple]:
         """Canonical form of a chart vector of ``orbit_id``: the face
@@ -243,23 +250,20 @@ class QuotientComplex:
 
     def embeddings(self, face_id: str, host_id: str) -> tuple[tuple[int, ...], ...]:
         """All edge injections realizing ``face_id`` as a face of
-        ``host_id``, automorphism twists of the face included.  When the
-        two coincide this is the host's edge-symmetry group."""
+        ``host_id``, automorphism twists of the face included: every
+        ``c -> iota[a[c]]`` for an injection ``iota`` of the face in the
+        host's chart and a face symmetry ``a``, sorted.  When the two coincide
+        this is the host's edge-symmetry group."""
         key = (face_id, host_id)
         cached = self._embedding_cache.get(key)
         if cached is not None:
             return cached
-        if face_id == host_id:
-            result = self.orbit(host_id).automorphisms
-        else:
-            face_auts = self.orbit(face_id).automorphisms
-            found = set()
-            for _keep, (fid, iota) in self.subfaces(host_id).items():
-                if fid != face_id:
-                    continue
-                for a in face_auts:
-                    found.add(tuple(iota[a[c]] for c in range(len(a))))
-            result = tuple(sorted(found))
+        auts = self.orbit(face_id).automorphisms
+        result = tuple(sorted({
+            tuple(iota[c] for c in a)
+            for iota in self._chart(host_id).get(face_id, ())
+            for a in auts
+        }))
         self._embedding_cache[key] = result
         return result
 
@@ -296,21 +300,14 @@ class QuotientComplex:
         if cached is not None:
             return cached
 
-        def chart(orbit_id):
-            k = self.orbit(orbit_id).n_edges
-            return [*self.subfaces(orbit_id).values(), (orbit_id, tuple(range(k)))]
-
-        target_chart = defaultdict(list)
-        for fid, iota in chart(target_id):
-            target_chart[fid].append(iota)
-        raw = set()
-        for fid, iota_s in chart(source_id):
-            if fid == source_id and source_id != target_id:
-                continue
-            for iota_t in target_chart.get(fid, ()):
-                for a in self.orbit(fid).automorphisms:
-                    raw.add((fid, tuple(iota_s[c] for c in a), iota_t))
-        candidates = sorted(raw)
+        # Candidates: each face in the target's chart, with every injection
+        # into the target and every embedding (twists included) into the source.
+        candidates = sorted(
+            (fid, into_s, iota_t)
+            for fid, iotas_t in self._chart(target_id).items()
+            for into_s in self.embeddings(fid, source_id)
+            for iota_t in iotas_t
+        )
 
         # A candidate is dominated, and dropped, when its set of (source
         # edge, target edge) pairs lies strictly inside a larger

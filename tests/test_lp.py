@@ -123,8 +123,23 @@ def _packed(value, x):
     return struct.pack(f"<{1 + len(x)}d", value, *x)
 
 
+def sparse(rows):
+    """Dense rows as the ``{column: coefficient}`` rows ``solve_lp`` reads."""
+    return [dict(enumerate(row)) for row in rows]
+
+
+def solve_dense(c, rows, rhs):
+    return solve_lp(c, sparse(rows), rhs)
+
+
+def dense(rows, n):
+    """``{column: coefficient}`` rows as the dense rows of the reference."""
+    return [[row.get(j, 0.0) for j in range(n)] for row in rows]
+
+
 def assert_bit_identical(c, rows, rhs, res=None):
-    res = solve_lp(c, rows, rhs) if res is None else res
+    # ``rows`` are dense; ``res`` is a recorded result of the same program.
+    res = solve_dense(c, rows, rhs) if res is None else res
     assert isinstance(res.x, tuple)
     assert _packed(res.value, res.x) == _packed(*reference_solve_lp(c, rows, rhs))
 
@@ -171,23 +186,23 @@ PINNED = ([1.0], [[-1.0], [1.0]], [-1.0, 1.0])
 
 
 def test_single_segment_reproduces_half_sup():
-    res = solve_lp(*HALF_SUP)
+    res = solve_dense(*HALF_SUP)
     assert res.value == pytest.approx(3.0, abs=1e-9)
 
 
 def test_two_segment_hand_derived():
-    res = solve_lp(*TWO_SEGMENT)
+    res = solve_dense(*TWO_SEGMENT)
     assert res.value == pytest.approx(3.0, abs=1e-9)
 
 
 def test_degenerate_first_segment():
-    res = solve_lp(*DEGENERATE_FIRST)
+    res = solve_dense(*DEGENERATE_FIRST)
     assert res.value == pytest.approx(0.5, abs=1e-9)
     assert res.x[0] == pytest.approx(0.0, abs=1e-9)
 
 
 def test_pinned_variable_after_artificial_kick_out():
-    res = solve_lp(*PINNED)
+    res = solve_dense(*PINNED)
     assert res.value == 1.0
     assert res.x == (1.0,)
 
@@ -195,27 +210,36 @@ def test_pinned_variable_after_artificial_kick_out():
 def test_infeasible_detected():
     # x <= -1 with x >= 0.
     with pytest.raises(LPInfeasibleError):
-        solve_lp([1.0], [[1.0]], [-1.0])
+        solve_lp([1.0], [{0: 1.0}], [-1.0])
 
 
 def test_unbounded_detected():
     # min -x with only the slack row of -x <= 1.
     with pytest.raises(LPUnboundedError):
-        solve_lp([-1.0], [[-1.0]], [1.0])
+        solve_lp([-1.0], [{0: -1.0}], [1.0])
 
 
 @pytest.mark.parametrize(
     "c, rows, rhs",
     [
-        ([1.0, 1.0], [[1.0]], [1.0]),  # c longer than the rows
-        ([1.0], [[1.0], [1.0]], [1.0]),  # more rows than right-hand sides
-        ([1.0], [[1.0]], [1.0, 2.0]),  # more right-hand sides than rows
-        ([1.0], [[1.0], [1.0, 2.0]], [1.0, 2.0]),  # ragged rows
+        ([1.0], [{1: 1.0}], [1.0]),  # a column past the end of c
+        ([1.0], [{0: 1.0}, {0: 1.0}], [1.0]),  # more rows than right-hand sides
+        ([1.0], [{0: 1.0}], [1.0, 2.0]),  # more right-hand sides than rows
+        ([1.0], [{0: 1.0}, {-1: 2.0}], [1.0, 2.0]),  # a negative column
     ],
 )
 def test_inconsistent_dimensions_rejected(c, rows, rhs):
     with pytest.raises(ValueError):
         solve_lp(c, rows, rhs)
+
+
+@pytest.mark.parametrize("program", [TWO_SEGMENT, DEGENERATE_FIRST])
+def test_explicit_zero_entries_match_omitted_ones(program):
+    c, rows, rhs = program
+    omitted = [{j: v for j, v in enumerate(row) if v} for row in rows]
+    negative_zeros = [{j: v or -0.0 for j, v in enumerate(row)} for row in rows]
+    results = [solve_lp(c, r, rhs) for r in (omitted, sparse(rows), negative_zeros)]
+    assert len({_packed(res.value, res.x) for res in results}) == 1
 
 
 def random_bounded_program(seed):
@@ -231,7 +255,7 @@ def random_bounded_program(seed):
 @pytest.mark.parametrize("seed", range(12))
 def test_matches_scipy_on_random_bounded_programs(seed):
     c, a, b = random_bounded_program(seed)
-    mine = solve_lp(c, a, b)
+    mine = solve_dense(c, a, b)
     ref = linprog(c, A_ub=a, b_ub=b, bounds=(0, None), method="highs")
     assert ref.status == 0
     assert mine.value == pytest.approx(ref.fun, abs=1e-7)
@@ -240,8 +264,8 @@ def test_matches_scipy_on_random_bounded_programs(seed):
 
 
 def test_deterministic_resolution_of_ties():
-    first = solve_lp(*TIES)
-    second = solve_lp(*TIES)
+    first = solve_dense(*TIES)
+    second = solve_dense(*TIES)
     assert first.value == second.value == pytest.approx(1.0)
     assert np.array_equal(first.x, second.x)
 
@@ -295,4 +319,5 @@ def test_gallery_programs_match_dense_tableau_bits(surface, coords, monkeypatch)
         distance(point(), point())
     assert recorded
     for c, rows, rhs, res in recorded:
-        assert_bit_identical(c, rows, rhs, res)
+        assert all(isinstance(row, dict) for row in rows)
+        assert_bit_identical(c, dense(rows, len(c)), rhs, res)

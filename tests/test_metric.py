@@ -173,6 +173,17 @@ def test_scale_examples(s12):
         scale(p, 0.0)
     with pytest.raises(ValueError):
         scale(p, -2.0)
+    # Finite positive results keep their bits.
+    assert scale(p, 3.0).coords == (3.0, 6.0)
+    # The result is a cone point: overflow is rejected as cone_point
+    # rejects an infinite coordinate ...
+    for lam in (float("inf"), 1e308):
+        with pytest.raises(ValueError, match="finite"):
+            scale(p, lam)
+    # ... and a coordinate that underflows to 0 drops onto its face.
+    tiny = scale(cone_point(s12, nn.id, (1e-200, 2.0)), 1e-200)
+    assert tiny == cone_point(s12, nn.id, (0.0, 2e-200))
+    assert tiny.orbit_id != nn.id and tiny.coords == (2e-200,)
 
 
 def test_homogeneity_property(s12):
@@ -219,6 +230,15 @@ def test_revisit_budget_never_improves(s12):
         d1 = distance(p, q, revisit_budget=1).distance
         assert d1 <= d0 + 1e-9
         assert d0 - d1 <= 1e-7
+
+
+def test_negative_revisit_budget_rejected(s12):
+    # A negative budget would expand no gallery prefix at all and quietly
+    # return a single-orbit or apex route.
+    p = cone_point(s12, nn_orbit(s12).id, (1.0, 3.0))
+    q = cone_point(s12, sn_orbit(s12).id, (2.0, 5.0))
+    with pytest.raises(ValueError, match="revisit_budget"):
+        distance(p, q, revisit_budget=-1)
 
 
 def test_s2_three_dimensional_distances(s2):

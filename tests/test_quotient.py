@@ -1,4 +1,6 @@
+import functools
 import json
+from itertools import combinations
 
 import pytest
 
@@ -199,12 +201,67 @@ def test_transit_domination(s2):
         assert len(t.into_source) == 2
 
 
+@functools.cache
+def reference_subfaces(cx, orbit_id):
+    """Face table by walking face maps all the way down for each subset,
+    deleting the lowest-numbered spare edge at every step."""
+    k = cx.orbit(orbit_id).n_edges
+    table = {}
+    for size in range(1, k):
+        for keep in combinations(range(k), size):
+            cur_id = orbit_id
+            cur_of = {f: f for f in keep}
+            while True:
+                kept_now = set(cur_of.values())
+                k_cur = cx.orbit(cur_id).n_edges
+                spare = [e for e in range(k_cur) if e not in kept_now]
+                if not spare:
+                    break
+                fm = cx.face(cur_id, spare[0])
+                inj = dict(fm.edge_injection)
+                cur_of = {f: inj[c] for f, c in cur_of.items()}
+                cur_id = fm.target
+            iota = [0] * len(keep)
+            for f, c in cur_of.items():
+                iota[c] = f
+            table[frozenset(keep)] = (cur_id, tuple(iota))
+    return table
+
+
+@functools.cache
+def reference_embeddings(cx, face_id, host_id):
+    """Embeddings by scanning the host's whole face table; the host's
+    own symmetries when the two coincide."""
+    if face_id == host_id:
+        return cx.orbit(host_id).automorphisms
+    face_auts = cx.orbit(face_id).automorphisms
+    found = set()
+    for fid, iota in reference_subfaces(cx, host_id).values():
+        if fid == face_id:
+            for a in face_auts:
+                found.add(tuple(iota[a[c]] for c in range(len(a))))
+    return tuple(sorted(found))
+
+
+GLUING_SURFACES = [(3, 0), (1, 4), (2, 1), (0, 8), (2, 2), (1, 5)]
+
+
+@pytest.mark.parametrize("genus,marked", GLUING_SURFACES)
+def test_gluing_tables_match_walk_reference(genus, marked):
+    cx = complex_for(genus, marked)
+    for o in cx.orbits:
+        # Same entries in the same order: the tables are iterated.
+        assert list(cx.subfaces(o.id).items()) == list(reference_subfaces(cx, o.id).items())
+        for host in cx.orbits:
+            assert cx.embeddings(o.id, host.id) == reference_embeddings(cx, o.id, host.id)
+
+
 def reference_transits(cx, source_id, target_id):
     """Transits with dominance tested by trying every embedding of the
     smaller shared face into the larger one."""
     def chart(orbit_id):
         k = cx.orbit(orbit_id).n_edges
-        return [*cx.subfaces(orbit_id).values(), (orbit_id, tuple(range(k)))]
+        return [*reference_subfaces(cx, orbit_id).values(), (orbit_id, tuple(range(k)))]
 
     raw = set()
     for fid_a, iota_a in chart(source_id):
@@ -223,7 +280,7 @@ def reference_transits(cx, source_id, target_id):
             )
             for fid2, into_s2, into_t2 in candidates
             if len(into_s2) > len(into_s)
-            for j in cx.embeddings(fid, fid2)
+            for j in reference_embeddings(cx, fid, fid2)
         )
 
     return tuple(c for c in candidates if not dominated(*c))

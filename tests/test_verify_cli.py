@@ -188,6 +188,11 @@ def test_cli_verify_rejects_bad_options(capsys):
     assert main(["verify", "-g", "1", "-n", "1", "--epsilon0", "2"]) == 2
     assert main(["verify", "-g", "1", "-n", "1", "--mesh", "0.3"]) == 2
     assert "error" in capsys.readouterr().err
+    # A negative seed or a sample count below 1 is an input error, not a
+    # failed verification or a report of negative samples.
+    for option, value in (("--seed", "-1"), ("--samples", "0"), ("--samples", "-3")):
+        assert main(["verify", "-g", "1", "-n", "2", option, value]) == 2
+        assert option in capsys.readouterr().err
 
 
 def test_cli_dist_missing_file(tmp_path):
