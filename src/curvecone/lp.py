@@ -7,7 +7,7 @@ the degenerate programs the geodesic search produces.
 The programs are tiny and sparse (about 17 rows and 7 variables, each
 row touching two or three of them).  The cost ``c`` is a dense list
 whose length is the number of variables; each row of ``A`` is a
-``{column: coefficient}`` mapping, absent columns being 0.  Each tableau
+``{column: coefficient}`` dict, absent columns being 0.  Each tableau
 row, the cost row included, is likewise a ``{column: value}`` dict of
 its nonzero entries, with the right-hand side under the column after
 the last artificial.  Every stored entry comes from the IEEE operation
@@ -104,14 +104,16 @@ def _run_simplex(tab: list[dict], basis: list[int], ncols: int, rhs: int) -> Non
 def solve_lp(c, a_ub, b_ub) -> LPResult:
     """Minimize ``c.x`` over ``a_ub x <= b_ub``, ``x >= 0``.
 
-    ``c`` is dense; each row of ``a_ub`` maps columns in
-    ``range(len(c))`` to coefficients, others raising ``ValueError``.
+    ``c`` is dense; ``a_ub`` holds one ``{column: coefficient}`` dict over
+    ``range(len(c))`` per ``b_ub`` entry, anything else raising ``ValueError``.
     Raises :class:`LPInfeasibleError` / :class:`LPUnboundedError`; both
     indicate a malformed caller program rather than a recoverable state.
     """
     c = list(map(float, c))
     b = list(map(float, b_ub))
     n, m = len(c), len(b)
+    if len(a_ub) != m:
+        raise ValueError(f"{len(a_ub)} rows in a_ub but {m} right-hand sides")
 
     # Slack per row; rows with negative right-hand side get an artificial
     # after a sign flip, and phase 1 drives the artificials to zero.
@@ -123,8 +125,8 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
     art_col = real
     columns = set(range(n))
     for i, a_row in enumerate(a_ub):
-        if i >= m or not a_row.keys() <= columns:
-            raise ValueError("inconsistent LP dimensions")
+        if not isinstance(a_row, dict) or not a_row.keys() <= columns:
+            raise ValueError(f"a_ub row {i} is not a {{column: coefficient}} dict over range({n})")
         row = {j: float(v) for j, v in a_row.items() if v}
         row[n + i] = 1.0
         if b[i] < 0:
@@ -138,8 +140,6 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
                 row[rhs] = b[i]
             basis.append(n + i)
         tab.append(row)
-    if len(tab) != m:
-        raise ValueError("inconsistent LP dimensions")
 
     if n_art:
         cost = dict.fromkeys(range(real, rhs), 1.0)

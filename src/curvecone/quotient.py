@@ -203,12 +203,14 @@ class QuotientComplex:
 
         The lowest-numbered edge outside ``F`` is deleted first: one face
         map carries ``F`` into that face, whose own table (filled once)
-        gives the rest of the way down."""
+        gives the rest of the way down.  The host's chart is filled in the
+        same pass."""
         cached = self._subface_cache.get(orbit_id)
         if cached is not None:
             return cached
         k = self.orbit(orbit_id).n_edges
         table = {}
+        chart = {orbit_id: [tuple(range(k))]}
         for size in range(1, k):
             for keep in combinations(range(k), size):
                 spare = next(e for e in range(k) if e not in keep)
@@ -219,20 +221,19 @@ class QuotientComplex:
                     fid, iota = fm.target, range(size)
                 else:
                     fid, iota = self.subfaces(fm.target)[frozenset(host_of)]
-                table[frozenset(keep)] = (fid, tuple(host_of[c] for c in iota))
+                emb = tuple(host_of[c] for c in iota)
+                table[frozenset(keep)] = (fid, emb)
+                chart.setdefault(fid, []).append(emb)
         self._subface_cache[orbit_id] = table
+        self._chart_cache[orbit_id] = chart
         return table
 
     def _chart(self, host_id: str) -> dict[str, list[tuple[int, ...]]]:
         """Every face of the host, the host itself included, with the
-        injections that realize it: ``{face id: [iota, ...]}``."""
-        chart = self._chart_cache.get(host_id)
-        if chart is None:
-            chart = {host_id: [tuple(range(self.orbit(host_id).n_edges))]}
-            for fid, iota in self.subfaces(host_id).values():
-                chart.setdefault(fid, []).append(iota)
-            self._chart_cache[host_id] = chart
-        return chart
+        injections that realize it: ``{face id: [iota, ...]}``, filled
+        together with the host's ``subfaces`` table."""
+        self.subfaces(host_id)
+        return self._chart_cache[host_id]
 
     def reduce(self, orbit_id: str, vec) -> tuple[str | None, tuple]:
         """Canonical form of a chart vector of ``orbit_id``: the face

@@ -379,7 +379,10 @@ def run_verification(
 
     The grid-oracle suite runs only when a mesh is supplied; it is the
     slow one.  Sample counts are scaled down for the heavier suites.
+    A negative ``seed`` or a ``samples`` below 1 raises ``ValueError``.
     """
+    if seed < 0 or samples < 1:
+        raise ValueError(f"seed must be >= 0 and samples >= 1, got {seed} and {samples}")
     import numpy as np  # the seeded sampler, kept off the CLI import path
 
     cfg = fn.ModelConfig(epsilon0)

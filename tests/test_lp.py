@@ -226,6 +226,7 @@ def test_unbounded_detected():
         ([1.0], [{0: 1.0}, {0: 1.0}], [1.0]),  # more rows than right-hand sides
         ([1.0], [{0: 1.0}], [1.0, 2.0]),  # more right-hand sides than rows
         ([1.0], [{0: 1.0}, {-1: 2.0}], [1.0, 2.0]),  # a negative column
+        ([1.0, 1.0], [[1.0, 0.0]], [1.0]),  # a dense list row
     ],
 )
 def test_inconsistent_dimensions_rejected(c, rows, rhs):

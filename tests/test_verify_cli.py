@@ -55,6 +55,13 @@ def test_corrupted_automorphism_table_fails(s12):
     assert "automorphism_equivariance" in failed
 
 
+@pytest.mark.parametrize("seed, samples", [(-1, 20), (0, 0), (0, -3)])
+def test_run_verification_rejects_bad_sampling(s12, seed, samples):
+    # The report's config must name the seed and sample count it ran with.
+    with pytest.raises(ValueError, match="samples >= 1"):
+        run_verification(s12, seed=seed, samples=samples)
+
+
 def test_report_reproducible_modulo_timings(s12):
     a = run_verification(s12, seed=7, samples=15)
     b = run_verification(s12, seed=7, samples=15)
