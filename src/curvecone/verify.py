@@ -377,8 +377,11 @@ def run_verification(
 ) -> RunReport:
     """Run every property suite on one complex with a seeded sampler.
 
-    The grid-oracle suite runs only when a mesh is supplied; it is the
-    slow one.  Sample counts are scaled down for the heavier suites.
+    The grid-oracle suite runs only when a mesh is supplied.  Its grid
+    holds ``(box / mesh + 1) ** n_edges`` nodes per top orbit and each
+    sample is one breadth-first search over all of them, so a fine mesh
+    on a large complex makes it the slowest suite.  Sample counts are
+    scaled down for the heavier suites.
     A negative ``seed`` or a ``samples`` below 1 raises ``ValueError``.
     """
     if seed < 0 or samples < 1:
