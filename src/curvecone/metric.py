@@ -21,7 +21,12 @@ a run of consecutive segments.  Its exact value is a weighted-interval
 DP (:func:`_gallery_bound`), which screens every program first; the
 simplex (the sparse Bland solver in :mod:`curvecone.lp`) runs only
 where its value can still change the answer, and every value that
-reaches the result comes from the simplex.
+reaches the result comes from the simplex.  A program is skipped when
+its bound clears the pruning threshold, and a closed gallery also when
+it can only lose the tie rule: its bound, less ``_TIE_SCREEN`` of
+rounding, is within ``_TIE`` of the best, and its orbit sequence is not
+less than the best's.  The tie rule keeps such a gallery out whatever
+value the simplex would return, so the result is the same bit for bit.
 """
 
 from __future__ import annotations
@@ -48,6 +53,19 @@ _TIE = 1e-12
 # S(0,6) and S(0,7) the largest difference was 8.4e-17 of that scale,
 # so the slack stays seven orders of magnitude above it at every scale.
 _SCREEN = 1e-9
+
+# Slack for the tie screen, on the same ``1 + max p + max q`` scale: a
+# closed gallery whose bound minus this slack is still within ``_TIE``
+# of the best, and which would lose the tie rule, is skipped.  That needs
+# the bound to be within this slack of the simplex value, so it is 64
+# ulps of the scale, about 100 times the largest bound-to-simplex
+# difference measured (0.64 ulp over 23 924 closed programs on S(1,2),
+# S(2,0), S(1,3), S(0,6), S(0,7) and S(2,1), with uniform, integer,
+# x1e3 and x1e-3 coordinates).  It must sit below ``_TIE``, which
+# ``_SCREEN`` cannot, or the screen could never fire; above a scale of
+# about 70 it exceeds ``_TIE`` and skips only programs valued clearly
+# above the best.
+_TIE_SCREEN = 2.0**-46
 
 
 class ComplexMismatchError(ValueError):
@@ -92,17 +110,43 @@ class ConePoint:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
+def _coord(value) -> float:
+    # float() also takes numeric strings and bools, which are no coordinates.
+    if not isinstance(value, (str, bytes, bool)):
+        try:
+            return float(value)
+        except TypeError:
+            pass
+    raise ValueError(f"coordinate must be a number, got {value!r}")
+
+
+def _listed(coords) -> list:
+    try:
+        return list(coords)
+    except TypeError:
+        raise ValueError(
+            f"coordinates must be a list or an object, got {coords!r}"
+        ) from None
+
+
 def _coerce_coords(orbit: SimplexOrbit, coords) -> list[float]:
     k = orbit.n_edges
     if isinstance(coords, dict):
         vec = [0.0] * k
+        seen = set()
         for key, val in coords.items():
-            i = int(key)
+            try:
+                i = int(key)
+            except (TypeError, ValueError):
+                raise OrbitMismatchError(f"edge key {key!r} is not an integer") from None
             if not 0 <= i < k:
                 raise OrbitMismatchError(f"edge {key} not in orbit {orbit.id}")
-            vec[i] = float(val)
+            if i in seen:
+                raise OrbitMismatchError(f"two keys name edge {i} of orbit {orbit.id}")
+            seen.add(i)
+            vec[i] = _coord(val)
     else:
-        vec = [float(v) for v in coords]
+        vec = [_coord(v) for v in _listed(coords)]
         if len(vec) != k:
             raise OrbitMismatchError(
                 f"{len(vec)} coordinates for orbit {orbit.id} with {k} edges"
@@ -117,7 +161,8 @@ def cone_point(cx: QuotientComplex, orbit_id: str | None, coords=()) -> ConePoin
     """Canonicalizing constructor: zero coordinates are dropped onto the
     spanned face, and the apex is returned when everything vanishes."""
     if orbit_id in (None, APEX_ID):
-        if any(float(v) != 0.0 for v in (coords.values() if isinstance(coords, dict) else coords)):
+        values = coords.values() if isinstance(coords, dict) else _listed(coords)
+        if any(_coord(v) != 0.0 for v in values):
             raise ValueError("apex point cannot carry nonzero coordinates")
         return ConePoint(None, (), cx)
     vec = _coerce_coords(cx.orbit(orbit_id), coords)
@@ -129,9 +174,16 @@ def apex(cx: QuotientComplex) -> ConePoint:
 
 
 def point_from_dict(cx: QuotientComplex, payload: dict) -> ConePoint:
+    """Rebuild a point from its serialized form; a payload of the wrong
+    shape raises ``ValueError``."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"a point must be an object, got {type(payload).__name__}")
     if payload.get("schema_version") != SCHEMA_POINT:
         raise ValueError(f"unsupported point schema {payload.get('schema_version')!r}")
-    return cone_point(cx, payload["orbit"], payload.get("coords", {}))
+    orbit_id = payload["orbit"]
+    if orbit_id is not None and not isinstance(orbit_id, str):
+        raise ValueError(f"point orbit must be a string or null, got {orbit_id!r}")
+    return cone_point(cx, orbit_id, payload.get("coords", {}))
 
 
 def scale(p: ConePoint, lam: float) -> ConePoint:
@@ -406,11 +458,16 @@ def distance(p: ConePoint, q: ConePoint, *, revisit_budget: int = 0) -> Geodesic
     ``revisit_budget`` repeats, with every shared-face transit
     identification; each closed gallery is scored by its breakpoint
     linear program, and the route through the apex is always considered.
-    Among equal-length geodesics the lexicographically least orbit
-    sequence wins, with the apex route last.  Programs whose
-    interval-covering bound already clears the pruning threshold are
-    skipped without the simplex, which leaves the result unchanged bit
-    for bit.  A negative ``revisit_budget`` raises ``ValueError``.
+    Among equal-length geodesics (values within ``_TIE``) the
+    lexicographically least orbit sequence wins, with the apex route
+    last.  Programs whose interval-covering bound already clears the
+    pruning threshold are skipped without the simplex.  So is a closed
+    gallery whose bound, less ``_TIE_SCREEN`` times ``1 + max p + max q``,
+    is no more than ``_TIE`` below the best value, when the best is not
+    the apex route and the gallery's orbit sequence is not less than the
+    best's: its value would come in as a tie at best, and the tie rule
+    rejects it.  Both skips leave the result unchanged bit for bit.  A
+    negative ``revisit_budget`` raises ``ValueError``.
     """
     if revisit_budget < 0:
         raise ValueError(f"revisit_budget must be nonnegative, got {revisit_budget}")
@@ -426,6 +483,7 @@ def distance(p: ConePoint, q: ConePoint, *, revisit_budget: int = 0) -> Geodesic
     best = _apex_route(p, q)
     best_is_apex = True
     margin = _SCREEN * (1.0 + p.max_coord + q.max_coord)
+    tie_margin = _TIE_SCREEN * (1.0 + p.max_coord + q.max_coord)
     max_ids = list(cx.maximal_ids)
     max_len = len(max_ids) + revisit_budget
 
@@ -445,6 +503,11 @@ def distance(p: ConePoint, q: ConePoint, *, revisit_budget: int = 0) -> Geodesic
         # A tie can still matter if it can end in a lexicographically
         # smaller orbit sequence than the current best gallery's.
         return best_is_apex or tuple(seq) <= best.gallery.orbit_ids
+
+    def loses_tie(seq):
+        # A closed gallery with this orbit sequence that ``consider`` finds
+        # within _TIE of the best is rejected.
+        return not best_is_apex and tuple(seq) >= best.gallery.orbit_ids
 
     # Best-first over gallery prefixes ordered by their open lower bound;
     # once the cheapest open prefix cannot beat the best value, nothing
@@ -473,6 +536,8 @@ def distance(p: ConePoint, q: ConePoint, *, revisit_budget: int = 0) -> Geodesic
         for emb_q in cx.embeddings(q.orbit_id, cur):
             screen = _gallery_bound(cx, seq, transits, emb_p, p, emb_q, q)
             if screen > best.distance + _TIE + margin:
+                continue
+            if loses_tie(seq) and screen - tie_margin >= best.distance - _TIE:
                 continue
             value, bps = _gallery_lp(cx, seq, transits, emb_p, p, emb_q, q)
             consider(value, seq, transits, emb_p, emb_q, bps)

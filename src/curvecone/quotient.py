@@ -461,17 +461,26 @@ def complex_from_dict(payload: dict) -> QuotientComplex:
 
     The complex is reconstructed from the surface and re-derived; the
     payload's orbit ids must match exactly, which guards against stale
-    or hand-edited files.
+    or hand-edited files.  A payload of the wrong shape raises
+    ``ValueError``.
     """
+    if not isinstance(payload, dict):
+        raise ValueError(f"a complex must be an object, got {type(payload).__name__}")
     if payload.get("schema_version") != SCHEMA_COMPLEX:
         raise ValueError(
             f"unsupported complex schema {payload.get('schema_version')!r}"
         )
-    surf = Surface(
-        payload["surface"]["genus"], payload["surface"]["marked_points"]
-    )
-    cx = build_complex(surf)
-    stored = sorted(o["id"] for o in payload["orbits"])
+    surface, orbits = payload["surface"], payload["orbits"]
+    if not isinstance(surface, dict) or not all(
+        type(surface.get(key)) is int for key in ("genus", "marked_points")
+    ):
+        raise ValueError(f"complex surface must hold two integers, got {surface!r}")
+    if not isinstance(orbits, list) or not all(
+        isinstance(o, dict) and isinstance(o.get("id"), str) for o in orbits
+    ):
+        raise ValueError("complex orbits must be a list of objects with string ids")
+    cx = build_complex(Surface(surface["genus"], surface["marked_points"]))
+    stored = sorted(o["id"] for o in orbits)
     derived = sorted(o.id for o in cx.orbits)
     if stored != derived:
         raise ValueError("complex payload does not match its surface's orbits")

@@ -14,11 +14,15 @@ from hypothesis import strategies as st
 from scipy.optimize import linprog
 
 import curvecone.metric as metric
-from conftest import complex_for
+from conftest import SELF_GLUED_DEFECTS, complex_for
 from curvecone import cone_point, distance, scale
 
 SURFACES = [(1, 2), (2, 0), (1, 3), (0, 6)]
 PAIRS_PER_BUDGET = {0: 12, 1: 3}
+# Points as (integer coordinates, scale factor); the tie screen's slack
+# is relative to ``1 + max p + max q``, so it must hold at every scale.
+POINT_KINDS = {"uniform": (False, 1.0), "integer": (True, 1.0),
+               "x1e3": (False, 1e3), "x1e-3": (False, 1e-3)}
 
 
 def _slack(p, q):
@@ -70,33 +74,69 @@ def _recorded_programs(pairs):
 # -- the screen is invisible in payloads --------------------------------------
 
 
-@pytest.mark.parametrize("budget", [0, 1])
-@pytest.mark.parametrize("integer", [False, True], ids=["uniform", "integer"])
-@pytest.mark.parametrize("surface", SURFACES, ids=lambda s: f"S{s[0]}_{s[1]}")
+# S(0,7) and S(2,1) glue top orbits to themselves; a revisit budget of
+# 1 costs seconds per pair on S(2,1), so it gets a few pairs at budget 0.
+@pytest.mark.parametrize(
+    "surface, integer, budget",
+    [
+        pytest.param(s, i, b, id=f"S{s[0]}_{s[1]}-{'integer' if i else 'uniform'}-{b}")
+        for s in [*SURFACES, (0, 7), (2, 1)]
+        for i in (False, True)
+        for b in ((0,) if s == (2, 1) else (0, 1))
+    ],
+)
 def test_screen_leaves_payloads_byte_identical(surface, integer, budget, monkeypatch):
-    pairs = _pairs(surface, integer, PAIRS_PER_BUDGET[budget])
+    n = 4 if surface == (2, 1) else PAIRS_PER_BUDGET[budget]
+    pairs = _pairs(surface, integer, n)
     screened = _payloads(pairs, budget)
     _unscreened(monkeypatch)
     assert _payloads(pairs, budget) == screened
 
 
+@pytest.mark.parametrize("genus, marked, orbit_id, p, q", SELF_GLUED_DEFECTS)
+def test_screen_leaves_self_glued_defects_unchanged(genus, marked, orbit_id, p, q):
+    # ROADMAP item 1's instances, which test_gridgraph holds as expected
+    # failures against the grid, get the unscreened search's payload.
+    cx = complex_for(genus, marked)
+    pair = [(cone_point(cx, orbit_id, p), cone_point(cx, orbit_id, q))]
+    screened = _payloads(pair, 0)
+    with pytest.MonkeyPatch.context() as mp:
+        _unscreened(mp)
+        assert _payloads(pair, 0) == screened
+
+
+def _solves(pairs):
+    """Closed and all ``_gallery_lp`` calls of the searches over ``pairs``."""
+    calls = [0, 0]
+    solve = metric._gallery_lp
+
+    def counting(cx, seq, transits, emb_p, p, emb_q=None, q=None):
+        calls[0] += emb_q is not None
+        calls[1] += 1
+        return solve(cx, seq, transits, emb_p, p, emb_q, q)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(metric, "_gallery_lp", counting)
+        _payloads(pairs, 0)
+    return tuple(calls)
+
+
+@pytest.mark.parametrize("surface", [(2, 0), (1, 3)], ids=lambda s: f"S{s[0]}_{s[1]}")
+def test_tie_screen_skips_closed_programs(surface, monkeypatch):
+    # Most closed programs the simplex would solve are ties that lose the
+    # tie rule; an infinite slack turns the tie screen off.
+    pairs = _pairs(surface, False, 12)
+    screened, _ = _solves(pairs)
+    monkeypatch.setattr(metric, "_TIE_SCREEN", math.inf)
+    assert screened < _solves(pairs)[0]
+
+
 @pytest.mark.parametrize("surface", [(2, 0), (1, 3), (0, 6)], ids=lambda s: f"S{s[0]}_{s[1]}")
 def test_screen_skips_programs(surface, monkeypatch):
     pairs = _pairs(surface, False, 12)
-    calls = {"n": 0}
-    solve = metric._gallery_lp
-
-    def counting(*args):
-        calls["n"] += 1
-        return solve(*args)
-
-    monkeypatch.setattr(metric, "_gallery_lp", counting)
-    _payloads(pairs, 0)
-    screened = calls["n"]
-    calls["n"] = 0
+    _, screened = _solves(pairs)
     _unscreened(monkeypatch)
-    _payloads(pairs, 0)
-    assert screened < calls["n"]
+    assert screened < _solves(pairs)[1]
 
 
 # -- the bound against the gallery program ------------------------------------
@@ -114,6 +154,28 @@ def test_bound_exact_on_closed_and_admissible_on_open(surface, integer):
             assert abs(bound - value) <= _slack(p, q)
         else:
             assert bound <= value + _slack(p, q)
+
+
+def test_tie_screen_below_tie():
+    # Benchmark coordinates lie in [0.25, 8], a scale of at most 17; the
+    # slack must stay below _TIE there or the tie screen never fires.
+    assert metric._TIE_SCREEN * 17 < metric._TIE
+
+
+@pytest.mark.parametrize("kind", POINT_KINDS)
+@pytest.mark.parametrize("surface", [*SURFACES, (0, 7)], ids=lambda s: f"S{s[0]}_{s[1]}")
+def test_closed_bound_within_tie_screen(surface, kind):
+    # The tie screen skips a closed gallery on its bound alone, which is
+    # exact only if the bound is within _TIE_SCREEN of the simplex value;
+    # require a sixteenth of it.
+    integer, lam = POINT_KINDS[kind]
+    pairs = [(scale(p, lam), scale(q, lam)) for p, q in _pairs(surface, integer, 8)]
+    closed = [g for g in _recorded_programs(pairs) if g[5] is not None]
+    assert closed
+    for cx, seq, transits, emb_p, p, emb_q, q, value in closed:
+        bound = metric._gallery_bound(cx, seq, transits, emb_p, p, emb_q, q)
+        slack = metric._TIE_SCREEN / 16 * (1.0 + p.max_coord + q.max_coord)
+        assert abs(bound - value) <= slack
 
 
 @pytest.mark.parametrize("surface", [(2, 0), (1, 3)], ids=lambda s: f"S{s[0]}_{s[1]}")

@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import complex_for, orbit_by_structure
+from conftest import SELF_GLUED_DEFECTS, complex_for, orbit_by_structure
 from curvecone import (
     GridOracle,
     apex,
@@ -210,14 +210,7 @@ def test_key_absent_from_table_rejected(s12, oracle):
 # orbit itself and come back in.  These pass once that is fixed; then the
 # markers go.
 @pytest.mark.xfail(strict=True, reason="distance misses self-glued returns (ROADMAP item 1)")
-@pytest.mark.parametrize(
-    "genus, marked, orbit_id, p, q",
-    [
-        (0, 7, "d3-4108638419", (1, 5, 6, 3), (1, 1, 5, 4)),
-        (2, 1, "d3-b6dd2e2085", (2, 5, 1, 2), (3, 3, 1, 5)),
-        (2, 1, "d3-b6dd2e2085", (1, 1, 1, 2), (4, 5, 2, 2)),
-    ],
-)
+@pytest.mark.parametrize("genus, marked, orbit_id, p, q", SELF_GLUED_DEFECTS)
 def test_self_glued_orbit_distance_matches_grid(genus, marked, orbit_id, p, q):
     cx = complex_for(genus, marked)
     p, q = cone_point(cx, orbit_id, p), cone_point(cx, orbit_id, q)

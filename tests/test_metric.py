@@ -76,6 +76,14 @@ def test_coordinate_validation(s12):
         cone_point(s12, nn.id, (float("nan"), 2.0))
     with pytest.raises(ValueError):
         cone_point(s12, None, (1.0,))
+    # Two keys naming one edge would let the last one win silently.
+    with pytest.raises(OrbitMismatchError, match="edge 0"):
+        cone_point(s12, nn.id, {"0": 1.0, "00": 2.0})
+    for bad in (5, (None, 2.0), (True, 2.0), "12", {"0": "1.0"}, {"x": 1.0}):
+        with pytest.raises(ValueError):
+            cone_point(s12, nn.id, bad)
+    with pytest.raises(ValueError):
+        cone_point(s12, None, 5)
 
 
 def test_point_json_roundtrip(s12):

@@ -167,6 +167,39 @@ def test_cli_dist_invalid_point(tmp_path, s12, capsys):
     assert main(["dist", str(cx_file), str(bad), str(bad)]) == 2
 
 
+_POINT = {"schema_version": "curvecone/cone-point/1", "orbit": "TOP"}
+_MALFORMED = {
+    # name: (which input file, its JSON; "TOP" stands for a top orbit id)
+    "point-list": ("point", [1, 2]),
+    "scalar-coords": ("point", {**_POINT, "coords": 5}),
+    "null-coordinate": ("point", {**_POINT, "coords": [None, 1.0]}),
+    "list-orbit": ("point", {**_POINT, "orbit": [1], "coords": {"0": 1.0}}),
+    "same-edge-twice": ("point", {**_POINT, "coords": {"0": 1.0, "00": 2.0}}),
+    "complex-list": ("complex", []),
+    "complex-surface-scalar": ("complex", {"schema_version": "curvecone/quotient-complex/1",
+                                           "surface": 5, "orbits": []}),
+}
+
+
+@pytest.mark.parametrize("case", sorted(_MALFORMED))
+def test_cli_dist_malformed_input(case, tmp_path, s12, capsys):
+    from curvecone import cone_point
+
+    top = s12.maximal_ids[0]
+    cx_file = tmp_path / "cx.json"
+    main(["complex", "-g", "1", "-n", "2", "--out", str(cx_file)])
+    good = tmp_path / "good.json"
+    good.write_text(cone_point(s12, top, (1.0, 2.0)).to_json())
+    which, payload = _MALFORMED[case]
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(payload).replace('"TOP"', json.dumps(top)))
+    files = [bad, good, good] if which == "complex" else [cx_file, bad, good]
+    capsys.readouterr()
+    assert main(["dist", *map(str, files)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("curvecone: error:") and "Traceback" not in err
+
+
 def test_cli_verify_passes(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(
