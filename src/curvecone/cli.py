@@ -22,9 +22,7 @@ from .quotient import (
     complex_to_json,
 )
 from .surfaces import Surface
-from .verify import run_verification
-
-_VERIFY_BOX = 8.0
+from .verify import GRID_BOX, run_verification
 
 
 class InputError(Exception):
@@ -142,14 +140,13 @@ def _cmd_verify(args) -> int:
         from .gridgraph import grid_units
 
         with _reading_input():
-            grid_units(cx, args.mesh, _VERIFY_BOX)
+            grid_units(cx, args.mesh, GRID_BOX)
     report = run_verification(
         cx,
         seed=args.seed,
         samples=args.samples,
         epsilon0=args.epsilon0,
         mesh=args.mesh,
-        box=_VERIFY_BOX,
     )
     _emit(report.to_json(), args.out)
     return 0 if report.passed else 1

@@ -21,6 +21,10 @@ from .metric import ConePoint, OrbitMismatchError
 SCHEMA_FN = "curvecone/fn-point/1"
 SCHEMA_PRODUCT = "curvecone/product-point/1"
 
+# Rounding allowed below 0 in arccosh(1 + u): u is a squared distance over
+# 2 y y', so only a point off the half-plane goes further below.
+_ACOSH_TOL = 1e-12
+
 
 @dataclass(frozen=True)
 class ModelConfig:
@@ -151,7 +155,7 @@ def _acosh1p(u: float) -> float:
     asymptote guards against overflow of u^2.
     """
     if u < 0.0:
-        if u < -1e-12:
+        if u < -_ACOSH_TOL:
             raise ValueError(f"arccosh argument below 1: 1 + {u}")
         return 0.0
     if u > 1e150:

@@ -35,6 +35,9 @@ _BOX_RATIO_TOL = 1e-9
 # scale) is within a few ulps of its mesh point; one further off than a
 # millionth of a mesh unit is misaligned, not rounding noise.
 _MESH_ALIGN_TOL = 1e-6
+# A coordinate that should sit on the box face can overshoot it by a few
+# ulps of float arithmetic; anything further out does not fit the box.
+_BOX_FIT_TOL = 1e-9
 
 
 def grid_units(cx: QuotientComplex, mesh: float, box: float) -> int:
@@ -217,7 +220,7 @@ def brute_force_distance(
         box = max(top, mesh)
         box = mesh * int(np.ceil(box / mesh - _BOX_RATIO_TOL))
         box = max(box, mesh)
-    if top > box + 1e-9:
+    if top > box + _BOX_FIT_TOL:
         raise ValueError(f"box {box} too small for coordinates up to {top}")
     oracle = GridOracle(p.complex, mesh, box)
     return oracle.distance(p, q)

@@ -24,7 +24,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+# Pivot threshold: gallery tableau entries are sums of a few coordinates.
 TOL = 1e-9
+# Phase-1 residual of an infeasible program: feasible ones end at rounding.
+_PHASE1_TOL = 1e-7
 
 
 class LPError(RuntimeError):
@@ -149,7 +152,7 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
         tab.append(cost)
         _run_simplex(tab, basis, ncols, rhs)
         residual = -cost.get(rhs, 0.0)
-        if residual > 1e-7:
+        if residual > _PHASE1_TOL:
             raise LPInfeasibleError(f"phase-1 residual {residual:g}")
         # Kick leftover artificials out of the basis.
         for i in range(m):

@@ -21,12 +21,13 @@ a run of consecutive segments.  Its exact value is a weighted-interval
 DP (:func:`_gallery_bound`), which screens every program first; the
 simplex (the sparse Bland solver in :mod:`curvecone.lp`) runs only
 where its value can still change the answer, and every value that
-reaches the result comes from the simplex.  A program is skipped when
-its bound clears the pruning threshold, and a closed gallery also when
-it can only lose the tie rule: its bound, less ``_TIE_SCREEN`` of
-rounding, is within ``_TIE`` of the best, and its orbit sequence is not
-less than the best's.  The tie rule keeps such a gallery out whatever
-value the simplex would return, so the result is the same bit for bit.
+reaches the result comes from the simplex.  The screen reads the bound
+less one rounding slack, ``_SLACK`` times ``1 + max p + max q``: a
+program is skipped when that clears the pruning threshold, and a closed
+gallery also when it is within ``_TIE`` of the best and the gallery
+ranks no lower than the best in the tie order.  The simplex value of a
+skipped program would be thrown away, so the result is the same bit for
+bit.
 """
 
 from __future__ import annotations
@@ -42,30 +43,21 @@ APEX_ID = "apex"
 SCHEMA_POINT = "curvecone/cone-point/1"
 SCHEMA_GEODESIC = "curvecone/geodesic/1"
 
+# Distances within this of each other are equal lengths, and the tie
+# order picks between them; simplex values carry rounding well below it.
 _TIE = 1e-12
 
-# Slack by which the interval-covering bound must clear the pruning
-# threshold before a gallery program is skipped without the simplex; it
-# is multiplied by ``1 + max p + max q``.  The bound and the simplex solve
-# the same program (for an open prefix the bound solves a relaxation),
-# so they differ only by rounding, which grows with the coordinates.
-# Over 2 209 closed galleries from searches on S(1,2), S(2,0), S(1,3),
-# S(0,6) and S(0,7) the largest difference was 8.4e-17 of that scale,
-# so the slack stays seven orders of magnitude above it at every scale.
-_SCREEN = 1e-9
-
-# Slack for the tie screen, on the same ``1 + max p + max q`` scale: a
-# closed gallery whose bound minus this slack is still within ``_TIE``
-# of the best, and which would lose the tie rule, is skipped.  That needs
-# the bound to be within this slack of the simplex value, so it is 64
-# ulps of the scale, about 100 times the largest bound-to-simplex
-# difference measured (0.64 ulp over 23 924 closed programs on S(1,2),
-# S(2,0), S(1,3), S(0,6), S(0,7) and S(2,1), with uniform, integer,
-# x1e3 and x1e-3 coordinates).  It must sit below ``_TIE``, which
-# ``_SCREEN`` cannot, or the screen could never fire; above a scale of
-# about 70 it exceeds ``_TIE`` and skips only programs valued clearly
-# above the best.
-_TIE_SCREEN = 2.0**-46
+# Rounding slack between the interval-covering bound and the simplex, on
+# the scale ``1 + max p + max q``: the two solve the same closed program
+# (for an open prefix the bound solves a relaxation), so they differ
+# only by rounding, which grows with the coordinates.  It is 64 ulps of
+# the scale.  Unscreened searches on S(1,2), S(2,0), S(1,3), S(0,6),
+# S(0,7) and S(2,1) with uniform, integer, x1e3 and x1e-3 points put the
+# bound at most 0.33 ulp above the simplex on 22 903 open prefixes and
+# within 0.59 ulp of it on 27 190 closed programs, so the slack keeps
+# about 100 times headroom.  It sits below ``_TIE`` up to a scale of
+# about 70, so the tie screen fires on every benchmark input.
+_SLACK = 2.0**-46
 
 
 class ComplexMismatchError(ValueError):
@@ -294,10 +286,10 @@ def _pad(embedding, coords, size) -> list[float]:
     return vec
 
 
-def _gallery_lp(cx, seq, transits, emb_p, p, emb_q=None, q=None):
+def _gallery_lp(cx, seq, transits, emb_p, p, emb_q, q):
     """Value of one gallery, minimizing over transit breakpoints.
 
-    With ``emb_q`` given the gallery is closed at ``q``; otherwise the
+    With ``emb_q`` given the gallery is closed at ``q``; with ``None`` the
     last orbit is left open and the value lower-bounds every completion:
     the path may stop at the final breakpoint for free, except that
     reaching ``q`` still costs at least half the gap between ``q``'s top
@@ -308,10 +300,7 @@ def _gallery_lp(cx, seq, transits, emb_p, p, emb_q=None, q=None):
     sizes = [cx.orbit(oid).n_edges for oid in seq]
     closed = emb_q is not None
     n_seg = len(seq) if closed else len(seq) - 1
-    if n_seg == 0:
-        return 0.0, ()
-    n_bp = len(transits)
-    if closed and n_bp == 0:
+    if closed and not transits:
         # Single segment: direct half-sup evaluation.
         u = _pad(emb_p, p.coords, sizes[0])
         v = _pad(emb_q, q.coords, sizes[0])
@@ -322,17 +311,14 @@ def _gallery_lp(cx, seq, transits, emb_p, p, emb_q=None, q=None):
     for t in transits:
         offsets.append(pos)
         pos += len(t.into_source)
-    nvar = pos
-    climb_var = None
-    if not closed and q is not None and q.coords:
-        climb_var = nvar
-        nvar += 1
+    nvar = pos if closed else pos + 1
     c = [1.0] * n_seg + [0.0] * (nvar - n_seg)
-    if climb_var is not None:
-        c[climb_var] = 1.0
     rows, rhs = [], []
-    if climb_var is not None:
-        # s + sum(w_last) / 2 >= max(q) / 2, an admissible completion cost.
+    if not closed:
+        # The climb variable s: s + sum(w_last) / 2 >= max(q) / 2, an
+        # admissible completion cost.
+        climb_var = pos
+        c[climb_var] = 1.0
         last = range(offsets[-1], offsets[-1] + len(transits[-1].into_source))
         rows.append({climb_var: -1.0, **dict.fromkeys(last, -0.5)})
         rhs.append(-0.5 * max(q.coords))
@@ -364,7 +350,7 @@ def _gallery_lp(cx, seq, transits, emb_p, p, emb_q=None, q=None):
     )
 
 
-def _gallery_bound(cx, seq, transits, emb_p, p, emb_q=None, q=None):
+def _gallery_bound(cx, seq, transits, emb_p, p, emb_q, q):
     """Interval-covering value of one gallery, without the simplex.
 
     With the segment lengths fixed, the breakpoint program splits into
@@ -383,8 +369,6 @@ def _gallery_bound(cx, seq, transits, emb_p, p, emb_q=None, q=None):
     """
     closed = emb_q is not None
     n_seg = len(seq) if closed else len(seq) - 1
-    if n_seg == 0:
-        return 0.0
     # ends[r] holds (l, |a - b|) for the threads over segments l..r.
     ends: list[list[tuple[int, float]]] = [[] for _ in range(n_seg)]
     height = _pad(emb_p, p.coords, cx.orbit(seq[0]).n_edges)
@@ -458,16 +442,18 @@ def distance(p: ConePoint, q: ConePoint, *, revisit_budget: int = 0) -> Geodesic
     ``revisit_budget`` repeats, with every shared-face transit
     identification; each closed gallery is scored by its breakpoint
     linear program, and the route through the apex is always considered.
-    Among equal-length geodesics (values within ``_TIE``) the
-    lexicographically least orbit sequence wins, with the apex route
-    last.  Programs whose interval-covering bound already clears the
-    pruning threshold are skipped without the simplex.  So is a closed
-    gallery whose bound, less ``_TIE_SCREEN`` times ``1 + max p + max q``,
-    is no more than ``_TIE`` below the best value, when the best is not
-    the apex route and the gallery's orbit sequence is not less than the
-    best's: its value would come in as a tie at best, and the tie rule
-    rejects it.  Both skips leave the result unchanged bit for bit.  A
-    negative ``revisit_budget`` raises ``ValueError``.
+    Among equal-length geodesics (values within ``_TIE``) the tie order
+    decides: a gallery ranks as ``(0, orbit sequence)`` and the apex route
+    as ``(1,)``, and the least rank wins, so the lexicographically least
+    orbit sequence wins and the apex route loses every tie, independent of
+    search order.  Each program is first screened by its interval-covering
+    bound less ``_SLACK`` times ``1 + max p + max q``.  A program is
+    skipped without the simplex when that clears the pruning threshold,
+    and a closed gallery also when it is no more than ``_TIE`` below the
+    best value and the gallery ranks no lower than the best: its value
+    would come in as a tie at best, and the tie order rejects it.  Both
+    skips leave the result unchanged bit for bit.  A negative
+    ``revisit_budget`` raises ``ValueError``.
     """
     if revisit_budget < 0:
         raise ValueError(f"revisit_budget must be nonnegative, got {revisit_budget}")
@@ -481,33 +467,9 @@ def distance(p: ConePoint, q: ConePoint, *, revisit_budget: int = 0) -> Geodesic
         return _ray_result(p, at_start=False)
 
     best = _apex_route(p, q)
-    best_is_apex = True
-    margin = _SCREEN * (1.0 + p.max_coord + q.max_coord)
-    tie_margin = _TIE_SCREEN * (1.0 + p.max_coord + q.max_coord)
+    best_rank = (1,)
+    slack = _SLACK * (1.0 + p.max_coord + q.max_coord)
     max_ids = list(cx.maximal_ids)
-    max_len = len(max_ids) + revisit_budget
-
-    def consider(value, seq, transits, emb_p, emb_q, bps):
-        # Ties resolve to the lexicographically least orbit sequence,
-        # independent of search order; the apex route loses all ties.
-        nonlocal best, best_is_apex
-        better = value < best.distance - _TIE
-        if not better and value <= best.distance + _TIE:
-            better = best_is_apex or tuple(seq) < best.gallery.orbit_ids
-        if better:
-            gallery = Gallery(tuple(seq), tuple(transits), emb_p, emb_q)
-            best = GeodesicResult(value, gallery, bps)
-            best_is_apex = False
-
-    def lex_corridor(seq):
-        # A tie can still matter if it can end in a lexicographically
-        # smaller orbit sequence than the current best gallery's.
-        return best_is_apex or tuple(seq) <= best.gallery.orbit_ids
-
-    def loses_tie(seq):
-        # A closed gallery with this orbit sequence that ``consider`` finds
-        # within _TIE of the best is rejected.
-        return not best_is_apex and tuple(seq) >= best.gallery.orbit_ids
 
     # Best-first over gallery prefixes ordered by their open lower bound;
     # once the cheapest open prefix cannot beat the best value, nothing
@@ -526,23 +488,29 @@ def distance(p: ConePoint, q: ConePoint, *, revisit_budget: int = 0) -> Geodesic
         bound, _, seq, transits, emb_p = heapq.heappop(heap)
         if bound > best.distance + _TIE:
             break
-        if bound >= best.distance - _TIE and not lex_corridor(seq):
+        # No gallery through seq ranks below seq, so once seq ranks above
+        # the best, a tie cannot help any of them.
+        rank = (0, tuple(seq))
+        if bound >= best.distance - _TIE and rank > best_rank:
             continue
         cur = seq[-1]
         # The screen skips only programs whose simplex value would be
-        # thrown away: a closed gallery that ``consider`` rejects, a child
-        # that is not pushed.  Heap, pop order and the values that reach
-        # ``consider`` are those of the unscreened search.
+        # thrown away: a closed gallery the tie order rejects, a child
+        # that is not pushed.  Heap, pop order and the values compared
+        # with the best are those of the unscreened search.
         for emb_q in cx.embeddings(q.orbit_id, cur):
-            screen = _gallery_bound(cx, seq, transits, emb_p, p, emb_q, q)
-            if screen > best.distance + _TIE + margin:
-                continue
-            if loses_tie(seq) and screen - tie_margin >= best.distance - _TIE:
+            wins_tie = rank < best_rank
+            low = _gallery_bound(cx, seq, transits, emb_p, p, emb_q, q) - slack
+            if low > best.distance + _TIE or (
+                not wins_tie and low >= best.distance - _TIE
+            ):
                 continue
             value, bps = _gallery_lp(cx, seq, transits, emb_p, p, emb_q, q)
-            consider(value, seq, transits, emb_p, emb_q, bps)
-        if len(seq) >= max_len:
-            continue
+            if value < best.distance - _TIE or (
+                wins_tie and value <= best.distance + _TIE
+            ):
+                gallery = Gallery(tuple(seq), tuple(transits), emb_p, emb_q)
+                best, best_rank = GeodesicResult(value, gallery, bps), rank
         repeats = len(seq) - len(set(seq))
         child_bounds = {}
         for nxt in max_ids:
@@ -553,16 +521,10 @@ def distance(p: ConePoint, q: ConePoint, *, revisit_budget: int = 0) -> Geodesic
                 key = _open_program_key(tr)
                 child_bound = child_bounds.get(key)
                 if child_bound is None:
-                    child_seq, child_transits = seq + [nxt], transits + [tr]
-                    screen = _gallery_bound(
-                        cx, child_seq, child_transits, emb_p, p, None, q
-                    )
-                    if screen > best.distance + _TIE + margin:
-                        child_bound = screen
-                    else:
-                        child_bound, _ = _gallery_lp(
-                            cx, child_seq, child_transits, emb_p, p, None, q
-                        )
+                    child = (cx, seq + [nxt], transits + [tr], emb_p, p, None, q)
+                    child_bound = _gallery_bound(*child)
+                    if child_bound - slack <= best.distance + _TIE:
+                        child_bound, _ = _gallery_lp(*child)
                     child_bounds[key] = child_bound
                 if child_bound <= best.distance + _TIE:
                     heapq.heappush(

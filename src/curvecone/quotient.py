@@ -452,8 +452,8 @@ def complex_to_dict(cx: QuotientComplex) -> dict:
     }
 
 
-def complex_to_json(cx: QuotientComplex, indent: int | None = 2) -> str:
-    return json.dumps(complex_to_dict(cx), indent=indent, sort_keys=True)
+def complex_to_json(cx: QuotientComplex) -> str:
+    return json.dumps(complex_to_dict(cx), indent=2, sort_keys=True)
 
 
 def complex_from_dict(payload: dict) -> QuotientComplex:
@@ -471,15 +471,13 @@ def complex_from_dict(payload: dict) -> QuotientComplex:
             f"unsupported complex schema {payload.get('schema_version')!r}"
         )
     surface, orbits = payload["surface"], payload["orbits"]
-    if not isinstance(surface, dict) or not all(
-        type(surface.get(key)) is int for key in ("genus", "marked_points")
-    ):
-        raise ValueError(f"complex surface must hold two integers, got {surface!r}")
+    if not isinstance(surface, dict):
+        raise ValueError(f"complex surface must be an object, got {surface!r}")
     if not isinstance(orbits, list) or not all(
         isinstance(o, dict) and isinstance(o.get("id"), str) for o in orbits
     ):
         raise ValueError("complex orbits must be a list of objects with string ids")
-    cx = build_complex(Surface(surface["genus"], surface["marked_points"]))
+    cx = build_complex(Surface(surface.get("genus"), surface.get("marked_points")))
     stored = sorted(o["id"] for o in orbits)
     derived = sorted(o.id for o in cx.orbits)
     if stored != derived:

@@ -2,11 +2,13 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 
 class UnsupportedSurfaceError(ValueError):
-    """The surface carries no essential curve system (complexity < 1)."""
+    """The surface carries no essential curve system (complexity < 1), or
+    its genus or marked point count is not an integer."""
 
 
 @dataclass(frozen=True, order=True)
@@ -15,7 +17,9 @@ class Surface:
 
     Only surfaces with ``complexity = 3*genus - 3 + marked_points >= 1``
     are accepted; the handful of lower-complexity surfaces carry no
-    pants decomposition and are out of scope.
+    pants decomposition and are out of scope.  Both fields must be
+    integers; integer types such as numpy's are stored as ``int``, and a
+    bool, float, string or ``None`` raises ``UnsupportedSurfaceError``.
 
     Examples::
 
@@ -29,6 +33,15 @@ class Surface:
     marked_points: int
 
     def __post_init__(self):
+        for name in ("genus", "marked_points"):
+            value = getattr(self, name)
+            if not isinstance(value, bool):
+                try:
+                    object.__setattr__(self, name, operator.index(value))
+                    continue
+                except TypeError:
+                    pass
+            raise UnsupportedSurfaceError(f"{name} must be an integer, got {value!r}")
         if self.genus < 0 or self.marked_points < 0:
             raise UnsupportedSurfaceError(
                 f"genus and marked point count must be nonnegative, "

@@ -31,9 +31,21 @@ from .quotient import QuotientComplex
 
 SCHEMA_REPORT = "curvecone/run-report/1"
 
+# Each tolerance sits far above the rounding of correct code (worst
+# violations of at most about 4e-15 on S(1,2), S(2,0) and S(0,6)) and far
+# below a real fault's miss, a fraction of a coordinate.
+# Distances from separate searches: triangle, symmetry, segment sums.
 _TRI_TOL = 1e-7
+# Relative error of a distance under dilation.
 _SCALE_TOL = 1e-9
+# Half-plane against half-sup distance, via exp and log1p up to 50.
 _ISO_TOL = 1e-9
+# A distance or length difference at most this is zero (``metric._TIE``).
+_ZERO_TOL = 1e-12
+# Denominator floor, so a zero distance is compared absolutely.
+_REL_FLOOR = 1e-30
+# Grid side of the grid suite; the other suites sample coordinates to 8.
+GRID_BOX = 8.0
 
 
 @dataclass
@@ -137,7 +149,7 @@ def _suite_automorphism_equivariance(cx, rng, samples, cfg):
             worst = max(worst, max(abs(u - v) for u, v in zip(lx, xl)))
             if cone_point(cx, orbit.id, x) != cone_point(cx, orbit.id, _permuted(x, a)):
                 fails += 1
-    passed = fails == 0 and worst <= 1e-12
+    passed = fails == 0 and worst <= _ZERO_TOL
     note = f"{fails} invalid table entries" if fails else ""
     return SuiteResult("automorphism_equivariance", passed, checked, worst, note)
 
@@ -204,9 +216,9 @@ def _suite_metric_axioms(cx, rng, samples, cfg):
         dpr = distance(p, r).distance
         drq = distance(r, q).distance
         worst = max(worst, dpq - (dpr + drq))
-        if distance(p, p).distance > 1e-12:
+        if distance(p, p).distance > _ZERO_TOL:
             fails += 1
-        if dpq <= 1e-12 and p != q:
+        if dpq <= _ZERO_TOL and p != q:
             fails += 1
     passed = fails == 0 and worst <= _TRI_TOL
     return SuiteResult("metric_axioms", passed, samples, worst,
@@ -221,7 +233,7 @@ def _suite_homogeneity(cx, rng, samples, cfg):
         base = distance(p, q).distance
         for lam in (0.1, 7.3):
             scaled = distance(scale(p, lam), scale(q, lam)).distance
-            rel = abs(scaled - lam * base) / max(lam * base, 1e-30)
+            rel = abs(scaled - lam * base) / max(lam * base, _REL_FLOOR)
             worst = max(worst, rel)
     return SuiteResult("homogeneity", worst <= _SCALE_TOL, samples, worst)
 
@@ -325,12 +337,10 @@ def _suite_simple_galleries(cx, rng, samples, cfg):
     return SuiteResult("simple_galleries", worst <= _TRI_TOL, samples, worst)
 
 
-def _suite_grid_oracle(cx, rng, samples, cfg):
+def _suite_grid_oracle(cx, rng, samples, mesh):
     from .gridgraph import GridOracle
 
-    mesh = cfg["mesh"]
-    box = cfg["box"]
-    oracle = GridOracle(cx, mesh, box)
+    oracle = GridOracle(cx, mesh, GRID_BOX)
     units = oracle.units
     worst = 0.0
     low = 0.0
@@ -373,15 +383,14 @@ def run_verification(
     samples: int = 200,
     epsilon0: float = 0.1,
     mesh: float | None = None,
-    box: float = 8.0,
 ) -> RunReport:
     """Run every property suite on one complex with a seeded sampler.
 
     The grid-oracle suite runs only when a mesh is supplied.  Its grid
-    holds ``(box / mesh + 1) ** n_edges`` nodes per top orbit and each
-    sample is one breadth-first search over all of them, so a fine mesh
-    on a large complex makes it the slowest suite.  Sample counts are
-    scaled down for the heavier suites.
+    has side ``GRID_BOX`` and holds ``(GRID_BOX / mesh + 1) ** n_edges``
+    nodes per top orbit, and each sample is one breadth-first search over
+    all of them, so a fine mesh on a large complex makes it the slowest
+    suite.  Sample counts are scaled down for the heavier suites.
     A negative ``seed`` or a ``samples`` below 1 raises ``ValueError``.
     """
     if seed < 0 or samples < 1:
@@ -395,7 +404,7 @@ def run_verification(
         "samples": int(samples),
         "epsilon0": epsilon0,
         "mesh": mesh,
-        "box": box if mesh is not None else None,
+        "box": GRID_BOX if mesh is not None else None,
     }
     results = []
     timings = {}
@@ -413,7 +422,7 @@ def run_verification(
         rng = np.random.default_rng(seed)
         t0 = time.perf_counter()
         results.append(
-            _suite_grid_oracle(cx, rng, max(5, samples // 20), {"mesh": mesh, "box": box})
+            _suite_grid_oracle(cx, rng, max(5, samples // 20), mesh)
         )
         timings["grid_oracle"] = time.perf_counter() - t0
     return RunReport("verify", config, results, timings)

@@ -5,6 +5,7 @@ galleries, stay below it on open prefixes, and leave every geodesic
 payload byte-identical to the unscreened search at any scale.
 """
 
+import functools
 import math
 
 import numpy as np
@@ -19,8 +20,8 @@ from curvecone import cone_point, distance, scale
 
 SURFACES = [(1, 2), (2, 0), (1, 3), (0, 6)]
 PAIRS_PER_BUDGET = {0: 12, 1: 3}
-# Points as (integer coordinates, scale factor); the tie screen's slack
-# is relative to ``1 + max p + max q``, so it must hold at every scale.
+# Points as (integer coordinates, scale factor); the screen's rounding
+# slack is relative to ``1 + max p + max q``, so it must hold at every scale.
 POINT_KINDS = {"uniform": (False, 1.0), "integer": (True, 1.0),
                "x1e3": (False, 1e3), "x1e-3": (False, 1e-3)}
 
@@ -124,10 +125,10 @@ def _solves(pairs):
 @pytest.mark.parametrize("surface", [(2, 0), (1, 3)], ids=lambda s: f"S{s[0]}_{s[1]}")
 def test_tie_screen_skips_closed_programs(surface, monkeypatch):
     # Most closed programs the simplex would solve are ties that lose the
-    # tie rule; an infinite slack turns the tie screen off.
+    # tie order; an infinite slack turns the screen off.
     pairs = _pairs(surface, False, 12)
     screened, _ = _solves(pairs)
-    monkeypatch.setattr(metric, "_TIE_SCREEN", math.inf)
+    monkeypatch.setattr(metric, "_SLACK", math.inf)
     assert screened < _solves(pairs)[0]
 
 
@@ -159,23 +160,48 @@ def test_bound_exact_on_closed_and_admissible_on_open(surface, integer):
 def test_tie_screen_below_tie():
     # Benchmark coordinates lie in [0.25, 8], a scale of at most 17; the
     # slack must stay below _TIE there or the tie screen never fires.
-    assert metric._TIE_SCREEN * 17 < metric._TIE
+    assert metric._SLACK * 17 < metric._TIE
+
+
+@functools.cache
+def _scaled_programs(surface, kind):
+    integer, lam = POINT_KINDS[kind]
+    pairs = [(scale(p, lam), scale(q, lam)) for p, q in _pairs(surface, integer, 8)]
+    return _recorded_programs(pairs)
+
+
+def _bound_value_slack(program):
+    # Bound and simplex value of one program, and a sixteenth of _SLACK
+    # at its scale.
+    cx, seq, transits, emb_p, p, emb_q, q, value = program
+    bound = metric._gallery_bound(cx, seq, transits, emb_p, p, emb_q, q)
+    return bound, value, metric._SLACK / 16 * (1.0 + p.max_coord + q.max_coord)
 
 
 @pytest.mark.parametrize("kind", POINT_KINDS)
 @pytest.mark.parametrize("surface", [*SURFACES, (0, 7)], ids=lambda s: f"S{s[0]}_{s[1]}")
 def test_closed_bound_within_tie_screen(surface, kind):
-    # The tie screen skips a closed gallery on its bound alone, which is
-    # exact only if the bound is within _TIE_SCREEN of the simplex value;
-    # require a sixteenth of it.
-    integer, lam = POINT_KINDS[kind]
-    pairs = [(scale(p, lam), scale(q, lam)) for p, q in _pairs(surface, integer, 8)]
-    closed = [g for g in _recorded_programs(pairs) if g[5] is not None]
+    # The screen skips a closed gallery on its bound alone, which is exact
+    # only if the bound is within _SLACK of the simplex value; require a
+    # sixteenth of it.
+    closed = [g for g in _scaled_programs(surface, kind) if g[5] is not None]
     assert closed
-    for cx, seq, transits, emb_p, p, emb_q, q, value in closed:
-        bound = metric._gallery_bound(cx, seq, transits, emb_p, p, emb_q, q)
-        slack = metric._TIE_SCREEN / 16 * (1.0 + p.max_coord + q.max_coord)
+    for program in closed:
+        bound, value, slack = _bound_value_slack(program)
         assert abs(bound - value) <= slack
+
+
+@pytest.mark.parametrize("kind", POINT_KINDS)
+@pytest.mark.parametrize("surface", [*SURFACES, (0, 7)], ids=lambda s: f"S{s[0]}_{s[1]}")
+def test_open_bound_within_slack(surface, kind):
+    # An open child is pruned on its bound alone, which is exact only if
+    # the bound is at most _SLACK above the simplex value of the open
+    # program; require a sixteenth of it.
+    open_ = [g for g in _scaled_programs(surface, kind) if g[5] is None]
+    assert open_
+    for program in open_:
+        bound, value, slack = _bound_value_slack(program)
+        assert bound <= value + slack
 
 
 @pytest.mark.parametrize("surface", [(2, 0), (1, 3)], ids=lambda s: f"S{s[0]}_{s[1]}")

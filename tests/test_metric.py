@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+import curvecone.metric as metric
 from conftest import complex_for, orbit_by_structure
 from curvecone import (
     ComplexMismatchError,
@@ -137,6 +138,44 @@ def test_geodesic_breakpoints_on_shared_face(s12):
     for w, t in zip(res.breakpoints, res.gallery.transits):
         assert len(w) == len(t.into_source)
         assert all(v >= -1e-12 for v in w)
+
+
+def test_apex_route_loses_a_tie(s12):
+    # The apex route costs (1 + 1) / 2, exactly the distance; the gallery
+    # of equal length through both top orbits wins the tie.
+    p = cone_point(s12, "d0-ebcd619b47", [1])
+    q = cone_point(s12, "d1-57fb6950d4", [1, 1])
+    res = distance(p, q)
+    assert res.distance == 0.5 * (p.max_coord + q.max_coord) == 1.0
+    assert res.gallery.orbit_ids == ("d1-a2f55d89d8", "d1-57fb6950d4")
+    assert all(t.face_id != "apex" for t in res.gallery.transits)
+
+
+def test_least_orbit_sequence_wins_a_tie(s12):
+    # The curve lies on both top orbits, and the one-orbit gallery in
+    # either has value 0.5; the lexicographically least one wins.
+    p = cone_point(s12, "d0-d9f7d07a62", [1])
+    q = cone_point(s12, "d0-d9f7d07a62", [2])
+    for top in s12.maximal_ids:
+        values = [
+            metric._gallery_lp(s12, [top], [], emb_p, p, emb_q, q)[0]
+            for emb_p in s12.embeddings(p.orbit_id, top)
+            for emb_q in s12.embeddings(q.orbit_id, top)
+        ]
+        assert min(values) == 0.5
+    res = distance(p, q)
+    assert res.distance == 0.5
+    assert res.gallery.orbit_ids == ("d1-57fb6950d4",)
+
+
+def test_longer_gallery_of_lower_rank_wins_a_tie(s12):
+    # The one-orbit gallery closes first at 0.5; a prefix of equal bound
+    # that ranks below it must still be expanded, and its completion wins.
+    p = cone_point(s12, "d0-d9f7d07a62", [1])
+    q = cone_point(s12, "d1-a2f55d89d8", [2, 1])
+    res = distance(p, q)
+    assert res.distance == 0.5
+    assert res.gallery.orbit_ids == ("d1-57fb6950d4", "d1-a2f55d89d8")
 
 
 def test_coordinate_drop_lower_bound(s12):

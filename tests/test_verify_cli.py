@@ -35,7 +35,7 @@ def test_verification_trivial_on_single_orbit(s11):
 
 
 def test_grid_suite_runs_with_mesh(s12):
-    report = run_verification(s12, seed=1, samples=20, mesh=0.5, box=8.0)
+    report = run_verification(s12, seed=1, samples=20, mesh=0.5)
     assert report.passed
     assert any(r.name == "grid_oracle" for r in report.results)
 
@@ -178,6 +178,11 @@ _MALFORMED = {
     "complex-list": ("complex", []),
     "complex-surface-scalar": ("complex", {"schema_version": "curvecone/quotient-complex/1",
                                            "surface": 5, "orbits": []}),
+    "complex-surface-float": ("complex", {"schema_version": "curvecone/quotient-complex/1",
+                                          "surface": {"genus": 1.0, "marked_points": 2},
+                                          "orbits": []}),
+    "complex-surface-missing": ("complex", {"schema_version": "curvecone/quotient-complex/1",
+                                            "surface": {"genus": 1}, "orbits": []}),
 }
 
 
