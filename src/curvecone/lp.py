@@ -18,16 +18,47 @@ would hold ``+0.0`` there.  So the pivots and every nonzero entry match
 a dense tableau bit for bit; only the sign of a zero could differ, and
 no comparison depends on it (``tests/test_lp.py`` compares results with
 signed zeros too).
+
+**Replay.**  Fix a program's *shape*: ``c``, the rows of ``A`` and which
+entries of ``b`` are negative.  Every tableau entry outside the
+right-hand side is then fixed by the pivots taken so far, and so is
+Bland's entering column; the only step that reads ``b`` is which row
+wins a ratio test with more than one candidate.  So a solve is a chain
+of *stretches* of right-hand-side operations (pivots, cost-row
+rebuilds, the phase-1 feasibility check), each ending at such a ratio
+test or at the optimum.  Per shape the solver keeps a trie of the
+stretches it has run, branching on the winning candidate.  A program
+whose shape and pivot path are recorded is solved by walking the trie
+and doing only the right-hand-side operations, the same IEEE operations
+as the tableau with a zero stored as ``+0.0``, and the same ratio
+tests; so on finite data a replay returns, or raises, exactly what the
+tableau would.  At a branch not yet recorded the solver runs the
+tableau, which records as it pivots: one new stretch per solve at most,
+and only where ``_ADMIT`` earlier solves have been.  :func:`plan_stats`
+reports the store, which holds at most ``_MAX_NODES`` stretches.
 """
 
 from __future__ import annotations
 
+from collections import defaultdict
 from dataclasses import dataclass
 
 # Pivot threshold: gallery tableau entries are sums of a few coordinates.
 TOL = 1e-9
 # Phase-1 residual of an infeasible program: feasible ones end at rounding.
 _PHASE1_TOL = 1e-7
+# Stretches kept for replay, about 1.2 MB; the most used paths come first,
+# and past the cap new paths are solved without recording.
+_MAX_NODES = 6_000
+
+# Right-hand-side operations, the parts of a stretch.
+_PIVOT, _COST, _CHECK = range(3)
+# ``_NEGATIVE(v)`` is ``v < 0``.
+_NEGATIVE = (0.0).__gt__
+# Solves that reach a shape or branch before one records it: most shapes
+# and branches occur once or twice, and recording them costs more than
+# their replays save.
+_ADMIT = 2
 
 
 class LPError(RuntimeError):
@@ -46,6 +77,222 @@ class LPUnboundedError(LPError):
 class LPResult:
     value: float
     x: tuple[float, ...]
+
+
+class _PlanStore:
+    """The recorded stretches of every program shape, shared by all solves.
+
+    ``plans`` maps a shape to its trie, a flat list of nodes, the root
+    first.  A node at position ``pos`` holds its stretch's operations and
+    its ``test``, then one slot per way on: the position of the node that
+    follows, or, while that is unrecorded, minus the number of solves
+    that took the way.  ``test`` is ``(col, rows, coefs)``, a ratio test in
+    column ``col`` with its candidate rows in basis-index order; after the
+    optimum (``test`` None) the node holds instead the ``(row, variable)``
+    pairs, flat, that read ``x`` off the basis.  ``seen`` counts the
+    solves of each shape not recorded, by the hash of its key.  Equal
+    tuples of one kind are stored once; kinds stay apart, since
+    ``(1, 2) == (1.0, 2.0)``.
+    """
+
+    def __init__(self):
+        self.plans: dict = {}
+        self.seen: dict = {}
+        self.shared: dict = defaultdict(dict)
+        self.nodes = 0
+        self.replays = 0
+        self.misses = 0
+
+    def share(self, kind: str, value):
+        return self.shared[kind].setdefault(value, value)
+
+    def floats(self, values) -> tuple:
+        one = self.shared["float"].setdefault
+        return tuple(list(map(one, values, values)))  # see solve_lp
+
+    @staticmethod
+    def ints(values) -> bytes | tuple:
+        """Row or variable indices, as bytes where they fit: a third of the
+        memory of a tuple."""
+        try:
+            return bytes(values)
+        except ValueError:
+            return tuple(values)
+
+    def op(self, kind: int, r: int, d, rows, facs) -> tuple:
+        """``(kind, r, d, i0, f0, i1, f1, ...)``: one flat tuple per operation."""
+        one = self.shared["float"].setdefault
+        pairs = [v for i, f in zip(rows, facs) for v in (i, one(f, f))]
+        return self.share("op", (kind, r, d and one(d, d), *pairs))
+
+    def recorder(self, key, plan: list | None, slot: int | None) -> _Recorder | None:
+        """The recorder of a tableau solve that ``_replay`` could not answer
+        (``slot``), or of a shape not recorded (``plan`` None), once
+        ``_ADMIT`` earlier solves have reached that way or shape; until then
+        the solve is counted in the slot or in ``seen`` (emptied when it
+        reaches the cap).  None past the cap."""
+        if self.nodes >= _MAX_NODES:
+            return None
+        if plan is None:
+            h = hash(key)
+            seen = self.seen.get(h, 0)
+            if seen < _ADMIT:
+                if len(self.seen) >= _MAX_NODES:
+                    self.seen.clear()
+                self.seen[h] = seen + 1
+                return None
+        elif plan[slot] > -_ADMIT:
+            plan[slot] -= 1
+            return None
+        return _Recorder(self, key, plan, slot)
+
+    def shape(self, key) -> tuple:
+        """A new shape's key, its rows stored once across shapes."""
+        c, rows, signs = key
+        rows = tuple([self.share("row", row) for row in rows])
+        return self.share("c", c), rows, self.share("signs", signs)
+
+
+_STORE = _PlanStore()
+
+
+def plan_stats() -> dict:
+    """Replay-store counters: shapes and stretches recorded, and solves
+    answered by replay or by the tableau (``misses``) so far."""
+    s = _STORE
+    return {"shapes": len(s.plans), "nodes": s.nodes, "replays": s.replays, "misses": s.misses}
+
+
+# -- replay ---------------------------------------------------------------------
+
+
+def _run(ops, rhs: list) -> None:
+    """Apply one stretch's operations ``(kind, r, d, i0, f0, ...)`` to the
+    right-hand sides ``rhs``, the cost row's last."""
+    for op in ops:
+        it = iter(op)
+        kind, r, d = next(it), next(it), next(it)
+        if kind == _PIVOT:
+            # A zero is skipped, as the tableau skips an absent entry; no
+            # difference below is -0.0, since no right-hand side is.
+            p = rhs[r]
+            if p:
+                p = rhs[r] = p / d or 0.0
+                if p:
+                    for i, f in zip(it, it):
+                        rhs[i] -= f * p
+        elif kind == _COST:
+            # A fresh cost row less f times each listed row, in order.
+            acc = 0.0
+            for i, f in zip(it, it):
+                p = rhs[i]
+                if p:
+                    acc -= f * p
+            rhs[r] = acc
+        elif -rhs[r] > _PHASE1_TOL:  # _CHECK
+            raise LPInfeasibleError(f"phase-1 residual {-rhs[r]:g}")
+
+
+def _leaving(col, rows, coefs, rhs: list) -> int:
+    """The ratio test of :func:`_run_simplex` on candidates in basis-index
+    order: the first whose ratio is within TOL of the least."""
+    if not rows:
+        raise LPUnboundedError(f"unbounded in column {col}")
+    ratios = [rhs[i] / a for i, a in zip(rows, coefs)]
+    floor = min(ratios) + TOL
+    for k, ratio in enumerate(ratios):
+        if ratio <= floor:
+            return k
+    raise ValueError(f"no ratio in column {col} is a number")
+
+
+def _replay(plan: list, n: int, b: list) -> LPResult | int:
+    """Solve by walking a shape's trie; at a branch not recorded, return
+    the slot that would hold it."""
+    # Rows with a negative right-hand side were negated; a zero is +0.0.
+    rhs = [-v if v < 0 else v or 0.0 for v in b]
+    rhs.append(0.0)
+    pos = 0
+    while True:
+        _run(plan[pos], rhs)
+        test = plan[pos + 1]
+        if test is None:
+            x = [0.0] * n
+            it = iter(plan[pos + 2])
+            for i, j in zip(it, it):
+                x[j] = rhs[i]
+            return LPResult(value=-rhs[-1], x=tuple(x))
+        slot = pos + 2 + _leaving(*test, rhs)
+        pos = plan[slot]
+        if pos <= 0:
+            return slot
+
+
+# -- the tableau ------------------------------------------------------------------
+
+
+class _Recorder:
+    """Follows a tableau solve down its shape's trie to the branch ``slot``
+    and records the stretch after it; with no ``plan`` yet, the first."""
+
+    def __init__(self, store: _PlanStore, key, plan: list | None, slot: int | None):
+        self.store = store
+        self.key = key
+        self.plan = plan
+        self.slot = slot
+        # The recorded node being followed, then the stretch being recorded.
+        self.pos = 0 if plan else None
+        self.ops = None if plan else []
+
+    def pivot(self, tab: list[dict], r: int, col: int) -> None:
+        if self.ops is not None:
+            rows = [i for i, row in enumerate(tab) if i != r and col in row]
+            self.ops.append(self.store.op(_PIVOT, r, tab[r][col], rows, [tab[i][col] for i in rows]))
+
+    def cost(self, r: int, rows: list, facs: list) -> None:
+        if self.ops is not None:
+            self.ops.append(self.store.op(_COST, r, None, rows, facs))
+
+    def check(self, r: int) -> None:
+        if self.ops is not None:
+            self.ops.append(self.store.op(_CHECK, r, None, (), ()))
+
+    def ratio_test(self, tab: list[dict], basis: list[int], col: int, cands: list, r) -> None:
+        if self.ops is not None:
+            rows = sorted([i for _, i in cands], key=basis.__getitem__)
+            coefs = self.store.floats([tab[i][col] for i in rows])
+            test = self.store.share("test", (col, self.store.ints(rows), coefs))
+            self._close(test, len(rows), rows.index(r) if rows else 0)
+        elif self.pos is not None:
+            self._follow(self.plan[self.pos + 1][1].index(r))
+
+    def optimum(self, basis: list[int], n: int) -> None:
+        if self.ops is not None:
+            pairs = [v for i, j in enumerate(basis) if j < n for v in (i, j)]
+            self._close(None, 0, 0, self.store.share("x", self.store.ints(pairs)))
+
+    def _follow(self, k: int) -> None:
+        slot = self.pos + 2 + k
+        if slot == self.slot:
+            self.pos, self.ops = None, []
+        else:
+            self.pos = self.plan[slot]
+
+    def _close(self, test, ways: int, k: int, *tail) -> None:
+        """Record the stretch, ending at ``test``, as a new node; this solve
+        goes on by way ``k``, which counts it."""
+        store, plan = self.store, self.plan
+        ops, self.ops = self.ops, None
+        if plan is None:
+            plan = store.plans[store.shape(self.key)] = []
+            store.seen.pop(hash(self.key), None)
+        else:
+            plan[self.slot] = len(plan)
+        pos = len(plan)
+        plan += [store.share("ops", tuple(ops)), test, *tail] + [0] * ways
+        if ways:
+            plan[pos + 2 + k] = -1
+        store.nodes += 1
 
 
 def _subtract(row: dict, f: float, other: dict) -> None:
@@ -80,7 +327,7 @@ def _pivot(tab: list[dict], basis: list[int], r: int, col: int) -> None:
     basis[r] = col
 
 
-def _run_simplex(tab: list[dict], basis: list[int], ncols: int, rhs: int) -> None:
+def _run_simplex(tab: list[dict], basis: list[int], ncols: int, rhs: int, rec) -> None:
     """Bland pivots on ``tab`` (cost row last) until no cost is below -TOL."""
     while True:
         neg = [j for j, v in tab[-1].items() if v < -TOL and j < ncols]
@@ -94,30 +341,24 @@ def _run_simplex(tab: list[dict], basis: list[int], ncols: int, rhs: int) -> Non
             for i, row in enumerate(tab)
             if (a := row.get(col, 0.0)) > TOL
         ]
-        if not cands:
-            raise LPUnboundedError(f"unbounded in column {col}")
         if len(cands) == 1:
             r = cands[0][1]
         else:
-            floor = min(cands)[0] + TOL
-            r = min((i for ratio, i in cands if ratio <= floor), key=basis.__getitem__)
+            r = None
+            if cands:
+                floor = min(cands)[0] + TOL
+                r = min((i for ratio, i in cands if ratio <= floor), key=basis.__getitem__)
+            if rec:
+                rec.ratio_test(tab, basis, col, cands, r)
+            if r is None:
+                raise LPUnboundedError(f"unbounded in column {col}")
+        if rec:
+            rec.pivot(tab, r, col)
         _pivot(tab, basis, r, col)
 
 
-def solve_lp(c, a_ub, b_ub) -> LPResult:
-    """Minimize ``c.x`` over ``a_ub x <= b_ub``, ``x >= 0``.
-
-    ``c`` is dense; ``a_ub`` holds one ``{column: coefficient}`` dict over
-    ``range(len(c))`` per ``b_ub`` entry, anything else raising ``ValueError``.
-    Raises :class:`LPInfeasibleError` / :class:`LPUnboundedError`; both
-    indicate a malformed caller program rather than a recoverable state.
-    """
-    c = list(map(float, c))
-    b = list(map(float, b_ub))
+def _solve_tableau(c: list, a_ub, b: list, rec: _Recorder | None) -> LPResult:
     n, m = len(c), len(b)
-    if len(a_ub) != m:
-        raise ValueError(f"{len(a_ub)} rows in a_ub but {m} right-hand sides")
-
     # Slack per row; rows with negative right-hand side get an artificial
     # after a sign flip, and phase 1 drives the artificials to zero.
     real = n + m  # structural and slack columns
@@ -146,11 +387,15 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
 
     if n_art:
         cost = dict.fromkeys(range(real, rhs), 1.0)
-        for i in range(m):
-            if basis[i] >= real:
-                _subtract(cost, 1.0, tab[i])
+        arts = [i for i in range(m) if basis[i] >= real]
+        for i in arts:
+            _subtract(cost, 1.0, tab[i])
+        if rec:
+            rec.cost(m, arts, [1.0] * n_art)
         tab.append(cost)
-        _run_simplex(tab, basis, ncols, rhs)
+        _run_simplex(tab, basis, ncols, rhs, rec)
+        if rec:
+            rec.check(m)
         residual = -cost.get(rhs, 0.0)
         if residual > _PHASE1_TOL:
             raise LPInfeasibleError(f"phase-1 residual {residual:g}")
@@ -163,6 +408,8 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
                 )
                 if pivot_col is None:
                     continue  # redundant row, harmless
+                if rec:
+                    rec.pivot(tab, i, pivot_col)
                 _pivot(tab, basis, i, pivot_col)
         # Drop the phase-1 cost row and the artificial columns.  A basis
         # entry still naming an artificial stays, as in a dense tableau.
@@ -173,15 +420,58 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
         ncols = real
 
     cost = {j: v for j, v in enumerate(c) if v}
+    rows, facs = [], []
     for i in range(m):
         f = cost.get(basis[i])
         if f:
+            rows.append(i)
+            facs.append(f)
             _subtract(cost, f, tab[i])
+    if rec:
+        rec.cost(m, rows, facs)
     tab.append(cost)
-    _run_simplex(tab, basis, ncols, rhs)
+    _run_simplex(tab, basis, ncols, rhs, rec)
+    if rec:
+        rec.optimum(basis, n)
 
     x = [0.0] * n
     for i in range(m):
         if basis[i] < n:
             x[basis[i]] = tab[i].get(rhs, 0.0)
     return LPResult(value=-cost.get(rhs, 0.0), x=tuple(x))
+
+
+def solve_lp(c, a_ub, b_ub) -> LPResult:
+    """Minimize ``c.x`` over ``a_ub x <= b_ub``, ``x >= 0``.
+
+    ``c`` is dense; ``a_ub`` holds one ``{column: coefficient}`` dict over
+    ``range(len(c))`` per ``b_ub`` entry, anything else raising ``ValueError``.
+    Raises :class:`LPInfeasibleError` / :class:`LPUnboundedError`; both
+    indicate a malformed caller program rather than a recoverable state.
+    A program of a recorded shape and pivot path is replayed (see the
+    module docstring), with the same result bit for bit.
+    """
+    c = list(map(float, c))
+    b = list(map(float, b_ub))
+    if len(a_ub) != len(b):
+        raise ValueError(f"{len(a_ub)} rows in a_ub but {len(b)} right-hand sides")
+    store = _STORE
+    try:
+        # Built from lists: a tuple built from an iterator of unknown length
+        # is resized as it grows, which costs about a MB of peak RSS over
+        # a geodesic run.
+        key = (tuple(c), tuple(list(map(tuple, map(dict.items, a_ub)))), bytes(map(_NEGATIVE, b)))
+        plan = store.plans.get(key)
+    except TypeError:
+        # A row that is not a dict, or a coefficient that cannot be
+        # hashed: the tableau reports it.
+        return _solve_tableau(c, a_ub, b, None)
+    slot = None
+    if plan is not None:
+        res = _replay(plan, len(c), b)
+        if isinstance(res, LPResult):
+            store.replays += 1
+            return res
+        slot = res
+    store.misses += 1
+    return _solve_tableau(c, a_ub, b, store.recorder(key, plan, slot))

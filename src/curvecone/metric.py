@@ -34,6 +34,7 @@ from __future__ import annotations
 
 import heapq
 import json
+import operator
 from dataclasses import dataclass, field
 
 from .lp import solve_lp
@@ -434,6 +435,20 @@ def _ray_result(other: ConePoint, at_start: bool) -> GeodesicResult:
     return GeodesicResult(0.5 * other.max_coord, gallery, ())
 
 
+def _budget(value) -> int:
+    # As in Surface: operator.index takes integer types only, and a bool,
+    # though an int to Python, is no count.
+    if not isinstance(value, bool):
+        try:
+            budget = operator.index(value)
+        except TypeError:
+            pass
+        else:
+            if budget >= 0:
+                return budget
+    raise ValueError(f"revisit_budget must be a nonnegative integer, got {value!r}")
+
+
 def distance(p: ConePoint, q: ConePoint, *, revisit_budget: int = 0) -> GeodesicResult:
     """Exact distance and a geodesic between two cone points.
 
@@ -452,11 +467,11 @@ def distance(p: ConePoint, q: ConePoint, *, revisit_budget: int = 0) -> Geodesic
     and a closed gallery also when it is no more than ``_TIE`` below the
     best value and the gallery ranks no lower than the best: its value
     would come in as a tie at best, and the tie order rejects it.  Both
-    skips leave the result unchanged bit for bit.  A negative
-    ``revisit_budget`` raises ``ValueError``.
+    skips leave the result unchanged bit for bit.  A ``revisit_budget``
+    that is negative or no integer (a bool, a float, a string) raises
+    ``ValueError``; integer types such as numpy's are taken.
     """
-    if revisit_budget < 0:
-        raise ValueError(f"revisit_budget must be nonnegative, got {revisit_budget}")
+    revisit_budget = _budget(revisit_budget)
     _require_same_complex(p, q)
     cx = p.complex
     if p.is_apex and q.is_apex:

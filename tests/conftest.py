@@ -3,6 +3,7 @@ from pathlib import Path
 
 import pytest
 
+import curvecone.lp as lp
 from curvecone import Surface, build_complex
 
 sys.path.insert(0, str(Path(__file__).parent))
@@ -49,6 +50,14 @@ def s11():
 @pytest.fixture(scope="session")
 def s04():
     return complex_for(0, 4)
+
+
+@pytest.fixture
+def empty_plan_store(monkeypatch):
+    """An empty simplex replay store for one test, the process's store
+    coming back afterwards, so that test order cannot decide whether a
+    program is solved on the tableau or replayed."""
+    monkeypatch.setattr(lp, "_STORE", lp._PlanStore())
 
 
 def orbit_by_structure(cx, vertices, edges):

@@ -1,9 +1,11 @@
+import hashlib
 import struct
 
 import numpy as np
 import pytest
 from scipy.optimize import linprog
 
+import curvecone.lp as lp
 import curvecone.metric as metric
 from conftest import complex_for
 from curvecone import LPInfeasibleError, LPUnboundedError, cone_point, distance, solve_lp
@@ -292,9 +294,10 @@ def test_random_programs_match_dense_tableau_bits(seed):
     "surface", [(1, 2), (2, 0), (1, 3), (0, 6)], ids=lambda s: f"S{s[0]}_{s[1]}"
 )
 @pytest.mark.parametrize("coords", ["uniform", "integer"])
-def test_gallery_programs_match_dense_tableau_bits(surface, coords, monkeypatch):
+def test_gallery_programs_match_dense_tableau_bits(surface, coords, monkeypatch, empty_plan_store):
     # Every program distance() hands the simplex, from seeded point pairs.
-    # Small-integer coordinates (zeros included) give degenerate pivots.
+    # Small-integer coordinates (zeros included) give degenerate pivots,
+    # ratio ties and several pivot paths per program shape.
     cx = complex_for(*surface)
     recorded = []
 
@@ -321,4 +324,193 @@ def test_gallery_programs_match_dense_tableau_bits(surface, coords, monkeypatch)
     assert recorded
     for c, rows, rhs, res in recorded:
         assert all(isinstance(row, dict) for row in rows)
-        assert_bit_identical(c, dense(rows, len(c)), rhs, res)
+        expected = _packed(*reference_solve_lp(c, dense(rows, len(c)), rhs))
+        # On an empty store: solved on the tableau, the first time cold,
+        # until its whole pivot path is recorded, then replayed.
+        monkeypatch.setattr(lp, "_STORE", lp._PlanStore())
+        results = solved_until_replayed(c, rows, rhs)
+        for r in (res, *results):
+            assert _packed(r.value, r.x) == expected
+
+
+# -- replay of recorded pivot paths --------------------------------------------
+
+
+def solved_until_replayed(c, rows, rhs):
+    """Solve one program again and again until the replay store answers it;
+    returns every result, the replay's last."""
+    replays = lp.plan_stats()["replays"]
+    results = []
+    while lp.plan_stats()["replays"] == replays:
+        results.append(solve_lp(c, rows, rhs))
+        assert len(results) <= 64, "the pivot path was never recorded"
+    return results
+
+
+@pytest.mark.parametrize("program", [HALF_SUP, TWO_SEGMENT, DEGENERATE_FIRST, TIES, PINNED])
+def test_replayed_hand_programs_match_dense_tableau_bits(program, empty_plan_store):
+    c, rows, rhs = program
+    expected = _packed(*reference_solve_lp(*program))
+    results = solved_until_replayed(c, sparse(rows), rhs)
+    assert lp.plan_stats()["misses"] == len(results) - 1
+    assert {_packed(r.value, r.x) for r in results} == {expected}
+
+
+def raised_by_replay(program, data, exc):
+    """Solve ``program(*d)`` for each ``d`` in ``data``; each must raise
+    ``exc``, as the dense reference does.  Returns how many of the solves
+    raised from the replay store, without running the tableau."""
+    replayed = 0
+    for d in data:
+        c, rows, rhs = program(*d)
+        with pytest.raises(exc):
+            reference_solve_lp(c, dense(rows, len(c)), rhs)
+        misses = lp.plan_stats()["misses"]
+        with pytest.raises(exc):
+            solve_lp(c, rows, rhs)
+        replayed += lp.plan_stats()["misses"] == misses
+    return replayed
+
+
+def test_recorded_path_with_infeasible_data_raises(empty_plan_store):
+    # x >= lo and x <= hi.  For lo > hi the ratio test on x goes to the
+    # row of hi and phase 1 ends with residual lo - hi; lo - hi = 5e-8 is
+    # below _PHASE1_TOL, so that program is solved and its path recorded,
+    # and the infeasible ones then take that path to the phase-1 check.
+    def program(lo, hi):
+        return [1.0], [{0: -1.0}, {0: 1.0}], [-lo, hi]
+
+    c, rows, rhs = program(1.0 + 5e-8, 1.0)
+    solved_until_replayed(c, rows, rhs)
+    data = [(2.0, 1.0), (5.0, 0.5), (3.0, 2.0), (1.0 + 2e-7, 1.0)]
+    assert raised_by_replay(program, data, LPInfeasibleError) == len(data)
+
+
+def test_recorded_shape_with_infeasible_data_raises(empty_plan_store):
+    # x0 + x1 >= lo, x0 <= u0, x1 <= u1: feasible data records the shape;
+    # for lo > u0 + u1 phase 1 takes other ways at its two ratio tests and
+    # ends with the artificial basic and positive.
+    def program(lo, u0, u1):
+        return [1.0, 1.0], [{0: -1.0, 1: -1.0}, {0: 1.0}, {1: 1.0}], [-lo, u0, u1]
+
+    solved_until_replayed(*program(1.0, 2.0, 2.0))
+    data = [(5.0, 1.0, 2.0), (9.0, 3.0, 4.0), (4.0, 1.0, 1.0), (7.0, 2.0, 2.5)] * 3
+    raised_by_replay(program, data, LPInfeasibleError)
+    assert lp.plan_stats()["shapes"] == 1
+
+
+@pytest.mark.parametrize("phase_one", [False, True])
+def test_recorded_shape_with_unbounded_data_raises(phase_one, empty_plan_store):
+    # min -x over x >= -b, or over x >= b after a phase 1, for b > 0: one
+    # stretch.  The first two solves only count the shape, the third
+    # records the stretch, and every later one raises from the replay.
+    def program(b):
+        return [-1.0], [{0: -1.0}], [-b if phase_one else b]
+
+    data = [(1.0,), (2.0,), (0.5,), (3.0,), (8.0,), (0.25,)]
+    assert raised_by_replay(program, data, LPUnboundedError) == len(data) - 1 - lp._ADMIT
+
+
+@pytest.mark.parametrize("program", [TWO_SEGMENT, DEGENERATE_FIRST, HALF_SUP])
+def test_zeros_signed_zeros_and_subnormal_right_hand_sides(program, monkeypatch):
+    # A right-hand side of 0.0, -0.0 (also as the underflowed -1e-400) or
+    # a positive subnormal gives the tableau of a zero, and may share its
+    # plan; a negative subnormal gives a row with an artificial, another
+    # shape.  Each is solved until replayed, in both orders, and every
+    # result must match the dense tableau of its own right-hand side.
+    c, rows, rhs = program
+    zeros = [0.0, -0.0, -1e-400, 5e-324, 1e-300, -5e-324, -1e-300]
+    for order in (zeros, zeros[::-1]):
+        monkeypatch.setattr(lp, "_STORE", lp._PlanStore())
+        for z in order:
+            b = [z if v == 0 else v for v in rhs]
+            expected = _packed(*reference_solve_lp(c, rows, b))
+            results = solved_until_replayed(c, sparse(rows), b)
+            assert {_packed(r.value, r.x) for r in results} == {expected}
+        assert lp.plan_stats()["shapes"] == (2 if any(v == 0 for v in rhs) else 1)
+
+
+def payload_digest(budget):
+    """sha256 over distance payloads on S(1,2), S(2,0), S(1,3), S(0,7),
+    with uniform and small-integer points from every orbit."""
+    digest = hashlib.sha256()
+    for surface in [(1, 2), (2, 0), (1, 3), (0, 7)]:
+        cx = complex_for(*surface)
+        rng = np.random.default_rng([*surface, budget])
+        ids = [o.id for o in cx.orbits if o.n_edges]
+        for k in range(6):
+            pts = []
+            for _ in range(2):
+                oid = ids[rng.integers(len(ids))]
+                n = cx.orbit(oid).n_edges
+                xs = rng.integers(0, 4, size=n) if k % 2 else rng.uniform(0.25, 8.0, size=n)
+                pts.append(cone_point(cx, oid, xs.astype(float)))
+            digest.update(distance(*pts, revisit_budget=budget).to_json().encode())
+    return digest.hexdigest()
+
+
+@pytest.mark.parametrize("budget", [0, 1])
+def test_payloads_match_between_empty_and_warm_store(budget, monkeypatch, empty_plan_store):
+    monkeypatch.setattr(lp, "_MAX_NODES", 0)
+    tableau_only = payload_digest(budget)
+    assert lp.plan_stats()["shapes"] == lp.plan_stats()["replays"] == 0
+    monkeypatch.undo()
+    monkeypatch.setattr(lp, "_STORE", lp._PlanStore())
+    # The first rounds start from an empty store; the last is warm.
+    for _ in range(3):
+        assert payload_digest(budget) == tableau_only
+    warm = lp.plan_stats()["replays"]
+    assert payload_digest(budget) == tableau_only
+    assert lp.plan_stats()["replays"] > warm
+
+
+def test_store_stays_within_its_cap(monkeypatch, empty_plan_store):
+    # Many S(2,1) searches and budget-1 S(1,3) searches against a small cap:
+    # the store fills up to it and stops, and the results past the cap
+    # are those of the tableau alone.
+    def payloads():
+        out = []
+        for surface, budget in [((2, 1), 0), ((1, 3), 1)]:
+            cx = complex_for(*surface)
+            rng = np.random.default_rng([*surface, 7])
+            ids = [o.id for o in cx.orbits if o.n_edges]
+            for _ in range(4):
+                p, q = (cone_point(cx, oid, rng.uniform(0.25, 8.0, size=cx.orbit(oid).n_edges))
+                        for oid in (ids[rng.integers(len(ids))], ids[rng.integers(len(ids))]))
+                out.append(distance(p, q, revisit_budget=budget).to_json())
+        return out
+
+    monkeypatch.setattr(lp, "_MAX_NODES", 0)
+    tableau_only = payloads()
+    cap = 4
+    monkeypatch.setattr(lp, "_MAX_NODES", cap)
+    for _ in range(8):
+        assert payloads() == tableau_only
+        if lp.plan_stats()["nodes"] == cap:
+            break
+    assert payloads() == tableau_only
+    assert lp.plan_stats()["nodes"] == cap
+
+
+def test_warm_search_replays(empty_plan_store):
+    # A search on a warm store answers most of its programs by replay; a
+    # change that sent every solve back to the tableau would fail here.
+    cx = complex_for(1, 3)
+    ids = [o.id for o in cx.orbits if o.n_edges]
+
+    def search(seed):
+        rng = np.random.default_rng(seed)
+        for a in ids:
+            for b in ids:
+                p = cone_point(cx, a, rng.uniform(0.25, 8.0, size=cx.orbit(a).n_edges))
+                q = cone_point(cx, b, rng.uniform(0.25, 8.0, size=cx.orbit(b).n_edges))
+                distance(p, q)
+
+    for seed in range(3):
+        search(seed)
+    before = lp.plan_stats()
+    search(3)
+    after = lp.plan_stats()
+    replays = after["replays"] - before["replays"]
+    misses = after["misses"] - before["misses"]
+    assert replays > misses

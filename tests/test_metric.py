@@ -288,6 +288,21 @@ def test_negative_revisit_budget_rejected(s12):
         distance(p, q, revisit_budget=-1)
 
 
+@pytest.mark.parametrize("budget", [0.5, 1.0, True, False, "1", None])
+def test_non_integer_revisit_budget_rejected(s12, budget):
+    # A float, a bool, a numeric string or None is no revisit count.
+    p = cone_point(s12, nn_orbit(s12).id, (1.0, 3.0))
+    q = cone_point(s12, sn_orbit(s12).id, (2.0, 5.0))
+    with pytest.raises(ValueError, match="revisit_budget"):
+        distance(p, q, revisit_budget=budget)
+
+
+def test_integer_typed_revisit_budget_accepted(s12):
+    p = cone_point(s12, nn_orbit(s12).id, (1.0, 3.0))
+    q = cone_point(s12, sn_orbit(s12).id, (2.0, 5.0))
+    assert distance(p, q, revisit_budget=np.int64(1)) == distance(p, q, revisit_budget=1)
+
+
 def test_s2_three_dimensional_distances(s2):
     theta, dumbbell = sorted(s2.maximal_ids)
     rng = np.random.default_rng(5)
