@@ -34,12 +34,18 @@ as the tableau with a zero stored as ``+0.0``, and the same ratio
 tests; so on finite data a replay returns, or raises, exactly what the
 tableau would.  At a branch not yet recorded the solver runs the
 tableau, which records as it pivots: one new stretch per solve at most,
-and only where ``_ADMIT`` earlier solves have been.  :func:`plan_stats`
-reports the store, which holds at most ``_MAX_NODES`` stretches.
+and only where ``_ADMIT`` earlier solves have been (``_ADMIT_SHAPE`` for
+the first stretch of a shape).  :func:`plan_stats` reports the store,
+which holds at most ``_MAX_NODES`` stretches.  Recording holds the
+store's lock, and a node is complete before the trie links to it, so a
+replay in another thread only reads whole nodes; the counters of
+:func:`plan_stats` may miss a solve when threads race.
 """
 
 from __future__ import annotations
 
+import marshal
+import threading
 from collections import defaultdict
 from dataclasses import dataclass
 
@@ -47,18 +53,24 @@ from dataclasses import dataclass
 TOL = 1e-9
 # Phase-1 residual of an infeasible program: feasible ones end at rounding.
 _PHASE1_TOL = 1e-7
-# Stretches kept for replay, about 1.2 MB; the most used paths come first,
-# and past the cap new paths are solved without recording.
-_MAX_NODES = 6_000
+# Stretches kept for replay, about 1 MB.  A path is recorded once enough
+# earlier solves have reached it (below), first come first kept, and is
+# never evicted; past the cap new paths are solved without recording.
+_MAX_NODES = 4_500
 
 # Right-hand-side operations, the parts of a stretch.
 _PIVOT, _COST, _CHECK = range(3)
 # ``_NEGATIVE(v)`` is ``v < 0``.
 _NEGATIVE = (0.0).__gt__
-# Solves that reach a shape or branch before one records it: most shapes
-# and branches occur once or twice, and recording them costs more than
-# their replays save.
+# Solves that reach a branch before one records it: most branches occur
+# once or twice, and recording them costs more than their replays save.
 _ADMIT = 2
+# Solves of a shape before one records its first stretch, which starts at
+# the first pivot: most shapes of a cold search recur a few times at most
+# (20 S(2,1) calls: 1 417 shapes, 202 of them solved four times or more).
+_ADMIT_SHAPE = 4
+# Counters of those solves, by key hash: a fixed 64 KB.
+_SEEN_SLOTS = 1 << 16
 
 
 class LPError(RuntimeError):
@@ -82,26 +94,28 @@ class LPResult:
 class _PlanStore:
     """The recorded stretches of every program shape, shared by all solves.
 
-    ``plans`` maps a shape to its trie, a flat list of nodes, the root
-    first.  A node at position ``pos`` holds its stretch's operations and
-    its ``test``, then one slot per way on: the position of the node that
-    follows, or, while that is unrecorded, minus the number of solves
-    that took the way.  ``test`` is ``(col, rows, coefs)``, a ratio test in
-    column ``col`` with its candidate rows in basis-index order; after the
-    optimum (``test`` None) the node holds instead the ``(row, variable)``
-    pairs, flat, that read ``x`` off the basis.  ``seen`` counts the
-    solves of each shape not recorded, by the hash of its key.  Equal
-    tuples of one kind are stored once; kinds stay apart, since
-    ``(1, 2) == (1.0, 2.0)``.
+    ``plans`` maps a shape's key (see :func:`solve_lp`) to its trie, a flat
+    list of nodes, the root first.  A node at position ``pos`` holds its
+    stretch's operations and its ``test``, then one slot per way on: the
+    position of the node that follows, or, while that is unrecorded, minus
+    the number of solves that took the way.  ``test`` is ``(col, rows,
+    coefs)``, a ratio test in column ``col`` with its candidate rows in
+    basis-index order; after the optimum (``test`` None) the node holds
+    instead the ``(row, variable)`` pairs, flat, that read ``x`` off the
+    basis.  ``seen`` counts the solves of shapes not recorded, in a slot
+    picked by the key's hash; two shapes sharing a slot only admit one
+    early.  Equal tuples of one kind are stored once; kinds stay apart,
+    since ``(1, 2) == (1.0, 2.0)``.
     """
 
     def __init__(self):
         self.plans: dict = {}
-        self.seen: dict = {}
+        self.seen = bytearray(_SEEN_SLOTS)
         self.shared: dict = defaultdict(dict)
         self.nodes = 0
         self.replays = 0
         self.misses = 0
+        self.lock = threading.Lock()
 
     def share(self, kind: str, value):
         return self.shared[kind].setdefault(value, value)
@@ -125,35 +139,44 @@ class _PlanStore:
         pairs = [v for i, f in zip(rows, facs) for v in (i, one(f, f))]
         return self.share("op", (kind, r, d and one(d, d), *pairs))
 
-    def recorder(self, key, plan: list | None, slot: int | None) -> _Recorder | None:
+    def recorder(self, key, a_ub, plan: list | None, slot: int | None) -> _Recorder | None:
         """The recorder of a tableau solve that ``_replay`` could not answer
         (``slot``), or of a shape not recorded (``plan`` None), once
-        ``_ADMIT`` earlier solves have reached that way or shape; until then
-        the solve is counted in the slot or in ``seen`` (emptied when it
-        reaches the cap).  None past the cap."""
-        if self.nodes >= _MAX_NODES:
-            return None
-        if plan is None:
-            h = hash(key)
-            seen = self.seen.get(h, 0)
-            if seen < _ADMIT:
-                if len(self.seen) >= _MAX_NODES:
-                    self.seen.clear()
-                self.seen[h] = seen + 1
+        ``_ADMIT`` earlier solves have taken that way (``_ADMIT_SHAPE`` have
+        solved that shape); until then the solve is counted in the slot or
+        in ``seen``.  None past the cap, for rows that ``_exact`` rejects,
+        or when another thread has recorded the way since."""
+        with self.lock:
+            if self.nodes >= _MAX_NODES:
                 return None
-        elif plan[slot] > -_ADMIT:
-            plan[slot] -= 1
-            return None
+            if plan is None:
+                h = hash(key) % _SEEN_SLOTS
+                if self.seen[h] < _ADMIT_SHAPE:
+                    self.seen[h] += 1
+                    return None
+                if not _exact(a_ub):
+                    return None
+            elif plan[slot] > 0:
+                return None
+            elif plan[slot] > -_ADMIT:
+                plan[slot] -= 1
+                return None
         return _Recorder(self, key, plan, slot)
-
-    def shape(self, key) -> tuple:
-        """A new shape's key, its rows stored once across shapes."""
-        c, rows, signs = key
-        rows = tuple([self.share("row", row) for row in rows])
-        return self.share("c", c), rows, self.share("signs", signs)
 
 
 _STORE = _PlanStore()
+
+
+def _exact(rows) -> bool:
+    """Whether every row is a dict of int columns and int or float values.
+    marshal writes these with their type code and exact bits, but other
+    numbers, such as numpy scalars, as bare bytes that do not tell an
+    integer from a float; only shapes of exact rows are recorded, so a key
+    equal to a recorded one is a program of the same values."""
+    return all(
+        type(row) is dict and all(type(j) is int and type(v) in (int, float) for j, v in row.items())
+        for row in rows
+    )
 
 
 def plan_stats() -> dict:
@@ -282,17 +305,20 @@ class _Recorder:
         """Record the stretch, ending at ``test``, as a new node; this solve
         goes on by way ``k``, which counts it."""
         store, plan = self.store, self.plan
-        ops, self.ops = self.ops, None
-        if plan is None:
-            plan = store.plans[store.shape(self.key)] = []
-            store.seen.pop(hash(self.key), None)
-        else:
-            plan[self.slot] = len(plan)
-        pos = len(plan)
-        plan += [store.share("ops", tuple(ops)), test, *tail] + [0] * ways
+        node = [store.share("ops", tuple(self.ops)), test, *tail] + [0] * ways
+        self.ops = None
         if ways:
-            plan[pos + 2 + k] = -1
-        store.nodes += 1
+            node[2 + k] = -1
+        # The node is complete before anything links to it, so a replay
+        # never follows a slot to a node that is not there yet.
+        with store.lock:
+            if plan is None:
+                store.plans[self.key] = node
+            else:
+                pos = len(plan)
+                plan += node
+                plan[self.slot] = pos
+            store.nodes += 1
 
 
 def _subtract(row: dict, f: float, other: dict) -> None:
@@ -457,15 +483,15 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
         raise ValueError(f"{len(a_ub)} rows in a_ub but {len(b)} right-hand sides")
     store = _STORE
     try:
-        # Built from lists: a tuple built from an iterator of unknown length
-        # is resized as it grows, which costs about a MB of peak RSS over
-        # a geodesic run.
-        key = (tuple(c), tuple(list(map(tuple, map(dict.items, a_ub)))), bytes(map(_NEGATIVE, b)))
-        plan = store.plans.get(key)
-    except TypeError:
-        # A row that is not a dict, or a coefficient that cannot be
-        # hashed: the tableau reports it.
+        # The shape's key, one bytes object whose hash Python caches.
+        # marshal's version 2 writes no back-references, so the bytes
+        # follow from the values alone (see ``_exact``).
+        key = marshal.dumps((c, a_ub), 2) + bytes(map(_NEGATIVE, b))
+    except ValueError:
+        # A value marshal cannot write, such as a dict subclass: the
+        # tableau solves the program and checks its rows.
         return _solve_tableau(c, a_ub, b, None)
+    plan = store.plans.get(key)
     slot = None
     if plan is not None:
         res = _replay(plan, len(c), b)
@@ -474,4 +500,4 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
             return res
         slot = res
     store.misses += 1
-    return _solve_tableau(c, a_ub, b, store.recorder(key, plan, slot))
+    return _solve_tableau(c, a_ub, b, store.recorder(key, a_ub, plan, slot))

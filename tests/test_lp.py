@@ -1,5 +1,7 @@
 import hashlib
 import struct
+import sys
+import threading
 
 import numpy as np
 import pytest
@@ -324,13 +326,11 @@ def test_gallery_programs_match_dense_tableau_bits(surface, coords, monkeypatch,
     assert recorded
     for c, rows, rhs, res in recorded:
         assert all(isinstance(row, dict) for row in rows)
-        expected = _packed(*reference_solve_lp(c, dense(rows, len(c)), rhs))
         # On an empty store: solved on the tableau, the first time cold,
         # until its whole pivot path is recorded, then replayed.
         monkeypatch.setattr(lp, "_STORE", lp._PlanStore())
-        results = solved_until_replayed(c, rows, rhs)
-        for r in (res, *results):
-            assert _packed(r.value, r.x) == expected
+        for r in (res, *solved_until_replayed(c, rows, rhs)):
+            assert_bit_identical(c, dense(rows, len(c)), rhs, r)
 
 
 # -- replay of recorded pivot paths --------------------------------------------
@@ -350,10 +350,10 @@ def solved_until_replayed(c, rows, rhs):
 @pytest.mark.parametrize("program", [HALF_SUP, TWO_SEGMENT, DEGENERATE_FIRST, TIES, PINNED])
 def test_replayed_hand_programs_match_dense_tableau_bits(program, empty_plan_store):
     c, rows, rhs = program
-    expected = _packed(*reference_solve_lp(*program))
     results = solved_until_replayed(c, sparse(rows), rhs)
     assert lp.plan_stats()["misses"] == len(results) - 1
-    assert {_packed(r.value, r.x) for r in results} == {expected}
+    for r in results:
+        assert_bit_identical(c, rows, rhs, r)
 
 
 def raised_by_replay(program, data, exc):
@@ -402,13 +402,13 @@ def test_recorded_shape_with_infeasible_data_raises(empty_plan_store):
 @pytest.mark.parametrize("phase_one", [False, True])
 def test_recorded_shape_with_unbounded_data_raises(phase_one, empty_plan_store):
     # min -x over x >= -b, or over x >= b after a phase 1, for b > 0: one
-    # stretch.  The first two solves only count the shape, the third
-    # records the stretch, and every later one raises from the replay.
+    # stretch.  The first _ADMIT_SHAPE solves only count the shape, the
+    # next records the stretch, and every later one raises from the replay.
     def program(b):
         return [-1.0], [{0: -1.0}], [-b if phase_one else b]
 
-    data = [(1.0,), (2.0,), (0.5,), (3.0,), (8.0,), (0.25,)]
-    assert raised_by_replay(program, data, LPUnboundedError) == len(data) - 1 - lp._ADMIT
+    data = [(1.0,), (2.0,), (0.5,), (3.0,), (8.0,), (0.25,), (5.0,), (0.75,)]
+    assert raised_by_replay(program, data, LPUnboundedError) == len(data) - 1 - lp._ADMIT_SHAPE
 
 
 @pytest.mark.parametrize("program", [TWO_SEGMENT, DEGENERATE_FIRST, HALF_SUP])
@@ -424,9 +424,8 @@ def test_zeros_signed_zeros_and_subnormal_right_hand_sides(program, monkeypatch)
         monkeypatch.setattr(lp, "_STORE", lp._PlanStore())
         for z in order:
             b = [z if v == 0 else v for v in rhs]
-            expected = _packed(*reference_solve_lp(c, rows, b))
-            results = solved_until_replayed(c, sparse(rows), b)
-            assert {_packed(r.value, r.x) for r in results} == {expected}
+            for r in solved_until_replayed(c, sparse(rows), b):
+                assert_bit_identical(c, rows, b, r)
         assert lp.plan_stats()["shapes"] == (2 if any(v == 0 for v in rhs) else 1)
 
 
@@ -514,3 +513,53 @@ def test_warm_search_replays(empty_plan_store):
     replays = after["replays"] - before["replays"]
     misses = after["misses"] - before["misses"]
     assert replays > misses
+
+
+def test_threads_sharing_the_store_get_serial_payloads(monkeypatch, empty_plan_store):
+    # Four threads search S(1,3) at once on one store, switching every
+    # microsecond, so they record and replay the same shapes between each
+    # other's steps; every payload must be the one of the tableau alone.
+    cx = complex_for(1, 3)
+    ids = [o.id for o in cx.orbits if o.n_edges]
+    rng = np.random.default_rng(11)
+    pairs = [
+        tuple(cone_point(cx, oid, rng.uniform(0.25, 8.0, size=cx.orbit(oid).n_edges))
+              for oid in (ids[rng.integers(len(ids))], ids[rng.integers(len(ids))]))
+        for _ in range(12)
+    ]
+    monkeypatch.setattr(lp, "_MAX_NODES", 0)
+    serial = [distance(p, q).to_json() for p, q in pairs]
+    monkeypatch.undo()
+    monkeypatch.setattr(lp, "_STORE", lp._PlanStore())
+    results = [[] for _ in range(4)]
+
+    def search(out):
+        for _ in range(3):
+            out.append([distance(p, q).to_json() for p, q in pairs])
+
+    threads = [threading.Thread(target=search, args=(out,), daemon=True) for out in results]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=300)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert lp.plan_stats()["replays"] > 0
+    assert all(out == [serial] * 3 for out in results)
+
+
+def test_numpy_scalar_rows_are_solved_but_never_recorded(empty_plan_store):
+    # The shape key writes numpy scalars as their bare bytes, so the rows
+    # {0: np.int64(1)} and {0: np.float64(5e-324)} give one key.  Neither
+    # shape is recorded, and each program gets the tableau's answer: x = 4,
+    # and unbounded, as a pivot of 5e-324 is below TOL.
+    for _ in range(lp._ADMIT_SHAPE + 2):
+        res = solve_lp([-1.0], [{0: np.int64(1)}], [4.0])
+        assert (res.value, res.x) == (-4.0, (4.0,))
+    with pytest.raises(LPUnboundedError):
+        solve_lp([-1.0], [{0: np.float64(5e-324)}], [4.0])
+    assert lp.plan_stats()["shapes"] == 0
