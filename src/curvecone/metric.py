@@ -459,14 +459,18 @@ def distance(p: ConePoint, q: ConePoint, *, revisit_budget: int = 0) -> Geodesic
     linear program, and the route through the apex is always considered.
     Among equal-length geodesics (values within ``_TIE``) the tie order
     decides: a gallery ranks as ``(0, orbit sequence)`` and the apex route
-    as ``(1,)``, and the least rank wins, so the lexicographically least
-    orbit sequence wins and the apex route loses every tie, independent of
-    search order.  Each program is first screened by its interval-covering
-    bound less ``_SLACK`` times ``1 + max p + max q``.  A program is
-    skipped without the simplex when that clears the pruning threshold,
-    and a closed gallery also when it is no more than ``_TIE`` below the
-    best value and the gallery ranks no lower than the best: its value
-    would come in as a tie at best, and the tie order rejects it.  Both
+    as ``(1,)``, and a strictly lower rank wins, so the lexicographically
+    least orbit sequence wins and the apex route loses every tie.  Galleries
+    with one orbit sequence (other transits or end embeddings) share a rank,
+    and the first of them closed in pop order is kept: the value depends
+    on search order by no more than ``_TIE``, but which of those galleries
+    and breakpoints is returned depends on it.  Each program is first
+    screened by its interval-covering bound less ``_SLACK`` times
+    ``1 + max p + max q``.  A program is skipped without the simplex when
+    that clears the pruning threshold, and a closed gallery also when it
+    is no more than ``_TIE`` below the best value and the gallery ranks no
+    lower than the best: its value would come in as a tie at best, and
+    the tie order rejects it.  Both
     skips leave the result unchanged bit for bit.  A ``revisit_budget``
     that is negative or no integer (a bool, a float, a string) raises
     ``ValueError``; integer types such as numpy's are taken.

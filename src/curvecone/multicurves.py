@@ -314,11 +314,26 @@ def label_hash(label: str) -> str:
     return hashlib.sha1(label.encode("ascii")).hexdigest()[:10]
 
 
+def deletion_vertex_map(graph: MulticurveGraph, edge: int) -> list[int]:
+    """Where :func:`delete_curve` sends each vertex of ``graph``.
+
+    Deleting a joining edge merges its higher endpoint into its lower one
+    and shifts the vertices past it down by one; deleting a loop moves no
+    vertex.
+    """
+    u, w = graph.edges[edge]
+    return [
+        x if u == w else u if x == w else x - (x > w)
+        for x in range(len(graph.vertices))
+    ]
+
+
 def delete_curve(graph: MulticurveGraph, edge: int) -> MulticurveGraph | None:
     """Remove one curve from the system; the face operation on cut graphs.
 
     Deleting a loop reglues a handle: the vertex gains one genus.
-    Deleting a joining edge merges its endpoints, adding decorations.
+    Deleting a joining edge merges its endpoints, adding decorations, and
+    renumbers the vertices as :func:`deletion_vertex_map` says.
     Surviving edges keep their relative order (edge ``j`` becomes
     ``j - 1`` for ``j`` past the deleted index).  Returns ``None`` for
     the empty system when the last curve is deleted.
@@ -339,14 +354,8 @@ def delete_curve(graph: MulticurveGraph, edge: int) -> MulticurveGraph | None:
     )
     verts[u] = merged
     del verts[w]
-
-    def renum(x: int) -> int:
-        if x == w:
-            return u
-        return x - 1 if x > w else x
-
-    new_edges = tuple((renum(a), renum(b)) for a, b in rest)
-    return MulticurveGraph(tuple(verts), new_edges)
+    to = deletion_vertex_map(graph, edge)
+    return MulticurveGraph(tuple(verts), tuple((to[a], to[b]) for a, b in rest))
 
 
 def add_curve(graph: MulticurveGraph, v: int) -> list[MulticurveGraph]:

@@ -6,9 +6,11 @@ the closure of the bare surface under adding one curve at a time
 (:func:`~curvecone.multicurves.add_curve`), deduplicated by canonical
 form.  Face maps, from the inverse step of deleting a curve, record
 which orbit a deletion lands on and how the surviving curves are
-re-identified there.  The complex also exposes the derived gluing data
-needed by the metric layer: face tables for arbitrary curve subsets,
-the set of embeddings of an orbit into a host orbit, and the transit
+re-identified there; they are read off the closure's own steps, since
+deleting the curve a step added gives back the face it started from.
+The complex also exposes the derived gluing data needed by the metric
+layer: face tables for arbitrary curve subsets, the set of embeddings
+of an orbit into a host orbit, and the transit
 identifications between pairs of top-dimensional orbits.
 """
 
@@ -26,7 +28,7 @@ from .multicurves import (
     VertexDecoration,
     add_curve,
     canonicalize,
-    delete_curve,
+    deletion_vertex_map,
     label_hash,
 )
 from .surfaces import Surface
@@ -97,33 +99,49 @@ def orbit_from_canonical(cf: CanonicalForm) -> SimplexOrbit:
 # ---------------------------------------------------------------------------
 
 
-def _orbit_levels(surface: Surface, top: int) -> list[dict[str, CanonicalForm]]:
+def _orbit_levels(
+    surface: Surface, top: int
+) -> tuple[list[dict[str, CanonicalForm]], list[dict[str, dict]]]:
     """Canonical forms of the ``k``-curve systems, keyed by label, for
-    ``k = 1 .. top``.
+    ``k = 1 .. top``, and the closure steps that reached them.
 
     Every curve system is one curve added to each of its faces, so level
     ``k + 1`` is the canonical dedupe of :func:`add_curve` over level
     ``k``, starting from the bare surface.  A curve is added in one
     vertex per orbit of the graph's symmetries.
+
+    ``steps[k][label]`` maps each representative edge that some step onto
+    that label added to the first such step: ``(face, bigger,
+    vertex_order)``, where ``bigger`` is the graph :func:`add_curve`
+    built from the face's representative and ``vertex_order`` numbers its
+    vertices onto the representative.  ``face`` is the face's canonical
+    ``(label, graph, vertex symmetries)``, with label ``None`` for the
+    bare surface.
     """
     bare = VertexDecoration(surface.genus, surface.marked_points)
-    level = [(MulticurveGraph((bare,), ()), ((0,),))]
-    levels = []
+    level = [(None, MulticurveGraph((bare,), ()), ((0,),))]
+    levels, steps = [], []
     for _ in range(top):
         seen: dict[str, CanonicalForm] = {}
-        for graph, vertex_perms in level:
+        reached: dict[str, dict] = defaultdict(dict)
+        for face in level:
+            _label, graph, vertex_perms = face
             for v in range(len(graph.vertices)):
                 if any(tau[v] < v for tau in vertex_perms):
                     continue
                 for bigger in add_curve(graph, v):
                     cf = canonicalize(bigger)
                     seen.setdefault(cf.label, cf)
+                    reached[cf.label].setdefault(
+                        cf.edge_order[-1], (face, bigger, cf.vertex_order)
+                    )
         levels.append(seen)
+        steps.append(reached)
         level = [
-            (cf.graph, {tau for tau, _eperm in cf.automorphism_pairs})
+            (cf.label, cf.graph, {tau for tau, _eperm in cf.automorphism_pairs})
             for cf in seen.values()
         ]
-    return levels
+    return levels, steps
 
 
 def enumerate_orbits(surface: Surface, k: int) -> list[SimplexOrbit]:
@@ -137,7 +155,7 @@ def enumerate_orbits(surface: Surface, k: int) -> list[SimplexOrbit]:
         raise ValueError(
             f"curve count {k} out of range [1, {surface.complexity}] for {surface}"
         )
-    return _sorted_orbits(_orbit_levels(surface, k)[-1])
+    return _sorted_orbits(_orbit_levels(surface, k)[0][-1])
 
 
 def _sorted_orbits(level: dict[str, CanonicalForm]) -> list[SimplexOrbit]:
@@ -369,42 +387,75 @@ def build_complex(surface: Surface) -> QuotientComplex:
     """Enumerate all orbits of a surface and assemble face maps.
 
     One closure under :func:`~curvecone.multicurves.add_curve` yields the
-    orbits for every curve count up to the pants number; face maps come
-    from curve deletion matched through canonical forms.  Structural
+    orbits for every curve count up to the pants number, and its steps
+    yield the face maps: deleting the curve a step added gives back the
+    face it started from (see :func:`_face_maps`).  Structural
     invariants are verified before the complex is returned.
     """
-    all_orbits = [
-        orbit
-        for level in _orbit_levels(surface, surface.complexity)
-        for orbit in _sorted_orbits(level)
-    ]
-
-    by_id = {o.id: o for o in all_orbits}
-    face_maps = []
-    for orbit in all_orbits:
-        k = orbit.n_edges
-        if k < 2:
-            continue
-        for e in range(k):
-            sub = delete_curve(orbit.graph, e)
-            cf = canonicalize(sub)
-            target = orbit_from_canonical(cf)
-            if target.id not in by_id:
-                raise InvalidMulticurve(
-                    f"face of {orbit.id} (delete {e}) missing from enumeration"
+    levels, steps = _orbit_levels(surface, surface.complexity)
+    all_orbits, face_maps, face_ids = [], [], {}
+    for level, reached in zip(levels, steps):
+        by_label = {label: orbit_from_canonical(cf) for label, cf in level.items()}
+        for label in sorted(level, key=lambda label: by_label[label].id):
+            orbit = by_label[label]
+            all_orbits.append(orbit)
+            if orbit.n_edges > 1:
+                face_maps += _face_maps(
+                    orbit, level[label].automorphism_pairs, reached[label], face_ids
                 )
-            injection = []
-            for s in range(k):
-                if s == e:
-                    continue
-                pos = s - 1 if s > e else s
-                injection.append((s, cf.edge_order[pos]))
-            face_maps.append(
-                FaceMap(orbit.id, e, target.id, tuple(injection))
-            )
+        face_ids = {label: orbit.id for label, orbit in by_label.items()}
     cx = QuotientComplex(surface, all_orbits, face_maps)
     cx.check_invariants()
     return cx
+
+
+def _face_maps(orbit: SimplexOrbit, pairs, reached: dict, face_ids: dict) -> list[FaceMap]:
+    """Every face map of an orbit, read off the closure steps onto it.
+
+    A step added a last edge to a face's representative ``F``, giving
+    ``bigger``, and canonicalizing ``bigger`` numbered its vertices onto
+    the orbit's representative, the new curve landing on edge ``n``.
+    Composed with a symmetry ``(tau, eperm)`` that carries ``n`` to
+    ``e``, and with the renumberings of
+    :func:`~curvecone.multicurves.delete_curve` on both sides, that
+    numbering gives a vertex isomorphism ``sigma0`` from
+    ``delete_curve(rep, e)`` onto ``F``.  The isomorphisms onto ``F`` are
+    exactly ``F``'s vertex symmetries after ``sigma0``, one coset of its
+    symmetry group (McKay & Piperno 2014, *Practical graph isomorphism
+    II*), and the least of them is the numbering :func:`~curvecone.multicurves.canonicalize`
+    picks.  Parallel edges then take ``F``'s slots in input order, as
+    there.  So each map equals the one canonicalizing the deletion would
+    give, whichever step and symmetry reached it.
+    """
+    rep = orbit.graph
+    k = orbit.n_edges
+    via = {}
+    for tau, eperm in pairs:
+        for n, step in reached.items():
+            via.setdefault(eperm[n], (tau, step))
+    out = []
+    for e in range(k):
+        if e not in via:
+            raise InvalidMulticurve(
+                f"face of {orbit.id} (delete {e}) missing from enumeration"
+            )
+        tau, ((face_label, face, face_taus), bigger, vertex_order) = via[e]
+        to_g = deletion_vertex_map(rep, e)
+        to_f = deletion_vertex_map(bigger, k - 1)
+        sigma0 = [0] * len(face.vertices)
+        for x, y in enumerate(vertex_order):
+            sigma0[to_g[tau[y]]] = to_f[x]
+        sigma = min(tuple(t[g] for g in sigma0) for t in face_taus)
+        slots = defaultdict(list)
+        for j, pair in enumerate(face.edges):
+            slots[pair].append(j)
+        injection = []
+        for s, (u, w) in enumerate(rep.edges):
+            if s != e:
+                a, b = sigma[to_g[u]], sigma[to_g[w]]
+                injection.append((s, slots[(a, b) if a <= b else (b, a)].pop(0)))
+        out.append(FaceMap(orbit.id, e, face_ids[face_label], tuple(injection)))
+    return out
 
 
 # ---------------------------------------------------------------------------

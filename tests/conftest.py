@@ -19,6 +19,11 @@ SELF_GLUED_DEFECTS = [
     (2, 1, "d3-b6dd2e2085", (1, 1, 1, 2), (4, 5, 2, 2)),
 ]
 
+# Entries of ``transits(X, X)`` with ``face_id != X``, summed over the
+# top orbits X: the self-gluings that are no symmetry of X, which the
+# defects above run through.  Surfaces left out have none.
+SELF_GLUED_CENSUS = {(0, 7): 4, (2, 1): 20, (1, 4): 4}
+
 
 def complex_for(genus, marked):
     key = (genus, marked)

@@ -3,7 +3,7 @@ from itertools import product
 import numpy as np
 import pytest
 
-from conftest import SELF_GLUED_DEFECTS, complex_for, orbit_by_structure
+from conftest import SELF_GLUED_CENSUS, SELF_GLUED_DEFECTS, complex_for, orbit_by_structure
 from curvecone import (
     GridOracle,
     apex,
@@ -13,6 +13,7 @@ from curvecone import (
     orthant_distance,
 )
 from curvecone.gridgraph import grid_units
+from test_acceptance import SUPPORTED
 
 
 @pytest.fixture(scope="module")
@@ -203,6 +204,15 @@ def test_key_absent_from_table_rejected(s12, oracle):
     for key in [("d9-unknown", (1, 1)), (nn.id, (1,)), (nn.id, (0, 4))]:
         with pytest.raises(ValueError, match="not representable"):
             oracle._class_of(key)
+
+
+@pytest.mark.parametrize("genus, marked", SUPPORTED)
+def test_self_gluing_census(genus, marked):
+    cx = complex_for(genus, marked)
+    count = sum(
+        t.face_id != x for x in cx.maximal_ids for t in cx.transits(x, x)
+    )
+    assert count == SELF_GLUED_CENSUS.get((genus, marked), 0)
 
 
 # ROADMAP item 1: ``distance`` visits each top orbit at most once, so it

@@ -4,8 +4,10 @@ from itertools import combinations
 
 import pytest
 
+import curvecone.quotient as quotient
 from conftest import complex_for, orbit_by_structure
 from curvecone import (
+    InvalidMulticurve,
     Surface,
     build_complex,
     complex_from_json,
@@ -13,6 +15,8 @@ from curvecone import (
     complex_to_json,
     enumerate_orbits,
 )
+from curvecone.multicurves import canonicalize, delete_curve
+from curvecone.quotient import FaceMap, QuotientComplex, orbit_from_canonical
 from graph_oracle import count_classes
 from test_acceptance import SUPPORTED
 
@@ -297,6 +301,75 @@ def test_transits_match_embedding_reference(genus, marked):
                 (t.face_id, t.into_source, t.into_target) for t in cx.transits(a, b)
             )
             assert got == reference_transits(cx, a, b)
+
+
+def reference_face_maps(orbits):
+    """Face maps by canonicalizing every curve deletion of every orbit,
+    in the complex's orbit order."""
+    ids = {o.id for o in orbits}
+    face_maps = []
+    for orbit in orbits:
+        k = orbit.n_edges
+        if k < 2:
+            continue
+        for e in range(k):
+            cf = canonicalize(delete_curve(orbit.graph, e))
+            target = orbit_from_canonical(cf)
+            if target.id not in ids:
+                raise InvalidMulticurve(
+                    f"face of {orbit.id} (delete {e}) missing from enumeration"
+                )
+            injection = tuple(
+                (s, cf.edge_order[s - (s > e)]) for s in range(k) if s != e
+            )
+            face_maps.append(FaceMap(orbit.id, e, target.id, injection))
+    return tuple(face_maps)
+
+
+# Every surface through complexity 6, and S(3,1) at complexity 7; S(2,4)
+# would take seconds.
+FACE_MAP_SURFACES = (
+    [(0, n) for n in range(4, 10)]
+    + [(1, n) for n in range(1, 7)]
+    + [(2, n) for n in range(0, 4)]
+    + [(3, 0), (3, 1)]
+)
+
+
+@pytest.mark.parametrize("genus,marked", FACE_MAP_SURFACES)
+def test_face_maps_match_canonicalized_deletions(genus, marked):
+    surface = Surface(genus, marked)
+    cx = build_complex(surface)
+    reference = reference_face_maps(cx.orbits)
+    assert cx.face_maps == reference
+    assert complex_to_json(cx) == complex_to_json(
+        QuotientComplex(surface, cx.orbits, reference)
+    )
+
+
+def test_face_maps_need_a_step_per_edge_orbit(s2):
+    cf = canonicalize(s2.orbit(s2.maximal_ids[0]).graph)
+    orbit = orbit_from_canonical(cf)
+    with pytest.raises(InvalidMulticurve, match="missing from enumeration"):
+        quotient._face_maps(orbit, cf.automorphism_pairs, {}, {})
+
+
+@pytest.mark.parametrize(
+    "genus,marked,calls", [(0, 8, 81), (2, 2, 140), (1, 5, 207)]
+)
+def test_build_canonicalizes_once_per_closure_step(monkeypatch, genus, marked, calls):
+    # The closure canonicalizes each graph add_curve returns; the face
+    # maps are read off those steps and canonicalize nothing more.
+    count = 0
+
+    def counting(graph):
+        nonlocal count
+        count += 1
+        return canonicalize(graph)
+
+    monkeypatch.setattr(quotient, "canonicalize", counting)
+    build_complex(Surface(genus, marked))
+    assert count == calls
 
 
 def test_genus3_closed_builds():
