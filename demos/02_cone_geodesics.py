@@ -1,8 +1,8 @@
-"""Exact distances and geodesics in the cone over a quotient complex.
+"""Distances and geodesics in the cone over a quotient complex.
 
 Each orbit's cone is an orthant with the half-sup metric; orthants glue
-along shared faces and all meet at the apex.  Distances are exact infima
-over simple galleries, each gallery minimized as a linear program in its
+along shared faces and all meet at the apex.  Distances are infima over
+simple galleries, each gallery minimized as a linear program in its
 transit breakpoints.
 """
 
@@ -50,7 +50,3 @@ print("apex-route bound for (p, q):", 0.5 * p.max_coord + 0.5 * q.max_coord)
 # exactly, for any factor.  The cone looks the same at every zoom level.
 for lam in (0.1, 1.0, 7.3):
     print(f"lambda={lam:>4}: d = {distance(scale(p, lam), scale(q, lam)).distance}")
-
-# Galleries may revisit an orbit if you let them; it never pays off.
-print("\nwith one revisit allowed:",
-      distance(p, q, revisit_budget=1).distance)

@@ -6,14 +6,14 @@ the half-sup metric ``d(x, y) = max_i |x_i - y_i| / 2`` and the whole
 space carries the induced path metric, with orbit symmetries glueing
 orthant boundaries to each other.
 
-Distances are computed exactly: enumerate simple galleries (sequences of
-pairwise distinct top-dimensional orbits joined by shared-face
-identifications) best-first by a lower bound on every completion,
-minimize each gallery's length as a linear program in the transit
-breakpoints, and keep the best over all galleries and the route through
-the apex.  Restricting to simple galleries is what makes the search
-finite; a validation mode re-runs the search allowing orbit revisits so
-tests can corroborate that revisiting never helps.
+Distances come from a best-first search over simple galleries
+(sequences of pairwise distinct top-dimensional orbits joined by
+shared-face identifications): each gallery's length is a linear program
+in its transit breakpoints, and the best over all galleries and the apex
+route is kept.  The simple-gallery restriction keeps the search finite
+and is its known inexactness: where a top orbit is glued to itself along
+a face (S(0,7), S(2,1), S(1,4)) a geodesic may leave it and come back,
+and the search returns a longer path (ROADMAP item 1).
 
 A gallery program is an interval-covering problem: each curve
 coordinate, followed through the transits, demands a total length over
@@ -34,7 +34,6 @@ from __future__ import annotations
 
 import heapq
 import json
-import operator
 from dataclasses import dataclass, field
 
 from .lp import solve_lp
@@ -435,47 +434,27 @@ def _ray_result(other: ConePoint, at_start: bool) -> GeodesicResult:
     return GeodesicResult(0.5 * other.max_coord, gallery, ())
 
 
-def _budget(value) -> int:
-    # As in Surface: operator.index takes integer types only, and a bool,
-    # though an int to Python, is no count.
-    if not isinstance(value, bool):
-        try:
-            budget = operator.index(value)
-        except TypeError:
-            pass
-        else:
-            if budget >= 0:
-                return budget
-    raise ValueError(f"revisit_budget must be a nonnegative integer, got {value!r}")
+def distance(p: ConePoint, q: ConePoint) -> GeodesicResult:
+    """Distance and a geodesic between two cone points.
 
+    Searches simple galleries of top-dimensional orbits best-first by a
+    lower-bound linear program, with every shared-face transit
+    identification, scores each closed gallery by its breakpoint program,
+    and always considers the route through the apex.  On a self-glued
+    surface the value can exceed the true distance (module docstring).
 
-def distance(p: ConePoint, q: ConePoint, *, revisit_budget: int = 0) -> GeodesicResult:
-    """Exact distance and a geodesic between two cone points.
-
-    Enumerates galleries of top-dimensional orbits best-first by a
-    lower-bound linear program, allowing each orbit at most once plus
-    ``revisit_budget`` repeats, with every shared-face transit
-    identification; each closed gallery is scored by its breakpoint
-    linear program, and the route through the apex is always considered.
-    Among equal-length geodesics (values within ``_TIE``) the tie order
-    decides: a gallery ranks as ``(0, orbit sequence)`` and the apex route
-    as ``(1,)``, and a strictly lower rank wins, so the lexicographically
-    least orbit sequence wins and the apex route loses every tie.  Galleries
-    with one orbit sequence (other transits or end embeddings) share a rank,
-    and the first of them closed in pop order is kept: the value depends
-    on search order by no more than ``_TIE``, but which of those galleries
-    and breakpoints is returned depends on it.  Each program is first
-    screened by its interval-covering bound less ``_SLACK`` times
-    ``1 + max p + max q``.  A program is skipped without the simplex when
-    that clears the pruning threshold, and a closed gallery also when it
-    is no more than ``_TIE`` below the best value and the gallery ranks no
-    lower than the best: its value would come in as a tie at best, and
-    the tie order rejects it.  Both
-    skips leave the result unchanged bit for bit.  A ``revisit_budget``
-    that is negative or no integer (a bool, a float, a string) raises
-    ``ValueError``; integer types such as numpy's are taken.
+    Ties (values within ``_TIE``) go to the strictly lower rank: a gallery
+    ranks as ``(0, orbit sequence)``, the apex route as ``(1,)``, so the
+    apex route loses every tie.  Galleries with one orbit sequence (other
+    transits or end embeddings) share a rank and the first closed in pop
+    order is kept: which of them is returned depends on search order, the
+    value by no more than ``_TIE``.  Each program is first screened by its
+    interval-covering bound less ``_SLACK`` times ``1 + max p + max q``.
+    It is skipped without the simplex when that clears the pruning
+    threshold, and a closed gallery also when it is no more than ``_TIE``
+    below the best and ranks no lower than the best, so the tie order
+    would reject it.  Neither skip changes the result by a bit.
     """
-    revisit_budget = _budget(revisit_budget)
     _require_same_complex(p, q)
     cx = p.complex
     if p.is_apex and q.is_apex:
@@ -530,11 +509,9 @@ def distance(p: ConePoint, q: ConePoint, *, revisit_budget: int = 0) -> Geodesic
             ):
                 gallery = Gallery(tuple(seq), tuple(transits), emb_p, emb_q)
                 best, best_rank = GeodesicResult(value, gallery, bps), rank
-        repeats = len(seq) - len(set(seq))
         child_bounds = {}
         for nxt in max_ids:
-            extra = 1 if nxt in seq else 0
-            if repeats + extra > revisit_budget:
+            if nxt in seq:
                 continue
             for tr in cx.transits(cur, nxt):
                 key = _open_program_key(tr)

@@ -6,6 +6,17 @@ import operator
 from dataclasses import dataclass
 
 
+def as_integer(value, name: str, error: type[ValueError] = ValueError) -> int:
+    """``value`` as an ``int`` if it has an integer type, numpy's too; a
+    bool, a float, a string or ``None`` raises ``error``."""
+    if not isinstance(value, bool):
+        try:
+            return operator.index(value)
+        except TypeError:
+            pass
+    raise error(f"{name} must be an integer, got {value!r}")
+
+
 class UnsupportedSurfaceError(ValueError):
     """The surface carries no essential curve system (complexity < 1), or
     its genus or marked point count is not an integer."""
@@ -34,14 +45,8 @@ class Surface:
 
     def __post_init__(self):
         for name in ("genus", "marked_points"):
-            value = getattr(self, name)
-            if not isinstance(value, bool):
-                try:
-                    object.__setattr__(self, name, operator.index(value))
-                    continue
-                except TypeError:
-                    pass
-            raise UnsupportedSurfaceError(f"{name} must be an integer, got {value!r}")
+            value = as_integer(getattr(self, name), name, UnsupportedSurfaceError)
+            object.__setattr__(self, name, value)
         if self.genus < 0 or self.marked_points < 0:
             raise UnsupportedSurfaceError(
                 f"genus and marked point count must be nonnegative, "

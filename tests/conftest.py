@@ -12,7 +12,8 @@ _CACHE = {}
 
 # ROADMAP item 1's mesh-aligned instances on self-glued top orbits, as
 # (genus, marked, orbit id, p, q): ``distance`` reads 2.0, 1.5 and 2.0
-# where the grid and ``revisit_budget=1`` read 1.0, 1.0 and 1.5.
+# where the grid reads 1.0, 1.0 and 1.5.  On the S(0,7) instance
+# ``reference_search.reference_distance`` with one revisit reads 1.0 too.
 SELF_GLUED_DEFECTS = [
     (0, 7, "d3-4108638419", (1, 5, 6, 3), (1, 1, 5, 4)),
     (2, 1, "d3-b6dd2e2085", (2, 5, 1, 2), (3, 3, 1, 5)),

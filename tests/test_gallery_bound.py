@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 
 import curvecone.metric as metric
 from conftest import SELF_GLUED_DEFECTS, complex_for
 from curvecone import cone_point, distance, scale
+from reference_search import linprog_value
 
 SURFACES = [(1, 2), (2, 0), (1, 3), (0, 6)]
-PAIRS_PER_BUDGET = {0: 12, 1: 3}
 # Points as (integer coordinates, scale factor); the screen's rounding
 # slack is relative to ``1 + max p + max q``, so it must hold at every scale.
 POINT_KINDS = {"uniform": (False, 1.0), "integer": (True, 1.0),
@@ -44,8 +43,8 @@ def _pairs(surface, integer, n):
     return [(_random_point(cx, rng, integer), _random_point(cx, rng, integer)) for _ in range(n)]
 
 
-def _payloads(pairs, budget):
-    return [distance(p, q, revisit_budget=budget).to_json() for p, q in pairs]
+def _payloads(pairs):
+    return [distance(p, q).to_json() for p, q in pairs]
 
 
 def _unscreened(mp):
@@ -68,30 +67,28 @@ def _recorded_programs(pairs):
     with pytest.MonkeyPatch.context() as mp:
         _unscreened(mp)
         mp.setattr(metric, "_gallery_lp", record)
-        _payloads(pairs, 0)
+        _payloads(pairs)
     return seen
 
 
 # -- the screen is invisible in payloads --------------------------------------
 
 
-# S(0,7) and S(2,1) glue top orbits to themselves; a revisit budget of
-# 1 costs seconds per pair on S(2,1), so it gets a few pairs at budget 0.
+# S(0,7) and S(2,1) glue top orbits to themselves; S(2,1) costs the most
+# per pair, so it gets fewer.  Each id ends in the revisit count, 0.
 @pytest.mark.parametrize(
-    "surface, integer, budget",
+    "surface, integer",
     [
-        pytest.param(s, i, b, id=f"S{s[0]}_{s[1]}-{'integer' if i else 'uniform'}-{b}")
+        pytest.param(s, i, id=f"S{s[0]}_{s[1]}-{'integer' if i else 'uniform'}-0")
         for s in [*SURFACES, (0, 7), (2, 1)]
         for i in (False, True)
-        for b in ((0,) if s == (2, 1) else (0, 1))
     ],
 )
-def test_screen_leaves_payloads_byte_identical(surface, integer, budget, monkeypatch):
-    n = 4 if surface == (2, 1) else PAIRS_PER_BUDGET[budget]
-    pairs = _pairs(surface, integer, n)
-    screened = _payloads(pairs, budget)
+def test_screen_leaves_payloads_byte_identical(surface, integer, monkeypatch):
+    pairs = _pairs(surface, integer, 4 if surface == (2, 1) else 12)
+    screened = _payloads(pairs)
     _unscreened(monkeypatch)
-    assert _payloads(pairs, budget) == screened
+    assert _payloads(pairs) == screened
 
 
 @pytest.mark.parametrize("genus, marked, orbit_id, p, q", SELF_GLUED_DEFECTS)
@@ -100,10 +97,10 @@ def test_screen_leaves_self_glued_defects_unchanged(genus, marked, orbit_id, p, 
     # failures against the grid, get the unscreened search's payload.
     cx = complex_for(genus, marked)
     pair = [(cone_point(cx, orbit_id, p), cone_point(cx, orbit_id, q))]
-    screened = _payloads(pair, 0)
+    screened = _payloads(pair)
     with pytest.MonkeyPatch.context() as mp:
         _unscreened(mp)
-        assert _payloads(pair, 0) == screened
+        assert _payloads(pair) == screened
 
 
 def _solves(pairs):
@@ -118,7 +115,7 @@ def _solves(pairs):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metric, "_gallery_lp", counting)
-        _payloads(pairs, 0)
+        _payloads(pairs)
     return tuple(calls)
 
 
@@ -224,46 +221,6 @@ def test_open_program_reads_only_its_key(surface):
                 )
 
 
-def _linprog_value(cx, seq, transits, emb_p, p, emb_q, q):
-    """The closed gallery program from its definition: segment lengths
-    ``t_j`` and breakpoints ``w_k``, with every edge of segment ``j``
-    moving by at most ``2 t_j``."""
-    n_seg = len(seq)
-    offsets = np.cumsum([n_seg] + [len(t.into_source) for t in transits])
-    nvar = int(offsets[-1])
-
-    def side(j, at_start):
-        # (constants, {edge: breakpoint variable}) at one end of segment j.
-        m = cx.orbit(seq[j]).n_edges
-        if at_start and j == 0:
-            return metric._pad(emb_p, p.coords, m), {}
-        if not at_start and j == n_seg - 1:
-            return metric._pad(emb_q, q.coords, m), {}
-        k = j - 1 if at_start else j
-        edges = transits[k].into_target if at_start else transits[k].into_source
-        return [0.0] * m, {e: int(offsets[k]) + c for c, e in enumerate(edges)}
-
-    rows, rhs = [], []
-    for j in range(n_seg):
-        (u, u_var), (v, v_var) = side(j, True), side(j, False)
-        for e in range(len(u)):
-            for sign in (1.0, -1.0):
-                # sign * (u_e - v_e) <= 2 t_j
-                row = np.zeros(nvar)
-                row[j] = -2.0
-                if e in u_var:
-                    row[u_var[e]] += sign
-                if e in v_var:
-                    row[v_var[e]] -= sign
-                rows.append(row)
-                rhs.append(-sign * (u[e] - v[e]))
-    cost = np.zeros(nvar)
-    cost[:n_seg] = 1.0
-    res = linprog(cost, A_ub=np.array(rows), b_ub=rhs, bounds=(0, None), method="highs")
-    assert res.status == 0
-    return res.fun
-
-
 @pytest.mark.parametrize("surface", [(2, 0), (1, 3)], ids=lambda s: f"S{s[0]}_{s[1]}")
 def test_closed_bound_matches_linprog(surface):
     programs = _recorded_programs(_pairs(surface, False, 6))
@@ -273,7 +230,7 @@ def test_closed_bound_matches_linprog(surface):
     assert closed
     for cx, seq, transits, emb_p, p, emb_q, q, _ in closed[:12]:
         bound = metric._gallery_bound(cx, seq, transits, emb_p, p, emb_q, q)
-        ref = _linprog_value(cx, seq, transits, emb_p, p, emb_q, q)
+        ref = linprog_value(cx, seq, transits, emb_p, p, emb_q, q)
         assert bound == pytest.approx(ref, abs=1e-9 * (1.0 + p.max_coord + q.max_coord))
 
 

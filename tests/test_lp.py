@@ -429,13 +429,13 @@ def test_zeros_signed_zeros_and_subnormal_right_hand_sides(program, monkeypatch)
         assert lp.plan_stats()["shapes"] == (2 if any(v == 0 for v in rhs) else 1)
 
 
-def payload_digest(budget):
+def payload_digest(seed):
     """sha256 over distance payloads on S(1,2), S(2,0), S(1,3), S(0,7),
     with uniform and small-integer points from every orbit."""
     digest = hashlib.sha256()
     for surface in [(1, 2), (2, 0), (1, 3), (0, 7)]:
         cx = complex_for(*surface)
-        rng = np.random.default_rng([*surface, budget])
+        rng = np.random.default_rng([*surface, seed])
         ids = [o.id for o in cx.orbits if o.n_edges]
         for k in range(6):
             pts = []
@@ -444,39 +444,39 @@ def payload_digest(budget):
                 n = cx.orbit(oid).n_edges
                 xs = rng.integers(0, 4, size=n) if k % 2 else rng.uniform(0.25, 8.0, size=n)
                 pts.append(cone_point(cx, oid, xs.astype(float)))
-            digest.update(distance(*pts, revisit_budget=budget).to_json().encode())
+            digest.update(distance(*pts).to_json().encode())
     return digest.hexdigest()
 
 
-@pytest.mark.parametrize("budget", [0, 1])
-def test_payloads_match_between_empty_and_warm_store(budget, monkeypatch, empty_plan_store):
+@pytest.mark.parametrize("seed", [0])
+def test_payloads_match_between_empty_and_warm_store(seed, monkeypatch, empty_plan_store):
     monkeypatch.setattr(lp, "_MAX_NODES", 0)
-    tableau_only = payload_digest(budget)
+    tableau_only = payload_digest(seed)
     assert lp.plan_stats()["shapes"] == lp.plan_stats()["replays"] == 0
     monkeypatch.undo()
     monkeypatch.setattr(lp, "_STORE", lp._PlanStore())
     # The first rounds start from an empty store; the last is warm.
     for _ in range(3):
-        assert payload_digest(budget) == tableau_only
+        assert payload_digest(seed) == tableau_only
     warm = lp.plan_stats()["replays"]
-    assert payload_digest(budget) == tableau_only
+    assert payload_digest(seed) == tableau_only
     assert lp.plan_stats()["replays"] > warm
 
 
 def test_store_stays_within_its_cap(monkeypatch, empty_plan_store):
-    # Many S(2,1) searches and budget-1 S(1,3) searches against a small cap:
-    # the store fills up to it and stops, and the results past the cap
-    # are those of the tableau alone.
+    # Many S(2,1) and S(1,3) searches against a small cap: the store fills
+    # up to it and stops, and the results past the cap are those of the
+    # tableau alone.
     def payloads():
         out = []
-        for surface, budget in [((2, 1), 0), ((1, 3), 1)]:
+        for surface in [(2, 1), (1, 3)]:
             cx = complex_for(*surface)
             rng = np.random.default_rng([*surface, 7])
             ids = [o.id for o in cx.orbits if o.n_edges]
             for _ in range(4):
                 p, q = (cone_point(cx, oid, rng.uniform(0.25, 8.0, size=cx.orbit(oid).n_edges))
                         for oid in (ids[rng.integers(len(ids))], ids[rng.integers(len(ids))]))
-                out.append(distance(p, q, revisit_budget=budget).to_json())
+                out.append(distance(p, q).to_json())
         return out
 
     monkeypatch.setattr(lp, "_MAX_NODES", 0)

@@ -5,9 +5,10 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from conftest import orbit_by_structure
+from conftest import complex_for, orbit_by_structure
 from curvecone import QuotientComplex, run_verification
 from curvecone.cli import main
 
@@ -25,8 +26,16 @@ def test_verification_passes_on_s12(s12):
         "well_definedness",
         "same_orbit_consistency",
         "geodesic_consistency",
-        "simple_galleries",
     } <= names
+
+
+def test_verification_passes_on_self_glued_s07():
+    # Some same-orbit pairs of S(0,7) have a gallery shorter than the
+    # orthant value; the suite notes the shortcut and still passes.
+    report = run_verification(complex_for(0, 7), seed=0)
+    assert report.passed, report.to_json()
+    same_orbit = next(r for r in report.results if r.name == "same_orbit_consistency")
+    assert same_orbit.note.startswith("shortcut gallery beats orthant value")
 
 
 def test_verification_trivial_on_single_orbit(s11):
@@ -60,6 +69,20 @@ def test_run_verification_rejects_bad_sampling(s12, seed, samples):
     # The report's config must name the seed and sample count it ran with.
     with pytest.raises(ValueError, match="samples >= 1"):
         run_verification(s12, seed=seed, samples=samples)
+
+
+@pytest.mark.parametrize(
+    "seed, samples",
+    [(0, True), (0, 2.5), (1.5, 20), (False, 20), (0, "20"), (None, 20)],
+)
+def test_run_verification_rejects_non_integer_sampling(s12, seed, samples):
+    with pytest.raises(ValueError, match="must be an integer"):
+        run_verification(s12, seed=seed, samples=samples)
+
+
+def test_run_verification_takes_numpy_integers(s11):
+    report = run_verification(s11, seed=np.int64(3), samples=np.int32(20))
+    assert report.to_json(False) == run_verification(s11, seed=3, samples=20).to_json(False)
 
 
 def test_report_reproducible_modulo_timings(s12):
