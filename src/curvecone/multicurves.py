@@ -18,7 +18,7 @@ from collections import defaultdict
 from dataclasses import dataclass, field
 from itertools import permutations, product
 
-from .surfaces import Surface, UnsupportedSurfaceError
+from .surfaces import Surface, as_integer
 
 
 class InvalidMulticurve(ValueError):
@@ -27,12 +27,16 @@ class InvalidMulticurve(ValueError):
 
 @dataclass(frozen=True)
 class VertexDecoration:
-    """Genus and marked-point count of one complementary piece."""
+    """Genus and marked-point count of one complementary piece, both
+    nonnegative integers (numpy's integer types are stored as ``int``)."""
 
     piece_genus: int
     piece_marked: int
 
     def __post_init__(self):
+        for name in ("piece_genus", "piece_marked"):
+            value = as_integer(getattr(self, name), name, InvalidMulticurve)
+            object.__setattr__(self, name, value)
         if self.piece_genus < 0 or self.piece_marked < 0:
             raise InvalidMulticurve(
                 f"negative decoration ({self.piece_genus}, {self.piece_marked})"
@@ -79,19 +83,13 @@ class MulticurveGraph:
 
     # -- derived counts ----------------------------------------------------
 
-    def degree(self, v: int) -> int:
-        """Edge-endpoint count at ``v``; loops contribute 2."""
-        return sum((u == v) + (w == v) for u, w in self.edges)
-
     def degrees(self) -> tuple[int, ...]:
+        """Edge-endpoint count at each vertex; loops contribute 2."""
         degs = [0] * len(self.vertices)
         for u, w in self.edges:
             degs[u] += 1
             degs[w] += 1
         return tuple(degs)
-
-    def loops_at(self, v: int) -> int:
-        return sum(1 for u, w in self.edges if u == v and w == v)
 
     @property
     def betti(self) -> int:
@@ -113,18 +111,12 @@ class MulticurveGraph:
     def is_connected(self) -> bool:
         if not self.vertices:
             return False
-        parent = list(range(len(self.vertices)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
+        comp = list(range(len(self.vertices)))
         for u, w in self.edges:
-            parent[find(u)] = find(w)
-        root = find(0)
-        return all(find(v) == root for v in range(len(self.vertices)))
+            cu, cw = comp[u], comp[w]
+            if cu != cw:
+                comp = [cu if c == cw else c for c in comp]
+        return len(set(comp)) == 1
 
     def validate(self) -> None:
         """Raise :class:`InvalidMulticurve` with a diagnostic on any violation."""
@@ -145,14 +137,11 @@ class MulticurveGraph:
                     f"vertex {v} with decoration ({dec.piece_genus}, "
                     f"{dec.piece_marked}) and degree {degs[v]} is unstable"
                 )
-        try:
-            surf = self.surface()
-        except UnsupportedSurfaceError as exc:
-            raise InvalidMulticurve(str(exc)) from exc
-        if len(self.edges) > surf.complexity:
+        complexity = 3 * self.genus - 3 + self.marked_points
+        if len(self.edges) > complexity:
             raise InvalidMulticurve(
-                f"{len(self.edges)} curves exceed the pants count "
-                f"{surf.complexity} of {surf}"
+                f"{len(self.edges)} curves exceed the pants count {complexity} "
+                f"of genus {self.genus} with {self.marked_points} marked points"
             )
 
 
@@ -177,17 +166,19 @@ class CanonicalForm:
     )
 
 
-def _class_key(graph: MulticurveGraph, v: int) -> tuple:
-    dec = graph.vertices[v]
-    return (dec.piece_genus, dec.piece_marked, graph.degree(v), graph.loops_at(v))
-
-
 def _class_blocks(graph: MulticurveGraph):
-    """Vertices grouped by isomorphism-invariant class key, with the
-    position block each class occupies in any canonical numbering."""
+    """Vertices grouped by isomorphism-invariant class key (genus, marked
+    points, degree, loop count), with the position block each class
+    occupies in any canonical numbering."""
+    degs = [0] * len(graph.vertices)
+    loops = [0] * len(graph.vertices)
+    for u, w in graph.edges:
+        degs[u] += 1
+        degs[w] += 1
+        loops[u] += u == w
     by_key = defaultdict(list)
-    for v in range(len(graph.vertices)):
-        by_key[_class_key(graph, v)].append(v)
+    for v, dec in enumerate(graph.vertices):
+        by_key[(dec.piece_genus, dec.piece_marked, degs[v], loops[v])].append(v)
     blocks = []
     start = 0
     for key in sorted(by_key):
@@ -197,26 +188,30 @@ def _class_blocks(graph: MulticurveGraph):
     return blocks
 
 
-def _class_respecting_perms(blocks, nv: int):
-    """All vertex numberings that send each class onto its position block."""
-    per_class = []
-    for _key, members, start in blocks:
-        opts = []
-        for perm in permutations(range(start, start + len(members))):
-            opts.append(list(zip(members, perm)))
-        per_class.append(opts)
-    for combo in product(*per_class):
-        sigma = [0] * nv
-        for assignment in combo:
-            for old, new in assignment:
-                sigma[old] = new
-        yield tuple(sigma)
+def _assignments(size: int, groups):
+    """Every tuple of length ``size`` that sends the sources of each
+    ``(sources, targets)`` group onto some ordering of its targets."""
+    out = [0] * size
+    free = []
+    for sources, targets in groups:
+        if len(sources) == 1:
+            out[sources[0]] = targets[0]
+        else:
+            free.append((sources, permutations(targets)))
+    for combo in product(*(perms for _sources, perms in free)):
+        for (sources, _perms), perm in zip(free, combo):
+            for old, new in zip(sources, perm):
+                out[old] = new
+        yield tuple(out)
 
 
 def _relabel_edges(edges, sigma):
-    return tuple(
-        sorted(tuple(sorted((sigma[u], sigma[w]))) for u, w in edges)
-    )
+    out = []
+    for u, w in edges:
+        a, b = sigma[u], sigma[w]
+        out.append((a, b) if a <= b else (b, a))
+    out.sort()
+    return tuple(out)
 
 
 def canonicalize(graph: MulticurveGraph) -> CanonicalForm:
@@ -237,7 +232,11 @@ def canonicalize(graph: MulticurveGraph) -> CanonicalForm:
 
     best_edges = None
     ties = []
-    for sigma in _class_respecting_perms(blocks, nv):
+    # Every numbering that sends each class onto its position block.
+    numberings = _assignments(
+        nv, [(members, range(start, start + len(members))) for _key, members, start in blocks]
+    )
+    for sigma in numberings:
         cand = _relabel_edges(graph.edges, sigma)
         if best_edges is None or cand < best_edges:
             best_edges, ties = cand, [sigma]
@@ -246,9 +245,8 @@ def canonicalize(graph: MulticurveGraph) -> CanonicalForm:
     best_sigma = min(ties)
 
     decorations = [None] * nv
-    for key, members, start in blocks:
-        for offset in range(len(members)):
-            decorations[start + offset] = VertexDecoration(key[0], key[1])
+    for v, dec in enumerate(graph.vertices):
+        decorations[best_sigma[v]] = dec
     rep = MulticurveGraph(tuple(decorations), best_edges)
 
     # Map input edge ids to canonical ids; among parallel edges the
@@ -259,7 +257,8 @@ def canonicalize(graph: MulticurveGraph) -> CanonicalForm:
     taken = defaultdict(int)
     edge_order = []
     for u, w in graph.edges:
-        pair = tuple(sorted((best_sigma[u], best_sigma[w])))
+        a, b = best_sigma[u], best_sigma[w]
+        pair = (a, b) if a <= b else (b, a)
         edge_order.append(slot_queue[pair][taken[pair]])
         taken[pair] += 1
 
@@ -285,23 +284,14 @@ def _automorphism_pairs(rep: MulticurveGraph, positions_by_pair, vertex_perms):
     given its vertex symmetries: each extends to edges by every bijection
     between the parallel-edge slots it matches up."""
     pairs = []
-    eperm_set = set()
     for tau in vertex_perms:
         sources_by_pair = defaultdict(list)
         for i, (u, w) in enumerate(rep.edges):
-            sources_by_pair[tuple(sorted((tau[u], tau[w])))].append(i)
-        keys = sorted(sources_by_pair)
-        for combo in product(
-            *(permutations(positions_by_pair[k]) for k in keys)
-        ):
-            eperm = [0] * len(rep.edges)
-            for k, slots in zip(keys, combo):
-                for src, dst in zip(sources_by_pair[k], slots):
-                    eperm[src] = dst
-            eperm = tuple(eperm)
-            pairs.append((tau, eperm))
-            eperm_set.add(eperm)
-    return tuple(sorted(pairs)), tuple(sorted(eperm_set))
+            a, b = tau[u], tau[w]
+            sources_by_pair[(a, b) if a <= b else (b, a)].append(i)
+        groups = [(srcs, positions_by_pair[k]) for k, srcs in sources_by_pair.items()]
+        pairs.extend((tau, eperm) for eperm in _assignments(len(rep.edges), groups))
+    return tuple(sorted(pairs)), tuple(sorted({eperm for _tau, eperm in pairs}))
 
 
 def _label_string(rep: MulticurveGraph) -> str:
@@ -372,7 +362,8 @@ def add_curve(graph: MulticurveGraph, v: int) -> list[MulticurveGraph]:
     result gives back ``graph``.  Results that differ only by swapping
     the two halves, or by which of several parallel edges went where,
     are listed once.  ``graph`` may have no edges: one vertex ``(g, n)``
-    stands for the bare surface.
+    stands for the bare surface.  A ``v`` that is not one of its
+    vertices raises :class:`InvalidMulticurve`.
 
     Examples::
 
@@ -384,39 +375,52 @@ def add_curve(graph: MulticurveGraph, v: int) -> list[MulticurveGraph]:
         >>> delete_curve(add_curve(bare, 0)[1], 0) is None
         True
     """
-    dec = graph.vertices[v]
-    genus, marked = dec.piece_genus, dec.piece_marked
     nv = len(graph.vertices)
+    if not 0 <= v < nv:
+        raise InvalidMulticurve(f"no vertex {v} in graph with {nv} vertices")
+    genus, marked = graph.vertices[v].piece_genus, graph.vertices[v].piece_marked
     found: list[MulticurveGraph] = []
     if genus > 0:
         verts = list(graph.vertices)
         verts[v] = VertexDecoration(genus - 1, marked)
         found.append(MulticurveGraph(tuple(verts), graph.edges + ((v, v),)))
 
-    # A split is listed under the smaller of its own key and its mirror's.
+    # A split is listed under the smaller of its own key and its mirror's:
+    # the two halves' decorations, then the sorted edge list.  The other
+    # vertices are the same in every split, so they need no place in it.
     swap = {v: nv, nv: v}
-    splits: dict[tuple, MulticurveGraph] = {}
-
-    def key(h: MulticurveGraph, relabel: dict) -> tuple:
-        verts = [h.vertices[relabel.get(x, x)] for x in range(nv + 1)]
-        edges = sorted(
-            tuple(sorted((relabel.get(a, a), relabel.get(b, b)))) for a, b in h.edges
-        )
-        return tuple((d.piece_genus, d.piece_marked) for d in verts), tuple(edges)
-
+    seen = set()
     ends = [(i, s) for i, e in enumerate(graph.edges) for s in (0, 1) if e[s] == v]
     for sides in product((v, nv), repeat=len(ends)):
+        if sides and sides[0] == nv:
+            break  # the rest move the first end: mirrors of splits above
+        moved = sides.count(nv)
+        # is_stable for both halves, each counting the new curve.
+        halves = [
+            ((g1, m1), (genus - g1, marked - m1))
+            for g1 in range(genus + 1)
+            for m1 in range(marked + 1)
+            if 2 * g1 - 1 + m1 + len(ends) - moved > 0
+            and 2 * (genus - g1) - 1 + marked - m1 + moved > 0
+        ]
+        if not halves:
+            continue
         edges = [list(e) for e in graph.edges]
         for (i, s), side in zip(ends, sides):
             edges[i][s] = side
         edges = tuple(map(tuple, edges)) + ((v, nv),)
-        moved = sides.count(nv)
-        for g1 in range(genus + 1):
-            for m1 in range(marked + 1):
-                half = VertexDecoration(g1, m1)
-                other = VertexDecoration(genus - g1, marked - m1)
-                if is_stable(half, len(ends) - moved + 1) and is_stable(other, moved + 1):
-                    verts = graph.vertices[:v] + (half,) + graph.vertices[v + 1:]
-                    h = MulticurveGraph(verts + (other,), edges)
-                    splits.setdefault(min(key(h, {}), key(h, swap)), h)
-    return found + list(splits.values())
+        own = tuple(sorted((a, b) if a <= b else (b, a) for a, b in edges))
+        mirror = tuple(sorted(
+            (a, b) if a <= b else (b, a)
+            for a, b in ((swap.get(a, a), swap.get(b, b)) for a, b in edges)
+        ))
+        for half, other in halves:
+            key = min((half, other, own), (other, half, mirror))
+            if key not in seen:
+                seen.add(key)
+                verts = (
+                    graph.vertices[:v] + (VertexDecoration(*half),)
+                    + graph.vertices[v + 1:] + (VertexDecoration(*other),)
+                )
+                found.append(MulticurveGraph(verts, edges))
+    return found

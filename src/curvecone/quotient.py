@@ -11,7 +11,10 @@ deleting the curve a step added gives back the face it started from.
 The complex also exposes the derived gluing data needed by the metric
 layer: face tables for arbitrary curve subsets, the set of embeddings
 of an orbit into a host orbit, and the transit
-identifications between pairs of top-dimensional orbits.
+identifications between pairs of top-dimensional orbits.  A transit
+table from ``X`` to ``Y`` is the transpose of the one from ``Y`` to
+``X``, so whichever of the two is asked for second is read off the
+first (see :meth:`QuotientComplex.transits`).
 """
 
 from __future__ import annotations
@@ -20,6 +23,7 @@ import json
 from collections import defaultdict
 from dataclasses import dataclass
 from itertools import combinations
+from operator import lshift
 
 from .multicurves import (
     CanonicalForm,
@@ -313,41 +317,68 @@ class QuotientComplex:
     def transits(self, source_id: str, target_id: str) -> tuple[Transit, ...]:
         """Shared-face identifications usable between two maximal orbits,
         reduced to the maximal ones (a transit whose carried-edge maps
-        factor through a larger shared face is dropped)."""
+        factor through a larger shared face is dropped).
+
+        When the reverse table is already cached, this one is its mirror:
+        each reverse transit ``(f, s, t)`` becomes ``(f, s', iota)``,
+        where ``(f, iota)`` is the target's face table entry for the
+        edges ``s`` and ``s'[c] = t[s.index(iota[c])]``, and the rows are
+        sorted as the candidates are.  The chart holds one injection per
+        edge subset and the embeddings carry every twist, so the mirror
+        equals the table computed directly, in the same order."""
         key = (source_id, target_id)
         cached = self._transit_cache.get(key)
         if cached is not None:
             return cached
+        mirror = self._transit_cache.get((target_id, source_id))
+        if mirror is not None:
+            # Transpose each reverse transit onto the target's chart
+            # injection of its face, then sort as the candidates are.  A
+            # larger source can carry the whole target.
+            k = self.orbit(target_id).n_edges
+            faces = dict(self.subfaces(target_id))
+            faces[frozenset(range(k))] = target_id, tuple(range(k))
+            rows = []
+            for t in mirror:
+                fid, iota = faces[frozenset(t.into_source)]
+                at = {e: c for c, e in enumerate(t.into_source)}
+                rows.append((fid, tuple(t.into_target[at[e]] for e in iota), iota))
+            result = tuple(Transit(*row) for row in sorted(rows))
+            self._transit_cache[key] = result
+            return result
 
         # Candidates: each face in the target's chart, with every injection
-        # into the target and every embedding (twists included) into the source.
-        candidates = sorted(
-            (fid, into_s, iota_t)
-            for fid, iotas_t in self._chart(target_id).items()
-            for into_s in self.embeddings(fid, source_id)
-            for iota_t in iotas_t
-        )
+        # into the target and every embedding (twists included) into the
+        # source, and its set of (source edge, target edge) pairs as a bit
+        # mask, pair (s, t) at bit s * width + t.
+        width = self.orbit(target_id).n_edges
+        candidates = []
+        for fid, iotas_t in self._chart(target_id).items():
+            for into_s in self.embeddings(fid, source_id):
+                rows = [1 << (s * width) for s in into_s]
+                candidates += (
+                    (fid, into_s, iota_t, sum(map(lshift, rows, iota_t))) for iota_t in iotas_t
+                )
+        candidates.sort()
 
-        # A candidate is dominated, and dropped, when its set of (source
-        # edge, target edge) pairs lies strictly inside a larger
-        # candidate's.  The larger one's source map is injective, so the
-        # inclusion fixes one edge map j of the smaller face into the
-        # larger; j(C) spans the same face of the source as the smaller
-        # candidate, so j is one of embeddings(fid, fid2): the test
-        # agrees with trying every embedding.  A strict superset holds
-        # every pair of the smaller set, so it is filed under its least.
-        pair_sets = [frozenset(zip(into_s, into_t)) for _f, into_s, into_t in candidates]
-        maximal: set[frozenset] = set()
-        by_pair = defaultdict(list)
-        for pairs in sorted(set(pair_sets), key=len, reverse=True):
-            if not any(pairs < big for big in by_pair.get(min(pairs), ())):
-                maximal.add(pairs)
-                for pair in pairs:
-                    by_pair[pair].append(pairs)
+        # A candidate is dominated, and dropped, when its pair set lies
+        # strictly inside a larger candidate's.  Every nonempty subset of
+        # a candidate's pairs is itself a candidate's: its target edges
+        # span a face of the target, with one chart injection, and its
+        # source edges span that face of the source by one of the
+        # embeddings, which carry every twist.  So the dominated sets are
+        # exactly those one pair short of a candidate's.
+        short = set()
+        for mask in {cand[3] for cand in candidates}:
+            rest = mask
+            while rest:
+                low = rest & -rest
+                short.add(mask ^ low)
+                rest ^= low
         result = tuple(
-            Transit(*cand)
-            for cand, pairs in zip(candidates, pair_sets)
-            if pairs in maximal
+            Transit(fid, into_s, into_t)
+            for fid, into_s, into_t, mask in candidates
+            if mask not in short
         )
         self._transit_cache[key] = result
         return result
@@ -511,9 +542,10 @@ def complex_from_dict(payload: dict) -> QuotientComplex:
     """Rebuild a complex from its serialized form.
 
     The complex is reconstructed from the surface and re-derived; the
-    payload's orbit ids must match exactly, which guards against stale
-    or hand-edited files.  A payload of the wrong shape raises
-    ``ValueError``.
+    payload must equal the rebuilt complex's :func:`complex_to_dict`
+    exactly (orbits, automorphisms and face maps alike), which guards
+    against stale or hand-edited files.  A payload of the wrong shape
+    raises ``ValueError``.
     """
     if not isinstance(payload, dict):
         raise ValueError(f"a complex must be an object, got {type(payload).__name__}")
@@ -529,10 +561,8 @@ def complex_from_dict(payload: dict) -> QuotientComplex:
     ):
         raise ValueError("complex orbits must be a list of objects with string ids")
     cx = build_complex(Surface(surface.get("genus"), surface.get("marked_points")))
-    stored = sorted(o["id"] for o in orbits)
-    derived = sorted(o.id for o in cx.orbits)
-    if stored != derived:
-        raise ValueError("complex payload does not match its surface's orbits")
+    if payload != complex_to_dict(cx):
+        raise ValueError("complex payload does not match its surface's complex")
     return cx
 
 

@@ -1,6 +1,7 @@
 import random
 from itertools import permutations
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -300,3 +301,16 @@ def test_add_curve_on_pants_is_empty():
     # A pair of pants holds no essential curve.
     theta = graph([(0, 0), (0, 0)], [(0, 1), (0, 1), (0, 1)])
     assert add_curve(theta, 0) == [] and add_curve(theta, 1) == []
+
+
+@pytest.mark.parametrize("v", [-1, 1])
+def test_add_curve_rejects_out_of_range_vertex(v):
+    with pytest.raises(InvalidMulticurve, match="no vertex"):
+        add_curve(bare(1, 2), v)
+
+
+def test_decoration_fields_must_be_integers():
+    with pytest.raises(InvalidMulticurve, match="must be an integer"):
+        D(1.0, 2)
+    dec = D(np.int64(1), np.int32(2))
+    assert type(dec.piece_genus) is int and dec == D(1, 2)

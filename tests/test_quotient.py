@@ -1,4 +1,5 @@
 import functools
+import hashlib
 import json
 from itertools import combinations
 
@@ -303,6 +304,101 @@ def test_transits_match_embedding_reference(genus, marked):
             assert got == reference_transits(cx, a, b)
 
 
+# sha256 of complex_to_json and of the full top-pair transit table, both
+# recorded before the mirror rule and the add-curve and canonicalize
+# speed-ups; any change to an orbit, face map or transit moves them.
+BUILD_DIGESTS = {
+    (1, 2): (
+        "acc31fd66e93cdf953ecc87f6f16f2f91d2df3d4997c61ba833d424cb9544b88",
+        "784912d0951981c5b9c9bb15fb97d58960e13e570a851c7e6d1774a894c44121",
+    ),
+    (2, 0): (
+        "cfb3837cf73d3a59f6e82a922536ee18017ee12c06f0ce7478f97e9db055fb8c",
+        "7b03ccffd038406a3d5acf4ec88f93d2bdb781a47abfd4b9c7d63a5505ecf2ed",
+    ),
+    (1, 3): (
+        "7af096e5924dafce552ad09595d98b561a1b8ddf6083717c0293468cc3641be1",
+        "a0a3123d86c629af1a0b66dc4c69c79e1f75a131ffd02da248eef1e8d9e82ae7",
+    ),
+    (0, 7): (
+        "67628255b468f1eeed0450679bf895eb6279f1de9f9bc7031b9e761fd73e09bf",
+        "d7129efef20a0a8715a99a9a2acf2024be5f1241197f47b19ba9c1f3428d1041",
+    ),
+    (2, 1): (
+        "834473c28d1372b6324bb1e05acf3d905789e6edfe0ded63dacb68977728889e",
+        "3e5edcb6e0a1bdc131aee05aa2b3617b23fef4bf65cf94a38c5142fd92bfd2bd",
+    ),
+    (1, 4): (
+        "337903c7059815533f421bf218d0b99959b586d9434bd04e1f3812f4bb7d78f6",
+        "aa55b332d7542c2e1a7f0431afc6a3dca56e8fb1a5e7edb0efac90d47827b6e5",
+    ),
+    (0, 8): (
+        "6965b6dde40b44b20a69952480045c2a183886c1f79e8c9edfcdb19990f9f843",
+        "29c9cfef397a05da503e5b8fec7724fb0eb0b263cda532bb1160339727d22813",
+    ),
+    (2, 2): (
+        "1375b37c1d29a5d19c89e547a05354cf3b0ac3311cd9080bb4946ac093b8b768",
+        "66ae67e8e7182b7295760f0e02d7d301021650bf9140d20c5575b17a6f309921",
+    ),
+    (1, 5): (
+        "b30dfbe0bafac0915ee448f7f5ae36a08b4eb2ac35d293caafddeb0db4b773a6",
+        "2808e785a07dc86c622bbab54822ca77f1643417e05a5f1ae5f90c6606d57d0d",
+    ),
+    (3, 0): (
+        "c2b0196d14d28b3b9cf643ea96ac874a741e64556393f6d3b6acce3f369dad23",
+        "fe3a006252dc50c1024fc0e9df86fea26e5c069ab3aa89f4d06702c70bb23d44",
+    ),
+    (2, 3): (
+        "c8d41ef0893d74b00108b00311a8f220ab091f348b5899b769edb656ab0c427b",
+        "955f3c033521f8d56f19f981a9d0866a1291a30e9d99daca8c79b9607938f4f1",
+    ),
+    (3, 1): (
+        "db466631f04bcbde87acd91680d42e6fcc222f2b39e27465d8afc1c2591804d3",
+        "e94a1460093c746a99b3041c699ecd94d21f6c45ba5d4b75b0a4c8d845ffbf7c",
+    ),
+}
+
+
+def sha256(text):
+    return hashlib.sha256(text.encode("ascii")).hexdigest()
+
+
+def transit_table_json(cx):
+    """Every top-pair transit as [face_id, into_source, into_target], in
+    table order, filled row by row."""
+    return json.dumps([
+        [t.face_id, t.into_source, t.into_target]
+        for a in cx.maximal_ids
+        for b in cx.maximal_ids
+        for t in cx.transits(a, b)
+    ])
+
+
+@pytest.mark.parametrize("genus,marked", list(BUILD_DIGESTS))
+def test_build_outputs_match_recorded_digests(genus, marked):
+    cx = build_complex(Surface(genus, marked))
+    got = (sha256(complex_to_json(cx)), sha256(transit_table_json(cx)))
+    assert got == BUILD_DIGESTS[(genus, marked)]
+
+
+@pytest.mark.parametrize(
+    "genus,marked,every",
+    [(1, 3, True), (0, 7, False), (2, 1, False), (1, 4, False), (2, 2, False),
+     (1, 5, False), (3, 0, False)],
+)
+def test_mirrored_transits_equal_direct_ones(genus, marked, every):
+    # Row by row, transits(b, a) for b after a is the mirror of the direct
+    # transits(a, b); column by column it is the other way round.  So each
+    # off-diagonal table is compared with a directly computed one.  On
+    # S(1,3) every orbit pair is tried: a larger orbit can carry the whole
+    # of a smaller one.
+    rows, cols = build_complex(Surface(genus, marked)), build_complex(Surface(genus, marked))
+    ids = [o.id for o in rows.orbits] if every else rows.maximal_ids
+    by_row = {(a, b): rows.transits(a, b) for a in ids for b in ids}
+    by_col = {(a, b): cols.transits(a, b) for b in ids for a in ids}
+    assert by_row == by_col
+
+
 def reference_face_maps(orbits):
     """Face maps by canonicalizing every curve deletion of every orbit,
     in the complex's orbit order."""
@@ -396,6 +492,17 @@ def test_json_rejects_tampered_payload(s12):
     payload["orbits"][0]["id"] = "d0-bogus"
     with pytest.raises(ValueError, match="does not match"):
         complex_from_json(json.dumps(payload))
+    tamperings = [
+        ("face_maps", 0, "to", "d0-ebcd619b47"),
+        ("orbits", 3, "edges", [[0, 0], [0, 0]]),
+        ("orbits", 3, "automorphisms", [[9, 9]]),
+    ]
+    for field, index, key, value in tamperings:
+        payload = json.loads(complex_to_json(s12))
+        assert payload[field][index][key] != value
+        payload[field][index][key] = value
+        with pytest.raises(ValueError, match="does not match"):
+            complex_from_json(json.dumps(payload))
     payload = json.loads(complex_to_json(s12))
     payload["schema_version"] = "nope"
     with pytest.raises(ValueError, match="schema"):
