@@ -182,7 +182,8 @@ def _resolve_matching(P: ProductPoint, Q: ProductPoint, matching):
             )
         return tuple(range(len(P.planes)))
     if isinstance(matching, dict):
-        matching = tuple(matching[i] for i in range(len(P.planes)))
+        # A missing key reads as -1, which no bijection contains.
+        matching = tuple(matching.get(i, -1) for i in range(len(P.planes)))
     else:
         matching = tuple(matching)
     if len(matching) != len(P.planes) or sorted(matching) != list(range(len(Q.planes))):
@@ -203,12 +204,13 @@ def partial_sup_distance(P: ProductPoint, Q: ProductPoint, shared_edges, matchin
     curves.  This is the model's lower-bound surrogate for distances
     between structures sharing only part of a decomposition; it is exact
     only up to an additive constant that is not computable here and is
-    therefore reported separately, never folded into the value."""
+    therefore reported separately, never folded into the value.  Shared
+    edges outside ``P`` and a matching that is not a bijection raise
+    :class:`OrbitMismatchError`; no matching means the identity."""
     shared = tuple(shared_edges)
     if not shared:
         raise ValueError("shared edge set must be nonempty")
-    if matching is None:
-        matching = tuple(range(len(P.planes)))
-    return max(
-        half_plane_distance(P.planes[i], Q.planes[matching[i]]) for i in shared
-    )
+    if not all(i in range(len(P.planes)) for i in shared):
+        raise OrbitMismatchError(f"shared edges {shared} are not all edges of {P.orbit_id}")
+    m = tuple(range(len(P.planes))) if matching is None else _resolve_matching(P, Q, matching)
+    return max(half_plane_distance(P.planes[i], Q.planes[m[i]]) for i in shared)

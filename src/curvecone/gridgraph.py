@@ -117,11 +117,8 @@ class GridOracle:
         pos = np.zeros(digits.shape[1], dtype=np.intp)
         for row, e in zip(digits, support):
             pos += row * base ** (m - 1 - e)
-        if size == m:
-            fid, rows = oid, digits
-        else:
-            fid, iota = self.cx.subfaces(oid)[frozenset(support)]
-            rows = [digits[support.index(e)] for e in iota]
+        fid, iota = self.cx.subfaces(oid)[frozenset(support)]
+        rows = [digits[support.index(e)] for e in iota]
         least = None
         for a in self.cx.orbit(fid).automorphisms:
             code = np.zeros(len(pos), dtype=np.int64)
@@ -215,6 +212,8 @@ def brute_force_distance(
     is a half-sup-nonexpansive map fixing both endpoints and commuting
     with the face and symmetry identifications.
     """
+    if not 0 < mesh < math.inf:
+        raise ValueError(f"mesh must be positive and finite, got {mesh}")
     top = max((p.max_coord, q.max_coord))
     if box is None:
         box = max(top, mesh)

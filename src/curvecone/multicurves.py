@@ -214,6 +214,27 @@ def _relabel_edges(edges, sigma):
     return tuple(out)
 
 
+def edge_slots(edges) -> dict[tuple[int, int], list[int]]:
+    """The positions of each endpoint pair in an edge list, in order."""
+    slots = defaultdict(list)
+    for j, pair in enumerate(edges):
+        slots[pair].append(j)
+    return slots
+
+
+def slot_order(edges, numbering, slots) -> list[int]:
+    """The slot each of ``edges`` takes among a representative's edges
+    once ``numbering`` renumbers its endpoints, given the
+    representative's :func:`edge_slots`; parallel edges take their
+    pair's slots in input order."""
+    free = {pair: iter(js) for pair, js in slots.items()}
+    out = []
+    for u, w in edges:
+        a, b = numbering[u], numbering[w]
+        out.append(next(free[(a, b) if a <= b else (b, a)]))
+    return out
+
+
 def canonicalize(graph: MulticurveGraph) -> CanonicalForm:
     """Deterministic canonical form and exact automorphism group.
 
@@ -251,22 +272,14 @@ def canonicalize(graph: MulticurveGraph) -> CanonicalForm:
 
     # Map input edge ids to canonical ids; among parallel edges the
     # assignment follows input order, which keeps it deterministic.
-    slot_queue = defaultdict(list)
-    for j, pair in enumerate(rep.edges):
-        slot_queue[pair].append(j)
-    taken = defaultdict(int)
-    edge_order = []
-    for u, w in graph.edges:
-        a, b = best_sigma[u], best_sigma[w]
-        pair = (a, b) if a <= b else (b, a)
-        edge_order.append(slot_queue[pair][taken[pair]])
-        taken[pair] += 1
+    slots = edge_slots(rep.edges)
+    edge_order = slot_order(graph.edges, best_sigma, slots)
 
     # Representative vertex best_sigma[v] is input vertex v, which each
     # tied numbering sends to sigma[v]: those are the vertex symmetries.
     unbest = sorted(range(nv), key=best_sigma.__getitem__)
     vertex_perms = [tuple(sigma[v] for v in unbest) for sigma in ties]
-    pairs, eperms = _automorphism_pairs(rep, slot_queue, vertex_perms)
+    pairs, eperms = _automorphism_pairs(rep, slots, vertex_perms)
 
     label = _label_string(rep)
     return CanonicalForm(
@@ -279,17 +292,16 @@ def canonicalize(graph: MulticurveGraph) -> CanonicalForm:
     )
 
 
-def _automorphism_pairs(rep: MulticurveGraph, positions_by_pair, vertex_perms):
-    """Every (vertex, edge) automorphism pair of a canonical representative,
-    given its vertex symmetries: each extends to edges by every bijection
-    between the parallel-edge slots it matches up."""
+def _automorphism_pairs(rep: MulticurveGraph, slots, vertex_perms):
+    """Every (vertex, edge) automorphism pair of a canonical representative
+    with edge slots ``slots``, given its vertex symmetries: each extends to
+    edges by every bijection between the parallel-edge slots it matches up."""
     pairs = []
     for tau in vertex_perms:
-        sources_by_pair = defaultdict(list)
-        for i, (u, w) in enumerate(rep.edges):
+        groups = []
+        for (u, w), sources in slots.items():
             a, b = tau[u], tau[w]
-            sources_by_pair[(a, b) if a <= b else (b, a)].append(i)
-        groups = [(srcs, positions_by_pair[k]) for k, srcs in sources_by_pair.items()]
+            groups.append((sources, slots[(a, b) if a <= b else (b, a)]))
         pairs.extend((tau, eperm) for eperm in _assignments(len(rep.edges), groups))
     return tuple(sorted(pairs)), tuple(sorted({eperm for _tau, eperm in pairs}))
 

@@ -9,18 +9,19 @@ which orbit a deletion lands on and how the surviving curves are
 re-identified there; they are read off the closure's own steps, since
 deleting the curve a step added gives back the face it started from.
 The complex also exposes the derived gluing data needed by the metric
-layer: face tables for arbitrary curve subsets, the set of embeddings
-of an orbit into a host orbit, and the transit
+layer: one face table per orbit, listing the face spanned by every
+nonempty curve subset (the whole system last, as the orbit itself),
+the set of embeddings of an orbit into a host orbit, and the transit
 identifications between pairs of top-dimensional orbits.  A transit
 table from ``X`` to ``Y`` is the transpose of the one from ``Y`` to
-``X``, so whichever of the two is asked for second is read off the
-first (see :meth:`QuotientComplex.transits`).
+``X``: the pair with the larger source id is always read off the other
+(see :meth:`QuotientComplex.transits`).
 """
 
 from __future__ import annotations
 
 import json
-from collections import defaultdict
+from collections import Counter, defaultdict
 from dataclasses import dataclass
 from itertools import combinations
 from operator import lshift
@@ -33,7 +34,9 @@ from .multicurves import (
     add_curve,
     canonicalize,
     deletion_vertex_map,
+    edge_slots,
     label_hash,
+    slot_order,
 )
 from .surfaces import Surface
 
@@ -119,17 +122,17 @@ def _orbit_levels(
     vertex_order)``, where ``bigger`` is the graph :func:`add_curve`
     built from the face's representative and ``vertex_order`` numbers its
     vertices onto the representative.  ``face`` is the face's canonical
-    ``(label, graph, vertex symmetries)``, with label ``None`` for the
-    bare surface.
+    ``(label, graph, vertex symmetries, edge slots)``, with label
+    ``None`` for the bare surface.
     """
     bare = VertexDecoration(surface.genus, surface.marked_points)
-    level = [(None, MulticurveGraph((bare,), ()), ((0,),))]
+    level = [(None, MulticurveGraph((bare,), ()), ((0,),), {})]
     levels, steps = [], []
     for _ in range(top):
         seen: dict[str, CanonicalForm] = {}
         reached: dict[str, dict] = defaultdict(dict)
         for face in level:
-            _label, graph, vertex_perms = face
+            _label, graph, vertex_perms, _slots = face
             for v in range(len(graph.vertices)):
                 if any(tau[v] < v for tau in vertex_perms):
                     continue
@@ -142,7 +145,8 @@ def _orbit_levels(
         levels.append(seen)
         steps.append(reached)
         level = [
-            (cf.label, cf.graph, {tau for tau, _eperm in cf.automorphism_pairs})
+            (cf.label, cf.graph, {tau for tau, _eperm in cf.automorphism_pairs},
+             edge_slots(cf.graph.edges))
             for cf in seen.values()
         ]
     return levels, steps
@@ -159,11 +163,8 @@ def enumerate_orbits(surface: Surface, k: int) -> list[SimplexOrbit]:
         raise ValueError(
             f"curve count {k} out of range [1, {surface.complexity}] for {surface}"
         )
-    return _sorted_orbits(_orbit_levels(surface, k)[0][-1])
-
-
-def _sorted_orbits(level: dict[str, CanonicalForm]) -> list[SimplexOrbit]:
-    return sorted((orbit_from_canonical(cf) for cf in level.values()), key=lambda o: o.id)
+    level = _orbit_levels(surface, k)[0][-1]
+    return sorted(map(orbit_from_canonical, level.values()), key=lambda o: o.id)
 
 
 # ---------------------------------------------------------------------------
@@ -210,66 +211,58 @@ class QuotientComplex:
         return self._face_at[(orbit_id, edge)]
 
     def orbit_counts(self) -> dict[int, int]:
-        counts: dict[int, int] = {}
-        for o in self.orbits:
-            counts[o.dim] = counts.get(o.dim, 0) + 1
-        return counts
+        return dict(Counter(o.dim for o in self.orbits))
 
     # -- derived gluing data --------------------------------------------------
 
     def subfaces(self, orbit_id: str) -> dict[frozenset, tuple[str, tuple[int, ...]]]:
-        """For each proper nonempty edge subset ``F`` of the orbit, the face
-        orbit spanned by ``F`` and the injection of that face's canonical
-        edges onto ``F`` (``iota[c]`` is the host edge carrying face edge
-        ``c``).
+        """For each nonempty edge subset ``F`` of the orbit, the face orbit
+        spanned by ``F`` and the injection of that face's canonical edges
+        onto ``F`` (``iota[c]`` is the host edge carrying face edge ``c``);
+        the whole edge set comes last, as the orbit itself.
 
-        The lowest-numbered edge outside ``F`` is deleted first: one face
-        map carries ``F`` into that face, whose own table (filled once)
-        gives the rest of the way down.  The host's chart is filled in the
-        same pass."""
+        For a proper subset the lowest-numbered edge outside ``F`` is
+        deleted first: one face map carries ``F`` into that face, whose
+        own table (filled once) gives the rest of the way down.  The
+        host's chart, this table grouped by face, is filled with it."""
         cached = self._subface_cache.get(orbit_id)
         if cached is not None:
             return cached
         k = self.orbit(orbit_id).n_edges
         table = {}
-        chart = {orbit_id: [tuple(range(k))]}
         for size in range(1, k):
             for keep in combinations(range(k), size):
                 spare = next(e for e in range(k) if e not in keep)
                 fm = self._face_at[(orbit_id, spare)]
                 inj = dict(fm.edge_injection)
                 host_of = {inj[f]: f for f in keep}
-                if size == k - 1:
-                    fid, iota = fm.target, range(size)
-                else:
-                    fid, iota = self.subfaces(fm.target)[frozenset(host_of)]
-                emb = tuple(host_of[c] for c in iota)
-                table[frozenset(keep)] = (fid, emb)
-                chart.setdefault(fid, []).append(emb)
+                fid, iota = self.subfaces(fm.target)[frozenset(host_of)]
+                table[frozenset(keep)] = (fid, tuple(host_of[c] for c in iota))
+        table[frozenset(range(k))] = (orbit_id, tuple(range(k)))
+        chart = self._chart_cache[orbit_id] = {}
+        for fid, iota in table.values():
+            chart.setdefault(fid, []).append(iota)
         self._subface_cache[orbit_id] = table
-        self._chart_cache[orbit_id] = chart
         return table
 
     def _chart(self, host_id: str) -> dict[str, list[tuple[int, ...]]]:
-        """Every face of the host, the host itself included, with the
-        injections that realize it: ``{face id: [iota, ...]}``, filled
-        together with the host's ``subfaces`` table."""
+        """The host's face table grouped by face, the host itself
+        included: ``{face id: [iota, ...]}``."""
         self.subfaces(host_id)
         return self._chart_cache[host_id]
 
     def reduce(self, orbit_id: str, vec) -> tuple[str | None, tuple]:
         """Canonical form of a chart vector of ``orbit_id``: the face
-        spanned by its nonzero entries, and the lexicographically least
+        spanned by its nonzero entries (read off the face table, the
+        orbit itself when none vanishes), and the lexicographically least
         image of the vector there under that face's symmetries.  The
         apex, where every entry vanishes, is ``(None, ())``."""
-        support = [i for i, v in enumerate(vec) if v != 0]
-        if len(support) < len(vec):
-            if not support:
-                return None, ()
-            orbit_id, iota = self.subfaces(orbit_id)[frozenset(support)]
-            vec = [vec[e] for e in iota]
-        auts = self.orbit(orbit_id).automorphisms
-        return orbit_id, min(tuple(vec[i] for i in a) for a in auts)
+        support = frozenset(i for i, v in enumerate(vec) if v != 0)
+        if not support:
+            return None, ()
+        fid, iota = self.subfaces(orbit_id)[support]
+        auts = self.orbit(fid).automorphisms
+        return fid, min(tuple(vec[iota[i]] for i in a) for a in auts)
 
     def embeddings(self, face_id: str, host_id: str) -> tuple[tuple[int, ...], ...]:
         """All edge injections realizing ``face_id`` as a face of
@@ -292,11 +285,9 @@ class QuotientComplex:
 
     def maximal_embeddings(self, face_id: str) -> tuple[tuple[str, tuple[int, ...]], ...]:
         """All (maximal orbit, embedding) realizations of an orbit."""
-        out = []
-        for mid in self.maximal_ids:
-            for emb in self.embeddings(face_id, mid):
-                out.append((mid, emb))
-        return tuple(out)
+        return tuple(
+            (mid, emb) for mid in self.maximal_ids for emb in self.embeddings(face_id, mid)
+        )
 
     def embeddings_mod_host(self, face_id: str, host_id: str) -> tuple[tuple[int, ...], ...]:
         """One embedding per orbit of the host symmetry group's action.
@@ -305,48 +296,43 @@ class QuotientComplex:
         whole host chart, so search procedures that already enumerate
         every identification out of the host lose nothing by fixing one
         representative per orbit."""
-        embs = self.embeddings(face_id, host_id)
         auts = self.orbit(host_id).automorphisms
-        reps = set()
-        for e in embs:
-            reps.add(
-                min(tuple(b[e[c]] for c in range(len(e))) for b in auts)
-            )
-        return tuple(sorted(reps))
+        embs = self.embeddings(face_id, host_id)
+        return tuple(sorted({min(tuple(b[x] for x in e) for b in auts) for e in embs}))
 
     def transits(self, source_id: str, target_id: str) -> tuple[Transit, ...]:
         """Shared-face identifications usable between two maximal orbits,
         reduced to the maximal ones (a transit whose carried-edge maps
         factor through a larger shared face is dropped).
 
-        When the reverse table is already cached, this one is its mirror:
-        each reverse transit ``(f, s, t)`` becomes ``(f, s', iota)``,
-        where ``(f, iota)`` is the target's face table entry for the
-        edges ``s`` and ``s'[c] = t[s.index(iota[c])]``, and the rows are
-        sorted as the candidates are.  The chart holds one injection per
-        edge subset and the embeddings carry every twist, so the mirror
-        equals the table computed directly, in the same order."""
+        The pair alone fixes the way: for ``source_id > target_id`` the
+        table mirrors ``transits(target_id, source_id)``, each reverse
+        transit ``(f, s, t)`` becoming ``(f, s', iota)``, where ``(f,
+        iota)`` is the target's face table entry for the edges ``s`` and
+        ``s'[c] = t[s.index(iota[c])]``, with the rows sorted as the
+        candidates are.  The face table holds one injection per edge
+        subset and the embeddings carry every twist, so the mirror equals
+        the table :meth:`_direct_transits` computes, in the same order."""
         key = (source_id, target_id)
         cached = self._transit_cache.get(key)
         if cached is not None:
             return cached
-        mirror = self._transit_cache.get((target_id, source_id))
-        if mirror is not None:
-            # Transpose each reverse transit onto the target's chart
-            # injection of its face, then sort as the candidates are.  A
-            # larger source can carry the whole target.
-            k = self.orbit(target_id).n_edges
-            faces = dict(self.subfaces(target_id))
-            faces[frozenset(range(k))] = target_id, tuple(range(k))
+        if source_id > target_id:
+            faces = self.subfaces(target_id)
             rows = []
-            for t in mirror:
+            for t in self.transits(target_id, source_id):
                 fid, iota = faces[frozenset(t.into_source)]
                 at = {e: c for c, e in enumerate(t.into_source)}
                 rows.append((fid, tuple(t.into_target[at[e]] for e in iota), iota))
             result = tuple(Transit(*row) for row in sorted(rows))
-            self._transit_cache[key] = result
-            return result
+        else:
+            result = self._direct_transits(source_id, target_id)
+        self._transit_cache[key] = result
+        return result
 
+    def _direct_transits(self, source_id: str, target_id: str) -> tuple[Transit, ...]:
+        """The transit table from ``source_id`` to ``target_id``, built
+        from the target's faces and their embeddings into the source."""
         # Candidates: each face in the target's chart, with every injection
         # into the target and every embedding (twists included) into the
         # source, and its set of (source edge, target edge) pairs as a bit
@@ -375,13 +361,11 @@ class QuotientComplex:
                 low = rest & -rest
                 short.add(mask ^ low)
                 rest ^= low
-        result = tuple(
+        return tuple(
             Transit(fid, into_s, into_t)
             for fid, into_s, into_t, mask in candidates
             if mask not in short
         )
-        self._transit_cache[key] = result
-        return result
 
     # -- invariants -----------------------------------------------------------
 
@@ -455,8 +439,9 @@ def _face_maps(orbit: SimplexOrbit, pairs, reached: dict, face_ids: dict) -> lis
     symmetry group (McKay & Piperno 2014, *Practical graph isomorphism
     II*), and the least of them is the numbering :func:`~curvecone.multicurves.canonicalize`
     picks.  Parallel edges then take ``F``'s slots in input order, as
-    there.  So each map equals the one canonicalizing the deletion would
-    give, whichever step and symmetry reached it.
+    there (:func:`~curvecone.multicurves.slot_order`).  So each map equals
+    the one canonicalizing the deletion would give, whichever step and
+    symmetry reached it.
     """
     rep = orbit.graph
     k = orbit.n_edges
@@ -470,22 +455,16 @@ def _face_maps(orbit: SimplexOrbit, pairs, reached: dict, face_ids: dict) -> lis
             raise InvalidMulticurve(
                 f"face of {orbit.id} (delete {e}) missing from enumeration"
             )
-        tau, ((face_label, face, face_taus), bigger, vertex_order) = via[e]
+        tau, ((face_label, face, face_taus, slots), bigger, vertex_order) = via[e]
         to_g = deletion_vertex_map(rep, e)
         to_f = deletion_vertex_map(bigger, k - 1)
         sigma0 = [0] * len(face.vertices)
         for x, y in enumerate(vertex_order):
             sigma0[to_g[tau[y]]] = to_f[x]
         sigma = min(tuple(t[g] for g in sigma0) for t in face_taus)
-        slots = defaultdict(list)
-        for j, pair in enumerate(face.edges):
-            slots[pair].append(j)
-        injection = []
-        for s, (u, w) in enumerate(rep.edges):
-            if s != e:
-                a, b = sigma[to_g[u]], sigma[to_g[w]]
-                injection.append((s, slots[(a, b) if a <= b else (b, a)].pop(0)))
-        out.append(FaceMap(orbit.id, e, face_ids[face_label], tuple(injection)))
+        kept = [s for s in range(k) if s != e]
+        into = slot_order([rep.edges[s] for s in kept], [sigma[g] for g in to_g], slots)
+        out.append(FaceMap(orbit.id, e, face_ids[face_label], tuple(zip(kept, into))))
     return out
 
 

@@ -378,11 +378,17 @@ def run_verification(
     all of them, so a fine mesh on a large complex makes it the slowest
     suite.  Sample counts are scaled down for the heavier suites.
     ``seed`` and ``samples`` must be integers (``surfaces.as_integer``),
-    ``seed >= 0`` and ``samples >= 1``; anything else raises ``ValueError``.
+    ``seed >= 0`` and ``samples >= 1``, and a mesh must fit the grid
+    (``gridgraph.grid_units``); anything else raises ``ValueError``
+    before any suite runs.
     """
     seed, samples = as_integer(seed, "seed"), as_integer(samples, "samples")
     if seed < 0 or samples < 1:
         raise ValueError(f"seed must be >= 0 and samples >= 1, got {seed} and {samples}")
+    if mesh is not None:
+        from .gridgraph import grid_units
+
+        grid_units(cx, mesh, GRID_BOX)
     import numpy as np  # the seeded sampler, kept off the CLI import path
 
     cfg = fn.ModelConfig(epsilon0)

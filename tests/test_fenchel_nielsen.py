@@ -200,6 +200,29 @@ def test_partial_sup_examples(s12):
         partial_sup_distance(P, Q, [])
 
 
+@pytest.mark.parametrize(
+    "shared, matching",
+    [([-1], None), ([5], None), ([0, 2], None), ([0], (0, 0)), ([0], (1,)), ([0], {0: 1})],
+)
+def test_partial_sup_rejects_out_of_range_input(s12, shared, matching):
+    # Edge -1 used to read the last curve, edge 5 raised IndexError, and
+    # the matchings (0, 0), (1,) and {0: 1} passed unchecked.
+    nn = orbit_by_structure(s12, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
+    P = _planes_from(nn.id, (1.0, 4.0))
+    Q = _planes_from(nn.id, (2.0, 2.0))
+    with pytest.raises(OrbitMismatchError):
+        partial_sup_distance(P, Q, shared, matching=matching)
+
+
+def test_dict_matching_lacking_a_key_rejected(s12):
+    nn = orbit_by_structure(s12, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
+    P = _planes_from(nn.id, (1.0, 4.0))
+    Q = _planes_from(nn.id, (2.0, 2.0))
+    with pytest.raises(OrbitMismatchError, match="not a bijection"):
+        sup_product_distance(P, Q, {0: 1})
+    assert sup_product_distance(P, Q, {0: 1, 1: 0}) == sup_product_distance(P, Q, (1, 0))
+
+
 def test_partial_sup_monotone(s12):
     nn = orbit_by_structure(s12, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
     rng = np.random.default_rng(13)

@@ -99,6 +99,15 @@ def test_grid_configuration_rejected(s12, mesh, box, message):
         GridOracle(s12, mesh, box)
 
 
+@pytest.mark.parametrize("mesh", [0.0, -0.5, float("nan"), float("inf")])
+def test_one_shot_wrapper_rejects_degenerate_mesh(s12, mesh):
+    # 0 used to divide by zero and nan or inf to fail converting to int,
+    # both while computing the default box.
+    p = cone_point(s12, s12.maximal_ids[0], [1.0, 2.0])
+    with pytest.raises(ValueError, match="mesh must be positive"):
+        brute_force_distance(p, p, mesh=mesh)
+
+
 def test_one_shot_wrapper_defaults(s12):
     nn = orbit_by_structure(s12, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
     p = cone_point(s12, nn.id, (1.0, 2.0))

@@ -80,6 +80,17 @@ def test_run_verification_rejects_non_integer_sampling(s12, seed, samples):
         run_verification(s12, seed=seed, samples=samples)
 
 
+def test_run_verification_checks_mesh_before_any_suite(s12, monkeypatch):
+    # A mesh that does not divide the grid box used to fail only after
+    # every core suite had run.
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran before the mesh was checked")
+
+    monkeypatch.setattr("curvecone.verify.distance", no_suite)
+    with pytest.raises(ValueError, match="positive multiple of mesh 0.3"):
+        run_verification(s12, mesh=0.3)
+
+
 def test_run_verification_takes_numpy_integers(s11):
     report = run_verification(s11, seed=np.int64(3), samples=np.int32(20))
     assert report.to_json(False) == run_verification(s11, seed=3, samples=20).to_json(False)
