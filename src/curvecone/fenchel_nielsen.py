@@ -182,6 +182,9 @@ def _resolve_matching(P: ProductPoint, Q: ProductPoint, matching):
             )
         return tuple(range(len(P.planes)))
     if isinstance(matching, dict):
+        extra = [key for key in matching if key not in range(len(P.planes))]
+        if extra:
+            raise OrbitMismatchError(f"matching keys {extra} are not edges of {P.orbit_id}")
         # A missing key reads as -1, which no bijection contains.
         matching = tuple(matching.get(i, -1) for i in range(len(P.planes)))
     else:
@@ -206,11 +209,13 @@ def partial_sup_distance(P: ProductPoint, Q: ProductPoint, shared_edges, matchin
     only up to an additive constant that is not computable here and is
     therefore reported separately, never folded into the value.  Shared
     edges outside ``P`` and a matching that is not a bijection raise
-    :class:`OrbitMismatchError`; no matching means the identity."""
+    :class:`OrbitMismatchError`; no matching means the identity, and then
+    shared edges outside ``Q`` raise it too."""
     shared = tuple(shared_edges)
     if not shared:
         raise ValueError("shared edge set must be nonempty")
-    if not all(i in range(len(P.planes)) for i in shared):
-        raise OrbitMismatchError(f"shared edges {shared} are not all edges of {P.orbit_id}")
+    for X in (P, Q) if matching is None else (P,):
+        if not all(i in range(len(X.planes)) for i in shared):
+            raise OrbitMismatchError(f"shared edges {shared} are not all edges of {X.orbit_id}")
     m = tuple(range(len(P.planes))) if matching is None else _resolve_matching(P, Q, matching)
     return max(half_plane_distance(P.planes[i], Q.planes[m[i]]) for i in shared)

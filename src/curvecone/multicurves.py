@@ -16,6 +16,7 @@ from __future__ import annotations
 import hashlib
 from collections import defaultdict
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import permutations, product
 
 from .surfaces import Surface, as_integer
@@ -120,62 +121,86 @@ class MulticurveGraph:
 
     def validate(self) -> None:
         """Raise :class:`InvalidMulticurve` with a diagnostic on any violation."""
+        self._counts()
+
+    def _counts(self) -> tuple[list[int], list[int]]:
+        """The checks of :meth:`validate`, counting each vertex's degree
+        and loops in the same pass; returns ``(degrees, loops)``."""
         if not self.edges:
             raise InvalidMulticurve("curve system must contain at least one curve")
         nv = len(self.vertices)
+        degs, loops = [0] * nv, [0] * nv
         for i, (u, w) in enumerate(self.edges):
             if not (0 <= u < nv and 0 <= w < nv):
                 raise InvalidMulticurve(f"edge {i} endpoints {(u, w)} out of range")
+            degs[u] += 1
+            degs[w] += 1
+            loops[u] += u == w
         if not self.is_connected():
             raise InvalidMulticurve("cut graph must be connected")
-        if self.betti < 0:
+        betti = self.betti
+        if betti < 0:
             raise InvalidMulticurve("more components than edges allow")
-        degs = self.degrees()
+        genus, marked = betti, 0
         for v, dec in enumerate(self.vertices):
             if not is_stable(dec, degs[v]):
                 raise InvalidMulticurve(
                     f"vertex {v} with decoration ({dec.piece_genus}, "
                     f"{dec.piece_marked}) and degree {degs[v]} is unstable"
                 )
-        complexity = 3 * self.genus - 3 + self.marked_points
+            genus += dec.piece_genus
+            marked += dec.piece_marked
+        complexity = 3 * genus - 3 + marked
         if len(self.edges) > complexity:
             raise InvalidMulticurve(
                 f"{len(self.edges)} curves exceed the pants count {complexity} "
-                f"of genus {self.genus} with {self.marked_points} marked points"
+                f"of genus {genus} with {marked} marked points"
             )
+        return degs, loops
 
 
 @dataclass(frozen=True)
 class CanonicalForm:
     """Canonical labeling of a decorated multigraph plus its symmetries.
 
-    ``automorphisms`` is the full group of edge permutations induced by
-    decoration-preserving graph automorphisms of the canonical
-    representative; ``automorphism_pairs`` keeps the underlying
-    (vertex permutation, edge permutation) pairs, whose count can exceed
-    the edge group's order when a vertex symmetry acts trivially on edges.
+    ``vertex_numberings`` are all the numberings of the input graph's
+    vertices onto the canonical representative, in scan order;
+    ``vertex_order`` is the least of them.  The symmetries are derived
+    from them on first read, so a caller that needs only the label and
+    the numberings pays nothing for them: ``vertex_symmetries`` are the
+    decoration-preserving vertex automorphisms of the representative,
+    sorted; ``automorphisms`` is the full group of edge permutations
+    they induce; ``automorphism_pairs`` keeps the underlying (vertex
+    permutation, edge permutation) pairs, whose count can exceed the
+    edge group's order when a vertex symmetry acts trivially on edges.
     """
 
     graph: MulticurveGraph
     label: str
     vertex_order: tuple[int, ...]
     edge_order: tuple[int, ...]
-    automorphisms: tuple[tuple[int, ...], ...]
-    automorphism_pairs: tuple[tuple[tuple[int, ...], tuple[int, ...]], ...] = field(
-        repr=False, default=()
-    )
+    vertex_numberings: tuple[tuple[int, ...], ...] = field(repr=False)
+
+    @cached_property
+    def vertex_symmetries(self) -> tuple[tuple[int, ...], ...]:
+        # Representative vertex vertex_order[v] is input vertex v, which
+        # each numbering sends to sigma[v]: those are the symmetries.
+        unbest = sorted(range(len(self.vertex_order)), key=self.vertex_order.__getitem__)
+        return tuple(sorted(tuple(sigma[v] for v in unbest) for sigma in self.vertex_numberings))
+
+    @cached_property
+    def automorphism_pairs(self) -> tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]:
+        return _automorphism_pairs(self.graph, self.vertex_symmetries)
+
+    @cached_property
+    def automorphisms(self) -> tuple[tuple[int, ...], ...]:
+        return tuple(sorted({eperm for _tau, eperm in self.automorphism_pairs}))
 
 
-def _class_blocks(graph: MulticurveGraph):
+def _class_blocks(graph: MulticurveGraph, degs, loops):
     """Vertices grouped by isomorphism-invariant class key (genus, marked
     points, degree, loop count), with the position block each class
     occupies in any canonical numbering."""
-    degs = [0] * len(graph.vertices)
-    loops = [0] * len(graph.vertices)
-    for u, w in graph.edges:
-        degs[u] += 1
-        degs[w] += 1
-        loops[u] += u == w
     by_key = defaultdict(list)
     for v, dec in enumerate(graph.vertices):
         by_key[(dec.piece_genus, dec.piece_marked, degs[v], loops[v])].append(v)
@@ -205,13 +230,13 @@ def _assignments(size: int, groups):
         yield tuple(out)
 
 
-def _relabel_edges(edges, sigma):
+def _renumber(edges, sigma) -> list[tuple[int, int]]:
+    """The edges with their endpoints renumbered by ``sigma``, low-high."""
     out = []
     for u, w in edges:
         a, b = sigma[u], sigma[w]
         out.append((a, b) if a <= b else (b, a))
-    out.sort()
-    return tuple(out)
+    return out
 
 
 def edge_slots(edges) -> dict[tuple[int, int], list[int]]:
@@ -222,16 +247,16 @@ def edge_slots(edges) -> dict[tuple[int, int], list[int]]:
     return slots
 
 
-def slot_order(edges, numbering, slots) -> list[int]:
+def slot_order(edges, numbering) -> list[int]:
     """The slot each of ``edges`` takes among a representative's edges
-    once ``numbering`` renumbers its endpoints, given the
-    representative's :func:`edge_slots`; parallel edges take their
-    pair's slots in input order."""
-    free = {pair: iter(js) for pair, js in slots.items()}
-    out = []
-    for u, w in edges:
-        a, b = numbering[u], numbering[w]
-        out.append(next(free[(a, b) if a <= b else (b, a)]))
+    once ``numbering``, an isomorphism onto the representative,
+    renumbers its endpoints.  The representative's edges are the
+    renumbered ones sorted, so a stable sort gives the slots, with
+    parallel edges taking their pair's slots in input order."""
+    renumbered = _renumber(edges, numbering)
+    out = [0] * len(renumbered)
+    for slot, i in enumerate(sorted(range(len(renumbered)), key=renumbered.__getitem__)):
+        out[i] = slot
     return out
 
 
@@ -239,17 +264,20 @@ def canonicalize(graph: MulticurveGraph) -> CanonicalForm:
     """Deterministic canonical form and exact automorphism group.
 
     Two graphs receive equal ``label`` exactly when they are isomorphic
-    as decorated multigraphs.  The search runs over vertex numberings
+    as decorated multigraphs.  The scan runs over vertex numberings
     compatible with the (decoration, degree, loop-count) partition, which
-    every isomorphism preserves; parallel edges and loops are handled by
-    matching edge multisets and enumerating per-slot bijections.  The
-    same scan yields the automorphisms: the numberings that reach the
-    least edge list are exactly the chosen one followed by each vertex
-    symmetry of the representative.
+    every isomorphism preserves.  The numberings that reach the least
+    sorted edge list number the graph onto its representative, and the
+    least of them is ``vertex_order``; parallel edges take their slots in
+    input order.  Those numberings are the chosen one followed by each
+    vertex symmetry of the representative, so the scan finds the
+    numbering and the symmetries follow from it: they are derived once
+    per form, on first read (see :class:`CanonicalForm`).  A closure
+    that keeps the first form of each label derives them once per orbit.
     """
-    graph.validate()
+    degs, loops = graph._counts()
     nv = len(graph.vertices)
-    blocks = _class_blocks(graph)
+    blocks = _class_blocks(graph, degs, loops)
 
     best_edges = None
     ties = []
@@ -258,7 +286,8 @@ def canonicalize(graph: MulticurveGraph) -> CanonicalForm:
         nv, [(members, range(start, start + len(members))) for _key, members, start in blocks]
     )
     for sigma in numberings:
-        cand = _relabel_edges(graph.edges, sigma)
+        cand = _renumber(graph.edges, sigma)
+        cand.sort()
         if best_edges is None or cand < best_edges:
             best_edges, ties = cand, [sigma]
         elif cand == best_edges:
@@ -268,34 +297,22 @@ def canonicalize(graph: MulticurveGraph) -> CanonicalForm:
     decorations = [None] * nv
     for v, dec in enumerate(graph.vertices):
         decorations[best_sigma[v]] = dec
-    rep = MulticurveGraph(tuple(decorations), best_edges)
+    rep = MulticurveGraph(tuple(decorations), tuple(best_edges))
 
-    # Map input edge ids to canonical ids; among parallel edges the
-    # assignment follows input order, which keeps it deterministic.
-    slots = edge_slots(rep.edges)
-    edge_order = slot_order(graph.edges, best_sigma, slots)
-
-    # Representative vertex best_sigma[v] is input vertex v, which each
-    # tied numbering sends to sigma[v]: those are the vertex symmetries.
-    unbest = sorted(range(nv), key=best_sigma.__getitem__)
-    vertex_perms = [tuple(sigma[v] for v in unbest) for sigma in ties]
-    pairs, eperms = _automorphism_pairs(rep, slots, vertex_perms)
-
-    label = _label_string(rep)
     return CanonicalForm(
         graph=rep,
-        label=label,
+        label=_label_string(rep),
         vertex_order=best_sigma,
-        edge_order=tuple(edge_order),
-        automorphisms=eperms,
-        automorphism_pairs=pairs,
+        edge_order=tuple(slot_order(graph.edges, best_sigma)),
+        vertex_numberings=tuple(ties),
     )
 
 
-def _automorphism_pairs(rep: MulticurveGraph, slots, vertex_perms):
-    """Every (vertex, edge) automorphism pair of a canonical representative
-    with edge slots ``slots``, given its vertex symmetries: each extends to
-    edges by every bijection between the parallel-edge slots it matches up."""
+def _automorphism_pairs(rep: MulticurveGraph, vertex_perms):
+    """Every (vertex, edge) automorphism pair of a canonical representative,
+    sorted, given its vertex symmetries: each extends to edges by every
+    bijection between the parallel-edge slots it matches up."""
+    slots = edge_slots(rep.edges)
     pairs = []
     for tau in vertex_perms:
         groups = []
@@ -303,7 +320,7 @@ def _automorphism_pairs(rep: MulticurveGraph, slots, vertex_perms):
             a, b = tau[u], tau[w]
             groups.append((sources, slots[(a, b) if a <= b else (b, a)]))
         pairs.extend((tau, eperm) for eperm in _assignments(len(rep.edges), groups))
-    return tuple(sorted(pairs)), tuple(sorted({eperm for _tau, eperm in pairs}))
+    return tuple(sorted(pairs))
 
 
 def _label_string(rep: MulticurveGraph) -> str:
@@ -402,6 +419,7 @@ def add_curve(graph: MulticurveGraph, v: int) -> list[MulticurveGraph]:
     # vertices are the same in every split, so they need no place in it.
     swap = {v: nv, nv: v}
     seen = set()
+    decorations = {}  # one VertexDecoration per (genus, marked) half
     ends = [(i, s) for i, e in enumerate(graph.edges) for s in (0, 1) if e[s] == v]
     for sides in product((v, nv), repeat=len(ends)):
         if sides and sides[0] == nv:
@@ -420,8 +438,8 @@ def add_curve(graph: MulticurveGraph, v: int) -> list[MulticurveGraph]:
         edges = [list(e) for e in graph.edges]
         for (i, s), side in zip(ends, sides):
             edges[i][s] = side
-        edges = tuple(map(tuple, edges)) + ((v, nv),)
-        own = tuple(sorted((a, b) if a <= b else (b, a) for a, b in edges))
+        edges = tuple((a, b) if a <= b else (b, a) for a, b in edges) + ((v, nv),)
+        own = tuple(sorted(edges))
         mirror = tuple(sorted(
             (a, b) if a <= b else (b, a)
             for a, b in ((swap.get(a, a), swap.get(b, b)) for a, b in edges)
@@ -430,9 +448,12 @@ def add_curve(graph: MulticurveGraph, v: int) -> list[MulticurveGraph]:
             key = min((half, other, own), (other, half, mirror))
             if key not in seen:
                 seen.add(key)
+                for pair in (half, other):
+                    if pair not in decorations:
+                        decorations[pair] = VertexDecoration(*pair)
                 verts = (
-                    graph.vertices[:v] + (VertexDecoration(*half),)
-                    + graph.vertices[v + 1:] + (VertexDecoration(*other),)
+                    graph.vertices[:v] + (decorations[half],)
+                    + graph.vertices[v + 1:] + (decorations[other],)
                 )
                 found.append(MulticurveGraph(verts, edges))
     return found

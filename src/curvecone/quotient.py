@@ -34,7 +34,6 @@ from .multicurves import (
     add_curve,
     canonicalize,
     deletion_vertex_map,
-    edge_slots,
     label_hash,
     slot_order,
 )
@@ -122,17 +121,17 @@ def _orbit_levels(
     vertex_order)``, where ``bigger`` is the graph :func:`add_curve`
     built from the face's representative and ``vertex_order`` numbers its
     vertices onto the representative.  ``face`` is the face's canonical
-    ``(label, graph, vertex symmetries, edge slots)``, with label
-    ``None`` for the bare surface.
+    ``(label, graph, vertex symmetries)``, with label ``None`` for the
+    bare surface.
     """
     bare = VertexDecoration(surface.genus, surface.marked_points)
-    level = [(None, MulticurveGraph((bare,), ()), ((0,),), {})]
+    level = [(None, MulticurveGraph((bare,), ()), ((0,),))]
     levels, steps = [], []
     for _ in range(top):
         seen: dict[str, CanonicalForm] = {}
         reached: dict[str, dict] = defaultdict(dict)
         for face in level:
-            _label, graph, vertex_perms, _slots = face
+            _label, graph, vertex_perms = face
             for v in range(len(graph.vertices)):
                 if any(tau[v] < v for tau in vertex_perms):
                     continue
@@ -144,11 +143,7 @@ def _orbit_levels(
                     )
         levels.append(seen)
         steps.append(reached)
-        level = [
-            (cf.label, cf.graph, {tau for tau, _eperm in cf.automorphism_pairs},
-             edge_slots(cf.graph.edges))
-            for cf in seen.values()
-        ]
+        level = [(cf.label, cf.graph, cf.vertex_symmetries) for cf in seen.values()]
     return levels, steps
 
 
@@ -229,15 +224,21 @@ class QuotientComplex:
         if cached is not None:
             return cached
         k = self.orbit(orbit_id).n_edges
+        # Deleting edge e: where its face map sends each surviving edge,
+        # and the face's own table.  A single curve has no proper face.
+        down = [] if k == 1 else [
+            (dict(fm.edge_injection), self.subfaces(fm.target))
+            for fm in (self._face_at[(orbit_id, e)] for e in range(k))
+        ]
         table = {}
         for size in range(1, k):
             for keep in combinations(range(k), size):
-                spare = next(e for e in range(k) if e not in keep)
-                fm = self._face_at[(orbit_id, spare)]
-                inj = dict(fm.edge_injection)
+                # keep is sorted, so its lowest missing edge is the first
+                # position that does not hold its own index.
+                inj, faces = down[next((e for e, f in enumerate(keep) if e != f), size)]
                 host_of = {inj[f]: f for f in keep}
-                fid, iota = self.subfaces(fm.target)[frozenset(host_of)]
-                table[frozenset(keep)] = (fid, tuple(host_of[c] for c in iota))
+                fid, iota = faces[frozenset(host_of)]
+                table[frozenset(keep)] = (fid, tuple(map(host_of.__getitem__, iota)))
         table[frozenset(range(k))] = (orbit_id, tuple(range(k)))
         chart = self._chart_cache[orbit_id] = {}
         for fid, iota in table.values():
@@ -276,7 +277,7 @@ class QuotientComplex:
             return cached
         auts = self.orbit(face_id).automorphisms
         result = tuple(sorted({
-            tuple(iota[c] for c in a)
+            tuple(map(iota.__getitem__, a))
             for iota in self._chart(host_id).get(face_id, ())
             for a in auts
         }))
@@ -322,8 +323,8 @@ class QuotientComplex:
             rows = []
             for t in self.transits(target_id, source_id):
                 fid, iota = faces[frozenset(t.into_source)]
-                at = {e: c for c, e in enumerate(t.into_source)}
-                rows.append((fid, tuple(t.into_target[at[e]] for e in iota), iota))
+                to_target = dict(zip(t.into_source, t.into_target))
+                rows.append((fid, tuple(map(to_target.__getitem__, iota)), iota))
             result = tuple(Transit(*row) for row in sorted(rows))
         else:
             result = self._direct_transits(source_id, target_id)
@@ -333,19 +334,24 @@ class QuotientComplex:
     def _direct_transits(self, source_id: str, target_id: str) -> tuple[Transit, ...]:
         """The transit table from ``source_id`` to ``target_id``, built
         from the target's faces and their embeddings into the source."""
-        # Candidates: each face in the target's chart, with every injection
-        # into the target and every embedding (twists included) into the
-        # source, and its set of (source edge, target edge) pairs as a bit
-        # mask, pair (s, t) at bit s * width + t.
-        width = self.orbit(target_id).n_edges
+        # Candidates: each face of the target's chart that the source's
+        # chart also holds, in the target chart's order, with every
+        # injection into the target and every embedding (twists included)
+        # into the source, and its set of (source edge, target edge)
+        # pairs as a bit mask, pair (s, t) at bit t * width + s; each
+        # target injection's bits are shifted once.
+        width = self.orbit(source_id).n_edges
+        in_source = self._chart(source_id)
         candidates = []
         for fid, iotas_t in self._chart(target_id).items():
-            for into_s in self.embeddings(fid, source_id):
-                rows = [1 << (s * width) for s in into_s]
-                candidates += (
-                    (fid, into_s, iota_t, sum(map(lshift, rows, iota_t))) for iota_t in iotas_t
-                )
-        candidates.sort()
+            if fid not in in_source:
+                continue
+            embs = self.embeddings(fid, source_id)
+            for iota_t in iotas_t:
+                row = [1 << (t * width) for t in iota_t]
+                candidates += [
+                    (fid, into_s, iota_t, sum(map(lshift, row, into_s))) for into_s in embs
+                ]
 
         # A candidate is dominated, and dropped, when its pair set lies
         # strictly inside a larger candidate's.  Every nonempty subset of
@@ -363,8 +369,9 @@ class QuotientComplex:
                 rest ^= low
         return tuple(
             Transit(fid, into_s, into_t)
-            for fid, into_s, into_t, mask in candidates
-            if mask not in short
+            for fid, into_s, into_t, _mask in sorted(
+                cand for cand in candidates if cand[3] not in short
+            )
         )
 
     # -- invariants -----------------------------------------------------------
@@ -455,7 +462,7 @@ def _face_maps(orbit: SimplexOrbit, pairs, reached: dict, face_ids: dict) -> lis
             raise InvalidMulticurve(
                 f"face of {orbit.id} (delete {e}) missing from enumeration"
             )
-        tau, ((face_label, face, face_taus, slots), bigger, vertex_order) = via[e]
+        tau, ((face_label, face, face_taus), bigger, vertex_order) = via[e]
         to_g = deletion_vertex_map(rep, e)
         to_f = deletion_vertex_map(bigger, k - 1)
         sigma0 = [0] * len(face.vertices)
@@ -463,7 +470,7 @@ def _face_maps(orbit: SimplexOrbit, pairs, reached: dict, face_ids: dict) -> lis
             sigma0[to_g[tau[y]]] = to_f[x]
         sigma = min(tuple(t[g] for g in sigma0) for t in face_taus)
         kept = [s for s in range(k) if s != e]
-        into = slot_order([rep.edges[s] for s in kept], [sigma[g] for g in to_g], slots)
+        into = slot_order([rep.edges[s] for s in kept], [sigma[g] for g in to_g])
         out.append(FaceMap(orbit.id, e, face_ids[face_label], tuple(zip(kept, into))))
     return out
 

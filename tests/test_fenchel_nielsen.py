@@ -223,6 +223,30 @@ def test_dict_matching_lacking_a_key_rejected(s12):
     assert sup_product_distance(P, Q, {0: 1, 1: 0}) == sup_product_distance(P, Q, (1, 0))
 
 
+def test_dict_matching_with_a_stray_key_rejected(s12):
+    # A key that is no edge of P used to be ignored: this read 0.5.
+    nn = orbit_by_structure(s12, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
+    P = _planes_from(nn.id, (1.0, 4.0))
+    Q = _planes_from(nn.id, (2.0, 2.0))
+    for matching in ({0: 1, 1: 0, 7: 3}, {0: 1, 1: 0, -1: 0}):
+        with pytest.raises(OrbitMismatchError, match="not edges of"):
+            sup_product_distance(P, Q, matching)
+        with pytest.raises(OrbitMismatchError, match="not edges of"):
+            partial_sup_distance(P, Q, [0], matching)
+
+
+def test_partial_sup_without_matching_needs_shared_edges_of_q(s12):
+    # P has two curves and Q one; with the identity matching, edge 1 of P
+    # has no counterpart in Q and used to raise a bare IndexError.
+    nn = orbit_by_structure(s12, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
+    loop = orbit_by_structure(s12, [(0, 2)], [(0, 0)])
+    P = _planes_from(nn.id, (1.0, 4.0))
+    Q = _planes_from(loop.id, (2.0,))
+    with pytest.raises(OrbitMismatchError, match=f"not all edges of {loop.id}"):
+        partial_sup_distance(P, Q, [1])
+    assert partial_sup_distance(P, Q, [0]) == half_plane_distance(P.planes[0], Q.planes[0])
+
+
 def test_partial_sup_monotone(s12):
     nn = orbit_by_structure(s12, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
     rng = np.random.default_rng(13)

@@ -5,6 +5,7 @@ from itertools import combinations
 
 import pytest
 
+import curvecone.multicurves as multicurves
 import curvecone.quotient as quotient
 from conftest import complex_for, orbit_by_structure
 from curvecone import (
@@ -462,6 +463,41 @@ def test_build_canonicalizes_once_per_closure_step(monkeypatch, genus, marked, c
     monkeypatch.setattr(quotient, "canonicalize", counting)
     build_complex(Surface(genus, marked))
     assert count == calls
+
+
+@pytest.mark.parametrize(
+    "genus,marked,groups", [(0, 8, 31), (2, 2, 59), (1, 5, 75)]
+)
+def test_build_computes_one_symmetry_group_per_orbit(monkeypatch, genus, marked, groups):
+    # canonicalize only finds the numberings; the symmetry group is
+    # derived once, for the first form of each label the closure keeps.
+    count = 0
+    real = multicurves._automorphism_pairs
+
+    def counting(*args):
+        nonlocal count
+        count += 1
+        return real(*args)
+
+    monkeypatch.setattr(multicurves, "_automorphism_pairs", counting)
+    cx = build_complex(Surface(genus, marked))
+    assert count == groups == len(cx.orbits)
+
+
+@pytest.mark.parametrize("genus,marked", FACE_MAP_SURFACES)
+def test_orbit_symmetries_match_fresh_canonical_forms(genus, marked):
+    # The closure keeps the first form of each label, canonicalized from
+    # whichever graph reached it first; its symmetries must be those of
+    # the representative canonicalized afresh.
+    surface = Surface(genus, marked)
+    levels, _steps = quotient._orbit_levels(surface, surface.complexity)
+    by_id = {o.id: o for o in build_complex(surface).orbits}
+    for level in levels:
+        for cf in level.values():
+            fresh = canonicalize(cf.graph)
+            assert cf.automorphism_pairs == fresh.automorphism_pairs
+            assert cf.automorphisms == fresh.automorphisms
+            assert by_id[orbit_from_canonical(cf).id].automorphisms == fresh.automorphisms
 
 
 def test_genus3_closed_builds():
