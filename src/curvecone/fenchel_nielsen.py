@@ -12,14 +12,10 @@ metric on the product, the map is an exact isometry on every orthant.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass
 
 from .metric import ConePoint, OrbitMismatchError
-
-SCHEMA_FN = "curvecone/fn-point/1"
-SCHEMA_PRODUCT = "curvecone/product-point/1"
 
 # Rounding allowed below 0 in arccosh(1 + u): u is a squared distance over
 # 2 y y', so only a point off the half-plane goes further below.
@@ -52,17 +48,6 @@ class FenchelNielsenPoint:
         if any(not length > 0 for length in self.lengths):
             raise ValueError("hyperbolic lengths must be positive")
 
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_FN,
-            "orbit": self.orbit_id,
-            "lengths": {str(i): v for i, v in enumerate(self.lengths)},
-            "twists": {str(i): v for i, v in enumerate(self.twists)},
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
 
 @dataclass(frozen=True)
 class HalfPlanePoint:
@@ -82,16 +67,6 @@ class ProductPoint:
 
     orbit_id: str
     planes: tuple[HalfPlanePoint, ...]
-
-    def to_dict(self) -> dict:
-        return {
-            "schema_version": SCHEMA_PRODUCT,
-            "orbit": self.orbit_id,
-            "planes": {str(i): [p.x, p.y] for i, p in enumerate(self.planes)},
-        }
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
 
 
 def length_coords(xvec, cfg: ModelConfig) -> tuple[float, ...]:
@@ -127,11 +102,8 @@ def extensions(p: ConePoint, cfg: ModelConfig):
 def to_fenchel_nielsen(p: ConePoint, cfg: ModelConfig = ModelConfig()) -> FenchelNielsenPoint:
     """Fenchel-Nielsen image of a cone point: lengths ``epsilon0 e^{-x}``,
     twists zero.  Points supported below the top dimension are extended by
-    zero coordinates into the least maximal orbit containing them."""
-    if not p.is_apex and p.orbit_id in p.complex.maximal_ids:
-        return FenchelNielsenPoint(
-            p.orbit_id, length_coords(p.coords, cfg), (0.0,) * len(p.coords)
-        )
+    zero coordinates into the least maximal orbit containing them; a top
+    orbit's first extension is its identity embedding into itself."""
     exts = extensions(p, cfg)
     if not exts:
         raise ValueError(f"orbit {p.orbit_id} extends to no pants decomposition")

@@ -570,28 +570,21 @@ def dropped_edges(result: GeodesicResult, p: ConePoint, q: ConePoint):
     """
     gal = result.gallery
 
-    def thread(embedding, coords, transits, into_first, into_second):
+    def thread(embedding, coords, steps):
+        # steps: one {edge before: edge after} map per transit crossed.
         dropped = []
         for c, x in enumerate(coords):
             e = embedding[c]
-            alive = True
-            for t in transits:
-                src = getattr(t, into_first)
-                if e in src:
-                    e = getattr(t, into_second)[src.index(e)]
-                else:
-                    alive = False
+            for step in steps:
+                e = step.get(e)
+                if e is None:
+                    dropped.append((c, x))
                     break
-            if not alive:
-                dropped.append((c, x))
         return dropped
 
-    fwd = thread(gal.start_embedding, p.coords, gal.transits, "into_source", "into_target")
-    bwd = thread(
-        gal.end_embedding,
-        q.coords,
-        tuple(reversed(gal.transits)),
-        "into_target",
-        "into_source",
+    forward = [dict(zip(t.into_source, t.into_target)) for t in gal.transits]
+    backward = [dict(zip(t.into_target, t.into_source)) for t in reversed(gal.transits)]
+    return (
+        thread(gal.start_embedding, p.coords, forward),
+        thread(gal.end_embedding, q.coords, backward),
     )
-    return fwd, bwd

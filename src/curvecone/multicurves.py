@@ -110,14 +110,20 @@ class MulticurveGraph:
         return Surface(self.genus, self.marked_points)
 
     def is_connected(self) -> bool:
+        """Whether every vertex is reached from vertex 0: each pass over
+        the edges adds the far end of every edge with one end reached,
+        until a pass adds nothing."""
         if not self.vertices:
             return False
-        comp = list(range(len(self.vertices)))
-        for u, w in self.edges:
-            cu, cw = comp[u], comp[w]
-            if cu != cw:
-                comp = [cu if c == cw else c for c in comp]
-        return len(set(comp)) == 1
+        reached, size = {0}, 0
+        while size != len(reached):
+            size = len(reached)
+            for u, w in self.edges:
+                if u in reached:
+                    reached.add(w)
+                elif w in reached:
+                    reached.add(u)
+        return size == len(self.vertices)
 
     def validate(self) -> None:
         """Raise :class:`InvalidMulticurve` with a diagnostic on any violation."""
@@ -138,18 +144,15 @@ class MulticurveGraph:
             loops[u] += u == w
         if not self.is_connected():
             raise InvalidMulticurve("cut graph must be connected")
-        betti = self.betti
-        if betti < 0:
+        if self.betti < 0:
             raise InvalidMulticurve("more components than edges allow")
-        genus, marked = betti, 0
         for v, dec in enumerate(self.vertices):
             if not is_stable(dec, degs[v]):
                 raise InvalidMulticurve(
                     f"vertex {v} with decoration ({dec.piece_genus}, "
                     f"{dec.piece_marked}) and degree {degs[v]} is unstable"
                 )
-            genus += dec.piece_genus
-            marked += dec.piece_marked
+        genus, marked = self.genus, self.marked_points
         complexity = 3 * genus - 3 + marked
         if len(self.edges) > complexity:
             raise InvalidMulticurve(

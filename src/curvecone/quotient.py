@@ -1,13 +1,15 @@
 """The finite quotient complex of curve-system orbits for one surface.
 
 Every simplex orbit is stored once, as the canonical form of its cut
-graph, together with its edge-symmetry group.  Orbits are enumerated as
-the closure of the bare surface under adding one curve at a time
+graph, together with its edge-symmetry group.  One closure loop
+(:func:`build_complex`) enumerates the orbits, starting from the bare
+surface and adding one curve at a time
 (:func:`~curvecone.multicurves.add_curve`), deduplicated by canonical
-form.  Face maps, from the inverse step of deleting a curve, record
-which orbit a deletion lands on and how the surviving curves are
-re-identified there; they are read off the closure's own steps, since
-deleting the curve a step added gives back the face it started from.
+form.  The same loop makes the face maps, from the inverse step of
+deleting a curve, which record which orbit a deletion lands on and how
+the surviving curves are re-identified there: as each curve count
+closes, they are read off that level's steps, since deleting the curve
+a step added gives back the face it started from.
 The complex also exposes the derived gluing data needed by the metric
 layer: one face table per orbit, listing the face spanned by every
 nonempty curve subset (the whole system last, as the orbit itself),
@@ -98,68 +100,6 @@ def orbit_from_canonical(cf: CanonicalForm) -> SimplexOrbit:
         dim=k - 1,
         automorphisms=cf.automorphisms,
     )
-
-
-# ---------------------------------------------------------------------------
-# Orbit enumeration
-# ---------------------------------------------------------------------------
-
-
-def _orbit_levels(
-    surface: Surface, top: int
-) -> tuple[list[dict[str, CanonicalForm]], list[dict[str, dict]]]:
-    """Canonical forms of the ``k``-curve systems, keyed by label, for
-    ``k = 1 .. top``, and the closure steps that reached them.
-
-    Every curve system is one curve added to each of its faces, so level
-    ``k + 1`` is the canonical dedupe of :func:`add_curve` over level
-    ``k``, starting from the bare surface.  A curve is added in one
-    vertex per orbit of the graph's symmetries.
-
-    ``steps[k][label]`` maps each representative edge that some step onto
-    that label added to the first such step: ``(face, bigger,
-    vertex_order)``, where ``bigger`` is the graph :func:`add_curve`
-    built from the face's representative and ``vertex_order`` numbers its
-    vertices onto the representative.  ``face`` is the face's canonical
-    ``(label, graph, vertex symmetries)``, with label ``None`` for the
-    bare surface.
-    """
-    bare = VertexDecoration(surface.genus, surface.marked_points)
-    level = [(None, MulticurveGraph((bare,), ()), ((0,),))]
-    levels, steps = [], []
-    for _ in range(top):
-        seen: dict[str, CanonicalForm] = {}
-        reached: dict[str, dict] = defaultdict(dict)
-        for face in level:
-            _label, graph, vertex_perms = face
-            for v in range(len(graph.vertices)):
-                if any(tau[v] < v for tau in vertex_perms):
-                    continue
-                for bigger in add_curve(graph, v):
-                    cf = canonicalize(bigger)
-                    seen.setdefault(cf.label, cf)
-                    reached[cf.label].setdefault(
-                        cf.edge_order[-1], (face, bigger, cf.vertex_order)
-                    )
-        levels.append(seen)
-        steps.append(reached)
-        level = [(cf.label, cf.graph, cf.vertex_symmetries) for cf in seen.values()]
-    return levels, steps
-
-
-def enumerate_orbits(surface: Surface, k: int) -> list[SimplexOrbit]:
-    """All orbits of ``k``-curve systems on ``surface``.
-
-    The closure of the bare surface under :func:`add_curve`, deduplicated
-    by canonical form after each added curve.  Output is sorted by orbit
-    id.
-    """
-    if not 1 <= k <= surface.complexity:
-        raise ValueError(
-            f"curve count {k} out of range [1, {surface.complexity}] for {surface}"
-        )
-    level = _orbit_levels(surface, k)[0][-1]
-    return sorted(map(orbit_from_canonical, level.values()), key=lambda o: o.id)
 
 
 # ---------------------------------------------------------------------------
@@ -405,33 +345,74 @@ class QuotientComplex:
                 )
 
 
+# ---------------------------------------------------------------------------
+# Orbit enumeration
+# ---------------------------------------------------------------------------
+
+
 def build_complex(surface: Surface) -> QuotientComplex:
     """Enumerate all orbits of a surface and assemble face maps.
 
-    One closure under :func:`~curvecone.multicurves.add_curve` yields the
-    orbits for every curve count up to the pants number, and its steps
-    yield the face maps: deleting the curve a step added gives back the
-    face it started from (see :func:`_face_maps`).  Structural
-    invariants are verified before the complex is returned.
+    One closure loop builds the complex.  Every curve system is one curve
+    added to each of its faces, so the orbits of ``k + 1`` curves are the
+    canonical dedupe of :func:`~curvecone.multicurves.add_curve` over
+    those of ``k``, starting from the bare surface; a curve is added in
+    one vertex per orbit of the face's vertex symmetries.  When a level
+    closes, its orbits are made in id order, each with its face maps read
+    off the steps that reached it (deleting the curve a step added gives
+    back the face it started from, see :func:`_face_maps`), and the
+    level's steps are dropped.  Structural invariants are verified before
+    the complex is returned.
     """
-    levels, steps = _orbit_levels(surface, surface.complexity)
-    all_orbits, face_maps, face_ids = [], [], {}
-    for level, reached in zip(levels, steps):
-        by_label = {label: orbit_from_canonical(cf) for label, cf in level.items()}
-        for label in sorted(level, key=lambda label: by_label[label].id):
-            orbit = by_label[label]
-            all_orbits.append(orbit)
+    bare = VertexDecoration(surface.genus, surface.marked_points)
+    # Faces are (orbit id, canonical graph, vertex symmetries); the bare
+    # surface has no id.
+    level = [(None, MulticurveGraph((bare,), ()), ((0,),))]
+    orbits, face_maps = [], []
+    for _ in range(surface.complexity):
+        # The first form of each label, and per label the first step onto
+        # each representative edge: (face, bigger, vertex_order), where
+        # add_curve built bigger from the face's graph and vertex_order
+        # numbers bigger's vertices onto the representative.
+        seen: dict[str, CanonicalForm] = {}
+        steps: dict[str, dict] = defaultdict(dict)
+        for face in level:
+            _fid, graph, vertex_perms = face
+            for v in range(len(graph.vertices)):
+                if any(tau[v] < v for tau in vertex_perms):
+                    continue
+                for bigger in add_curve(graph, v):
+                    cf = canonicalize(bigger)
+                    seen.setdefault(cf.label, cf)
+                    steps[cf.label].setdefault(
+                        cf.edge_order[-1], (face, bigger, cf.vertex_order)
+                    )
+        made = sorted(
+            ((orbit_from_canonical(cf), cf) for cf in seen.values()),
+            key=lambda pair: pair[0].id,
+        )
+        level = []
+        for orbit, cf in made:
+            orbits.append(orbit)
             if orbit.n_edges > 1:
-                face_maps += _face_maps(
-                    orbit, level[label].automorphism_pairs, reached[label], face_ids
-                )
-        face_ids = {label: orbit.id for label, orbit in by_label.items()}
-    cx = QuotientComplex(surface, all_orbits, face_maps)
+                face_maps += _face_maps(orbit, cf.automorphism_pairs, steps[cf.label])
+            level.append((orbit.id, cf.graph, cf.vertex_symmetries))
+    cx = QuotientComplex(surface, orbits, face_maps)
     cx.check_invariants()
     return cx
 
 
-def _face_maps(orbit: SimplexOrbit, pairs, reached: dict, face_ids: dict) -> list[FaceMap]:
+def enumerate_orbits(surface: Surface, k: int) -> list[SimplexOrbit]:
+    """All orbits of ``k``-curve systems on ``surface``, sorted by orbit
+    id: the ``k``-curve level of :func:`build_complex`'s closure."""
+    if not 1 <= k <= surface.complexity:
+        raise ValueError(
+            f"curve count {k} out of range [1, {surface.complexity}] for {surface}"
+        )
+    return list(build_complex(surface).orbits_of_dim(k - 1))
+
+
+def _face_maps(orbit: SimplexOrbit, pairs, steps: dict) -> list[FaceMap]:
     """Every face map of an orbit, read off the closure steps onto it.
 
     A step added a last edge to a face's representative ``F``, giving
@@ -454,7 +435,7 @@ def _face_maps(orbit: SimplexOrbit, pairs, reached: dict, face_ids: dict) -> lis
     k = orbit.n_edges
     via = {}
     for tau, eperm in pairs:
-        for n, step in reached.items():
+        for n, step in steps.items():
             via.setdefault(eperm[n], (tau, step))
     out = []
     for e in range(k):
@@ -462,7 +443,7 @@ def _face_maps(orbit: SimplexOrbit, pairs, reached: dict, face_ids: dict) -> lis
             raise InvalidMulticurve(
                 f"face of {orbit.id} (delete {e}) missing from enumeration"
             )
-        tau, ((face_label, face, face_taus), bigger, vertex_order) = via[e]
+        tau, ((face_id, face, face_taus), bigger, vertex_order) = via[e]
         to_g = deletion_vertex_map(rep, e)
         to_f = deletion_vertex_map(bigger, k - 1)
         sigma0 = [0] * len(face.vertices)
@@ -471,7 +452,7 @@ def _face_maps(orbit: SimplexOrbit, pairs, reached: dict, face_ids: dict) -> lis
         sigma = min(tuple(t[g] for g in sigma0) for t in face_taus)
         kept = [s for s in range(k) if s != e]
         into = slot_order([rep.edges[s] for s in kept], [sigma[g] for g in to_g])
-        out.append(FaceMap(orbit.id, e, face_ids[face_label], tuple(zip(kept, into))))
+        out.append(FaceMap(orbit.id, e, face_id, tuple(zip(kept, into))))
     return out
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
-from conftest import orbit_by_structure
+from conftest import complex_for, orbit_by_structure
 from curvecone import (
     FenchelNielsenPoint,
     HalfPlanePoint,
@@ -289,6 +289,21 @@ def test_fn_image_depends_only_on_class(s12):
     q = cone_point(s12, nn.id, (1.0, 4.0))
     assert p == q
     assert to_fenchel_nielsen(p, CFG) == to_fenchel_nielsen(q, CFG)
+
+
+@pytest.mark.parametrize("genus,marked", [(1, 2), (2, 0), (0, 7)])
+def test_top_orbit_image_is_its_own_lengths(genus, marked):
+    # A top orbit's first extension is its identity embedding, so its
+    # image reads its own coordinates, bit for bit.
+    cx = complex_for(genus, marked)
+    rng = np.random.default_rng(4)
+    for mid in cx.maximal_ids:
+        k = cx.orbit(mid).n_edges
+        for _ in range(10):
+            p = cone_point(cx, mid, tuple(rng.uniform(0.25, 8.0, size=k)))
+            assert p.orbit_id == mid
+            expected = FenchelNielsenPoint(mid, length_coords(p.coords, CFG), (0.0,) * k)
+            assert to_fenchel_nielsen(p, CFG) == expected
 
 
 def test_config_validation():

@@ -17,6 +17,7 @@ from curvecone import (
     delete_curve,
     is_stable,
 )
+from graph_oracle import _connected
 
 D = VertexDecoration
 
@@ -65,6 +66,23 @@ def test_validate_rejects_disconnected():
     g = graph([(0, 2), (0, 2), (1, 0)], [(0, 1), (2, 2)])
     with pytest.raises(InvalidMulticurve, match="connected"):
         g.validate()
+
+
+def test_is_connected_matches_oracle():
+    # Random multigraphs, loops, isolated vertices and disconnected ones
+    # included, against the oracle's depth-first search.
+    rng = random.Random(5)
+    answers = set()
+    for _ in range(600):
+        nv = rng.randint(1, 7)
+        edges = [
+            tuple(sorted((rng.randrange(nv), rng.randrange(nv))))
+            for _ in range(rng.randint(0, 9))
+        ]
+        expected = _connected(nv, edges)
+        assert graph([(0, 0)] * nv, edges).is_connected() == expected
+        answers.add(expected)
+    assert answers == {True, False}
 
 
 def test_validate_rejects_unstable_vertex():
