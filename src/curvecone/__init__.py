@@ -56,7 +56,6 @@ from .quotient import (
     complex_from_json,
     complex_to_dot,
     complex_to_json,
-    enumerate_orbits,
 )
 from .surfaces import Surface, UnsupportedSurfaceError
 from .verify import RunReport, SuiteResult, run_verification
@@ -112,7 +111,6 @@ __all__ = [
     "delete_curve",
     "distance",
     "dropped_edges",
-    "enumerate_orbits",
     "extensions",
     "half_plane_distance",
     "is_stable",

@@ -79,8 +79,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def _summary_lines(cx) -> list[str]:
     counts = cx.orbit_counts()
-    plural = lambda n: "orbit" if n == 1 else "orbits"  # noqa: E731
-    return [f"dim {d}: {counts[d]} {plural(counts[d])}" for d in sorted(counts)]
+    return [f"dim {d}: {counts[d]} orbit{'' if counts[d] == 1 else 's'}" for d in sorted(counts)]
 
 
 def _write(path: str, text: str) -> None:

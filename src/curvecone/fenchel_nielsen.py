@@ -13,7 +13,9 @@ metric on the product, the map is an exact isometry on every orthant.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
+from numbers import Real
 
 from .metric import ConePoint, OrbitMismatchError
 
@@ -30,8 +32,8 @@ class ModelConfig:
     epsilon0: float = 0.1
 
     def __post_init__(self):
-        if not 0.0 < self.epsilon0 < 1.0:
-            raise ValueError(f"epsilon0 must lie in (0, 1), got {self.epsilon0}")
+        if not isinstance(self.epsilon0, Real) or not 0.0 < self.epsilon0 < 1.0:
+            raise ValueError(f"epsilon0 must be a number in (0, 1), got {self.epsilon0!r}")
 
 
 @dataclass(frozen=True)
@@ -153,21 +155,19 @@ def _resolve_matching(P: ProductPoint, Q: ProductPoint, matching):
                 "matching required between different orbit types"
             )
         return tuple(range(len(P.planes)))
-    if isinstance(matching, dict):
-        extra = [key for key in matching if key not in range(len(P.planes))]
-        if extra:
-            raise OrbitMismatchError(f"matching keys {extra} are not edges of {P.orbit_id}")
-        # A missing key reads as -1, which no bijection contains.
-        matching = tuple(matching.get(i, -1) for i in range(len(P.planes)))
-    else:
-        matching = tuple(matching)
+    # A mapping or a set would be read as its keys, in no fixed order.
+    if not isinstance(matching, Sequence):
+        raise OrbitMismatchError(f"matching must be a sequence, got {type(matching).__name__}")
+    matching = tuple(matching)
     if len(matching) != len(P.planes) or sorted(matching) != list(range(len(Q.planes))):
         raise OrbitMismatchError(f"matching {matching} is not a bijection")
     return matching
 
 
 def sup_product_distance(P: ProductPoint, Q: ProductPoint, matching=None) -> float:
-    """Sup of the half-plane distances over matched curves."""
+    """Sup of the half-plane distances over matched curves: ``matching[i]``
+    is the curve of ``Q`` matched with curve ``i`` of ``P``.  A matching
+    that is no sequence or no bijection raises :class:`OrbitMismatchError`."""
     m = _resolve_matching(P, Q, matching)
     return max(
         half_plane_distance(P.planes[i], Q.planes[m[i]]) for i in range(len(m))

@@ -218,7 +218,6 @@ def brute_force_distance(
     if box is None:
         box = max(top, mesh)
         box = mesh * int(np.ceil(box / mesh - _BOX_RATIO_TOL))
-        box = max(box, mesh)
     if top > box + _BOX_FIT_TOL:
         raise ValueError(f"box {box} too small for coordinates up to {top}")
     oracle = GridOracle(p.complex, mesh, box)

@@ -35,6 +35,7 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
+from numbers import Number
 
 from .lp import solve_lp
 from .quotient import QuotientComplex, SimplexOrbit, Transit
@@ -103,8 +104,10 @@ class ConePoint:
 
 
 def _coord(value) -> float:
-    # float() also takes numeric strings and bools, which are no coordinates.
-    if not isinstance(value, (str, bytes, bool)):
+    # float() also takes numeric strings, bools and numpy.bool_ (no Number),
+    # which are no coordinates.  float and int are tested before the slower
+    # Number ABC.
+    if type(value) is not bool and isinstance(value, (float, int, Number)):
         try:
             return float(value)
         except TypeError:
@@ -172,6 +175,8 @@ def point_from_dict(cx: QuotientComplex, payload: dict) -> ConePoint:
         raise ValueError(f"a point must be an object, got {type(payload).__name__}")
     if payload.get("schema_version") != SCHEMA_POINT:
         raise ValueError(f"unsupported point schema {payload.get('schema_version')!r}")
+    if "orbit" not in payload:
+        raise ValueError("point payload lacks 'orbit'")
     orbit_id = payload["orbit"]
     if orbit_id is not None and not isinstance(orbit_id, str):
         raise ValueError(f"point orbit must be a string or null, got {orbit_id!r}")

@@ -87,10 +87,6 @@ class Transit:
     into_source: tuple[int, ...]
     into_target: tuple[int, ...]
 
-    @property
-    def is_apex(self) -> bool:
-        return not self.into_source
-
 
 def orbit_from_canonical(cf: CanonicalForm) -> SimplexOrbit:
     k = len(cf.graph.edges)
@@ -402,16 +398,6 @@ def build_complex(surface: Surface) -> QuotientComplex:
     return cx
 
 
-def enumerate_orbits(surface: Surface, k: int) -> list[SimplexOrbit]:
-    """All orbits of ``k``-curve systems on ``surface``, sorted by orbit
-    id: the ``k``-curve level of :func:`build_complex`'s closure."""
-    if not 1 <= k <= surface.complexity:
-        raise ValueError(
-            f"curve count {k} out of range [1, {surface.complexity}] for {surface}"
-        )
-    return list(build_complex(surface).orbits_of_dim(k - 1))
-
-
 def _face_maps(orbit: SimplexOrbit, pairs, steps: dict) -> list[FaceMap]:
     """Every face map of an orbit, read off the closure steps onto it.
 
@@ -520,6 +506,9 @@ def complex_from_dict(payload: dict) -> QuotientComplex:
         raise ValueError(
             f"unsupported complex schema {payload.get('schema_version')!r}"
         )
+    for key in ("surface", "orbits"):
+        if key not in payload:
+            raise ValueError(f"complex payload lacks {key!r}")
     surface, orbits = payload["surface"], payload["orbits"]
     if not isinstance(surface, dict):
         raise ValueError(f"complex surface must be an object, got {surface!r}")

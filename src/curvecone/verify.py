@@ -78,20 +78,18 @@ class RunReport:
     def passed(self) -> bool:
         return all(r.passed for r in self.results)
 
-    def to_dict(self, include_timings: bool = True) -> dict:
-        payload = {
+    def to_dict(self) -> dict:
+        return {
             "schema_version": SCHEMA_REPORT,
             "command": self.command,
             "config": self.config,
             "results": [r.to_dict() for r in self.results],
             "passed": self.passed,
+            "timings": self.timings,
         }
-        if include_timings:
-            payload["timings"] = self.timings
-        return payload
 
-    def to_json(self, include_timings: bool = True) -> str:
-        return json.dumps(self.to_dict(include_timings), indent=2, sort_keys=True)
+    def to_json(self) -> str:
+        return json.dumps(self.to_dict(), indent=2, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -99,11 +97,11 @@ class RunReport:
 # ---------------------------------------------------------------------------
 
 
-def _random_point(cx, rng, lo=0.25, hi=8.0, orbit_ids=None):
+def _random_point(cx, rng, orbit_ids=None):
     ids = list(orbit_ids) if orbit_ids is not None else [o.id for o in cx.orbits]
     oid = ids[int(rng.integers(len(ids)))]
     k = cx.orbit(oid).n_edges
-    coords = rng.uniform(lo, hi, size=k)
+    coords = rng.uniform(0.25, 8.0, size=k)
     return cone_point(cx, oid, coords)
 
 
@@ -378,9 +376,10 @@ def run_verification(
     all of them, so a fine mesh on a large complex makes it the slowest
     suite.  Sample counts are scaled down for the heavier suites.
     ``seed`` and ``samples`` must be integers (``surfaces.as_integer``),
-    ``seed >= 0`` and ``samples >= 1``, and a mesh must fit the grid
-    (``gridgraph.grid_units``); anything else raises ``ValueError``
-    before any suite runs.
+    ``seed >= 0`` and ``samples >= 1``, ``epsilon0`` a real number in
+    (0, 1) (:class:`~curvecone.fenchel_nielsen.ModelConfig`), and a mesh
+    must fit the grid (``gridgraph.grid_units``); anything else raises
+    ``ValueError`` before any suite runs.
     """
     seed, samples = as_integer(seed, "seed"), as_integer(samples, "samples")
     if seed < 0 or samples < 1:

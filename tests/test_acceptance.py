@@ -18,7 +18,6 @@ from curvecone import (
     build_complex,
     cone_point,
     distance,
-    enumerate_orbits,
     extensions,
     length_coords,
     orthant_distance,
@@ -99,7 +98,7 @@ def test_criterion_3_enumeration_vs_oracle():
     rows = []
     ok = True
     for g, n, k in cases:
-        mine = len(enumerate_orbits(Surface(g, n), k))
+        mine = len(complex_for(g, n).orbits_of_dim(k - 1))
         ref = count_classes(g, n, k)
         rows.append(f"S_{g},{n} k={k}: {mine} vs oracle {ref}")
         ok = ok and mine == ref

@@ -81,11 +81,22 @@ def test_coordinate_validation(s12):
     # Two keys naming one edge would let the last one win silently.
     with pytest.raises(OrbitMismatchError, match="edge 0"):
         cone_point(s12, nn.id, {"0": 1.0, "00": 2.0})
-    for bad in (5, (None, 2.0), (True, 2.0), "12", {"0": "1.0"}, {"x": 1.0}):
+    # float() reads numpy.True_ as 1.0, as it reads True.
+    for bad in (5, (None, 2.0), (True, 2.0), (np.True_, 2.0), {"0": np.False_}, "12",
+                {"0": "1.0"}, {"x": 1.0}):
         with pytest.raises(ValueError):
             cone_point(s12, nn.id, bad)
+    assert cone_point(s12, nn.id, (np.float32(1.5), np.int64(2))).coords == (1.5, 2.0)
     with pytest.raises(ValueError):
         cone_point(s12, None, 5)
+
+
+def test_point_from_dict_names_a_missing_orbit(s12):
+    from curvecone import point_from_dict
+    from curvecone.metric import SCHEMA_POINT
+
+    with pytest.raises(ValueError, match="lacks 'orbit'"):
+        point_from_dict(s12, {"schema_version": SCHEMA_POINT, "coords": [1.0, 2.0]})
 
 
 def test_point_json_roundtrip(s12):

@@ -15,7 +15,6 @@ from curvecone import (
     complex_from_json,
     complex_to_dot,
     complex_to_json,
-    enumerate_orbits,
 )
 from curvecone.multicurves import canonicalize, delete_curve
 from curvecone.quotient import FaceMap, QuotientComplex, orbit_from_canonical
@@ -27,7 +26,7 @@ from test_acceptance import SUPPORTED
 
 
 def test_s12_vertex_orbits():
-    orbits = enumerate_orbits(Surface(1, 2), 1)
+    orbits = complex_for(1, 2).orbits_of_dim(0)
     assert len(orbits) == 2
     shapes = sorted(
         (len(o.graph.vertices), o.graph.edges) for o in orbits
@@ -37,7 +36,7 @@ def test_s12_vertex_orbits():
 
 
 def test_s12_edge_orbits():
-    orbits = enumerate_orbits(Surface(1, 2), 2)
+    orbits = complex_for(1, 2).orbits_of_dim(1)
     assert len(orbits) == 2
     by_size = {len(o.graph.vertices): o for o in orbits}
     # Parallel pair = nonseparating/nonseparating, loop+bridge = sep/nonsep.
@@ -45,7 +44,7 @@ def test_s12_edge_orbits():
 
 
 def test_s2_pants_types():
-    orbits = enumerate_orbits(Surface(2, 0), 3)
+    orbits = complex_for(2, 0).orbits_of_dim(2)
     assert len(orbits) == 2
     edge_sets = sorted(o.graph.edges for o in orbits)
     assert edge_sets == [
@@ -55,19 +54,12 @@ def test_s2_pants_types():
 
 
 def test_s04_single_type():
-    orbits = enumerate_orbits(Surface(0, 4), 1)
+    orbits = complex_for(0, 4).orbits_of_dim(0)
     assert len(orbits) == 1
     (o,) = orbits
     assert tuple(
         (d.piece_genus, d.piece_marked) for d in o.graph.vertices
     ) == ((0, 2), (0, 2))
-
-
-def test_k_out_of_range():
-    with pytest.raises(ValueError):
-        enumerate_orbits(Surface(1, 2), 3)
-    with pytest.raises(ValueError):
-        enumerate_orbits(Surface(1, 2), 0)
 
 
 @pytest.mark.parametrize(
@@ -88,7 +80,7 @@ def test_k_out_of_range():
 )
 def test_counts_match_bruteforce_oracle(genus, marked, k):
     expected = count_classes(genus, marked, k)
-    got = len(enumerate_orbits(Surface(genus, marked), k))
+    got = len(complex_for(genus, marked).orbits_of_dim(k - 1))
     assert got == expected
 
 

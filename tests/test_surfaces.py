@@ -57,3 +57,12 @@ def test_complex_from_dict_rejects_bad_surface_fields(surface):
     payload = {"schema_version": SCHEMA_COMPLEX, "surface": surface, "orbits": []}
     with pytest.raises(ValueError):
         complex_from_dict(payload)
+
+
+@pytest.mark.parametrize("key", ["surface", "orbits"])
+def test_complex_from_dict_names_a_missing_key(key):
+    payload = {"schema_version": SCHEMA_COMPLEX, "surface": {"genus": 1, "marked_points": 2},
+               "orbits": []}
+    del payload[key]
+    with pytest.raises(ValueError, match=f"lacks '{key}'"):
+        complex_from_dict(payload)

@@ -91,15 +91,32 @@ def test_run_verification_checks_mesh_before_any_suite(s12, monkeypatch):
         run_verification(s12, mesh=0.3)
 
 
+def test_run_verification_checks_epsilon0_before_any_suite(s12, monkeypatch):
+    # A string used to raise TypeError from the range comparison.
+    def no_suite(*args, **kwargs):
+        raise AssertionError("a suite ran before epsilon0 was checked")
+
+    monkeypatch.setattr("curvecone.verify.distance", no_suite)
+    for bad in ("0.1", None, 1.5):
+        with pytest.raises(ValueError, match="epsilon0 must be a number"):
+            run_verification(s12, epsilon0=bad)
+
+
+def _untimed(report) -> dict:
+    payload = report.to_dict()
+    payload.pop("timings")
+    return payload
+
+
 def test_run_verification_takes_numpy_integers(s11):
     report = run_verification(s11, seed=np.int64(3), samples=np.int32(20))
-    assert report.to_json(False) == run_verification(s11, seed=3, samples=20).to_json(False)
+    assert _untimed(report) == _untimed(run_verification(s11, seed=3, samples=20))
 
 
 def test_report_reproducible_modulo_timings(s12):
     a = run_verification(s12, seed=7, samples=15)
     b = run_verification(s12, seed=7, samples=15)
-    assert a.to_json(include_timings=False) == b.to_json(include_timings=False)
+    assert _untimed(a) == _untimed(b)
     c = run_verification(s12, seed=8, samples=15)
     assert c.passed
 
@@ -237,6 +254,27 @@ def test_cli_dist_malformed_input(case, tmp_path, s12, capsys):
     assert main(["dist", *map(str, files)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("curvecone: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "which, key", [("complex", "surface"), ("complex", "orbits"), ("point", "orbit")]
+)
+def test_cli_dist_names_a_missing_key(which, key, tmp_path, s12, capsys):
+    # A missing key used to surface as a bare KeyError: "error: 'surface'".
+    from curvecone import cone_point
+
+    cx_file = tmp_path / "cx.json"
+    main(["complex", "-g", "1", "-n", "2", "--out", str(cx_file)])
+    point_file = tmp_path / "p.json"
+    point_file.write_text(cone_point(s12, s12.maximal_ids[0], (1.0, 2.0)).to_json())
+    target = cx_file if which == "complex" else point_file
+    payload = json.loads(target.read_text())
+    del payload[key]
+    target.write_text(json.dumps(payload))
+    capsys.readouterr()
+    assert main(["dist", str(cx_file), str(point_file), str(point_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("curvecone: error:") and f"lacks '{key}'" in err
 
 
 def test_cli_verify_passes(tmp_path, capsys):
