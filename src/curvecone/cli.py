@@ -82,35 +82,29 @@ def _summary_lines(cx) -> list[str]:
     return [f"dim {d}: {counts[d]} orbit{'' if counts[d] == 1 else 's'}" for d in sorted(counts)]
 
 
-def _write(path: str, text: str) -> None:
+def _emit(text: str, out: str | None) -> None:
+    """Write ``text`` to stdout (``out`` None or '-') or to the file
+    ``out``, ending it with one newline if it has none."""
+    text = text if text.endswith("\n") else text + "\n"
+    if out in (None, "-"):
+        sys.stdout.write(text)
+        return
     with _reading_input():
-        handle = open(path, "w")
+        handle = open(out, "w")
     with handle:
-        handle.write(text if text.endswith("\n") else text + "\n")
+        handle.write(text)
 
 
 def _cmd_complex(args) -> int:
     with _reading_input():
         surface = Surface(args.genus, args.marked)
     cx = build_complex(surface)
-    payload = complex_to_json(cx) if args.format == "json" else complex_to_dot(cx)
-    summary = "\n".join(_summary_lines(cx))
-    if args.out is None:
-        print(summary)
-    elif args.out == "-":
-        print(summary, file=sys.stderr)
-        sys.stdout.write(payload if payload.endswith("\n") else payload + "\n")
-    else:
-        _write(args.out, payload)
-        print(summary)
+    if args.out is not None:
+        payload = complex_to_json(cx) if args.format == "json" else complex_to_dot(cx)
+        _emit(payload, args.out)
+    # The summary moves to stderr when the payload takes stdout.
+    print("\n".join(_summary_lines(cx)), file=sys.stderr if args.out == "-" else sys.stdout)
     return 0
-
-
-def _emit(text: str, out: str | None) -> None:
-    if out in (None, "-"):
-        sys.stdout.write(text + "\n")
-    else:
-        _write(out, text)
 
 
 def _cmd_dist(args) -> int:

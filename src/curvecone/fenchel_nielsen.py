@@ -18,6 +18,7 @@ from dataclasses import dataclass
 from numbers import Real
 
 from .metric import ConePoint, OrbitMismatchError
+from .surfaces import as_integer
 
 # Rounding allowed below 0 in arccosh(1 + u): u is a squared distance over
 # 2 y y', so only a point off the half-plane goes further below.
@@ -80,17 +81,15 @@ def extensions(p: ConePoint, cfg: ModelConfig):
     """All Fenchel-Nielsen images of a point, one per way of extending its
     support to a pants decomposition type.  The images agree on the
     supported curves and assign exactly ``epsilon0`` to the rest, so the
-    choice never matters; it is exposed for verification."""
+    choice never matters; it is exposed for verification.  The apex is
+    the empty curve system, embedded by ``()`` into every top orbit."""
     cx = p.complex
-    out = []
     if p.is_apex:
-        for mid in cx.maximal_ids:
-            k = cx.orbit(mid).n_edges
-            out.append(
-                (mid, (), FenchelNielsenPoint(mid, length_coords([0.0] * k, cfg), (0.0,) * k))
-            )
-        return tuple(out)
-    for mid, emb in cx.maximal_embeddings(p.orbit_id):
+        embeddings = [(mid, ()) for mid in cx.maximal_ids]
+    else:
+        embeddings = cx.maximal_embeddings(p.orbit_id)
+    out = []
+    for mid, emb in embeddings:
         k = cx.orbit(mid).n_edges
         xfull = [0.0] * k
         for c, e in enumerate(emb):
@@ -158,7 +157,7 @@ def _resolve_matching(P: ProductPoint, Q: ProductPoint, matching):
     # A mapping or a set would be read as its keys, in no fixed order.
     if not isinstance(matching, Sequence):
         raise OrbitMismatchError(f"matching must be a sequence, got {type(matching).__name__}")
-    matching = tuple(matching)
+    matching = tuple(as_integer(i, "matching entry", OrbitMismatchError) for i in matching)
     if len(matching) != len(P.planes) or sorted(matching) != list(range(len(Q.planes))):
         raise OrbitMismatchError(f"matching {matching} is not a bijection")
     return matching
@@ -183,7 +182,7 @@ def partial_sup_distance(P: ProductPoint, Q: ProductPoint, shared_edges, matchin
     edges outside ``P`` and a matching that is not a bijection raise
     :class:`OrbitMismatchError`; no matching means the identity, and then
     shared edges outside ``Q`` raise it too."""
-    shared = tuple(shared_edges)
+    shared = tuple(as_integer(i, "shared edge", OrbitMismatchError) for i in shared_edges)
     if not shared:
         raise ValueError("shared edge set must be nonempty")
     for X in (P, Q) if matching is None else (P,):

@@ -39,6 +39,7 @@ from numbers import Number
 
 from .lp import solve_lp
 from .quotient import QuotientComplex, SimplexOrbit, Transit
+from .surfaces import as_integer
 
 APEX_ID = "apex"
 SCHEMA_POINT = "curvecone/cone-point/1"
@@ -131,8 +132,9 @@ def _coerce_coords(orbit: SimplexOrbit, coords) -> list[float]:
         seen = set()
         for key, val in coords.items():
             try:
-                i = int(key)
-            except (TypeError, ValueError):
+                # JSON keys are strings; any other key needs an integer type.
+                i = int(key) if isinstance(key, str) else as_integer(key, "edge key")
+            except ValueError:
                 raise OrbitMismatchError(f"edge key {key!r} is not an integer") from None
             if not 0 <= i < k:
                 raise OrbitMismatchError(f"edge {key} not in orbit {orbit.id}")
@@ -147,7 +149,7 @@ def _coerce_coords(orbit: SimplexOrbit, coords) -> list[float]:
                 f"{len(vec)} coordinates for orbit {orbit.id} with {k} edges"
             )
     for v in vec:
-        if not (v >= 0.0) or v != v or v == float("inf"):
+        if not v >= 0.0 or v == float("inf"):
             raise ValueError(f"coordinates must be finite and nonnegative, got {vec}")
     return vec
 
@@ -175,12 +177,13 @@ def point_from_dict(cx: QuotientComplex, payload: dict) -> ConePoint:
         raise ValueError(f"a point must be an object, got {type(payload).__name__}")
     if payload.get("schema_version") != SCHEMA_POINT:
         raise ValueError(f"unsupported point schema {payload.get('schema_version')!r}")
-    if "orbit" not in payload:
-        raise ValueError("point payload lacks 'orbit'")
+    for key in ("orbit", "coords"):
+        if key not in payload:
+            raise ValueError(f"point payload lacks {key!r}")
     orbit_id = payload["orbit"]
     if orbit_id is not None and not isinstance(orbit_id, str):
         raise ValueError(f"point orbit must be a string or null, got {orbit_id!r}")
-    return cone_point(cx, orbit_id, payload.get("coords", {}))
+    return cone_point(cx, orbit_id, payload["coords"])
 
 
 def scale(p: ConePoint, lam: float) -> ConePoint:
@@ -539,15 +542,10 @@ def distance(p: ConePoint, q: ConePoint) -> GeodesicResult:
 def segment_lengths(result: GeodesicResult, p: ConePoint, q: ConePoint) -> tuple[float, ...]:
     """Per-segment half-sup lengths recomputed from the breakpoints; their
     sum equals the reported distance up to solver tolerance.  The apex
-    route is covered by the same arithmetic: its empty transit pads to
-    the zero vector on both sides."""
+    route and the rays from the apex are covered by the same arithmetic:
+    an empty transit or end embedding pads to the zero vector."""
     cx = p.complex
     gal = result.gallery
-    if not gal.orbit_ids:
-        return ()
-    if p.is_apex or q.is_apex:
-        other = q if p.is_apex else p
-        return (0.5 * other.max_coord,)
     lengths = []
     n_seg = len(gal.orbit_ids)
     for j in range(n_seg):

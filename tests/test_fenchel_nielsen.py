@@ -202,11 +202,14 @@ def test_partial_sup_examples(s12):
 
 @pytest.mark.parametrize(
     "shared, matching",
-    [([-1], None), ([5], None), ([0, 2], None), ([0], (0, 0)), ([0], (1,)), ([0], {0: 1})],
+    [([-1], None), ([5], None), ([0, 2], None), ([0], (0, 0)), ([0], (1,)), ([0], {0: 1}),
+     ([True], None), ([1.0], None), ([0, np.False_], (0, 1)), ([0], (True, False)),
+     ([0], (1.0, 0.0))],
 )
 def test_partial_sup_rejects_out_of_range_input(s12, shared, matching):
-    # Edge -1 used to read the last curve, edge 5 raised IndexError, and
-    # the matchings (0, 0), (1,) and {0: 1} passed unchecked.
+    # Edge -1 used to read the last curve, edge 5 raised IndexError, the
+    # matchings (0, 0), (1,) and {0: 1} passed unchecked, edge True read
+    # edge 1, edge 1.0 raised TypeError and (True, False) read as (1, 0).
     nn = orbit_by_structure(s12, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
     P = _planes_from(nn.id, (1.0, 4.0))
     Q = _planes_from(nn.id, (2.0, 2.0))
@@ -226,6 +229,19 @@ def test_dict_matching_rejected(s12):
         with pytest.raises(OrbitMismatchError, match="must be a sequence"):
             partial_sup_distance(P, Q, [0], matching)
     assert sup_product_distance(P, Q, [1, 0]) == sup_product_distance(P, Q, (1, 0))
+
+
+def test_matching_entries_have_an_integer_type(s12):
+    # (True, False) used to read as the swap (1, 0).
+    nn = orbit_by_structure(s12, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
+    P = _planes_from(nn.id, (1.0, 4.0))
+    Q = _planes_from(nn.id, (2.0, 2.0))
+    for bad in ((True, False), (1.0, 0.0), (np.True_, 0)):
+        with pytest.raises(OrbitMismatchError, match="must be an integer"):
+            sup_product_distance(P, Q, bad)
+    swap = (np.int64(1), np.int64(0))
+    assert sup_product_distance(P, Q, swap) == sup_product_distance(P, Q, (1, 0))
+    assert partial_sup_distance(P, Q, [np.int64(1)]) == partial_sup_distance(P, Q, [1])
 
 
 def test_partial_sup_without_matching_needs_shared_edges_of_q(s12):

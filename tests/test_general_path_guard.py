@@ -1,0 +1,85 @@
+"""Payload guards for code paths that treat the apex and the grid suite
+like every other case.
+
+The digests below were recorded from code that still had a separate apex
+branch in ``segment_lengths`` and ``extensions``, a second stdout writer
+in ``curvecone complex`` and a separate grid branch in
+``run_verification``; the general paths must reproduce them byte for
+byte.
+"""
+
+import hashlib
+import json
+
+import numpy as np
+import pytest
+
+from conftest import complex_for
+from curvecone import (
+    FenchelNielsenPoint,
+    ModelConfig,
+    apex,
+    cone_point,
+    distance,
+    extensions,
+    length_coords,
+    run_verification,
+    segment_lengths,
+)
+from curvecone.cli import main
+
+SURFACES = [(1, 2), (2, 0), (1, 3), (0, 7), (2, 1)]
+
+# sha256 of each report's JSON with ``timings`` dropped, at samples 200.
+REPORT_DIGESTS = {
+    (1, 2, 0.5): "6d0f1c4e575b81fc6ab219efcc09e563bbe33cd077c7174180393efa69bb9e2c",
+    (2, 0, None): "126a5393a9cade88cf44ab276859a7274f1bd69c614e4e7b4e375bcd215fedfb",
+    (0, 7, None): "dacad98383105a0e0a013f0bf00a7a60585a9b750f9fae4a4e735ca489d31e88",
+}
+
+DOT_DIGEST = "f0479c4ea14cd4bf7206edfbba269ae885aa6c1db4d84d211fdb68016a948b1b"
+
+
+def _sha256(text: str) -> str:
+    return hashlib.sha256(text.encode("utf-8")).hexdigest()
+
+
+@pytest.mark.parametrize("genus, marked, mesh", sorted(REPORT_DIGESTS, key=str))
+def test_verify_report_digest(genus, marked, mesh):
+    report = run_verification(complex_for(genus, marked), seed=0, mesh=mesh).to_dict()
+    report.pop("timings")
+    text = json.dumps(report, indent=2, sort_keys=True)
+    assert _sha256(text) == REPORT_DIGESTS[genus, marked, mesh]
+
+
+def test_complex_dot_stdout_digest(capsys):
+    assert main(["complex", "-g", "1", "-n", "2", "--format", "dot", "--out", "-"]) == 0
+    captured = capsys.readouterr()
+    assert _sha256(captured.out) == DOT_DIGEST
+    assert captured.err == "dim 0: 2 orbits\ndim 1: 2 orbits\n"
+
+
+def _points(cx, rng):
+    return [cone_point(cx, o.id, rng.uniform(0.25, 8.0, size=o.n_edges)) for o in cx.orbits]
+
+
+@pytest.mark.parametrize("genus, marked", SURFACES)
+def test_ray_segment_length_is_half_the_top_coordinate(genus, marked):
+    cx = complex_for(genus, marked)
+    o = apex(cx)
+    for p in _points(cx, np.random.default_rng(0)):
+        for a, b in ((o, p), (p, o)):
+            assert segment_lengths(distance(a, b), a, b) == (0.5 * p.max_coord,)
+    assert segment_lengths(distance(o, o), o, o) == ()
+
+
+@pytest.mark.parametrize("genus, marked", SURFACES)
+def test_apex_extends_by_the_empty_embedding(genus, marked):
+    cx = complex_for(genus, marked)
+    cfg = ModelConfig(0.1)
+    expected = []
+    for mid in cx.maximal_ids:
+        k = cx.orbit(mid).n_edges
+        fpt = FenchelNielsenPoint(mid, length_coords([0.0] * k, cfg), (0.0,) * k)
+        expected.append((mid, (), fpt))
+    assert extensions(apex(cx), cfg) == tuple(expected)

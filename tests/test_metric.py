@@ -99,6 +99,28 @@ def test_point_from_dict_names_a_missing_orbit(s12):
         point_from_dict(s12, {"schema_version": SCHEMA_POINT, "coords": [1.0, 2.0]})
 
 
+def test_point_from_dict_names_missing_coords(s12):
+    # A payload without coords used to be read as the apex.
+    from curvecone import point_from_dict
+    from curvecone.metric import SCHEMA_POINT
+
+    for orbit_id in (s12.maximal_ids[0], None):
+        with pytest.raises(ValueError, match="lacks 'coords'"):
+            point_from_dict(s12, {"schema_version": SCHEMA_POINT, "orbit": orbit_id})
+    again = point_from_dict(s12, __import__("json").loads(apex(s12).to_json()))
+    assert again.is_apex
+
+
+def test_coordinate_keys_are_integers_or_strings(s12):
+    # True and 1.0 used to read as edge 1, and 1.5 as int(1.5) == 1.
+    nn = nn_orbit(s12)
+    for key in (True, np.True_, 1.0, 1.5):
+        with pytest.raises(OrbitMismatchError, match="is not an integer"):
+            cone_point(s12, nn.id, {key: 2.0, "0": 1.0})
+    expected = cone_point(s12, nn.id, {"1": 2.0, "0": 1.0})
+    assert cone_point(s12, nn.id, {np.int64(1): 2.0, 0: 1.0}) == expected
+
+
 def test_point_json_roundtrip(s12):
     from curvecone import point_from_dict
 

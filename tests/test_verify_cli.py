@@ -257,7 +257,8 @@ def test_cli_dist_malformed_input(case, tmp_path, s12, capsys):
 
 
 @pytest.mark.parametrize(
-    "which, key", [("complex", "surface"), ("complex", "orbits"), ("point", "orbit")]
+    "which, key",
+    [("complex", "surface"), ("complex", "orbits"), ("point", "orbit"), ("point", "coords")],
 )
 def test_cli_dist_names_a_missing_key(which, key, tmp_path, s12, capsys):
     # A missing key used to surface as a bare KeyError: "error: 'surface'".
