@@ -10,7 +10,6 @@ sup over factors, the coordinate map is an exact isometry on orthants.
 import numpy as np
 
 from curvecone import (
-    ModelConfig,
     Surface,
     build_complex,
     cone_point,
@@ -25,12 +24,11 @@ from curvecone import (
 )
 from curvecone.fenchel_nielsen import FenchelNielsenPoint, HalfPlanePoint
 
-cfg = ModelConfig(epsilon0=0.1)
 cx = build_complex(Surface(1, 2))
 nn = next(o for o in cx.orbits if o.dim == 1 and len(o.automorphisms) == 2)
 
 p = cone_point(cx, nn.id, (1.0, 2.0))
-f = to_fenchel_nielsen(p, cfg)
+f = to_fenchel_nielsen(p)
 print("cone coords (1, 2) ->: lengths", f.lengths, "twists", f.twists)
 P = to_plane_coords(f)
 print("half-plane factors:", [(pl.x, pl.y) for pl in P.planes])
@@ -47,8 +45,8 @@ rng = np.random.default_rng(0)
 worst = 0.0
 for _ in range(2000):
     x, y = rng.uniform(0, 50, size=(2, 2))
-    fx = FenchelNielsenPoint(nn.id, length_coords(x, cfg), (0.0, 0.0))
-    fy = FenchelNielsenPoint(nn.id, length_coords(y, cfg), (0.0, 0.0))
+    fx = FenchelNielsenPoint(nn.id, length_coords(x), (0.0, 0.0))
+    fy = FenchelNielsenPoint(nn.id, length_coords(y), (0.0, 0.0))
     prod = sup_product_distance(to_plane_coords(fx), to_plane_coords(fy))
     worst = max(worst, abs(prod - orthant_distance(nn, x, y)))
 print("worst isometry defect over 2000 pairs:", worst)
@@ -59,7 +57,7 @@ print("worst isometry defect over 2000 pairs:", worst)
 nu = next(o for o in cx.orbits if o.dim == 0 and len(o.graph.vertices) == 1)
 pt = cone_point(cx, nu.id, (2.0,))
 print(f"\nextensions of a point on the nonseparating ray (coord 2):")
-for mid, emb, fpt in extensions(pt, cfg):
+for mid, emb, fpt in extensions(pt):
     print(f"   into {mid} via edge {emb[0]}: lengths {fpt.lengths}")
 
 # When two structures share only some curves, the sup over the shared
@@ -67,8 +65,8 @@ for mid, emb, fpt in extensions(pt, cfg):
 # the uncomputable additive constant the comparison carries.
 sn = next(o for o in cx.orbits if o.dim == 1 and len(o.automorphisms) == 1)
 a_coord, b_coord = 1.25, 3.75
-Pp = to_plane_coords(FenchelNielsenPoint(sn.id, length_coords((a_coord, 0.0), cfg), (0.0, 0.0)))
-Qq = to_plane_coords(FenchelNielsenPoint(nn.id, length_coords((b_coord, 0.0), cfg), (0.0, 0.0)))
+Pp = to_plane_coords(FenchelNielsenPoint(sn.id, length_coords((a_coord, 0.0)), (0.0, 0.0)))
+Qq = to_plane_coords(FenchelNielsenPoint(nn.id, length_coords((b_coord, 0.0)), (0.0, 0.0)))
 print("\nshared-curve sup for coords 1.25 vs 3.75:",
       partial_sup_distance(Pp, Qq, [0], matching=(0, 1)),
       "= half the coordinate gap", 0.5 * abs(a_coord - b_coord))

@@ -10,7 +10,6 @@ coordinates where the orthant metric becomes a product sup metric.
 from .fenchel_nielsen import (
     FenchelNielsenPoint,
     HalfPlanePoint,
-    ModelConfig,
     ProductPoint,
     extensions,
     half_plane_distance,
@@ -87,7 +86,6 @@ __all__ = [
     "LPInfeasibleError",
     "LPResult",
     "LPUnboundedError",
-    "ModelConfig",
     "MulticurveGraph",
     "OrbitMismatchError",
     "ProductPoint",

@@ -13,7 +13,6 @@ import json
 import sys
 from contextlib import contextmanager
 
-from .fenchel_nielsen import ModelConfig
 from .metric import distance, point_from_dict
 from .quotient import (
     build_complex,
@@ -69,7 +68,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("-n", "--marked", type=int, required=True)
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--samples", type=int, default=200)
-    p_verify.add_argument("--epsilon0", type=float, default=0.1)
     p_verify.add_argument(
         "--mesh", type=float, default=None, help="also run the grid oracle suite"
     )
@@ -123,7 +121,6 @@ def _cmd_dist(args) -> int:
 def _cmd_verify(args) -> int:
     with _reading_input():
         surface = Surface(args.genus, args.marked)
-        ModelConfig(args.epsilon0)  # raises on an epsilon0 outside (0, 1)
         if args.seed < 0 or args.samples < 1:
             raise ValueError(
                 f"--seed must be >= 0 and --samples >= 1, got {args.seed} and {args.samples}"
@@ -134,13 +131,7 @@ def _cmd_verify(args) -> int:
 
         with _reading_input():
             grid_units(cx, args.mesh, GRID_BOX)
-    report = run_verification(
-        cx,
-        seed=args.seed,
-        samples=args.samples,
-        epsilon0=args.epsilon0,
-        mesh=args.mesh,
-    )
+    report = run_verification(cx, seed=args.seed, samples=args.samples, mesh=args.mesh)
     _emit(report.to_json(), args.out)
     return 0 if report.passed else 1
 

@@ -2,8 +2,11 @@
 
 Cone coordinates on a pants-decomposition orbit map to hyperbolic
 structures by shrinking each curve: coordinate ``x`` becomes length
-``epsilon0 * exp(-x)`` with zero twist, where ``epsilon0`` is a collar
+``EPSILON0 * exp(-x)`` with zero twist, where ``EPSILON0`` is a collar
 constant small enough that short curves are automatically disjoint.
+The cone is moduli space seen from far away, a limit of rescalings, so
+the collar constant cannot change it: every identity checked here holds
+for any value in (0, 1), and the model fixes it at 0.1.
 Re-expressing each (twist, length) pair as ``(twist, 1/length)`` places
 the image in a product of upper half-planes; with the quarter-density
 metric ``ds^2 = (dx^2 + dy^2) / (4 y^2)`` on each factor and the sup
@@ -15,7 +18,6 @@ from __future__ import annotations
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass
-from numbers import Real
 
 from .metric import ConePoint, OrbitMismatchError
 from .surfaces import as_integer
@@ -24,17 +26,8 @@ from .surfaces import as_integer
 # 2 y y', so only a point off the half-plane goes further below.
 _ACOSH_TOL = 1e-12
 
-
-@dataclass(frozen=True)
-class ModelConfig:
-    """Collar constant; any value in (0, 1) preserves every identity
-    checked here, so the default is a plain round number."""
-
-    epsilon0: float = 0.1
-
-    def __post_init__(self):
-        if not isinstance(self.epsilon0, Real) or not 0.0 < self.epsilon0 < 1.0:
-            raise ValueError(f"epsilon0 must be a number in (0, 1), got {self.epsilon0!r}")
+# The collar constant: the length of a curve at cone coordinate 0.
+EPSILON0 = 0.1
 
 
 @dataclass(frozen=True)
@@ -60,8 +53,8 @@ class HalfPlanePoint:
     y: float
 
     def __post_init__(self):
-        if not self.y > 0:
-            raise ValueError(f"half-plane points need y > 0, got {self.y}")
+        if not (math.isfinite(self.x) and math.isfinite(self.y) and self.y > 0):
+            raise ValueError(f"half-plane points need finite x and y > 0, got {self}")
 
 
 @dataclass(frozen=True)
@@ -72,15 +65,15 @@ class ProductPoint:
     planes: tuple[HalfPlanePoint, ...]
 
 
-def length_coords(xvec, cfg: ModelConfig) -> tuple[float, ...]:
+def length_coords(xvec) -> tuple[float, ...]:
     """Curve lengths assigned to raw cone coordinates on one orbit."""
-    return tuple(cfg.epsilon0 * math.exp(-x) for x in xvec)
+    return tuple(EPSILON0 * math.exp(-x) for x in xvec)
 
 
-def extensions(p: ConePoint, cfg: ModelConfig):
+def extensions(p: ConePoint):
     """All Fenchel-Nielsen images of a point, one per way of extending its
     support to a pants decomposition type.  The images agree on the
-    supported curves and assign exactly ``epsilon0`` to the rest, so the
+    supported curves and assign exactly ``EPSILON0`` to the rest, so the
     choice never matters; it is exposed for verification.  The apex is
     the empty curve system, embedded by ``()`` into every top orbit."""
     cx = p.complex
@@ -95,17 +88,17 @@ def extensions(p: ConePoint, cfg: ModelConfig):
         for c, e in enumerate(emb):
             xfull[e] = p.coords[c]
         out.append(
-            (mid, emb, FenchelNielsenPoint(mid, length_coords(xfull, cfg), (0.0,) * k))
+            (mid, emb, FenchelNielsenPoint(mid, length_coords(xfull), (0.0,) * k))
         )
     return tuple(out)
 
 
-def to_fenchel_nielsen(p: ConePoint, cfg: ModelConfig = ModelConfig()) -> FenchelNielsenPoint:
-    """Fenchel-Nielsen image of a cone point: lengths ``epsilon0 e^{-x}``,
+def to_fenchel_nielsen(p: ConePoint) -> FenchelNielsenPoint:
+    """Fenchel-Nielsen image of a cone point: lengths ``EPSILON0 e^{-x}``,
     twists zero.  Points supported below the top dimension are extended by
     zero coordinates into the least maximal orbit containing them; a top
     orbit's first extension is its identity embedding into itself."""
-    exts = extensions(p, cfg)
+    exts = extensions(p)
     if not exts:
         raise ValueError(f"orbit {p.orbit_id} extends to no pants decomposition")
     return exts[0][2]
@@ -138,8 +131,16 @@ def _acosh1p(u: float) -> float:
 
 def half_plane_distance(a: HalfPlanePoint, b: HalfPlanePoint) -> float:
     """Distance in the quarter-density upper half-plane: half the usual
-    hyperbolic distance, matching the half in the orthant sup metric."""
-    u = ((a.x - b.x) ** 2 + (a.y - b.y) ** 2) / (2.0 * a.y * b.y)
+    hyperbolic distance, matching the half in the orthant sup metric.
+    Raises ``ValueError`` when ``2 y y'`` or the quotient ``u`` leaves the
+    float range, which would otherwise read as a distance of 0 or inf."""
+    den = 2.0 * a.y * b.y
+    try:
+        u = ((a.x - b.x) ** 2 + (a.y - b.y) ** 2) / den
+    except (OverflowError, ZeroDivisionError):
+        u = math.inf
+    if not (math.isfinite(den) and math.isfinite(u)):
+        raise ValueError(f"half-plane distance from {a} to {b} leaves the float range")
     return 0.5 * _acosh1p(u)
 
 

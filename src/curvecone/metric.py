@@ -117,12 +117,13 @@ def _coord(value) -> float:
 
 
 def _listed(coords) -> list:
-    try:
-        return list(coords)
-    except TypeError:
-        raise ValueError(
-            f"coordinates must be a list or an object, got {coords!r}"
-        ) from None
+    # A string is iterable, but "" would read as the apex's empty list.
+    if not isinstance(coords, str):
+        try:
+            return list(coords)
+        except TypeError:
+            pass
+    raise ValueError(f"coordinates must be a list or an object, got {coords!r}")
 
 
 def _coerce_coords(orbit: SimplexOrbit, coords) -> list[float]:
@@ -156,11 +157,11 @@ def _coerce_coords(orbit: SimplexOrbit, coords) -> list[float]:
 
 def cone_point(cx: QuotientComplex, orbit_id: str | None, coords=()) -> ConePoint:
     """Canonicalizing constructor: zero coordinates are dropped onto the
-    spanned face, and the apex is returned when everything vanishes."""
+    spanned face, and the apex is returned when everything vanishes.
+    The apex has no edges, so it takes only empty coordinates."""
     if orbit_id in (None, APEX_ID):
-        values = coords.values() if isinstance(coords, dict) else _listed(coords)
-        if any(_coord(v) != 0.0 for v in values):
-            raise ValueError("apex point cannot carry nonzero coordinates")
+        if _listed(coords):
+            raise OrbitMismatchError(f"the apex has no edges, got coordinates {coords!r}")
         return ConePoint(None, (), cx)
     vec = _coerce_coords(cx.orbit(orbit_id), coords)
     return ConePoint(*cx.reduce(orbit_id, vec), cx)

@@ -127,7 +127,7 @@ def _is_graph_automorphism(graph, eperm) -> bool:
 # ---------------------------------------------------------------------------
 
 
-def _suite_automorphism_equivariance(cx, rng, samples, cfg):
+def _suite_automorphism_equivariance(cx, rng, samples):
     """Every stored symmetry extends to a genuine decorated-graph
     automorphism, acts trivially on canonical points, and commutes with
     the length map."""
@@ -144,8 +144,8 @@ def _suite_automorphism_equivariance(cx, rng, samples, cfg):
                 fails += 1
                 continue
             x = rng.uniform(0.25, 8.0, size=orbit.n_edges)
-            lx = fn.length_coords(_permuted(x, a), cfg)
-            xl = _permuted(fn.length_coords(x, cfg), a)
+            lx = fn.length_coords(_permuted(x, a))
+            xl = _permuted(fn.length_coords(x), a)
             worst = max(worst, max(abs(u - v) for u, v in zip(lx, xl)))
             if cone_point(cx, orbit.id, x) != cone_point(cx, orbit.id, _permuted(x, a)):
                 fails += 1
@@ -154,7 +154,7 @@ def _suite_automorphism_equivariance(cx, rng, samples, cfg):
     return SuiteResult("automorphism_equivariance", passed, checked, worst, note)
 
 
-def _suite_complex_structure(cx, rng, samples, cfg):
+def _suite_complex_structure(cx, rng, samples):
     """Dimension formula, pants condition, coface coverage, the diamond
     property of deletion orders, and face/symmetry compatibility."""
     fails = 0
@@ -201,7 +201,7 @@ def _suite_complex_structure(cx, rng, samples, cfg):
                        f"{fails} failures" if fails else "")
 
 
-def _suite_metric_axioms(cx, rng, samples, cfg):
+def _suite_metric_axioms(cx, rng, samples):
     worst = 0.0
     fails = 0
     for _ in range(samples):
@@ -223,7 +223,7 @@ def _suite_metric_axioms(cx, rng, samples, cfg):
                        f"{fails} identity failures" if fails else "")
 
 
-def _suite_homogeneity(cx, rng, samples, cfg):
+def _suite_homogeneity(cx, rng, samples):
     worst = 0.0
     for _ in range(samples):
         p = _random_point(cx, rng)
@@ -236,7 +236,7 @@ def _suite_homogeneity(cx, rng, samples, cfg):
     return SuiteResult("homogeneity", worst <= _SCALE_TOL, samples, worst)
 
 
-def _suite_orthant_isometry(cx, rng, samples, cfg):
+def _suite_orthant_isometry(cx, rng, samples):
     worst = 0.0
     count = 0
     for mid in cx.maximal_ids:
@@ -244,15 +244,15 @@ def _suite_orthant_isometry(cx, rng, samples, cfg):
         for _ in range(max(1, samples // len(cx.maximal_ids))):
             x = rng.uniform(0.0, 50.0, size=orbit.n_edges)
             y = rng.uniform(0.0, 50.0, size=orbit.n_edges)
-            fx = fn.FenchelNielsenPoint(mid, fn.length_coords(x, cfg), (0.0,) * len(x))
-            fy = fn.FenchelNielsenPoint(mid, fn.length_coords(y, cfg), (0.0,) * len(y))
+            fx = fn.FenchelNielsenPoint(mid, fn.length_coords(x), (0.0,) * len(x))
+            fy = fn.FenchelNielsenPoint(mid, fn.length_coords(y), (0.0,) * len(y))
             prod = fn.sup_product_distance(fn.to_plane_coords(fx), fn.to_plane_coords(fy))
             worst = max(worst, abs(prod - orthant_distance(orbit, x, y)))
             count += 1
     return SuiteResult("orthant_isometry", worst <= _ISO_TOL, count, worst)
 
 
-def _suite_well_definedness(cx, rng, samples, cfg):
+def _suite_well_definedness(cx, rng, samples):
     eligible = [
         o.id
         for o in cx.orbits
@@ -264,7 +264,7 @@ def _suite_well_definedness(cx, rng, samples, cfg):
     count = 0
     for _ in range(samples):
         p = _random_point(cx, rng, orbit_ids=eligible)
-        exts = fn.extensions(p, cfg)
+        exts = fn.extensions(p)
         for i in range(len(exts)):
             for j in range(i + 1, len(exts)):
                 mid_i, emb_i, fn_i = exts[i]
@@ -277,12 +277,12 @@ def _suite_well_definedness(cx, rng, samples, cfg):
                 for mid, emb, fpt in ((mid_i, emb_i, fn_i), (mid_j, emb_j, fn_j)):
                     for e in range(len(fpt.lengths)):
                         if e not in emb:
-                            worst = max(worst, abs(fpt.lengths[e] - cfg.epsilon0))
+                            worst = max(worst, abs(fpt.lengths[e] - fn.EPSILON0))
                 count += 1
     return SuiteResult("well_definedness", worst == 0.0, count, worst)
 
 
-def _suite_same_orbit(cx, rng, samples, cfg):
+def _suite_same_orbit(cx, rng, samples):
     """distance() never exceeds the symmetry-reduced orthant value.  It
     may fall below it where a gallery of several segments is shorter, as
     on S(0,7); the largest such shortcut goes in the note."""
@@ -304,7 +304,7 @@ def _suite_same_orbit(cx, rng, samples, cfg):
     return SuiteResult("same_orbit_consistency", worst <= _TRI_TOL, count, worst, note)
 
 
-def _suite_geodesic_consistency(cx, rng, samples, cfg):
+def _suite_geodesic_consistency(cx, rng, samples):
     """Segment lengths re-sum to the distance, and any endpoint curve whose
     thread a geodesic drops forces distance >= coordinate / 2."""
     worst = 0.0
@@ -321,7 +321,7 @@ def _suite_geodesic_consistency(cx, rng, samples, cfg):
     return SuiteResult("geodesic_consistency", worst <= _TRI_TOL, samples, worst)
 
 
-def _suite_grid_oracle(cx, rng, samples, cfg, mesh):
+def _suite_grid_oracle(cx, rng, samples, mesh):
     from .gridgraph import GridOracle
 
     oracle = GridOracle(cx, mesh, GRID_BOX)
@@ -351,7 +351,6 @@ def run_verification(
     cx: QuotientComplex,
     seed: int = 0,
     samples: int = 200,
-    epsilon0: float = 0.1,
     mesh: float | None = None,
 ) -> RunReport:
     """Run every property suite on one complex with a seeded sampler.
@@ -362,10 +361,10 @@ def run_verification(
     all of them, so a fine mesh on a large complex makes it the slowest
     suite.  Sample counts are scaled down for the heavier suites.
     ``seed`` and ``samples`` must be integers (``surfaces.as_integer``),
-    ``seed >= 0`` and ``samples >= 1``, ``epsilon0`` a real number in
-    (0, 1) (:class:`~curvecone.fenchel_nielsen.ModelConfig`), and a mesh
-    must fit the grid (``gridgraph.grid_units``); anything else raises
-    ``ValueError`` before any suite runs.
+    ``seed >= 0`` and ``samples >= 1``, and a mesh must fit the grid
+    (``gridgraph.grid_units``); anything else raises ``ValueError``
+    before any suite runs.  The report's config records the collar
+    constant ``fenchel_nielsen.EPSILON0``.
     """
     seed, samples = as_integer(seed, "seed"), as_integer(samples, "samples")
     if seed < 0 or samples < 1:
@@ -376,12 +375,11 @@ def run_verification(
         grid_units(cx, mesh, GRID_BOX)
     import numpy as np  # the seeded sampler, kept off the CLI import path
 
-    cfg = fn.ModelConfig(epsilon0)
     config = {
         "surface": {"genus": cx.surface.genus, "marked_points": cx.surface.marked_points},
         "seed": seed,
         "samples": samples,
-        "epsilon0": epsilon0,
+        "epsilon0": fn.EPSILON0,
         "mesh": mesh,
         "box": GRID_BOX if mesh is not None else None,
     }
@@ -405,6 +403,6 @@ def run_verification(
     for name, suite, budget in suites:
         rng = np.random.default_rng(seed)
         t0 = time.perf_counter()
-        results.append(suite(cx, rng, budget, cfg))
+        results.append(suite(cx, rng, budget))
         timings[name] = time.perf_counter() - t0
     return RunReport("verify", config, results, timings)

@@ -13,7 +13,6 @@ import pytest
 from conftest import complex_for, orbit_by_structure
 from curvecone import (
     GridOracle,
-    ModelConfig,
     Surface,
     build_complex,
     cone_point,
@@ -25,7 +24,7 @@ from curvecone import (
     sup_product_distance,
     to_plane_coords,
 )
-from curvecone.fenchel_nielsen import FenchelNielsenPoint
+from curvecone.fenchel_nielsen import EPSILON0, FenchelNielsenPoint
 from graph_oracle import count_classes
 from reference_search import reference_distance
 
@@ -108,7 +107,6 @@ def test_criterion_3_enumeration_vs_oracle():
 def test_criterion_4_orthant_isometry():
     """Half-plane product distance of the coordinate images matches the
     half-sup orthant distance to 1e-9, 1000 pairs per surface, under 10 s."""
-    cfg = ModelConfig(0.1)
     t0 = time.perf_counter()
     worst = 0.0
     for g, n in SUPPORTED:
@@ -122,8 +120,8 @@ def test_criterion_4_orthant_isometry():
             xs = rng.uniform(0, 50, size=(per_orbit, k))
             ys = rng.uniform(0, 50, size=(per_orbit, k))
             for x, y in zip(xs, ys):
-                fx = FenchelNielsenPoint(mid, length_coords(x, cfg), (0.0,) * k)
-                fy = FenchelNielsenPoint(mid, length_coords(y, cfg), (0.0,) * k)
+                fx = FenchelNielsenPoint(mid, length_coords(x), (0.0,) * k)
+                fy = FenchelNielsenPoint(mid, length_coords(y), (0.0,) * k)
                 prod = sup_product_distance(to_plane_coords(fx), to_plane_coords(fy))
                 worst = max(worst, abs(prod - orthant_distance(orbit, x, y)))
     elapsed = time.perf_counter() - t0
@@ -227,8 +225,7 @@ def test_criterion_7_simple_galleries_suffice(oracle_instances):
 
 def test_criterion_8_well_definedness():
     """Face-supported points: all pants-type extensions agree exactly on
-    shared curves and assign exactly epsilon0 to complementary curves."""
-    cfg = ModelConfig(0.1)
+    shared curves and assign exactly EPSILON0 to complementary curves."""
     bad = 0
     total = 0
     for g, n in [(1, 2), (2, 0)]:
@@ -242,7 +239,7 @@ def test_criterion_8_well_definedness():
         for _ in range(50):
             oid = eligible[rng.integers(len(eligible))]
             p = cone_point(cx, oid, rng.uniform(0.2, 8.0, size=cx.orbit(oid).n_edges))
-            exts = extensions(p, cfg)
+            exts = extensions(p)
             total += 1
             for i in range(len(exts)):
                 for j in range(i + 1, len(exts)):
@@ -255,7 +252,7 @@ def test_criterion_8_well_definedness():
                         bad += 1
             for _mid, emb, fpt in exts:
                 if any(
-                    fpt.lengths[e] != cfg.epsilon0
+                    fpt.lengths[e] != EPSILON0
                     for e in range(len(fpt.lengths))
                     if e not in emb
                 ):

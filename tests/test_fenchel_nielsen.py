@@ -10,7 +10,6 @@ from conftest import complex_for, orbit_by_structure
 from curvecone import (
     FenchelNielsenPoint,
     HalfPlanePoint,
-    ModelConfig,
     OrbitMismatchError,
     cone_point,
     extensions,
@@ -22,8 +21,7 @@ from curvecone import (
     to_fenchel_nielsen,
     to_plane_coords,
 )
-
-CFG = ModelConfig(0.1)
+from curvecone.fenchel_nielsen import EPSILON0
 
 
 # -- the coordinate map -----------------------------------------------------------
@@ -31,7 +29,7 @@ CFG = ModelConfig(0.1)
 
 def test_zero_coordinates_give_collar_lengths(s12):
     nn = orbit_by_structure(s12, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
-    f = to_fenchel_nielsen(cone_point(s12, nn.id, (0.0, 0.0)), CFG)
+    f = to_fenchel_nielsen(cone_point(s12, nn.id, (0.0, 0.0)))
     # The apex extends into the least maximal orbit with every length e0.
     assert all(length == 0.1 for length in f.lengths)
     assert all(t == 0.0 for t in f.twists)
@@ -39,14 +37,14 @@ def test_zero_coordinates_give_collar_lengths(s12):
 
 def test_unit_coordinate_shrinks_by_e(s12):
     nn = orbit_by_structure(s12, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
-    f = to_fenchel_nielsen(cone_point(s12, nn.id, (1.0, 0.0)), CFG)
+    f = to_fenchel_nielsen(cone_point(s12, nn.id, (1.0, 0.0)))
     assert sorted(f.lengths) == pytest.approx(sorted([0.1 * math.exp(-1), 0.1]))
 
 
 def test_face_point_extensions_agree(s12):
     nu = orbit_by_structure(s12, [(0, 2)], [(0, 0)])
     p = cone_point(s12, nu.id, (2.0,))
-    exts = extensions(p, CFG)
+    exts = extensions(p)
     assert len(exts) >= 2
     for i in range(len(exts)):
         for j in range(i + 1, len(exts)):
@@ -57,7 +55,7 @@ def test_face_point_extensions_agree(s12):
             for mid, emb, fpt in (exts[i], exts[j]):
                 for e in range(len(fpt.lengths)):
                     if e not in emb:
-                        assert fpt.lengths[e] == CFG.epsilon0
+                        assert fpt.lengths[e] == EPSILON0
 
 
 def test_plane_coordinates(s12):
@@ -68,7 +66,7 @@ def test_plane_coordinates(s12):
 
 
 def test_plane_image_of_unit_coordinate():
-    lengths = length_coords([1.0], ModelConfig(0.1))
+    lengths = length_coords([1.0])
     P = to_plane_coords(FenchelNielsenPoint("x", lengths, (0.0,)))
     assert P.planes[0].y == pytest.approx(math.e / 0.1)
 
@@ -114,6 +112,39 @@ def test_small_separation_no_cancellation():
     assert got > 0
 
 
+def test_half_plane_points_are_finite():
+    # A nan abscissa used to be accepted, and its distances read nan.
+    for x, y in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (0.0, math.nan)):
+        with pytest.raises(ValueError, match="finite"):
+            HalfPlanePoint(x, y)
+    with pytest.raises(ValueError, match="finite"):
+        to_plane_coords(FenchelNielsenPoint("x", (0.1,), (math.nan,)))
+
+
+def _unit_step_distance(cx, c):
+    # Half-plane distance between (1, c) and (1, c + 1) on a top orbit;
+    # the orthant distance is 0.5.
+    mid = cx.maximal_ids[0]
+    P, Q = (
+        to_plane_coords(to_fenchel_nielsen(cone_point(cx, mid, (1.0, x))))
+        for x in (c, c + 1.0)
+    )
+    return sup_product_distance(P, Q)
+
+
+@pytest.mark.parametrize("c", [352.0, 400.0, 708.0])
+def test_plane_map_raises_past_the_float_range(s12, c):
+    # 2 y y' overflowed at 352 and the height 1 / length at 708, and both
+    # read 0.0; at 400 the square raised a bare OverflowError.
+    with pytest.raises(ValueError, match="float range|finite"):
+        _unit_step_distance(s12, c)
+
+
+def test_plane_map_is_exact_up_to_the_float_range(s12):
+    for c in (0.0, 50.0, 300.0, 351.5):
+        assert _unit_step_distance(s12, c) == pytest.approx(0.5, abs=1e-15)
+
+
 @given(
     st.floats(-5, 5), st.floats(0.1, 50), st.floats(-5, 5), st.floats(0.1, 50),
     st.floats(-5, 5), st.floats(0.1, 50),
@@ -143,7 +174,7 @@ def test_half_plane_scaling_invariance(x1, y1, x2, y2, lam):
 
 
 def _planes_from(orbit_id, xvec):
-    lengths = length_coords(xvec, CFG)
+    lengths = length_coords(xvec)
     return to_plane_coords(
         FenchelNielsenPoint(orbit_id, lengths, (0.0,) * len(lengths))
     )
@@ -287,8 +318,8 @@ def test_length_map_commutes_with_symmetries(s12):
     for _ in range(50):
         x = rng.uniform(0, 8, size=2)
         for a in nn.automorphisms:
-            lx = length_coords([x[a[i]] for i in range(2)], CFG)
-            xl = tuple(length_coords(x, CFG)[a[i]] for i in range(2))
+            lx = length_coords([x[a[i]] for i in range(2)])
+            xl = tuple(length_coords(x)[a[i]] for i in range(2))
             assert lx == xl
 
 
@@ -297,7 +328,7 @@ def test_fn_image_depends_only_on_class(s12):
     p = cone_point(s12, nn.id, (4.0, 1.0))
     q = cone_point(s12, nn.id, (1.0, 4.0))
     assert p == q
-    assert to_fenchel_nielsen(p, CFG) == to_fenchel_nielsen(q, CFG)
+    assert to_fenchel_nielsen(p) == to_fenchel_nielsen(q)
 
 
 @pytest.mark.parametrize("genus,marked", [(1, 2), (2, 0), (0, 7)])
@@ -311,19 +342,10 @@ def test_top_orbit_image_is_its_own_lengths(genus, marked):
         for _ in range(10):
             p = cone_point(cx, mid, tuple(rng.uniform(0.25, 8.0, size=k)))
             assert p.orbit_id == mid
-            expected = FenchelNielsenPoint(mid, length_coords(p.coords, CFG), (0.0,) * k)
-            assert to_fenchel_nielsen(p, CFG) == expected
+            expected = FenchelNielsenPoint(mid, length_coords(p.coords), (0.0,) * k)
+            assert to_fenchel_nielsen(p) == expected
 
 
 def test_config_validation():
-    with pytest.raises(ValueError):
-        ModelConfig(0.0)
-    with pytest.raises(ValueError):
-        ModelConfig(1.0)
-    # A string used to fail the range comparison with a TypeError.
-    for bad in ("0.1", None, float("nan"), 0.1j):
-        with pytest.raises(ValueError, match="epsilon0 must be a number"):
-            ModelConfig(bad)
-    assert ModelConfig(np.float32(0.25)).epsilon0 == 0.25
     with pytest.raises(ValueError):
         FenchelNielsenPoint("x", (0.0,), (0.0,))

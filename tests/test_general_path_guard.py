@@ -17,7 +17,6 @@ import pytest
 from conftest import complex_for
 from curvecone import (
     FenchelNielsenPoint,
-    ModelConfig,
     apex,
     cone_point,
     distance,
@@ -76,10 +75,9 @@ def test_ray_segment_length_is_half_the_top_coordinate(genus, marked):
 @pytest.mark.parametrize("genus, marked", SURFACES)
 def test_apex_extends_by_the_empty_embedding(genus, marked):
     cx = complex_for(genus, marked)
-    cfg = ModelConfig(0.1)
     expected = []
     for mid in cx.maximal_ids:
         k = cx.orbit(mid).n_edges
-        fpt = FenchelNielsenPoint(mid, length_coords([0.0] * k, cfg), (0.0,) * k)
+        fpt = FenchelNielsenPoint(mid, length_coords([0.0] * k), (0.0,) * k)
         expected.append((mid, (), fpt))
-    assert extensions(apex(cx), cfg) == tuple(expected)
+    assert extensions(apex(cx)) == tuple(expected)

@@ -91,6 +91,23 @@ def test_coordinate_validation(s12):
         cone_point(s12, None, 5)
 
 
+def test_apex_takes_no_coordinates(s12):
+    # Any key or entry used to pass at the apex if its value was a zero.
+    from curvecone import point_from_dict
+    from curvecone.metric import SCHEMA_POINT
+
+    for orbit_id, coords in ((None, {"x": 0.0, True: 0.0, 1.5: 0.0}), ("apex", [0.0] * 9)):
+        with pytest.raises(OrbitMismatchError, match="apex has no edges"):
+            cone_point(s12, orbit_id, coords)
+    with pytest.raises(OrbitMismatchError, match="apex has no edges"):
+        point_from_dict(s12, {"schema_version": SCHEMA_POINT, "orbit": None, "coords": {"7": 0.0}})
+    with pytest.raises(ValueError, match="must be a list or an object"):
+        cone_point(s12, None, "")
+    for orbit_id in (None, "apex"):
+        for empty in ({}, [], ()):
+            assert cone_point(s12, orbit_id, empty) == apex(s12)
+
+
 def test_point_from_dict_names_a_missing_orbit(s12):
     from curvecone import point_from_dict
     from curvecone.metric import SCHEMA_POINT

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import complex_for, orbit_by_structure
-from curvecone import QuotientComplex, run_verification
+from curvecone import QuotientComplex, fenchel_nielsen, run_verification
 from curvecone.cli import main
 
 
@@ -91,15 +91,9 @@ def test_run_verification_checks_mesh_before_any_suite(s12, monkeypatch):
         run_verification(s12, mesh=0.3)
 
 
-def test_run_verification_checks_epsilon0_before_any_suite(s12, monkeypatch):
-    # A string used to raise TypeError from the range comparison.
-    def no_suite(*args, **kwargs):
-        raise AssertionError("a suite ran before epsilon0 was checked")
-
-    monkeypatch.setattr("curvecone.verify.distance", no_suite)
-    for bad in ("0.1", None, 1.5):
-        with pytest.raises(ValueError, match="epsilon0 must be a number"):
-            run_verification(s12, epsilon0=bad)
+def test_report_records_the_collar_constant(s11):
+    report = run_verification(s11, seed=0, samples=5)
+    assert report.config["epsilon0"] == fenchel_nielsen.EPSILON0 == 0.1
 
 
 def _untimed(report) -> dict:
@@ -226,6 +220,7 @@ _MALFORMED = {
     "null-coordinate": ("point", {**_POINT, "coords": [None, 1.0]}),
     "list-orbit": ("point", {**_POINT, "orbit": [1], "coords": {"0": 1.0}}),
     "same-edge-twice": ("point", {**_POINT, "coords": {"0": 1.0, "00": 2.0}}),
+    "apex-coords": ("point", {**_POINT, "orbit": None, "coords": {"7": 0.0}}),
     "complex-list": ("complex", []),
     "complex-surface-scalar": ("complex", {"schema_version": "curvecone/quotient-complex/1",
                                            "surface": 5, "orbits": []}),
@@ -303,7 +298,9 @@ def test_cli_verify_failure_exit_code(monkeypatch, s12, tmp_path):
 
 
 def test_cli_verify_rejects_bad_options(capsys):
-    assert main(["verify", "-g", "1", "-n", "1", "--epsilon0", "2"]) == 2
+    # The collar constant is fixed, so --epsilon0 is no option.
+    assert main(["verify", "-g", "1", "-n", "1", "--epsilon0", "0.1"]) == 2
+    assert "unrecognized arguments: --epsilon0" in capsys.readouterr().err
     assert main(["verify", "-g", "1", "-n", "1", "--mesh", "0.3"]) == 2
     assert "error" in capsys.readouterr().err
     # A negative seed or a sample count below 1 is an input error, not a
