@@ -24,7 +24,6 @@ import numpy as np
 from .metric import ConePoint, _require_same_complex
 from .quotient import QuotientComplex
 
-_APEX_KEY = (None, ())
 _MAX_NODES = 5_000_000
 # box / mesh of decimal inputs misses its integer by a few ulps
 # (8 / 0.1 = 80.00000000000001); 1e-9 absorbs that at any grid size the
@@ -35,9 +34,6 @@ _BOX_RATIO_TOL = 1e-9
 # scale) is within a few ulps of its mesh point; one further off than a
 # millionth of a mesh unit is misaligned, not rounding noise.
 _MESH_ALIGN_TOL = 1e-6
-# A coordinate that should sit on the box face can overshoot it by a few
-# ulps of float arithmetic; anything further out does not fit the box.
-_BOX_FIT_TOL = 1e-9
 
 
 def grid_units(cx: QuotientComplex, mesh: float, box: float) -> int:
@@ -66,7 +62,8 @@ class GridOracle:
 
     The node classes are built with array operations, one support
     pattern of one top orbit at a time, and cost less than a handful of
-    queries; each query is a breadth-first search over every node.
+    queries.  A query point reads its class off the node it sits at; each
+    query is a breadth-first search over every node.
     """
 
     def __init__(self, cx: QuotientComplex, mesh: float, box: float):
@@ -100,13 +97,11 @@ class GridOracle:
                     pos, least = self._pattern_codes(oid, m, support)
                     codes[lo + pos] = least
         # Classes are numbered in order of their first node.
-        self._codes, first, inverse = np.unique(
-            codes, return_index=True, return_inverse=True
-        )
-        self._class_of_code = np.empty(len(first), dtype=np.int64)
-        self._class_of_code[np.argsort(first)] = np.arange(len(first))
-        self._class_id = self._class_of_code[inverse]
-        self.n_classes = len(self._codes)
+        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
+        class_of_code = np.empty(len(first), dtype=np.int64)
+        class_of_code[np.argsort(first)] = np.arange(len(first))
+        self._class_id = class_of_code[inverse]
+        self.n_classes = len(first)
 
     def _pattern_codes(self, oid: str, m: int, support: tuple[int, ...]):
         """Block offsets and least codes of the nodes of ``oid`` whose
@@ -129,24 +124,15 @@ class GridOracle:
         least += self._face_number[fid] * self._face_stride
         return pos, least
 
-    def _class_of(self, key: tuple) -> int:
-        """The class of a :meth:`point_key` key, found by its code."""
-        fid, vec = key
-        code = 0
-        if fid is not None:
-            code = self._face_number.get(fid, -1) * self._face_stride
-            for i, v in enumerate(vec):
-                code += v * self._base ** (len(vec) - 1 - i)
-        i = int(np.searchsorted(self._codes, code))
-        if i == len(self._codes) or self._codes[i] != code:
-            raise ValueError(f"point not representable on this grid: {key!r}")
-        return int(self._class_of_code[i])
-
-    def point_key(self, p: ConePoint) -> tuple:
+    def _class_of(self, p: ConePoint) -> int:
+        """The class of a mesh-aligned point: that of the node it sits at
+        through its first top-orbit embedding (the apex is node 0)."""
         if p.is_apex:
-            return _APEX_KEY
-        ivec = []
-        for v in p.coords:
+            return int(self._class_id[0])
+        oid, emb = self.cx.maximal_embeddings(p.orbit_id)[0]
+        k = self._orbit_ids.index(oid)
+        node = self._blocks[k][0]
+        for e, v in zip(emb, p.coords):
             r = v / self.mesh
             i = int(round(r))
             # A positive coordinate that rounds to zero would otherwise
@@ -159,8 +145,8 @@ class GridOracle:
                 raise ValueError(
                     f"coordinate {v} exceeds the box bound {self.box}"
                 )
-            ivec.append(i)
-        return self.cx.reduce(p.orbit_id, ivec)
+            node += i * self._base ** (self._dims[k] - 1 - e)
+        return int(self._class_id[node])
 
     def _dilate(self, frontier: np.ndarray) -> np.ndarray:
         """Every node within one Chebyshev step of the frontier, the
@@ -178,12 +164,10 @@ class GridOracle:
     def distance(self, p: ConePoint, q: ConePoint) -> float:
         """Shortest grid-path length between two mesh-aligned points."""
         _require_same_complex(p, q)
-        kp = self.point_key(p)
-        kq = self.point_key(q)
-        if kp == kq:
+        cls_p = self._class_of(p)
+        cls_q = self._class_of(q)
+        if cls_p == cls_q:
             return 0.0
-        cls_p = self._class_of(kp)
-        cls_q = self._class_of(kq)
         frontier = self._class_id == cls_p
         visited = frontier.copy()
         hops = 0
@@ -202,23 +186,16 @@ class GridOracle:
             frontier = nf
 
 
-def brute_force_distance(
-    p: ConePoint, q: ConePoint, mesh: float, box: float | None = None
-) -> float:
+def brute_force_distance(p: ConePoint, q: ConePoint, mesh: float) -> float:
     """One-shot grid-path distance; see :class:`GridOracle`.
 
-    The default box is the largest endpoint coordinate, which never cuts
-    off a shortest path: clamping every coordinate of a path to the box
-    is a half-sup-nonexpansive map fixing both endpoints and commuting
-    with the face and symmetry identifications.
+    The box is the largest endpoint coordinate rounded up to the mesh,
+    which never cuts off a shortest path: clamping every coordinate of a
+    path to the box is a half-sup-nonexpansive map fixing both endpoints
+    and commuting with the face and symmetry identifications.
     """
     if not 0 < mesh < math.inf:
         raise ValueError(f"mesh must be positive and finite, got {mesh}")
-    top = max((p.max_coord, q.max_coord))
-    if box is None:
-        box = max(top, mesh)
-        box = mesh * int(np.ceil(box / mesh - _BOX_RATIO_TOL))
-    if top > box + _BOX_FIT_TOL:
-        raise ValueError(f"box {box} too small for coordinates up to {top}")
-    oracle = GridOracle(p.complex, mesh, box)
-    return oracle.distance(p, q)
+    box = max(p.max_coord, q.max_coord, mesh)
+    box = mesh * int(np.ceil(box / mesh - _BOX_RATIO_TOL))
+    return GridOracle(p.complex, mesh, box).distance(p, q)

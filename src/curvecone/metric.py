@@ -117,8 +117,9 @@ def _coord(value) -> float:
 
 
 def _listed(coords) -> list:
-    # A string is iterable, but "" would read as the apex's empty list.
-    if not isinstance(coords, str):
+    # Strings and bytes are iterable, but "" would read as the apex's
+    # empty list and b"\x01\x02" as (1.0, 2.0).
+    if not isinstance(coords, (str, bytes, bytearray, memoryview)):
         try:
             return list(coords)
         except TypeError:
@@ -133,10 +134,13 @@ def _coerce_coords(orbit: SimplexOrbit, coords) -> list[float]:
         seen = set()
         for key, val in coords.items():
             try:
-                # JSON keys are strings; any other key needs an integer type.
+                # JSON keys are strings, read only as ``to_dict`` writes
+                # them, str(i); any other key needs an integer type.
                 i = int(key) if isinstance(key, str) else as_integer(key, "edge key")
             except ValueError:
-                raise OrbitMismatchError(f"edge key {key!r} is not an integer") from None
+                i = None
+            if i is None or isinstance(key, str) and key != str(i):
+                raise OrbitMismatchError(f"edge key {key!r} is not an integer")
             if not 0 <= i < k:
                 raise OrbitMismatchError(f"edge {key} not in orbit {orbit.id}")
             if i in seen:

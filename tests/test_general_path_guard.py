@@ -33,6 +33,7 @@ SURFACES = [(1, 2), (2, 0), (1, 3), (0, 7), (2, 1)]
 REPORT_DIGESTS = {
     (1, 2, 0.5): "6d0f1c4e575b81fc6ab219efcc09e563bbe33cd077c7174180393efa69bb9e2c",
     (2, 0, None): "126a5393a9cade88cf44ab276859a7274f1bd69c614e4e7b4e375bcd215fedfb",
+    (2, 0, 0.25): "f06cbbcaa8879904f2a2eda8d0efca36909ffaa76b8c767257ef02138bcc1178",
     (0, 7, None): "dacad98383105a0e0a013f0bf00a7a60585a9b750f9fae4a4e735ca489d31e88",
 }
 

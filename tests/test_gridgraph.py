@@ -77,8 +77,8 @@ def test_box_too_small_rejected(s12):
     nn = orbit_by_structure(s12, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
     p = cone_point(s12, nn.id, (1.0, 9.0))
     q = cone_point(s12, nn.id, (1.0, 1.0))
-    with pytest.raises(ValueError):
-        brute_force_distance(p, q, mesh=0.5, box=4.0)
+    with pytest.raises(ValueError, match="exceeds the box bound"):
+        GridOracle(s12, 0.5, 4.0).distance(p, q)
 
 
 @pytest.mark.parametrize(
@@ -204,15 +204,20 @@ def test_axis_dilation_matches_shift_union(genus, marked, m):
         )
 
 
-def test_key_absent_from_table_rejected(s12, oracle):
-    nn = orbit_by_structure(s12, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
-    # (1.0, 2.0) is node (4, 8) of nn's block at mesh 0.25.
-    lo, _hi = oracle._blocks[oracle._orbit_ids.index(nn.id)]
-    key = oracle.point_key(cone_point(s12, nn.id, (1.0, 2.0)))
-    assert oracle._class_of(key) == oracle._class_id[lo + 4 * (oracle.units + 1) + 8]
-    for key in [("d9-unknown", (1, 1)), (nn.id, (1,)), (nn.id, (0, 4))]:
-        with pytest.raises(ValueError, match="not representable"):
-            oracle._class_of(key)
+@pytest.mark.parametrize("genus, marked", [(1, 2), (2, 0), (0, 7)])
+def test_point_lookup_matches_class_table(genus, marked):
+    # Each node's point reduces onto its face, whose first top-orbit
+    # embedding may place it at another node of the same class.
+    cx = complex_for(genus, marked)
+    oracle = GridOracle(cx, 1.0, 4.0)
+    assert oracle._class_of(apex(cx)) == oracle._class_id[0]
+    node = 0
+    for oid in cx.maximal_ids:
+        for ivec in product(range(oracle.units + 1), repeat=cx.orbit(oid).n_edges):
+            p = cone_point(cx, oid, ivec)
+            assert oracle._class_of(p) == oracle._class_id[node]
+            node += 1
+    assert node == oracle.n_nodes
 
 
 @pytest.mark.parametrize("genus, marked", SUPPORTED)

@@ -80,10 +80,10 @@ def test_coordinate_validation(s12):
         cone_point(s12, None, (1.0,))
     # Two keys naming one edge would let the last one win silently.
     with pytest.raises(OrbitMismatchError, match="edge 0"):
-        cone_point(s12, nn.id, {"0": 1.0, "00": 2.0})
+        cone_point(s12, nn.id, {"0": 1.0, 0: 2.0})
     # float() reads numpy.True_ as 1.0, as it reads True.
     for bad in (5, (None, 2.0), (True, 2.0), (np.True_, 2.0), {"0": np.False_}, "12",
-                {"0": "1.0"}, {"x": 1.0}):
+                {"0": "1.0"}, {"x": 1.0}, {"00": 1.0}):
         with pytest.raises(ValueError):
             cone_point(s12, nn.id, bad)
     assert cone_point(s12, nn.id, (np.float32(1.5), np.int64(2))).coords == (1.5, 2.0)
@@ -136,6 +136,26 @@ def test_coordinate_keys_are_integers_or_strings(s12):
             cone_point(s12, nn.id, {key: 2.0, "0": 1.0})
     expected = cone_point(s12, nn.id, {"1": 2.0, "0": 1.0})
     assert cone_point(s12, nn.id, {np.int64(1): 2.0, 0: 1.0}) == expected
+
+
+def test_bytes_are_no_coordinate_list(s12):
+    # list(b"\x01\x02") is [1, 2], which used to read as the point (1.0, 2.0).
+    nn = nn_orbit(s12)
+    for kind in (bytes, bytearray, memoryview):
+        with pytest.raises(ValueError, match="must be a list or an object"):
+            cone_point(s12, nn.id, kind(b"\x01\x02"))
+        with pytest.raises(ValueError, match="must be a list or an object"):
+            cone_point(s12, None, kind(b""))
+    assert cone_point(s12, nn.id, np.array([1.0, 2.0])).coords == (1.0, 2.0)
+
+
+def test_string_edge_keys_are_written_as_str_i(s12):
+    # int() also reads each of these as an edge number.
+    nn = nn_orbit(s12)
+    for key in (" 1", "+0", "-0", "00", "1_0", "\u0661", "1 "):
+        with pytest.raises(OrbitMismatchError, match="is not an integer"):
+            cone_point(s12, nn.id, {key: 2.0})
+    assert cone_point(s12, nn.id, {"1": 2.0, "0": 1.0}).coords == (1.0, 2.0)
 
 
 def test_point_json_roundtrip(s12):

@@ -221,6 +221,7 @@ _MALFORMED = {
     "list-orbit": ("point", {**_POINT, "orbit": [1], "coords": {"0": 1.0}}),
     "same-edge-twice": ("point", {**_POINT, "coords": {"0": 1.0, "00": 2.0}}),
     "apex-coords": ("point", {**_POINT, "orbit": None, "coords": {"7": 0.0}}),
+    "signed-edge-keys": ("point", {**_POINT, "coords": {"+0": 1.0, " 1": 2.0}}),
     "complex-list": ("complex", []),
     "complex-surface-scalar": ("complex", {"schema_version": "curvecone/quotient-complex/1",
                                            "surface": 5, "orbits": []}),
