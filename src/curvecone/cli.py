@@ -112,7 +112,11 @@ def _cmd_dist(args) -> int:
         points = []
         for path in (args.point_p, args.point_q):
             with open(path) as handle:
-                points.append(point_from_dict(cx, json.load(handle)))
+                try:
+                    payload = json.load(handle)
+                except RecursionError:
+                    raise ValueError(f"point file {path} is nested too deeply") from None
+            points.append(point_from_dict(cx, payload))
     result = distance(points[0], points[1])
     _emit(result.to_json(), args.out)
     return 0

@@ -19,7 +19,7 @@ import math
 from collections.abc import Sequence
 from dataclasses import dataclass
 
-from .metric import ConePoint, OrbitMismatchError
+from .metric import ConePoint, OrbitMismatchError, _pad
 from .surfaces import as_integer
 
 # Rounding allowed below 0 in arccosh(1 + u): u is a squared distance over
@@ -84,12 +84,8 @@ def extensions(p: ConePoint):
     out = []
     for mid, emb in embeddings:
         k = cx.orbit(mid).n_edges
-        xfull = [0.0] * k
-        for c, e in enumerate(emb):
-            xfull[e] = p.coords[c]
-        out.append(
-            (mid, emb, FenchelNielsenPoint(mid, length_coords(xfull), (0.0,) * k))
-        )
+        lengths = length_coords(_pad(emb, p.coords, k))
+        out.append((mid, emb, FenchelNielsenPoint(mid, lengths, (0.0,) * k)))
     return tuple(out)
 
 
@@ -97,11 +93,10 @@ def to_fenchel_nielsen(p: ConePoint) -> FenchelNielsenPoint:
     """Fenchel-Nielsen image of a cone point: lengths ``EPSILON0 e^{-x}``,
     twists zero.  Points supported below the top dimension are extended by
     zero coordinates into the least maximal orbit containing them; a top
-    orbit's first extension is its identity embedding into itself."""
-    exts = extensions(p)
-    if not exts:
-        raise ValueError(f"orbit {p.orbit_id} extends to no pants decomposition")
-    return exts[0][2]
+    orbit's first extension is its identity embedding into itself.  Every
+    orbit is a face of a top orbit (``check_invariants``), so every point
+    has an extension."""
+    return extensions(p)[0][2]
 
 
 def to_plane_coords(f: FenchelNielsenPoint) -> ProductPoint:

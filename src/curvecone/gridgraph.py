@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
+from numbers import Real
 
 import numpy as np
 
@@ -38,7 +39,11 @@ _MESH_ALIGN_TOL = 1e-6
 
 def grid_units(cx: QuotientComplex, mesh: float, box: float) -> int:
     """Validate a grid configuration and return the box side in mesh
-    units; raises :class:`ValueError` before any grid is allocated."""
+    units; raises :class:`ValueError` before any grid is allocated.  A
+    bool is no real number here, though it compares like one."""
+    for name, value in (("mesh", mesh), ("box", box)):
+        if isinstance(value, bool) or not isinstance(value, Real):
+            raise ValueError(f"{name} must be a real number, got {value!r}")
     if not mesh > 0:
         raise ValueError(f"mesh must be positive, got {mesh}")
     if not box > 0:

@@ -107,10 +107,12 @@ class ConePoint:
 def _coord(value) -> float:
     # float() also takes numeric strings, bools and numpy.bool_ (no Number),
     # which are no coordinates.  float and int are tested before the slower
-    # Number ABC.
+    # Number ABC.  An int past the float range overflows float().
     if type(value) is not bool and isinstance(value, (float, int, Number)):
         try:
             return float(value)
+        except OverflowError:
+            raise ValueError("coordinate exceeds the float range") from None
         except TypeError:
             pass
     raise ValueError(f"coordinate must be a number, got {value!r}")

@@ -19,7 +19,7 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations, product
 
-from .surfaces import Surface, as_integer
+from .surfaces import as_integer
 
 
 class InvalidMulticurve(ValueError):
@@ -84,14 +84,6 @@ class MulticurveGraph:
 
     # -- derived counts ----------------------------------------------------
 
-    def degrees(self) -> tuple[int, ...]:
-        """Edge-endpoint count at each vertex; loops contribute 2."""
-        degs = [0] * len(self.vertices)
-        for u, w in self.edges:
-            degs[u] += 1
-            degs[w] += 1
-        return tuple(degs)
-
     @property
     def betti(self) -> int:
         """First Betti number, assuming connectivity."""
@@ -104,10 +96,6 @@ class MulticurveGraph:
     @property
     def marked_points(self) -> int:
         return sum(d.piece_marked for d in self.vertices)
-
-    def surface(self) -> Surface:
-        """The surface this curve system lives on, reconstructed."""
-        return Surface(self.genus, self.marked_points)
 
     def is_connected(self) -> bool:
         """Whether every vertex is reached from vertex 0: each pass over
@@ -125,13 +113,11 @@ class MulticurveGraph:
                     reached.add(u)
         return size == len(self.vertices)
 
-    def validate(self) -> None:
-        """Raise :class:`InvalidMulticurve` with a diagnostic on any violation."""
-        self._counts()
-
-    def _counts(self) -> tuple[list[int], list[int]]:
-        """The checks of :meth:`validate`, counting each vertex's degree
-        and loops in the same pass; returns ``(degrees, loops)``."""
+    def validate(self) -> tuple[list[int], list[int]]:
+        """Raise :class:`InvalidMulticurve` with a diagnostic on any
+        violation; otherwise return ``(degrees, loops)``, each vertex's
+        edge-endpoint count (a loop counts twice) and loop count, taken
+        in the same pass over the edges as the checks."""
         if not self.edges:
             raise InvalidMulticurve("curve system must contain at least one curve")
         nv = len(self.vertices)
@@ -144,8 +130,6 @@ class MulticurveGraph:
             loops[u] += u == w
         if not self.is_connected():
             raise InvalidMulticurve("cut graph must be connected")
-        if self.betti < 0:
-            raise InvalidMulticurve("more components than edges allow")
         for v, dec in enumerate(self.vertices):
             if not is_stable(dec, degs[v]):
                 raise InvalidMulticurve(
@@ -242,14 +226,6 @@ def _renumber(edges, sigma) -> list[tuple[int, int]]:
     return out
 
 
-def edge_slots(edges) -> dict[tuple[int, int], list[int]]:
-    """The positions of each endpoint pair in an edge list, in order."""
-    slots = defaultdict(list)
-    for j, pair in enumerate(edges):
-        slots[pair].append(j)
-    return slots
-
-
 def slot_order(edges, numbering) -> list[int]:
     """The slot each of ``edges`` takes among a representative's edges
     once ``numbering``, an isomorphism onto the representative,
@@ -278,7 +254,7 @@ def canonicalize(graph: MulticurveGraph) -> CanonicalForm:
     per form, on first read (see :class:`CanonicalForm`).  A closure
     that keeps the first form of each label derives them once per orbit.
     """
-    degs, loops = graph._counts()
+    degs, loops = graph.validate()
     nv = len(graph.vertices)
     blocks = _class_blocks(graph, degs, loops)
 
@@ -315,7 +291,9 @@ def _automorphism_pairs(rep: MulticurveGraph, vertex_perms):
     """Every (vertex, edge) automorphism pair of a canonical representative,
     sorted, given its vertex symmetries: each extends to edges by every
     bijection between the parallel-edge slots it matches up."""
-    slots = edge_slots(rep.edges)
+    slots = defaultdict(list)  # the positions of each endpoint pair, in order
+    for j, pair in enumerate(rep.edges):
+        slots[pair].append(j)
     pairs = []
     for tau in vertex_perms:
         groups = []

@@ -320,7 +320,7 @@ class QuotientComplex:
             )
         for mid in self.maximal_ids:
             graph = self.orbit(mid).graph
-            degs = graph.degrees()
+            degs, _loops = graph.validate()
             for v, dec in enumerate(graph.vertices):
                 if dec.piece_genus != 0 or dec.piece_marked + degs[v] != 3:
                     raise InvalidMulticurve(
@@ -523,7 +523,11 @@ def complex_from_dict(payload: dict) -> QuotientComplex:
 
 
 def complex_from_json(text: str) -> QuotientComplex:
-    return complex_from_dict(json.loads(text))
+    try:
+        payload = json.loads(text)
+    except RecursionError:
+        raise ValueError("complex JSON is nested too deeply") from None
+    return complex_from_dict(payload)
 
 
 def complex_to_dot(cx: QuotientComplex) -> str:

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import curvecone.metric as metric
 from conftest import complex_for, orbit_by_structure
@@ -86,9 +88,40 @@ def test_coordinate_validation(s12):
                 {"0": "1.0"}, {"x": 1.0}, {"00": 1.0}):
         with pytest.raises(ValueError):
             cone_point(s12, nn.id, bad)
+    # An int past the float range used to raise OverflowError.
+    for huge in ((10**400, 1.0), {"0": 10**400}, (-(10**400), 1.0)):
+        with pytest.raises(ValueError, match="float range"):
+            cone_point(s12, nn.id, huge)
     assert cone_point(s12, nn.id, (np.float32(1.5), np.int64(2))).coords == (1.5, 2.0)
     with pytest.raises(ValueError):
         cone_point(s12, None, 5)
+
+
+# JSON-like values: nested lists and objects, ints past the float range,
+# nan and inf, strings and bools.
+_JSON_LIKE = st.recursive(
+    st.none() | st.booleans() | st.floats() | st.text(max_size=3) | st.integers()
+    | st.integers(min_value=2**1024) | st.integers(max_value=-(2**1024)),
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["0", "1"]) | st.text(max_size=2), inner, max_size=3),
+    max_leaves=6,
+)
+
+
+@given(orbit=st.sampled_from(["TOP", "FACE", None, "apex"]) | _JSON_LIKE, coords=_JSON_LIKE)
+@example(orbit="TOP", coords=[2**1024, 1.0])
+@settings(max_examples=300, deadline=None)
+def test_point_from_dict_raises_only_value_or_key_errors(s12, orbit, coords):
+    # "TOP" and "FACE" stand for a top orbit's id and a vertex orbit's.
+    from curvecone import point_from_dict
+    from curvecone.metric import SCHEMA_POINT
+
+    if isinstance(orbit, str):
+        orbit = {"TOP": s12.maximal_ids[0], "FACE": s12.orbits_of_dim(0)[0].id}.get(orbit, orbit)
+    try:
+        point_from_dict(s12, {"schema_version": SCHEMA_POINT, "orbit": orbit, "coords": coords})
+    except (ValueError, KeyError):
+        pass
 
 
 def test_apex_takes_no_coordinates(s12):

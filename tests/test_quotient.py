@@ -104,7 +104,7 @@ def test_s11_single_vertex(s11):
 def test_maximal_orbits_are_pants(s2):
     for mid in s2.maximal_ids:
         graph = s2.orbit(mid).graph
-        degs = graph.degrees()
+        degs = graph.validate()[0]
         for v, dec in enumerate(graph.vertices):
             assert dec.piece_genus == 0
             assert dec.piece_marked + degs[v] == 3

@@ -82,13 +82,15 @@ def test_run_verification_rejects_non_integer_sampling(s12, seed, samples):
 
 def test_run_verification_checks_mesh_before_any_suite(s12, monkeypatch):
     # A mesh that does not divide the grid box used to fail only after
-    # every core suite had run.
+    # every core suite had run, and mesh=True ran the grid suite.
     def no_suite(*args, **kwargs):
         raise AssertionError("a suite ran before the mesh was checked")
 
     monkeypatch.setattr("curvecone.verify.distance", no_suite)
     with pytest.raises(ValueError, match="positive multiple of mesh 0.3"):
         run_verification(s12, mesh=0.3)
+    with pytest.raises(ValueError, match="mesh must be a real number"):
+        run_verification(s12, mesh=True)
 
 
 def test_report_records_the_collar_constant(s11):
@@ -222,6 +224,7 @@ _MALFORMED = {
     "same-edge-twice": ("point", {**_POINT, "coords": {"0": 1.0, "00": 2.0}}),
     "apex-coords": ("point", {**_POINT, "orbit": None, "coords": {"7": 0.0}}),
     "signed-edge-keys": ("point", {**_POINT, "coords": {"+0": 1.0, " 1": 2.0}}),
+    "huge-int-coordinate": ("point", {**_POINT, "coords": {"0": 10**400}}),
     "complex-list": ("complex", []),
     "complex-surface-scalar": ("complex", {"schema_version": "curvecone/quotient-complex/1",
                                            "surface": 5, "orbits": []}),
@@ -250,6 +253,24 @@ def test_cli_dist_malformed_input(case, tmp_path, s12, capsys):
     assert main(["dist", *map(str, files)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("curvecone: error:") and "Traceback" not in err
+
+
+@pytest.mark.parametrize("which", ["complex", "point"])
+def test_cli_dist_rejects_deep_nesting(which, tmp_path, s12, capsys):
+    # JSON decoding used to raise RecursionError with a traceback.
+    from curvecone import cone_point
+
+    cx_file = tmp_path / "cx.json"
+    main(["complex", "-g", "1", "-n", "2", "--out", str(cx_file)])
+    good = tmp_path / "good.json"
+    good.write_text(cone_point(s12, s12.maximal_ids[0], (1.0, 2.0)).to_json())
+    bad = tmp_path / "bad.json"
+    bad.write_text("[" * 200_000 + "]" * 200_000)
+    files = [bad, good, good] if which == "complex" else [cx_file, bad, good]
+    capsys.readouterr()
+    assert main(["dist", *map(str, files)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("curvecone: error:") and "nested too deeply" in err
 
 
 @pytest.mark.parametrize(
