@@ -9,7 +9,6 @@ and propagates with its traceback.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from contextlib import contextmanager
 
@@ -20,7 +19,7 @@ from .quotient import (
     complex_to_dot,
     complex_to_json,
 )
-from .surfaces import Surface
+from .surfaces import Surface, read_payload
 from .verify import GRID_BOX, run_verification
 
 
@@ -112,10 +111,7 @@ def _cmd_dist(args) -> int:
         points = []
         for path in (args.point_p, args.point_q):
             with open(path) as handle:
-                try:
-                    payload = json.load(handle)
-                except RecursionError:
-                    raise ValueError(f"point file {path} is nested too deeply") from None
+                payload = read_payload(handle.read(), f"point file {path}")
             points.append(point_from_dict(cx, payload))
     result = distance(points[0], points[1])
     _emit(result.to_json(), args.out)

@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from itertools import combinations
-from numbers import Real
 
 import numpy as np
 
 from .metric import ConePoint, _require_same_complex
 from .quotient import QuotientComplex
+from .surfaces import as_real
 
 _MAX_NODES = 5_000_000
 # box / mesh of decimal inputs misses its integer by a few ulps
@@ -39,11 +39,8 @@ _MESH_ALIGN_TOL = 1e-6
 
 def grid_units(cx: QuotientComplex, mesh: float, box: float) -> int:
     """Validate a grid configuration and return the box side in mesh
-    units; raises :class:`ValueError` before any grid is allocated.  A
-    bool is no real number here, though it compares like one."""
-    for name, value in (("mesh", mesh), ("box", box)):
-        if isinstance(value, bool) or not isinstance(value, Real):
-            raise ValueError(f"{name} must be a real number, got {value!r}")
+    units; raises :class:`ValueError` before any grid is allocated."""
+    mesh, box = as_real(mesh, "mesh"), as_real(box, "box")
     if not mesh > 0:
         raise ValueError(f"mesh must be positive, got {mesh}")
     if not box > 0:
@@ -199,6 +196,7 @@ def brute_force_distance(p: ConePoint, q: ConePoint, mesh: float) -> float:
     path to the box is a half-sup-nonexpansive map fixing both endpoints
     and commuting with the face and symmetry identifications.
     """
+    mesh = as_real(mesh, "mesh")
     if not 0 < mesh < math.inf:
         raise ValueError(f"mesh must be positive and finite, got {mesh}")
     box = max(p.max_coord, q.max_coord, mesh)

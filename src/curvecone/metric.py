@@ -35,11 +35,10 @@ from __future__ import annotations
 import heapq
 import json
 from dataclasses import dataclass, field
-from numbers import Number
 
 from .lp import solve_lp
 from .quotient import QuotientComplex, SimplexOrbit, Transit
-from .surfaces import as_integer
+from .surfaces import as_integer, as_real, payload_fields
 
 APEX_ID = "apex"
 SCHEMA_POINT = "curvecone/cone-point/1"
@@ -104,20 +103,6 @@ class ConePoint:
         return json.dumps(self.to_dict(), sort_keys=True)
 
 
-def _coord(value) -> float:
-    # float() also takes numeric strings, bools and numpy.bool_ (no Number),
-    # which are no coordinates.  float and int are tested before the slower
-    # Number ABC.  An int past the float range overflows float().
-    if type(value) is not bool and isinstance(value, (float, int, Number)):
-        try:
-            return float(value)
-        except OverflowError:
-            raise ValueError("coordinate exceeds the float range") from None
-        except TypeError:
-            pass
-    raise ValueError(f"coordinate must be a number, got {value!r}")
-
-
 def _listed(coords) -> list:
     # Strings and bytes are iterable, but "" would read as the apex's
     # empty list and b"\x01\x02" as (1.0, 2.0).
@@ -148,9 +133,9 @@ def _coerce_coords(orbit: SimplexOrbit, coords) -> list[float]:
             if i in seen:
                 raise OrbitMismatchError(f"two keys name edge {i} of orbit {orbit.id}")
             seen.add(i)
-            vec[i] = _coord(val)
+            vec[i] = as_real(val, "coordinate")
     else:
-        vec = [_coord(v) for v in _listed(coords)]
+        vec = [as_real(v, "coordinate") for v in _listed(coords)]
         if len(vec) != k:
             raise OrbitMismatchError(
                 f"{len(vec)} coordinates for orbit {orbit.id} with {k} edges"
@@ -180,17 +165,10 @@ def apex(cx: QuotientComplex) -> ConePoint:
 def point_from_dict(cx: QuotientComplex, payload: dict) -> ConePoint:
     """Rebuild a point from its serialized form; a payload of the wrong
     shape raises ``ValueError``."""
-    if not isinstance(payload, dict):
-        raise ValueError(f"a point must be an object, got {type(payload).__name__}")
-    if payload.get("schema_version") != SCHEMA_POINT:
-        raise ValueError(f"unsupported point schema {payload.get('schema_version')!r}")
-    for key in ("orbit", "coords"):
-        if key not in payload:
-            raise ValueError(f"point payload lacks {key!r}")
-    orbit_id = payload["orbit"]
+    orbit_id, coords = payload_fields(payload, SCHEMA_POINT, ("orbit", "coords"), "point")
     if orbit_id is not None and not isinstance(orbit_id, str):
         raise ValueError(f"point orbit must be a string or null, got {orbit_id!r}")
-    return cone_point(cx, orbit_id, payload["coords"])
+    return cone_point(cx, orbit_id, coords)
 
 
 def scale(p: ConePoint, lam: float) -> ConePoint:
@@ -199,10 +177,9 @@ def scale(p: ConePoint, lam: float) -> ConePoint:
     The result goes through :func:`cone_point`: a coordinate that
     overflows raises ``ValueError``, and one that underflows to zero
     drops the point onto its face."""
+    lam = as_real(lam, "scale factor")
     if not lam > 0:
         raise ValueError(f"scale factor must be positive, got {lam}")
-    if p.is_apex:
-        return p
     return cone_point(p.complex, p.orbit_id, [lam * v for v in p.coords])
 
 

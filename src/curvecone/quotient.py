@@ -39,7 +39,7 @@ from .multicurves import (
     label_hash,
     slot_order,
 )
-from .surfaces import Surface
+from .surfaces import Surface, payload_fields, read_payload
 
 SCHEMA_COMPLEX = "curvecone/quotient-complex/1"
 
@@ -326,19 +326,15 @@ class QuotientComplex:
                     raise InvalidMulticurve(
                         f"maximal orbit {mid} has a non-pants piece at vertex {v}"
                     )
-        # Every orbit below the top extends to one more curve.
-        for k in range(1, d):
-            lower = {o.id for o in self.orbits_of_dim(k - 1)}
-            covered = {
-                fm.target
-                for fm in self.face_maps
-                if self._by_id[fm.source].dim == k
-            }
-            if not lower <= covered:
-                missing = sorted(lower - covered)
-                raise InvalidMulticurve(
-                    f"orbits {missing} extend to no larger curve system"
-                )
+        # Each face map drops one curve; each orbit below the top extends.
+        covered = set()
+        for fm in self.face_maps:
+            if self._by_id[fm.target].dim != self._by_id[fm.source].dim - 1:
+                raise InvalidMulticurve(f"face map {fm.source} -> {fm.target} is not a facet")
+            covered.add(fm.target)
+        missing = [o.id for o in self.orbits if o.dim < d - 1 and o.id not in covered]
+        if missing:
+            raise InvalidMulticurve(f"orbits {missing} extend to no larger curve system")
 
 
 # ---------------------------------------------------------------------------
@@ -346,7 +342,7 @@ class QuotientComplex:
 # ---------------------------------------------------------------------------
 
 
-def build_complex(surface: Surface) -> QuotientComplex:
+def build_complex(surface: Surface, *, expected: list | None = None) -> QuotientComplex:
     """Enumerate all orbits of a surface and assemble face maps.
 
     One closure loop builds the complex.  Every curve system is one curve
@@ -359,13 +355,18 @@ def build_complex(surface: Surface) -> QuotientComplex:
     back the face it started from, see :func:`_face_maps`), and the
     level's steps are dropped.  Structural invariants are verified before
     the complex is returned.
+
+    ``expected``, a payload's orbit list, is compared with each level's
+    serialized orbits as the level closes, so a payload that does not
+    match stops the build at the first dimension that differs, with
+    ``ValueError``.
     """
     bare = VertexDecoration(surface.genus, surface.marked_points)
     # Faces are (orbit id, canonical graph, vertex symmetries); the bare
     # surface has no id.
     level = [(None, MulticurveGraph((bare,), ()), ((0,),))]
     orbits, face_maps = [], []
-    for _ in range(surface.complexity):
+    for dim in range(surface.complexity):
         # The first form of each label, and per label the first step onto
         # each representative edge: (face, bigger, vertex_order), where
         # add_curve built bigger from the face's graph and vertex_order
@@ -387,6 +388,12 @@ def build_complex(surface: Surface) -> QuotientComplex:
             ((orbit_from_canonical(cf), cf) for cf in seen.values()),
             key=lambda pair: pair[0].id,
         )
+        if expected is not None:
+            listed = expected[len(orbits) : len(orbits) + len(made)]
+            if listed != [_orbit_dict(o) for o, _cf in made]:
+                raise ValueError(
+                    f"complex payload does not match its surface's complex at dimension {dim}"
+                )
         level = []
         for orbit, cf in made:
             orbits.append(orbit)
@@ -463,18 +470,7 @@ def complex_to_dict(cx: QuotientComplex) -> dict:
             "genus": cx.surface.genus,
             "marked_points": cx.surface.marked_points,
         },
-        "orbits": [
-            {
-                "id": o.id,
-                "dim": o.dim,
-                "vertices": [
-                    [d.piece_genus, d.piece_marked] for d in o.graph.vertices
-                ],
-                "edges": [list(e) for e in o.graph.edges],
-                "automorphisms": [list(a) for a in o.automorphisms],
-            }
-            for o in cx.orbits
-        ],
+        "orbits": [_orbit_dict(o) for o in cx.orbits],
         "face_maps": [
             {
                 "from": fm.source,
@@ -484,6 +480,16 @@ def complex_to_dict(cx: QuotientComplex) -> dict:
             }
             for fm in cx.face_maps
         ],
+    }
+
+
+def _orbit_dict(o: SimplexOrbit) -> dict:
+    return {
+        "id": o.id,
+        "dim": o.dim,
+        "vertices": [[d.piece_genus, d.piece_marked] for d in o.graph.vertices],
+        "edges": [list(e) for e in o.graph.edges],
+        "automorphisms": [list(a) for a in o.automorphisms],
     }
 
 
@@ -498,36 +504,26 @@ def complex_from_dict(payload: dict) -> QuotientComplex:
     payload must equal the rebuilt complex's :func:`complex_to_dict`
     exactly (orbits, automorphisms and face maps alike), which guards
     against stale or hand-edited files.  A payload of the wrong shape
-    raises ``ValueError``.
+    raises ``ValueError``.  The payload's orbits are compared level by
+    level as the build closes each dimension, so a short file naming a
+    large surface fails at its first dimension instead of after the whole
+    build; a file that matches up to a high dimension pays for the build
+    up to there.
     """
-    if not isinstance(payload, dict):
-        raise ValueError(f"a complex must be an object, got {type(payload).__name__}")
-    if payload.get("schema_version") != SCHEMA_COMPLEX:
-        raise ValueError(
-            f"unsupported complex schema {payload.get('schema_version')!r}"
-        )
-    for key in ("surface", "orbits"):
-        if key not in payload:
-            raise ValueError(f"complex payload lacks {key!r}")
-    surface, orbits = payload["surface"], payload["orbits"]
+    surface, orbits = payload_fields(payload, SCHEMA_COMPLEX, ("surface", "orbits"), "complex")
     if not isinstance(surface, dict):
         raise ValueError(f"complex surface must be an object, got {surface!r}")
-    if not isinstance(orbits, list) or not all(
-        isinstance(o, dict) and isinstance(o.get("id"), str) for o in orbits
-    ):
-        raise ValueError("complex orbits must be a list of objects with string ids")
-    cx = build_complex(Surface(surface.get("genus"), surface.get("marked_points")))
+    surface = Surface(surface.get("genus"), surface.get("marked_points"))
+    if not isinstance(orbits, list):
+        raise ValueError(f"complex orbits must be a list, got {type(orbits).__name__}")
+    cx = build_complex(surface, expected=orbits)
     if payload != complex_to_dict(cx):
         raise ValueError("complex payload does not match its surface's complex")
     return cx
 
 
 def complex_from_json(text: str) -> QuotientComplex:
-    try:
-        payload = json.loads(text)
-    except RecursionError:
-        raise ValueError("complex JSON is nested too deeply") from None
-    return complex_from_dict(payload)
+    return complex_from_dict(read_payload(text, "complex"))
 
 
 def complex_to_dot(cx: QuotientComplex) -> str:

@@ -1,9 +1,14 @@
-"""Orientable surfaces of finite type, the base objects of the library."""
+"""Orientable surfaces of finite type, the base objects of the library, and
+the rules for input from outside: what is an integer (:func:`as_integer`) or
+a real number (:func:`as_real`), the one JSON reader (:func:`read_payload`)
+and the one payload envelope check (:func:`payload_fields`)."""
 
 from __future__ import annotations
 
+import json
 import operator
 from dataclasses import dataclass
+from numbers import Real
 
 
 def as_integer(value, name: str, error: type[ValueError] = ValueError) -> int:
@@ -15,6 +20,39 @@ def as_integer(value, name: str, error: type[ValueError] = ValueError) -> int:
         except TypeError:
             pass
     raise error(f"{name} must be an integer, got {value!r}")
+
+
+def as_real(value, name: str) -> float:
+    """``value`` as a ``float`` if it is a real number in the float range,
+    numpy's too; a bool, a string, ``None`` or a ``Decimal`` raises ``ValueError``."""
+    # float and int first: every coordinate comes through here.
+    if type(value) is not bool and isinstance(value, (float, int, Real)):
+        try:
+            return float(value)
+        except OverflowError:
+            raise ValueError(f"{name} exceeds the float range") from None
+    raise ValueError(f"{name} must be a real number, got {value!r}")
+
+
+def read_payload(text: str, what: str):
+    """Decode a ``what`` file's JSON; malformed or too deep text raises ``ValueError``."""
+    try:
+        return json.loads(text)
+    except RecursionError:
+        raise ValueError(f"{what} JSON is nested too deeply") from None
+
+
+def payload_fields(payload, schema: str, keys, what: str) -> list:
+    """The values of ``keys`` in a ``what`` payload, an object with
+    ``schema_version`` ``schema``; any other payload raises ``ValueError``."""
+    if not isinstance(payload, dict):
+        raise ValueError(f"a {what} must be an object, got {type(payload).__name__}")
+    if payload.get("schema_version") != schema:
+        raise ValueError(f"unsupported {what} schema {payload.get('schema_version')!r}")
+    for key in keys:
+        if key not in payload:
+            raise ValueError(f"{what} payload lacks {key!r}")
+    return [payload[key] for key in keys]
 
 
 class UnsupportedSurfaceError(ValueError):

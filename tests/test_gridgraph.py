@@ -103,12 +103,14 @@ def test_grid_configuration_rejected(s12, mesh, box, message):
         GridOracle(s12, mesh, box)
 
 
-@pytest.mark.parametrize("mesh", [0.0, -0.5, float("nan"), float("inf")])
+@pytest.mark.parametrize("mesh", [0.0, -0.5, float("nan"), float("inf"), "0.5", None, True])
 def test_one_shot_wrapper_rejects_degenerate_mesh(s12, mesh):
     # 0 used to divide by zero and nan or inf to fail converting to int,
-    # both while computing the default box.
+    # both while computing the default box.  A string or None raised a
+    # bare TypeError.
     p = cone_point(s12, s12.maximal_ids[0], [1.0, 2.0])
-    with pytest.raises(ValueError, match="mesh must be positive"):
+    message = "mesh must be positive" if isinstance(mesh, float) else "mesh must be a real number"
+    with pytest.raises(ValueError, match=message):
         brute_force_distance(p, p, mesh=mesh)
 
 

@@ -337,6 +337,16 @@ def test_scale_examples(s12):
     assert tiny.orbit_id != nn.id and tiny.coords == (2e-200,)
 
 
+def test_scale_takes_a_real_factor(s12):
+    # True used to return the point unchanged, and a string or None to
+    # raise a bare TypeError.
+    p = cone_point(s12, nn_orbit(s12).id, (1.0, 2.0))
+    for lam in (True, "2", None):
+        with pytest.raises(ValueError, match="scale factor must be a real number"):
+            scale(p, lam)
+    assert scale(p, np.float32(2.0)) == scale(p, 2) == cone_point(s12, nn_orbit(s12).id, (2.0, 4.0))
+
+
 def test_homogeneity_property(s12):
     rng = np.random.default_rng(11)
     ids = [o.id for o in s12.orbits]

@@ -497,6 +497,19 @@ def test_orbit_symmetries_match_fresh_canonical_forms(monkeypatch, genus, marked
         assert cx.orbit(orbit_from_canonical(cf).id).automorphisms == fresh.automorphisms
 
 
+def test_invariants_check_every_face_map():
+    # Face coverage used to be checked level by level, against the maps
+    # out of each level only, so a map dropping two curves went unseen.
+    cx = complex_for(1, 3)
+    top, vertex = cx.maximal_ids[0], cx.orbits_of_dim(0)[0].id
+    skip = FaceMap(top, 0, vertex, ((1, 0),))
+    with pytest.raises(InvalidMulticurve, match="is not a facet"):
+        QuotientComplex(cx.surface, cx.orbits, (*cx.face_maps, skip)).check_invariants()
+    kept = [fm for fm in cx.face_maps if fm.target != vertex]
+    with pytest.raises(InvalidMulticurve, match=f"{vertex}.*extend to no larger curve system"):
+        QuotientComplex(cx.surface, cx.orbits, kept).check_invariants()
+
+
 def test_genus3_closed_builds():
     # The five top orbits are the five pants-decomposition types of the
     # closed genus-3 surface.

@@ -332,6 +332,30 @@ def test_cli_verify_rejects_bad_options(capsys):
         assert option in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "orbits", [[], [{"id": f"d{d}-x", "dim": d} for d in range(12)]], ids=["none", "dims"]
+)
+def test_cli_dist_rejects_a_large_surface_without_building_it(tmp_path, orbits):
+    # The short file names S(5,0), with no orbit or one stub per dimension;
+    # the complex used to be built before the comparison, taking over 40 s.
+    import curvecone
+
+    cx_file = tmp_path / "g5.json"
+    cx_file.write_text(json.dumps({
+        "schema_version": "curvecone/quotient-complex/1",
+        "surface": {"genus": 5, "marked_points": 0},
+        "orbits": orbits,
+    }))
+    src = str(Path(curvecone.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "curvecone.cli", "dist", str(cx_file), str(cx_file), str(cx_file)],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert run.returncode == 2, run.stderr
+    assert run.stderr.startswith("curvecone: error:") and "complex at dimension 0" in run.stderr
+
+
 def test_cli_dist_missing_file(tmp_path):
     missing = str(tmp_path / "missing.json")
     assert main(["dist", missing, missing, missing]) == 2
