@@ -336,8 +336,10 @@ def delete_curve(graph: MulticurveGraph, edge: int) -> MulticurveGraph | None:
     renumbers the vertices as :func:`deletion_vertex_map` says.
     Surviving edges keep their relative order (edge ``j`` becomes
     ``j - 1`` for ``j`` past the deleted index).  Returns ``None`` for
-    the empty system when the last curve is deleted.
+    the empty system when the last curve is deleted.  An ``edge`` that
+    is not an edge index of ``graph`` raises :class:`InvalidMulticurve`.
     """
+    edge = as_integer(edge, "edge", InvalidMulticurve)
     if not (0 <= edge < len(graph.edges)):
         raise InvalidMulticurve(f"no edge {edge} in graph with {len(graph.edges)} edges")
     if len(graph.edges) == 1:
@@ -386,6 +388,7 @@ def add_curve(graph: MulticurveGraph, v: int) -> list[MulticurveGraph]:
         True
     """
     nv = len(graph.vertices)
+    v = as_integer(v, "vertex", InvalidMulticurve)
     if not 0 <= v < nv:
         raise InvalidMulticurve(f"no vertex {v} in graph with {nv} vertices")
     genus, marked = graph.vertices[v].piece_genus, graph.vertices[v].piece_marked

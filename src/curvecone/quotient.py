@@ -39,7 +39,7 @@ from .multicurves import (
     label_hash,
     slot_order,
 )
-from .surfaces import Surface, payload_fields, read_payload
+from .surfaces import Surface, as_integer, payload_fields, read_payload
 
 SCHEMA_COMPLEX = "curvecone/quotient-complex/1"
 
@@ -139,7 +139,11 @@ class QuotientComplex:
         return tuple(o for o in self.orbits if o.dim == dim)
 
     def face(self, orbit_id: str, edge: int) -> FaceMap:
-        return self._face_at[(orbit_id, edge)]
+        edge = as_integer(edge, "edge")
+        try:
+            return self._face_at[(orbit_id, edge)]
+        except KeyError:
+            raise KeyError(f"no face of orbit {orbit_id!r} at edge {edge}")
 
     def orbit_counts(self) -> dict[int, int]:
         return dict(Counter(o.dim for o in self.orbits))
@@ -193,7 +197,11 @@ class QuotientComplex:
         spanned by its nonzero entries (read off the face table, the
         orbit itself when none vanishes), and the lexicographically least
         image of the vector there under that face's symmetries.  The
-        apex, where every entry vanishes, is ``(None, ())``."""
+        apex, where every entry vanishes, is ``(None, ())``.  A vector of
+        another length than the orbit's edge count raises ``ValueError``."""
+        k = self.orbit(orbit_id).n_edges
+        if len(vec) != k:
+            raise ValueError(f"a vector of length {len(vec)} for orbit {orbit_id} with {k} edges")
         support = frozenset(i for i, v in enumerate(vec) if v != 0)
         if not support:
             return None, ()

@@ -320,10 +320,21 @@ def test_add_curve_on_pants_is_empty():
     assert add_curve(theta, 0) == [] and add_curve(theta, 1) == []
 
 
-@pytest.mark.parametrize("v", [-1, 1])
+# A top graph of S(1,2): two pants joined by two curves.
+TWO_PANTS = graph([(0, 1), (0, 1)], [(0, 1), (0, 1)])
+
+
+@pytest.mark.parametrize("v", [-1, 2, True, 0.0])
 def test_add_curve_rejects_out_of_range_vertex(v):
-    with pytest.raises(InvalidMulticurve, match="no vertex"):
-        add_curve(bare(1, 2), v)
+    # True must not be read as vertex 1, nor 0.0 as vertex 0.
+    with pytest.raises(InvalidMulticurve, match="no vertex|vertex must be an integer"):
+        add_curve(TWO_PANTS, v)
+
+
+@pytest.mark.parametrize("edge", [-1, 2, True, 1.0, None])
+def test_delete_curve_rejects_a_bad_edge(edge):
+    with pytest.raises(InvalidMulticurve, match="no edge|edge must be an integer"):
+        delete_curve(TWO_PANTS, edge)
 
 
 def test_decoration_fields_must_be_integers():

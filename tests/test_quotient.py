@@ -191,6 +191,23 @@ def test_s12_embeddings(s12):
     assert len(s12.transits(sn.id, nn.id)) == 2
 
 
+@pytest.mark.parametrize("vec", [[1.0], [1.0, 2.0, 3.0]])
+def test_reduce_checks_the_vector_length(s12, vec):
+    # A short vector must not read its missing entries as zeros.
+    top = s12.maximal_ids[0]
+    with pytest.raises(ValueError, match=f"length {len(vec)} for orbit {top} with 2 edges"):
+        s12.reduce(top, vec)
+
+
+def test_face_checks_the_edge(s12):
+    top = s12.maximal_ids[0]
+    with pytest.raises(ValueError, match="edge must be an integer"):
+        s12.face(top, True)
+    with pytest.raises(KeyError, match=f"no face of orbit '{top}' at edge 5"):
+        s12.face(top, 5)
+    assert s12.face(top, 1).deleted_edge == 1
+
+
 def test_transit_domination(s2):
     # Between theta and dumbbell the one-curve transits all factor
     # through the shared two-curve face, so only the larger face remains.

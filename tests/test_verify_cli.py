@@ -389,9 +389,14 @@ def test_cli_internal_fault_propagates(monkeypatch, tmp_path, s12, capsys):
 
 _IMPORT_PATH_PROBE = """
 import json, sys
-loaded = {}
+import curvecone
+
+def loaded():
+    return sorted(m for m in sys.modules if m.startswith("curvecone.") or m == "numpy")
+
+result = {"bare": loaded(), "quotient": curvecone.quotient.__name__}
 import curvecone.cli
-loaded["import"] = "numpy" in sys.modules
+result["cli"] = loaded()
 
 from curvecone import complex_from_json, cone_point
 from curvecone.cli import main
@@ -404,20 +409,43 @@ for name, oid in zip("pq", cx.maximal_ids):
     with open(f"{work}/{name}.json", "w") as handle:
         handle.write(cone_point(cx, oid, [1.0 + i for i in range(k)]).to_json())
 main(["dist", work + "/cx.json", work + "/p.json", work + "/q.json", "--out", work + "/d.json"])
-loaded["dist"] = "numpy" in sys.modules
+result["dist"] = "numpy" in sys.modules
 
-import curvecone
-lazy = [curvecone.GridOracle.__name__, curvecone.brute_force_distance.__name__]
 namespace = {}
 exec("from curvecone import *", namespace)
-star = sorted(n for n in curvecone.__all__ if n not in namespace)
-print(json.dumps({"loaded": loaded, "lazy": lazy, "missing": star}))
+result["all"] = curvecone.__all__
+result["missing"] = [n for n in curvecone.__all__ if n not in namespace]
+result["foreign"] = [
+    n for n in curvecone.__all__
+    if namespace[n] is not getattr(sys.modules[namespace[n].__module__], n)
+]
+result["undir"] = sorted({"__all__", "quotient", *curvecone.__all__} - set(dir(curvecone)))
+print(json.dumps(result))
 """
+
+# The package's public names at the time it bound them all on import.
+_PUBLIC_NAMES = """
+CanonicalForm ComplexMismatchError ConePoint FaceMap FenchelNielsenPoint Gallery
+GeodesicResult GridOracle HalfPlanePoint InvalidMulticurve LPInfeasibleError LPResult
+LPUnboundedError MulticurveGraph OrbitMismatchError ProductPoint QuotientComplex
+RunReport SimplexOrbit SuiteResult Surface Transit UnsupportedSurfaceError
+VertexDecoration add_curve apex brute_force_distance build_complex canonicalize
+complex_from_json complex_to_dot complex_to_json cone_point delete_curve distance
+dropped_edges extensions half_plane_distance is_stable length_coords orthant_distance
+partial_sup_distance point_from_dict run_verification scale segment_lengths solve_lp
+sup_product_distance symmetric_orthant_distance to_fenchel_nielsen to_plane_coords
+""".split()
+
+_CLI_MODULES = [
+    f"curvecone.{m}" for m in
+    ("cli", "fenchel_nielsen", "lp", "metric", "multicurves", "quotient", "surfaces", "verify")
+]
 
 
 def test_complex_and_dist_run_without_numpy(tmp_path):
     # numpy serves only the grid oracle and verify's sampler, so the CLI's
-    # import and its complex and dist commands must not load it.
+    # import and its complex and dist commands must not load it.  The bare
+    # package loads each module only when one of its names is first read.
     import curvecone
 
     src = str(Path(curvecone.__file__).resolve().parent.parent)
@@ -428,7 +456,10 @@ def test_complex_and_dist_run_without_numpy(tmp_path):
     )
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.splitlines()[-1])
-    assert result["loaded"] == {"import": False, "dist": False}
-    assert result["lazy"] == ["GridOracle", "brute_force_distance"]
-    assert result["missing"] == []
+    assert result["bare"] == []
+    assert result["quotient"] == "curvecone.quotient"
+    assert result["cli"] == _CLI_MODULES
+    assert result["dist"] is False
+    assert result["all"] == _PUBLIC_NAMES
+    assert result["missing"] == [] and result["foreign"] == [] and result["undir"] == []
     assert json.loads((tmp_path / "d.json").read_text())["distance"] > 0
