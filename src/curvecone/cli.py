@@ -107,7 +107,7 @@ def _cmd_complex(args) -> int:
 def _cmd_dist(args) -> int:
     with _reading_input():
         with open(args.complex_file) as handle:
-            cx = complex_from_json(handle.read())
+            cx = complex_from_json(handle.read(), f"complex file {args.complex_file}")
         points = []
         for path in (args.point_p, args.point_q):
             with open(path) as handle:

@@ -17,10 +17,9 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass
 
 from .metric import ConePoint, OrbitMismatchError, _pad
-from .surfaces import as_integer
+from .surfaces import Record, as_integer
 
 # Rounding allowed below 0 in arccosh(1 + u): u is a squared distance over
 # 2 y y', so only a point off the half-plane goes further below.
@@ -30,39 +29,41 @@ _ACOSH_TOL = 1e-12
 EPSILON0 = 0.1
 
 
-@dataclass(frozen=True)
-class FenchelNielsenPoint:
+class FenchelNielsenPoint(Record):
     """Hyperbolic lengths and twists along one pants decomposition type."""
 
-    orbit_id: str
-    lengths: tuple[float, ...]
-    twists: tuple[float, ...]
+    __slots__ = ("orbit_id", "lengths", "twists")
 
-    def __post_init__(self):
-        if len(self.lengths) != len(self.twists):
+    def __init__(self, orbit_id: str, lengths: tuple[float, ...], twists: tuple[float, ...]):
+        if len(lengths) != len(twists):
             raise ValueError("lengths and twists must align")
-        if any(not length > 0 for length in self.lengths):
+        if any(not length > 0 for length in lengths):
             raise ValueError("hyperbolic lengths must be positive")
+        object.__setattr__(self, "orbit_id", orbit_id)
+        object.__setattr__(self, "lengths", lengths)
+        object.__setattr__(self, "twists", twists)
 
 
-@dataclass(frozen=True)
-class HalfPlanePoint:
+class HalfPlanePoint(Record):
     """A point of the upper half-plane: twist abscissa, reciprocal length."""
 
-    x: float
-    y: float
+    __slots__ = ("x", "y")
 
-    def __post_init__(self):
-        if not (math.isfinite(self.x) and math.isfinite(self.y) and self.y > 0):
+    def __init__(self, x: float, y: float):
+        object.__setattr__(self, "x", x)
+        object.__setattr__(self, "y", y)
+        if not (math.isfinite(x) and math.isfinite(y) and y > 0):
             raise ValueError(f"half-plane points need finite x and y > 0, got {self}")
 
 
-@dataclass(frozen=True)
-class ProductPoint:
+class ProductPoint(Record):
     """One half-plane factor per curve of a pants decomposition type."""
 
-    orbit_id: str
-    planes: tuple[HalfPlanePoint, ...]
+    __slots__ = ("orbit_id", "planes")
+
+    def __init__(self, orbit_id: str, planes: tuple[HalfPlanePoint, ...]):
+        object.__setattr__(self, "orbit_id", orbit_id)
+        object.__setattr__(self, "planes", planes)
 
 
 def length_coords(xvec) -> tuple[float, ...]:

@@ -47,7 +47,8 @@ from __future__ import annotations
 import marshal
 import threading
 from collections import defaultdict
-from dataclasses import dataclass
+
+from .surfaces import Record
 
 # Pivot threshold: gallery tableau entries are sums of a few coordinates.
 TOL = 1e-9
@@ -85,10 +86,12 @@ class LPUnboundedError(LPError):
     """Objective unbounded below; impossible for well-formed programs here."""
 
 
-@dataclass(frozen=True)
-class LPResult:
-    value: float
-    x: tuple[float, ...]
+class LPResult(Record):
+    __slots__ = ("value", "x")
+
+    def __init__(self, value: float, x: tuple[float, ...]):
+        object.__setattr__(self, "value", value)
+        object.__setattr__(self, "x", x)
 
 
 class _PlanStore:

@@ -34,11 +34,10 @@ from __future__ import annotations
 
 import heapq
 import json
-from dataclasses import dataclass, field
 
 from .lp import solve_lp
 from .quotient import QuotientComplex, SimplexOrbit, Transit
-from .surfaces import as_integer, as_real, payload_fields
+from .surfaces import Record, as_integer, as_real, payload_fields
 
 APEX_ID = "apex"
 SCHEMA_POINT = "curvecone/cone-point/1"
@@ -74,15 +73,19 @@ class OrbitMismatchError(ValueError):
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class ConePoint:
+class ConePoint(Record):
     """A canonical point of the cone: supporting orbit plus positive
     coordinates, reduced to the lexicographically least vector in its
-    symmetry orbit.  ``orbit_id`` is ``None`` at the apex."""
+    symmetry orbit.  ``orbit_id`` is ``None`` at the apex.  The complex
+    is carried, not compared: points are equal by orbit and coordinates."""
 
-    orbit_id: str | None
-    coords: tuple[float, ...]
-    complex: QuotientComplex = field(compare=False, repr=False)
+    __slots__ = ("orbit_id", "coords", "complex")
+    _fields = ("orbit_id", "coords")
+
+    def __init__(self, orbit_id: str | None, coords: tuple[float, ...], complex: QuotientComplex):
+        object.__setattr__(self, "orbit_id", orbit_id)
+        object.__setattr__(self, "coords", coords)
+        object.__setattr__(self, "complex", complex)
 
     @property
     def is_apex(self) -> bool:
@@ -216,23 +219,35 @@ def symmetric_orthant_distance(orbit: SimplexOrbit, x, y) -> float:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Gallery:
+class Gallery(Record):
     """Combinatorial trace of a geodesic: orbit sequence, shared-face
     transits with their developing identifications, and the embeddings
     realizing the endpoints in the first and last orbit."""
 
-    orbit_ids: tuple[str, ...]
-    transits: tuple[Transit, ...]
-    start_embedding: tuple[int, ...]
-    end_embedding: tuple[int, ...]
+    __slots__ = ("orbit_ids", "transits", "start_embedding", "end_embedding")
+
+    def __init__(
+        self,
+        orbit_ids: tuple[str, ...],
+        transits: tuple[Transit, ...],
+        start_embedding: tuple[int, ...],
+        end_embedding: tuple[int, ...],
+    ):
+        object.__setattr__(self, "orbit_ids", orbit_ids)
+        object.__setattr__(self, "transits", transits)
+        object.__setattr__(self, "start_embedding", start_embedding)
+        object.__setattr__(self, "end_embedding", end_embedding)
 
 
-@dataclass(frozen=True)
-class GeodesicResult:
-    distance: float
-    gallery: Gallery
-    breakpoints: tuple[tuple[float, ...], ...]
+class GeodesicResult(Record):
+    __slots__ = ("distance", "gallery", "breakpoints")
+
+    def __init__(
+        self, distance: float, gallery: Gallery, breakpoints: tuple[tuple[float, ...], ...]
+    ):
+        object.__setattr__(self, "distance", distance)
+        object.__setattr__(self, "gallery", gallery)
+        object.__setattr__(self, "breakpoints", breakpoints)
 
     def to_dict(self) -> dict:
         return {

@@ -15,29 +15,27 @@ from __future__ import annotations
 
 import hashlib
 from collections import defaultdict
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import permutations, product
 
-from .surfaces import as_integer
+from .surfaces import Record, as_integer
 
 
 class InvalidMulticurve(ValueError):
     """The decorated multigraph violates a curve-system invariant."""
 
 
-@dataclass(frozen=True)
-class VertexDecoration:
+class VertexDecoration(Record):
     """Genus and marked-point count of one complementary piece, both
     nonnegative integers (numpy's integer types are stored as ``int``)."""
 
-    piece_genus: int
-    piece_marked: int
+    __slots__ = ("piece_genus", "piece_marked")
 
-    def __post_init__(self):
-        for name in ("piece_genus", "piece_marked"):
-            value = as_integer(getattr(self, name), name, InvalidMulticurve)
-            object.__setattr__(self, name, value)
+    def __init__(self, piece_genus: int, piece_marked: int):
+        piece_genus = as_integer(piece_genus, "piece_genus", InvalidMulticurve)
+        piece_marked = as_integer(piece_marked, "piece_marked", InvalidMulticurve)
+        object.__setattr__(self, "piece_genus", piece_genus)
+        object.__setattr__(self, "piece_marked", piece_marked)
         if self.piece_genus < 0 or self.piece_marked < 0:
             raise InvalidMulticurve(
                 f"negative decoration ({self.piece_genus}, {self.piece_marked})"
@@ -64,8 +62,7 @@ def is_stable(decoration: VertexDecoration, degree: int) -> bool:
     return 2 * decoration.piece_genus - 2 + decoration.piece_marked + degree > 0
 
 
-@dataclass(frozen=True)
-class MulticurveGraph:
+class MulticurveGraph(Record):
     """A connected decorated multigraph; edges are curves, vertices pieces.
 
     ``edges[i]`` is the unordered pair of endpoint vertices of curve ``i``
@@ -73,14 +70,11 @@ class MulticurveGraph:
     index into ``edges``.
     """
 
-    vertices: tuple[VertexDecoration, ...]
-    edges: tuple[tuple[int, int], ...]
+    __slots__ = ("vertices", "edges")
 
-    def __post_init__(self):
-        verts = tuple(self.vertices)
-        edges = tuple((u, v) if u <= v else (v, u) for u, v in self.edges)
-        object.__setattr__(self, "vertices", verts)
-        object.__setattr__(self, "edges", edges)
+    def __init__(self, vertices, edges):
+        object.__setattr__(self, "vertices", tuple(vertices))
+        object.__setattr__(self, "edges", tuple((u, v) if u <= v else (v, u) for u, v in edges))
 
     # -- derived counts ----------------------------------------------------
 
@@ -146,8 +140,7 @@ class MulticurveGraph:
         return degs, loops
 
 
-@dataclass(frozen=True)
-class CanonicalForm:
+class CanonicalForm(Record):
     """Canonical labeling of a decorated multigraph plus its symmetries.
 
     ``vertex_numberings`` are all the numberings of the input graph's
@@ -162,11 +155,22 @@ class CanonicalForm:
     edge group's order when a vertex symmetry acts trivially on edges.
     """
 
-    graph: MulticurveGraph
-    label: str
-    vertex_order: tuple[int, ...]
-    edge_order: tuple[int, ...]
-    vertex_numberings: tuple[tuple[int, ...], ...] = field(repr=False)
+    # The cached properties below keep their values in the ``__dict__``.
+    __slots__ = ("graph", "label", "vertex_order", "edge_order", "vertex_numberings", "__dict__")
+
+    def __init__(
+        self,
+        graph: MulticurveGraph,
+        label: str,
+        vertex_order: tuple[int, ...],
+        edge_order: tuple[int, ...],
+        vertex_numberings: tuple[tuple[int, ...], ...],
+    ):
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "label", label)
+        object.__setattr__(self, "vertex_order", vertex_order)
+        object.__setattr__(self, "edge_order", edge_order)
+        object.__setattr__(self, "vertex_numberings", vertex_numberings)
 
     @cached_property
     def vertex_symmetries(self) -> tuple[tuple[int, ...], ...]:

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from dataclasses import dataclass
 from itertools import combinations
 from operator import lshift
 
@@ -39,27 +38,30 @@ from .multicurves import (
     label_hash,
     slot_order,
 )
-from .surfaces import Surface, as_integer, payload_fields, read_payload
+from .surfaces import Record, Surface, as_integer, payload_fields, read_payload
 
 SCHEMA_COMPLEX = "curvecone/quotient-complex/1"
 
 
-@dataclass(frozen=True)
-class SimplexOrbit:
+class SimplexOrbit(Record):
     """One orbit of curve systems: canonical cut graph plus symmetries."""
 
-    id: str
-    graph: MulticurveGraph
-    dim: int
-    automorphisms: tuple[tuple[int, ...], ...]
+    __slots__ = ("id", "graph", "dim", "automorphisms")
+
+    def __init__(
+        self, id: str, graph: MulticurveGraph, dim: int, automorphisms: tuple[tuple[int, ...], ...]
+    ):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "graph", graph)
+        object.__setattr__(self, "dim", dim)
+        object.__setattr__(self, "automorphisms", automorphisms)
 
     @property
     def n_edges(self) -> int:
         return len(self.graph.edges)
 
 
-@dataclass(frozen=True)
-class FaceMap:
+class FaceMap(Record):
     """Curve deletion between orbits, with the surviving-edge injection.
 
     ``edge_injection`` pairs each surviving canonical edge of ``source``
@@ -67,14 +69,22 @@ class FaceMap:
     share a target orbit.
     """
 
-    source: str
-    deleted_edge: int
-    target: str
-    edge_injection: tuple[tuple[int, int], ...]
+    __slots__ = ("source", "deleted_edge", "target", "edge_injection")
+
+    def __init__(
+        self,
+        source: str,
+        deleted_edge: int,
+        target: str,
+        edge_injection: tuple[tuple[int, int], ...],
+    ):
+        object.__setattr__(self, "source", source)
+        object.__setattr__(self, "deleted_edge", deleted_edge)
+        object.__setattr__(self, "target", target)
+        object.__setattr__(self, "edge_injection", edge_injection)
 
 
-@dataclass(frozen=True)
-class Transit:
+class Transit(Record):
     """Shared-face identification between consecutive gallery orbits.
 
     ``into_source[c]`` / ``into_target[c]`` give the host edges carrying
@@ -83,9 +93,12 @@ class Transit:
     degenerate case with no carried edges.
     """
 
-    face_id: str
-    into_source: tuple[int, ...]
-    into_target: tuple[int, ...]
+    __slots__ = ("face_id", "into_source", "into_target")
+
+    def __init__(self, face_id: str, into_source: tuple[int, ...], into_target: tuple[int, ...]):
+        object.__setattr__(self, "face_id", face_id)
+        object.__setattr__(self, "into_source", into_source)
+        object.__setattr__(self, "into_target", into_target)
 
 
 def orbit_from_canonical(cf: CanonicalForm) -> SimplexOrbit:
@@ -530,8 +543,10 @@ def complex_from_dict(payload: dict) -> QuotientComplex:
     return cx
 
 
-def complex_from_json(text: str) -> QuotientComplex:
-    return complex_from_dict(read_payload(text, "complex"))
+def complex_from_json(text: str, what: str = "complex") -> QuotientComplex:
+    """:func:`complex_from_dict` of the JSON ``text``; text that is not
+    JSON raises ``ValueError`` naming ``what``, such as the file it came from."""
+    return complex_from_dict(read_payload(text, what))
 
 
 def complex_to_dot(cx: QuotientComplex) -> str:

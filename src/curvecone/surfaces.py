@@ -1,13 +1,14 @@
 """Orientable surfaces of finite type, the base objects of the library, and
 the rules for input from outside: what is an integer (:func:`as_integer`) or
 a real number (:func:`as_real`), the one JSON reader (:func:`read_payload`)
-and the one payload envelope check (:func:`payload_fields`)."""
+and the one payload envelope check (:func:`payload_fields`).  The base of
+the library's immutable records, :class:`Record`, lives here too."""
 
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass
+from functools import total_ordering
 from numbers import Real
 
 
@@ -35,11 +36,14 @@ def as_real(value, name: str) -> float:
 
 
 def read_payload(text: str, what: str):
-    """Decode a ``what`` file's JSON; malformed or too deep text raises ``ValueError``."""
+    """Decode a ``what`` file's JSON; malformed or too deep text raises
+    ``ValueError`` naming ``what``."""
     try:
         return json.loads(text)
     except RecursionError:
         raise ValueError(f"{what} JSON is nested too deeply") from None
+    except json.JSONDecodeError as exc:
+        raise ValueError(f"{what} is not valid JSON: {exc}") from None
 
 
 def payload_fields(payload, schema: str, keys, what: str) -> list:
@@ -55,13 +59,49 @@ def payload_fields(payload, schema: str, keys, what: str) -> list:
     return [payload[key] for key in keys]
 
 
+class Record:
+    """An immutable record.  A subclass lists its fields in ``__slots__``
+    and its ``__init__`` sets each with ``object.__setattr__``; no field
+    can be set or deleted afterwards.  Two records of one class are
+    equal, hash alike and print alike by their ``_fields``, which are the
+    slots unless the subclass names fewer."""
+
+    __slots__ = ()
+
+    def __init_subclass__(cls):
+        super().__init_subclass__()
+        if "_fields" not in cls.__dict__:
+            cls._fields = tuple(name for name in cls.__slots__ if name != "__dict__")
+
+    def _values(self) -> tuple:
+        return tuple(map(self.__getattribute__, self._fields))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({shown})"
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
 class UnsupportedSurfaceError(ValueError):
     """The surface carries no essential curve system (complexity < 1), or
     its genus or marked point count is not an integer."""
 
 
-@dataclass(frozen=True, order=True)
-class Surface:
+@total_ordering
+class Surface(Record):
     """A closed orientable surface with unlabeled marked points.
 
     Only surfaces with ``complexity = 3*genus - 3 + marked_points >= 1``
@@ -78,13 +118,13 @@ class Surface:
         2
     """
 
-    genus: int
-    marked_points: int
+    __slots__ = ("genus", "marked_points")
 
-    def __post_init__(self):
-        for name in ("genus", "marked_points"):
-            value = as_integer(getattr(self, name), name, UnsupportedSurfaceError)
-            object.__setattr__(self, name, value)
+    def __init__(self, genus: int, marked_points: int):
+        genus = as_integer(genus, "genus", UnsupportedSurfaceError)
+        marked_points = as_integer(marked_points, "marked_points", UnsupportedSurfaceError)
+        object.__setattr__(self, "genus", genus)
+        object.__setattr__(self, "marked_points", marked_points)
         if self.genus < 0 or self.marked_points < 0:
             raise UnsupportedSurfaceError(
                 f"genus and marked point count must be nonnegative, "
@@ -95,6 +135,11 @@ class Surface:
                 f"surface ({self.genus}, {self.marked_points}) has complexity "
                 f"{self.complexity} < 1; no essential curve systems"
             )
+
+    def __lt__(self, other):
+        if other.__class__ is not Surface:
+            return NotImplemented
+        return self._values() < other._values()
 
     @property
     def complexity(self) -> int:

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import time
-from dataclasses import dataclass, field
 from functools import partial
 from itertools import permutations
 
@@ -50,13 +49,15 @@ _REL_FLOOR = 1e-30
 GRID_BOX = 8.0
 
 
-@dataclass
 class SuiteResult:
-    name: str
-    passed: bool
-    samples: int
-    worst: float
-    note: str = ""
+    __slots__ = ("name", "passed", "samples", "worst", "note")
+
+    def __init__(self, name: str, passed: bool, samples: int, worst: float, note: str = ""):
+        self.name = name
+        self.passed = passed
+        self.samples = samples
+        self.worst = worst
+        self.note = note
 
     def to_dict(self) -> dict:
         return {
@@ -68,12 +69,16 @@ class SuiteResult:
         }
 
 
-@dataclass
 class RunReport:
-    command: str
-    config: dict
-    results: list[SuiteResult]
-    timings: dict = field(default_factory=dict)
+    __slots__ = ("command", "config", "results", "timings")
+
+    def __init__(
+        self, command: str, config: dict, results: list[SuiteResult], timings: dict | None = None
+    ):
+        self.command = command
+        self.config = config
+        self.results = results
+        self.timings = {} if timings is None else timings
 
     @property
     def passed(self) -> bool:

@@ -1,0 +1,121 @@
+"""The value semantics of the library's records: equality and hashing by
+field, no assignment after construction, and the few deviations callers
+rely on (``Surface`` ordering, ``ConePoint`` ignoring its complex)."""
+
+import pytest
+
+from conftest import complex_for
+from curvecone import (
+    FaceMap,
+    FenchelNielsenPoint,
+    Gallery,
+    GeodesicResult,
+    HalfPlanePoint,
+    LPResult,
+    MulticurveGraph,
+    ProductPoint,
+    SimplexOrbit,
+    Surface,
+    Transit,
+    VertexDecoration,
+    build_complex,
+    canonicalize,
+    cone_point,
+)
+
+
+def _graph():
+    return MulticurveGraph((VertexDecoration(0, 2), VertexDecoration(0, 2)), ((1, 0), (0, 1)))
+
+
+def _records():
+    """A builder of one record of each class, whose two calls give equal
+    records, and one field of it."""
+    transit = lambda: Transit("d0-x", (1,), (0,))  # noqa: E731
+    gallery = lambda: Gallery(("a", "b"), (transit(),), (0, 1), (1, 0))  # noqa: E731
+    plane = lambda: HalfPlanePoint(0.5, 2.0)  # noqa: E731
+    return [
+        (lambda: Surface(1, 2), "genus"),
+        (lambda: VertexDecoration(1, 0), "piece_marked"),
+        (_graph, "edges"),
+        (lambda: canonicalize(_graph()), "label"),
+        (lambda: SimplexOrbit("d1-x", _graph(), 1, ((0, 1), (1, 0))), "automorphisms"),
+        (lambda: FaceMap("d1-x", 0, "d0-y", ((1, 0),)), "target"),
+        (transit, "into_source"),
+        (gallery, "orbit_ids"),
+        (lambda: GeodesicResult(1.5, gallery(), ((0.5,),)), "distance"),
+        (lambda: LPResult(2.0, (1.0, 0.0)), "x"),
+        (lambda: FenchelNielsenPoint("d1-x", (0.1, 0.2), (0.0, 0.0)), "lengths"),
+        (plane, "y"),
+        (lambda: ProductPoint("d1-x", (plane(), plane())), "planes"),
+    ]
+
+
+_IDS = [type(make()).__name__ for make, _field in _records()]
+
+
+@pytest.mark.parametrize("make, _field", _records(), ids=_IDS)
+def test_records_with_equal_fields_are_equal_and_hash_alike(make, _field):
+    a, b = make(), make()
+    assert a is not b
+    assert a == b and not a != b
+    assert hash(a) == hash(b)
+    assert len({a, b}) == 1
+    assert a != object()
+
+
+@pytest.mark.parametrize("make, name", _records(), ids=_IDS)
+def test_records_refuse_assignment(make, name):
+    record = make()
+    before = getattr(record, name)
+    with pytest.raises(AttributeError):
+        setattr(record, name, before)
+    with pytest.raises(AttributeError):
+        delattr(record, name)
+    with pytest.raises(AttributeError):
+        record.extra = 1
+    assert getattr(record, name) is before
+
+
+def test_surface_order_and_hash_follow_its_fields():
+    surfaces = [Surface(2, 1), Surface(0, 7), Surface(1, 3), Surface(1, 2)]
+    assert sorted(surfaces) == [Surface(0, 7), Surface(1, 2), Surface(1, 3), Surface(2, 1)]
+    assert Surface(1, 2) < Surface(1, 3) <= Surface(1, 3) < Surface(2, 0)
+    assert Surface(2, 0) > Surface(1, 9) and Surface(2, 0) >= Surface(2, 0)
+    assert max(surfaces) == Surface(2, 1)
+    for g, n in ((1, 2), (0, 7), (3, 0)):
+        assert hash(Surface(g, n)) == hash((g, n))
+    assert Surface(1, 2) != (1, 2)
+    with pytest.raises(TypeError):
+        Surface(1, 2) < (1, 3)  # noqa: B015
+
+
+def test_cone_point_equality_ignores_its_complex():
+    first, second = complex_for(1, 2), build_complex(Surface(1, 2))
+    assert first is not second
+    top = first.maximal_ids[0]
+    p, q = cone_point(first, top, (1.0, 2.0)), cone_point(second, top, (1.0, 2.0))
+    assert p.complex is first and q.complex is second
+    assert p == q and hash(p) == hash(q)
+    assert p != cone_point(first, top, (1.0, 3.0))
+
+
+def test_orbits_transits_and_graphs_compare_by_value():
+    cx = complex_for(1, 2)
+    for orbit in cx.orbits:
+        copy = SimplexOrbit(orbit.id, MulticurveGraph(orbit.graph.vertices, orbit.graph.edges),
+                            orbit.dim, tuple(orbit.automorphisms))
+        assert copy == orbit and hash(copy) == hash(orbit)
+        assert SimplexOrbit(orbit.id, orbit.graph, orbit.dim + 1, orbit.automorphisms) != orbit
+    a, b = cx.maximal_ids
+    for t in cx.transits(a, b):
+        assert Transit(t.face_id, tuple(t.into_source), tuple(t.into_target)) == t
+        assert Transit(t.face_id, t.into_target + (9,), t.into_source) != t
+    # The graph stores each edge low-high, so the order it is given in
+    # does not matter.
+    assert MulticurveGraph([VertexDecoration(0, 4)], [(0, 0)]) == MulticurveGraph(
+        (VertexDecoration(0, 4),), ((0, 0),)
+    )
+    assert _graph() == MulticurveGraph(_graph().vertices, ((0, 1), (1, 0)))
+    assert _graph() != MulticurveGraph((VertexDecoration(0, 2), VertexDecoration(0, 3)),
+                                       ((0, 1), (0, 1)))

@@ -1,4 +1,3 @@
-import dataclasses
 import json
 import os
 import subprocess
@@ -9,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import complex_for, orbit_by_structure
-from curvecone import QuotientComplex, fenchel_nielsen, run_verification
+from curvecone import QuotientComplex, SimplexOrbit, fenchel_nielsen, run_verification
 from curvecone.cli import main
 
 
@@ -52,7 +51,7 @@ def test_grid_suite_runs_with_mesh(s12):
 def _corrupted(s12):
     # Inject a bogus swap into the orbit whose only symmetry is trivial.
     sn = orbit_by_structure(s12, [(0, 0), (0, 2)], [(0, 0), (0, 1)])
-    bad = dataclasses.replace(sn, automorphisms=sn.automorphisms + ((1, 0),))
+    bad = SimplexOrbit(sn.id, sn.graph, sn.dim, sn.automorphisms + ((1, 0),))
     orbits = [bad if o.id == sn.id else o for o in s12.orbits]
     return QuotientComplex(s12.surface, orbits, s12.face_maps)
 
@@ -295,6 +294,26 @@ def test_cli_dist_names_a_missing_key(which, key, tmp_path, s12, capsys):
     assert err.startswith("curvecone: error:") and f"lacks '{key}'" in err
 
 
+@pytest.mark.parametrize("cut", ["empty", "truncated"])
+@pytest.mark.parametrize("which", ["complex", "point"])
+def test_cli_dist_names_a_file_that_is_not_json(which, cut, tmp_path, s12, capsys):
+    # The decoder's message used to come alone: "Expecting value: line 1 ...".
+    from curvecone import cone_point
+
+    cx_file = tmp_path / "cx.json"
+    main(["complex", "-g", "1", "-n", "2", "--out", str(cx_file)])
+    point_file = tmp_path / "p.json"
+    point_file.write_text(cone_point(s12, s12.maximal_ids[0], (1.0, 2.0)).to_json())
+    target = cx_file if which == "complex" else point_file
+    text = target.read_text()
+    target.write_text("" if cut == "empty" else text[: len(text) // 2])
+    capsys.readouterr()
+    assert main(["dist", str(cx_file), str(point_file), str(point_file)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"curvecone: error: {which} file {target} is not valid JSON")
+    assert "Traceback" not in err
+
+
 def test_cli_verify_passes(tmp_path, capsys):
     out = tmp_path / "report.json"
     code = main(
@@ -422,6 +441,51 @@ result["foreign"] = [
 result["undir"] = sorted({"__all__", "quotient", *curvecone.__all__} - set(dir(curvecone)))
 print(json.dumps(result))
 """
+
+# Run under ``python -S``, so that only what the CLI itself imports counts:
+# ``dataclasses`` brings ``inspect``, and with it ``ast``, ``dis`` and
+# ``tokenize``, into every fresh process.
+_LEAN_IMPORT_PROBE = """
+import sys
+heavy = ("dataclasses", "inspect")
+
+def loaded():
+    return [m for m in heavy if m in sys.modules]
+
+result = {"start": loaded()}
+import curvecone.cli
+result["cli"] = loaded()
+
+from curvecone import cone_point, complex_from_json
+from curvecone.cli import main
+work = sys.argv[1]
+main(["complex", "-g", "1", "-n", "2", "--out", work + "/cx.json"])
+result["complex"] = loaded()
+with open(work + "/cx.json") as handle:
+    cx = complex_from_json(handle.read())
+for name, oid in zip("pq", (cx.maximal_ids[0], cx.maximal_ids[-1])):
+    with open(f"{work}/{name}.json", "w") as handle:
+        handle.write(cone_point(cx, oid, [1.0, 2.5]).to_json())
+main(["dist", work + "/cx.json", work + "/p.json", work + "/q.json", "--out", work + "/d.json"])
+result["dist"] = loaded()
+print(repr(result))
+"""
+
+
+def test_cli_commands_load_neither_dataclasses_nor_inspect(tmp_path):
+    import curvecone
+
+    src = str(Path(curvecone.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", _LEAN_IMPORT_PROBE, str(tmp_path)],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert run.returncode == 0, run.stderr
+    result = run.stdout.splitlines()[-1]
+    assert result == repr({"start": [], "cli": [], "complex": [], "dist": []})
+    assert json.loads((tmp_path / "d.json").read_text())["distance"] > 0
+
 
 # The package's public names at the time it bound them all on import.
 _PUBLIC_NAMES = """
