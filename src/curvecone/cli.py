@@ -106,11 +106,11 @@ def _cmd_complex(args) -> int:
 
 def _cmd_dist(args) -> int:
     with _reading_input():
-        with open(args.complex_file) as handle:
+        with open(args.complex_file, "rb") as handle:
             cx = complex_from_json(handle.read(), f"complex file {args.complex_file}")
         points = []
         for path in (args.point_p, args.point_q):
-            with open(path) as handle:
+            with open(path, "rb") as handle:
                 payload = read_payload(handle.read(), f"point file {path}")
             points.append(point_from_dict(cx, payload))
     result = distance(points[0], points[1])

@@ -61,10 +61,6 @@ class ProductPoint(Record):
 
     __slots__ = ("orbit_id", "planes")
 
-    def __init__(self, orbit_id: str, planes: tuple[HalfPlanePoint, ...]):
-        object.__setattr__(self, "orbit_id", orbit_id)
-        object.__setattr__(self, "planes", planes)
-
 
 def length_coords(xvec) -> tuple[float, ...]:
     """Curve lengths assigned to raw cone coordinates on one orbit."""

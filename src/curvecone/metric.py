@@ -82,11 +82,6 @@ class ConePoint(Record):
     __slots__ = ("orbit_id", "coords", "complex")
     _fields = ("orbit_id", "coords")
 
-    def __init__(self, orbit_id: str | None, coords: tuple[float, ...], complex: QuotientComplex):
-        object.__setattr__(self, "orbit_id", orbit_id)
-        object.__setattr__(self, "coords", coords)
-        object.__setattr__(self, "complex", complex)
-
     @property
     def is_apex(self) -> bool:
         return self.orbit_id is None
@@ -226,28 +221,9 @@ class Gallery(Record):
 
     __slots__ = ("orbit_ids", "transits", "start_embedding", "end_embedding")
 
-    def __init__(
-        self,
-        orbit_ids: tuple[str, ...],
-        transits: tuple[Transit, ...],
-        start_embedding: tuple[int, ...],
-        end_embedding: tuple[int, ...],
-    ):
-        object.__setattr__(self, "orbit_ids", orbit_ids)
-        object.__setattr__(self, "transits", transits)
-        object.__setattr__(self, "start_embedding", start_embedding)
-        object.__setattr__(self, "end_embedding", end_embedding)
-
 
 class GeodesicResult(Record):
     __slots__ = ("distance", "gallery", "breakpoints")
-
-    def __init__(
-        self, distance: float, gallery: Gallery, breakpoints: tuple[tuple[float, ...], ...]
-    ):
-        object.__setattr__(self, "distance", distance)
-        object.__setattr__(self, "gallery", gallery)
-        object.__setattr__(self, "breakpoints", breakpoints)
 
     def to_dict(self) -> dict:
         return {

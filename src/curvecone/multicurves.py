@@ -13,12 +13,16 @@ canonicalization.
 
 from __future__ import annotations
 
-import hashlib
 from collections import defaultdict
 from functools import cached_property
 from itertools import permutations, product
 
 from .surfaces import Record, as_integer
+
+try:  # the interpreter's own SHA-1: importing hashlib loads OpenSSL
+    from _sha1 import sha1
+except ImportError:
+    from hashlib import sha1
 
 
 class InvalidMulticurve(ValueError):
@@ -157,20 +161,6 @@ class CanonicalForm(Record):
 
     # The cached properties below keep their values in the ``__dict__``.
     __slots__ = ("graph", "label", "vertex_order", "edge_order", "vertex_numberings", "__dict__")
-
-    def __init__(
-        self,
-        graph: MulticurveGraph,
-        label: str,
-        vertex_order: tuple[int, ...],
-        edge_order: tuple[int, ...],
-        vertex_numberings: tuple[tuple[int, ...], ...],
-    ):
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "label", label)
-        object.__setattr__(self, "vertex_order", vertex_order)
-        object.__setattr__(self, "edge_order", edge_order)
-        object.__setattr__(self, "vertex_numberings", vertex_numberings)
 
     @cached_property
     def vertex_symmetries(self) -> tuple[tuple[int, ...], ...]:
@@ -315,7 +305,7 @@ def _label_string(rep: MulticurveGraph) -> str:
 
 
 def label_hash(label: str) -> str:
-    return hashlib.sha1(label.encode("ascii")).hexdigest()[:10]
+    return sha1(label.encode("ascii")).hexdigest()[:10]
 
 
 def deletion_vertex_map(graph: MulticurveGraph, edge: int) -> list[int]:

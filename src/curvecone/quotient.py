@@ -48,14 +48,6 @@ class SimplexOrbit(Record):
 
     __slots__ = ("id", "graph", "dim", "automorphisms")
 
-    def __init__(
-        self, id: str, graph: MulticurveGraph, dim: int, automorphisms: tuple[tuple[int, ...], ...]
-    ):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "graph", graph)
-        object.__setattr__(self, "dim", dim)
-        object.__setattr__(self, "automorphisms", automorphisms)
-
     @property
     def n_edges(self) -> int:
         return len(self.graph.edges)
@@ -71,18 +63,6 @@ class FaceMap(Record):
 
     __slots__ = ("source", "deleted_edge", "target", "edge_injection")
 
-    def __init__(
-        self,
-        source: str,
-        deleted_edge: int,
-        target: str,
-        edge_injection: tuple[tuple[int, int], ...],
-    ):
-        object.__setattr__(self, "source", source)
-        object.__setattr__(self, "deleted_edge", deleted_edge)
-        object.__setattr__(self, "target", target)
-        object.__setattr__(self, "edge_injection", edge_injection)
-
 
 class Transit(Record):
     """Shared-face identification between consecutive gallery orbits.
@@ -94,11 +74,6 @@ class Transit(Record):
     """
 
     __slots__ = ("face_id", "into_source", "into_target")
-
-    def __init__(self, face_id: str, into_source: tuple[int, ...], into_target: tuple[int, ...]):
-        object.__setattr__(self, "face_id", face_id)
-        object.__setattr__(self, "into_source", into_source)
-        object.__setattr__(self, "into_target", into_target)
 
 
 def orbit_from_canonical(cf: CanonicalForm) -> SimplexOrbit:
@@ -543,9 +518,9 @@ def complex_from_dict(payload: dict) -> QuotientComplex:
     return cx
 
 
-def complex_from_json(text: str, what: str = "complex") -> QuotientComplex:
-    """:func:`complex_from_dict` of the JSON ``text``; text that is not
-    JSON raises ``ValueError`` naming ``what``, such as the file it came from."""
+def complex_from_json(text: bytes | str, what: str = "complex") -> QuotientComplex:
+    """:func:`complex_from_dict` of the JSON ``text`` or bytes; input that
+    is not JSON raises ``ValueError`` naming ``what``, such as its file."""
     return complex_from_dict(read_payload(text, what))
 
 

@@ -1,11 +1,17 @@
 """The value semantics of the library's records: equality and hashing by
-field, no assignment after construction, and the few deviations callers
-rely on (``Surface`` ordering, ``ConePoint`` ignoring its complex)."""
+field, no assignment after construction, constructors that take the
+fields, copies and pickles rebuilt through them, and the few deviations
+callers rely on (``Surface`` ordering, ``ConePoint`` ignoring its complex)."""
+
+import copy
+import inspect
+import pickle
 
 import pytest
 
 from conftest import complex_for
 from curvecone import (
+    CanonicalForm,
     FaceMap,
     FenchelNielsenPoint,
     Gallery,
@@ -20,7 +26,9 @@ from curvecone import (
     VertexDecoration,
     build_complex,
     canonicalize,
+    complex_to_json,
     cone_point,
+    distance,
 )
 
 
@@ -75,6 +83,58 @@ def test_records_refuse_assignment(make, name):
     with pytest.raises(AttributeError):
         record.extra = 1
     assert getattr(record, name) is before
+
+
+_ROUND_TRIPS = {
+    "copy": copy.copy,
+    "deepcopy": copy.deepcopy,
+    "pickle": lambda value: pickle.loads(pickle.dumps(value)),
+}
+
+
+@pytest.mark.parametrize("how", _ROUND_TRIPS)
+@pytest.mark.parametrize("make, _field", _records(), ids=_IDS)
+def test_records_copy_and_pickle(make, _field, how):
+    record = make()
+    again = _ROUND_TRIPS[how](record)
+    assert type(again) is type(record)
+    assert again == record and hash(again) == hash(record)
+    if isinstance(record, CanonicalForm):
+        # The cached symmetries are not carried over; they are derived again.
+        assert again.automorphisms == record.automorphisms
+
+
+@pytest.mark.parametrize("how", _ROUND_TRIPS)
+def test_complex_and_geodesic_copy_and_pickle(how):
+    cx = build_complex(Surface(2, 1))
+    first, last = cx.maximal_ids[0], cx.maximal_ids[-1]
+    result = distance(cone_point(cx, first, (1.0, 2.0, 3.0, 4.0)),
+                      cone_point(cx, last, (4.0, 0.5, 2.5, 1.5)))
+    assert _ROUND_TRIPS[how](result) == result
+    again = _ROUND_TRIPS[how](cx)
+    assert complex_to_json(again) == complex_to_json(cx)
+    point = _ROUND_TRIPS[how](cone_point(cx, first, (1.0, 2.0, 3.0, 4.0)))
+    assert point == cone_point(cx, first, (1.0, 2.0, 3.0, 4.0))
+
+
+@pytest.mark.parametrize("make, _field", _records(), ids=_IDS)
+def test_constructors_take_the_slots_by_position_or_keyword(make, _field):
+    record = make()
+    cls = type(record)
+    slots = [name for name in cls.__slots__ if name != "__dict__"]
+    values = [getattr(record, name) for name in slots]
+    assert cls(*values) == record
+    assert cls(**dict(zip(slots, values))) == record
+    with pytest.raises(TypeError):
+        cls(*values[:-1])
+    with pytest.raises(TypeError):
+        cls(*values, values[-1])
+    with pytest.raises(TypeError):
+        cls(*values, extra=1)
+
+
+def test_written_constructor_signature_lists_the_slots():
+    assert list(inspect.signature(Transit).parameters) == list(Transit.__slots__)
 
 
 def test_surface_order_and_hash_follow_its_fields():

@@ -294,10 +294,11 @@ def test_cli_dist_names_a_missing_key(which, key, tmp_path, s12, capsys):
     assert err.startswith("curvecone: error:") and f"lacks '{key}'" in err
 
 
-@pytest.mark.parametrize("cut", ["empty", "truncated"])
+@pytest.mark.parametrize("cut", ["empty", "truncated", "bom", "bad-byte"])
 @pytest.mark.parametrize("which", ["complex", "point"])
 def test_cli_dist_names_a_file_that_is_not_json(which, cut, tmp_path, s12, capsys):
-    # The decoder's message used to come alone: "Expecting value: line 1 ...".
+    # The decoder's message used to come alone: "Expecting value: line 1 ...",
+    # and a file that is not UTF-8 gave only the codec's message.
     from curvecone import cone_point
 
     cx_file = tmp_path / "cx.json"
@@ -305,8 +306,10 @@ def test_cli_dist_names_a_file_that_is_not_json(which, cut, tmp_path, s12, capsy
     point_file = tmp_path / "p.json"
     point_file.write_text(cone_point(s12, s12.maximal_ids[0], (1.0, 2.0)).to_json())
     target = cx_file if which == "complex" else point_file
-    text = target.read_text()
-    target.write_text("" if cut == "empty" else text[: len(text) // 2])
+    data = target.read_bytes()
+    cuts = {"empty": b"", "truncated": data[: len(data) // 2], "bom": b"\xff\xfe",
+            "bad-byte": b"\xff{"}
+    target.write_bytes(cuts[cut])
     capsys.readouterr()
     assert main(["dist", str(cx_file), str(point_file), str(point_file)]) == 2
     err = capsys.readouterr().err
@@ -444,10 +447,11 @@ print(json.dumps(result))
 
 # Run under ``python -S``, so that only what the CLI itself imports counts:
 # ``dataclasses`` brings ``inspect``, and with it ``ast``, ``dis`` and
-# ``tokenize``, into every fresh process.
+# ``tokenize``, into every fresh process; ``hashlib`` brings OpenSSL's
+# ``_hashlib``.
 _LEAN_IMPORT_PROBE = """
 import sys
-heavy = ("dataclasses", "inspect")
+heavy = ("dataclasses", "inspect", "_hashlib")
 
 def loaded():
     return [m for m in heavy if m in sys.modules]
