@@ -20,7 +20,7 @@ from .quotient import (
     complex_to_json,
 )
 from .surfaces import Surface, read_payload
-from .verify import GRID_BOX, run_verification
+from .verify import run_verification, verification_config
 
 
 class InputError(Exception):
@@ -121,16 +121,9 @@ def _cmd_dist(args) -> int:
 def _cmd_verify(args) -> int:
     with _reading_input():
         surface = Surface(args.genus, args.marked)
-        if args.seed < 0 or args.samples < 1:
-            raise ValueError(
-                f"--seed must be >= 0 and --samples >= 1, got {args.seed} and {args.samples}"
-            )
     cx = build_complex(surface)
-    if args.mesh is not None:
-        from .gridgraph import grid_units
-
-        with _reading_input():
-            grid_units(cx, args.mesh, GRID_BOX)
+    with _reading_input():
+        verification_config(cx, args.seed, args.samples, args.mesh)
     report = run_verification(cx, seed=args.seed, samples=args.samples, mesh=args.mesh)
     _emit(report.to_json(), args.out)
     return 0 if report.passed else 1

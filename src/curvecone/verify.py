@@ -1,8 +1,8 @@
 """Seeded property-suite runner producing reproducible reports.
 
-Each suite samples the complex with a seeded generator and records a
-pass flag, the sample count, and the worst violation magnitude seen.
-Identical (command, seed, config) inputs yield byte-identical payloads;
+Each suite samples the complex with a seeded generator and returns a
+pass flag, the sample count, the worst violation magnitude seen and a
+note.  One complex and one config yield byte-identical payloads;
 wall-clock timings are kept in a separate field so reports can be
 diffed.
 """
@@ -24,11 +24,9 @@ from .metric import (
     segment_lengths,
     symmetric_orthant_distance,
 )
-# ``canonicalize`` is not called here; perfbench's tracer looks it up on
-# this module, and reports the whole ``multicurves`` layer absent if not.
-from .multicurves import InvalidMulticurve, canonicalize  # noqa: F401
+from .multicurves import InvalidMulticurve
 from .quotient import QuotientComplex
-from .surfaces import as_integer
+from .surfaces import Record, as_integer
 
 SCHEMA_REPORT = "curvecone/run-report/1"
 
@@ -49,15 +47,8 @@ _REL_FLOOR = 1e-30
 GRID_BOX = 8.0
 
 
-class SuiteResult:
+class SuiteResult(Record):
     __slots__ = ("name", "passed", "samples", "worst", "note")
-
-    def __init__(self, name: str, passed: bool, samples: int, worst: float, note: str = ""):
-        self.name = name
-        self.passed = passed
-        self.samples = samples
-        self.worst = worst
-        self.note = note
 
     def to_dict(self) -> dict:
         return {
@@ -69,16 +60,11 @@ class SuiteResult:
         }
 
 
-class RunReport:
-    __slots__ = ("command", "config", "results", "timings")
+class RunReport(Record):
+    """The results of one ``run_verification``, in suite order, with the
+    config they ran under and each suite's wall-clock seconds."""
 
-    def __init__(
-        self, command: str, config: dict, results: list[SuiteResult], timings: dict | None = None
-    ):
-        self.command = command
-        self.config = config
-        self.results = results
-        self.timings = {} if timings is None else timings
+    __slots__ = ("config", "results", "timings")
 
     @property
     def passed(self) -> bool:
@@ -87,7 +73,7 @@ class RunReport:
     def to_dict(self) -> dict:
         return {
             "schema_version": SCHEMA_REPORT,
-            "command": self.command,
+            "command": "verify",
             "config": self.config,
             "results": [r.to_dict() for r in self.results],
             "passed": self.passed,
@@ -156,7 +142,7 @@ def _suite_automorphism_equivariance(cx, rng, samples):
                 fails += 1
     passed = fails == 0 and worst <= _ZERO_TOL
     note = f"{fails} invalid table entries" if fails else ""
-    return SuiteResult("automorphism_equivariance", passed, checked, worst, note)
+    return passed, checked, worst, note
 
 
 def _suite_complex_structure(cx, rng, samples):
@@ -202,8 +188,7 @@ def _suite_complex_structure(cx, rng, samples):
             targets.add(cur)
         if len(targets) != 1:
             fails += 1
-    return SuiteResult("complex_structure", fails == 0, checked, 0.0,
-                       f"{fails} failures" if fails else "")
+    return fails == 0, checked, 0.0, f"{fails} failures" if fails else ""
 
 
 def _suite_metric_axioms(cx, rng, samples):
@@ -224,8 +209,7 @@ def _suite_metric_axioms(cx, rng, samples):
         if dpq <= _ZERO_TOL and p != q:
             fails += 1
     passed = fails == 0 and worst <= _TRI_TOL
-    return SuiteResult("metric_axioms", passed, samples, worst,
-                       f"{fails} identity failures" if fails else "")
+    return passed, samples, worst, f"{fails} identity failures" if fails else ""
 
 
 def _suite_homogeneity(cx, rng, samples):
@@ -238,7 +222,7 @@ def _suite_homogeneity(cx, rng, samples):
             scaled = distance(scale(p, lam), scale(q, lam)).distance
             rel = abs(scaled - lam * base) / max(lam * base, _REL_FLOOR)
             worst = max(worst, rel)
-    return SuiteResult("homogeneity", worst <= _SCALE_TOL, samples, worst)
+    return worst <= _SCALE_TOL, samples, worst, ""
 
 
 def _suite_orthant_isometry(cx, rng, samples):
@@ -254,7 +238,7 @@ def _suite_orthant_isometry(cx, rng, samples):
             prod = fn.sup_product_distance(fn.to_plane_coords(fx), fn.to_plane_coords(fy))
             worst = max(worst, abs(prod - orthant_distance(orbit, x, y)))
             count += 1
-    return SuiteResult("orthant_isometry", worst <= _ISO_TOL, count, worst)
+    return worst <= _ISO_TOL, count, worst, ""
 
 
 def _suite_well_definedness(cx, rng, samples):
@@ -264,7 +248,7 @@ def _suite_well_definedness(cx, rng, samples):
         if o.id not in cx.maximal_ids and len(cx.maximal_embeddings(o.id)) >= 2
     ]
     if not eligible:
-        return SuiteResult("well_definedness", True, 0, 0.0, "no multi-coface orbits")
+        return True, 0, 0.0, "no multi-coface orbits"
     worst = 0.0
     count = 0
     for _ in range(samples):
@@ -284,7 +268,7 @@ def _suite_well_definedness(cx, rng, samples):
                         if e not in emb:
                             worst = max(worst, abs(fpt.lengths[e] - fn.EPSILON0))
                 count += 1
-    return SuiteResult("well_definedness", worst == 0.0, count, worst)
+    return worst == 0.0, count, worst, ""
 
 
 def _suite_same_orbit(cx, rng, samples):
@@ -306,7 +290,7 @@ def _suite_same_orbit(cx, rng, samples):
     note = ""
     if shortcut > _TRI_TOL:
         note = f"shortcut gallery beats orthant value by {shortcut:.3e}"
-    return SuiteResult("same_orbit_consistency", worst <= _TRI_TOL, count, worst, note)
+    return worst <= _TRI_TOL, count, worst, note
 
 
 def _suite_geodesic_consistency(cx, rng, samples):
@@ -323,7 +307,7 @@ def _suite_geodesic_consistency(cx, rng, samples):
         fwd, bwd = dropped_edges(res, p, q)
         for _c, x in fwd + bwd:
             worst = max(worst, 0.5 * x - res.distance)
-    return SuiteResult("geodesic_consistency", worst <= _TRI_TOL, samples, worst)
+    return worst <= _TRI_TOL, samples, worst, ""
 
 
 def _suite_grid_oracle(cx, rng, samples, mesh):
@@ -332,6 +316,9 @@ def _suite_grid_oracle(cx, rng, samples, mesh):
     oracle = GridOracle(cx, mesh, GRID_BOX)
     units = oracle.units
     ids = [o.id for o in cx.orbits]
+    if units == 1 and len(ids) == 1:
+        # One orbit with every coordinate at one mesh: a single grid point.
+        return True, 0, 0.0, "one grid point, no distinct pair"
     worst = 0.0
     low = 0.0
     for _ in range(samples):
@@ -348,8 +335,33 @@ def _suite_grid_oracle(cx, rng, samples, mesh):
         worst = max(worst, bf - d - 2 * mesh)
         low = max(low, d - bf)
     passed = worst <= 0.0 and low <= _TRI_TOL
-    return SuiteResult("grid_oracle", passed, samples, max(worst, low),
-                       "grid path shorter than geodesic" if low > _TRI_TOL else "")
+    note = "grid path shorter than geodesic" if low > _TRI_TOL else ""
+    return passed, samples, max(worst, low), note
+
+
+def verification_config(cx: QuotientComplex, seed, samples, mesh) -> dict:
+    """Check ``run_verification``'s options and return the config its
+    report records, collar constant ``fenchel_nielsen.EPSILON0`` included.
+
+    ``seed`` and ``samples`` must be integers (``surfaces.as_integer``),
+    ``seed >= 0`` and ``samples >= 1``, and a mesh must fit the grid
+    (``gridgraph.grid_units``); anything else raises ``ValueError``.
+    """
+    seed, samples = as_integer(seed, "seed"), as_integer(samples, "samples")
+    if seed < 0 or samples < 1:
+        raise ValueError(f"seed must be >= 0 and samples >= 1, got {seed} and {samples}")
+    if mesh is not None:
+        from .gridgraph import grid_units
+
+        grid_units(cx, mesh, GRID_BOX)
+    return {
+        "surface": {"genus": cx.surface.genus, "marked_points": cx.surface.marked_points},
+        "seed": seed,
+        "samples": samples,
+        "epsilon0": fn.EPSILON0,
+        "mesh": mesh,
+        "box": GRID_BOX if mesh is not None else None,
+    }
 
 
 def run_verification(
@@ -364,32 +376,17 @@ def run_verification(
     has side ``GRID_BOX`` and holds ``(GRID_BOX / mesh + 1) ** n_edges``
     nodes per top orbit, and each sample is one breadth-first search over
     all of them, so a fine mesh on a large complex makes it the slowest
-    suite.  Sample counts are scaled down for the heavier suites.
-    ``seed`` and ``samples`` must be integers (``surfaces.as_integer``),
-    ``seed >= 0`` and ``samples >= 1``, and a mesh must fit the grid
-    (``gridgraph.grid_units``); anything else raises ``ValueError``
-    before any suite runs.  The report's config records the collar
-    constant ``fenchel_nielsen.EPSILON0``.
+    suite.  Sample counts are scaled down for the heavier suites.  The
+    options are checked by :func:`verification_config` before any suite
+    runs.
     """
-    seed, samples = as_integer(seed, "seed"), as_integer(samples, "samples")
-    if seed < 0 or samples < 1:
-        raise ValueError(f"seed must be >= 0 and samples >= 1, got {seed} and {samples}")
-    if mesh is not None:
-        from .gridgraph import grid_units
-
-        grid_units(cx, mesh, GRID_BOX)
+    config = verification_config(cx, seed, samples, mesh)
+    seed, samples = config["seed"], config["samples"]
     import numpy as np  # the seeded sampler, kept off the CLI import path
 
-    config = {
-        "surface": {"genus": cx.surface.genus, "marked_points": cx.surface.marked_points},
-        "seed": seed,
-        "samples": samples,
-        "epsilon0": fn.EPSILON0,
-        "mesh": mesh,
-        "box": GRID_BOX if mesh is not None else None,
-    }
     # (name, suite, sample budget), in report order; each suite gets its
-    # own generator seeded with ``seed``.
+    # own generator seeded with ``seed`` and returns (passed, samples,
+    # worst violation, note).
     suites = [
         ("automorphism_equivariance", _suite_automorphism_equivariance, samples),
         ("complex_structure", _suite_complex_structure, samples),
@@ -408,6 +405,6 @@ def run_verification(
     for name, suite, budget in suites:
         rng = np.random.default_rng(seed)
         t0 = time.perf_counter()
-        results.append(suite(cx, rng, budget))
+        results.append(SuiteResult(name, *suite(cx, rng, budget)))
         timings[name] = time.perf_counter() - t0
-    return RunReport("verify", config, results, timings)
+    return RunReport(config, tuple(results), timings)

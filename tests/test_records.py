@@ -20,7 +20,9 @@ from curvecone import (
     LPResult,
     MulticurveGraph,
     ProductPoint,
+    RunReport,
     SimplexOrbit,
+    SuiteResult,
     Surface,
     Transit,
     VertexDecoration,
@@ -56,6 +58,7 @@ def _records():
         (lambda: FenchelNielsenPoint("d1-x", (0.1, 0.2), (0.0, 0.0)), "lengths"),
         (plane, "y"),
         (lambda: ProductPoint("d1-x", (plane(), plane())), "planes"),
+        (lambda: SuiteResult("homogeneity", True, 20, 1e-16, ""), "worst"),
     ]
 
 
@@ -102,6 +105,30 @@ def test_records_copy_and_pickle(make, _field, how):
     if isinstance(record, CanonicalForm):
         # The cached symmetries are not carried over; they are derived again.
         assert again.automorphisms == record.automorphisms
+
+
+def _report():
+    return RunReport({"seed": 0, "mesh": None}, (SuiteResult("homogeneity", True, 20, 0.0, ""),),
+                     {"homogeneity": 0.5})
+
+
+def test_run_report_refuses_assignment_and_is_unhashable():
+    # A report holds its config and timings as dicts, so it has no hash.
+    report = _report()
+    with pytest.raises(AttributeError):
+        report.timings = {}
+    with pytest.raises(AttributeError):
+        report.extra = 1
+    with pytest.raises(TypeError):
+        hash(report)
+
+
+@pytest.mark.parametrize("how", _ROUND_TRIPS)
+def test_run_report_copy_and_pickle(how):
+    report = _report()
+    again = _ROUND_TRIPS[how](report)
+    assert type(again) is RunReport and again == report
+    assert again.to_json() == report.to_json()
 
 
 @pytest.mark.parametrize("how", _ROUND_TRIPS)

@@ -351,7 +351,26 @@ def test_cli_verify_rejects_bad_options(capsys):
     # failed verification or a report of negative samples.
     for option, value in (("--seed", "-1"), ("--samples", "0"), ("--samples", "-3")):
         assert main(["verify", "-g", "1", "-n", "2", option, value]) == 2
-        assert option in capsys.readouterr().err
+        assert "seed must be >= 0 and samples >= 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("genus, marked", [(1, 1), (0, 4)])
+def test_cli_verify_grid_suite_ends_on_a_one_point_grid(genus, marked):
+    # A complexity-1 surface has one orbit with one edge, and mesh 8 puts
+    # a single point on its grid; the grid suite used to redraw its pair
+    # forever.  A subprocess, so that a hang fails instead of stalling.
+    import curvecone
+
+    src = str(Path(curvecone.__file__).resolve().parent.parent)
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    run = subprocess.run(
+        [sys.executable, "-m", "curvecone.cli", "verify", "-g", str(genus), "-n", str(marked),
+         "--mesh", "8"],
+        env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert run.returncode == 0, run.stderr
+    grid = json.loads(run.stdout)["results"][-1]
+    assert (grid["suite"], grid["samples"]) == ("grid_oracle", 0)
 
 
 @pytest.mark.parametrize(
