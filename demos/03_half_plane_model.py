@@ -13,11 +13,11 @@ from curvecone import (
     Surface,
     build_complex,
     cone_point,
+    distance,
     extensions,
     half_plane_distance,
     length_coords,
     orthant_distance,
-    partial_sup_distance,
     sup_product_distance,
     to_fenchel_nielsen,
     to_plane_coords,
@@ -60,13 +60,14 @@ print(f"\nextensions of a point on the nonseparating ray (coord 2):")
 for mid, emb, fpt in extensions(pt):
     print(f"   into {mid} via edge {emb[0]}: lengths {fpt.lengths}")
 
-# When two structures share only some curves, the sup over the shared
-# ones is the model's lower-bound surrogate; it is reported bare, without
-# the uncomputable additive constant the comparison carries.
+# Structures on different pants types are compared in the cone itself.
+# A point carrying only the shared nonseparating curve is a point of that
+# curve's ray, whichever pants type it is written on, so `distance` reads
+# half the coordinate gap.
 sn = next(o for o in cx.orbits if o.dim == 1 and len(o.automorphisms) == 1)
 a_coord, b_coord = 1.25, 3.75
-Pp = to_plane_coords(FenchelNielsenPoint(sn.id, length_coords((a_coord, 0.0)), (0.0, 0.0)))
-Qq = to_plane_coords(FenchelNielsenPoint(nn.id, length_coords((b_coord, 0.0)), (0.0, 0.0)))
-print("\nshared-curve sup for coords 1.25 vs 3.75:",
-      partial_sup_distance(Pp, Qq, [0], matching=(0, 1)),
+pa = cone_point(cx, sn.id, (a_coord, 0.0))
+pb = cone_point(cx, nn.id, (b_coord, 0.0))
+print(f"\nshared-curve points on {sn.id} and {nn.id} reduce to {pa.orbit_id}, {pb.orbit_id}")
+print("distance for coords 1.25 vs 3.75:", distance(pa, pb).distance,
       "= half the coordinate gap", 0.5 * abs(a_coord - b_coord))

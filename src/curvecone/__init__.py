@@ -18,8 +18,8 @@ __version__ = "0.1.0"
 _EXPORTS = {
     "fenchel_nielsen": (
         "FenchelNielsenPoint", "HalfPlanePoint", "ProductPoint", "extensions",
-        "half_plane_distance", "length_coords", "partial_sup_distance",
-        "sup_product_distance", "to_fenchel_nielsen", "to_plane_coords",
+        "half_plane_distance", "length_coords", "sup_product_distance",
+        "to_fenchel_nielsen", "to_plane_coords",
     ),
     "gridgraph": ("GridOracle", "brute_force_distance"),
     "lp": ("LPInfeasibleError", "LPResult", "LPUnboundedError", "solve_lp"),

@@ -16,10 +16,9 @@ metric on the product, the map is an exact isometry on every orthant.
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
 
 from .metric import ConePoint, OrbitMismatchError, _pad
-from .surfaces import Record, as_integer
+from .surfaces import Record, as_real
 
 # Rounding allowed below 0 in arccosh(1 + u): u is a squared distance over
 # 2 y y', so only a point off the half-plane goes further below.
@@ -34,11 +33,13 @@ class FenchelNielsenPoint(Record):
 
     __slots__ = ("orbit_id", "lengths", "twists")
 
-    def __init__(self, orbit_id: str, lengths: tuple[float, ...], twists: tuple[float, ...]):
+    def __init__(self, orbit_id: str, lengths, twists):
+        lengths = tuple(as_real(length, "hyperbolic length") for length in lengths)
+        twists = tuple(as_real(twist, "twist") for twist in twists)
         if len(lengths) != len(twists):
             raise ValueError("lengths and twists must align")
-        if any(not length > 0 for length in lengths):
-            raise ValueError("hyperbolic lengths must be positive")
+        if not all(0 < length < math.inf for length in lengths):
+            raise ValueError(f"hyperbolic lengths must be positive and finite, got {lengths}")
         object.__setattr__(self, "orbit_id", orbit_id)
         object.__setattr__(self, "lengths", lengths)
         object.__setattr__(self, "twists", twists)
@@ -50,10 +51,11 @@ class HalfPlanePoint(Record):
     __slots__ = ("x", "y")
 
     def __init__(self, x: float, y: float):
+        x, y = as_real(x, "half-plane x"), as_real(y, "half-plane y")
+        if not (math.isfinite(x) and 0 < y < math.inf):
+            raise ValueError(f"half-plane points need finite x and y > 0, got x={x}, y={y}")
         object.__setattr__(self, "x", x)
         object.__setattr__(self, "y", y)
-        if not (math.isfinite(x) and math.isfinite(y) and y > 0):
-            raise ValueError(f"half-plane points need finite x and y > 0, got {self}")
 
 
 class ProductPoint(Record):
@@ -63,8 +65,15 @@ class ProductPoint(Record):
 
 
 def length_coords(xvec) -> tuple[float, ...]:
-    """Curve lengths assigned to raw cone coordinates on one orbit."""
-    return tuple(EPSILON0 * math.exp(-x) for x in xvec)
+    """Curve lengths assigned to raw cone coordinates on one orbit.  A
+    coordinate past about 743, whose length underflows to 0.0, raises
+    ``ValueError``."""
+    xvec = tuple(xvec)
+    lengths = tuple(EPSILON0 * math.exp(-x) for x in xvec)
+    if 0.0 in lengths:
+        x = xvec[lengths.index(0.0)]
+        raise ValueError(f"cone coordinate {x} leaves the float range: its length is 0")
+    return lengths
 
 
 def extensions(p: ConePoint):
@@ -136,50 +145,13 @@ def half_plane_distance(a: HalfPlanePoint, b: HalfPlanePoint) -> float:
     return 0.5 * _acosh1p(u)
 
 
-def _resolve_matching(P: ProductPoint, Q: ProductPoint, matching):
-    if matching is None:
-        if len(P.planes) != len(Q.planes):
-            raise OrbitMismatchError(
-                f"product points of sizes {len(P.planes)} and {len(Q.planes)}"
-            )
-        if P.orbit_id != Q.orbit_id:
-            raise OrbitMismatchError(
-                "matching required between different orbit types"
-            )
-        return tuple(range(len(P.planes)))
-    # A mapping or a set would be read as its keys, in no fixed order.
-    if not isinstance(matching, Sequence):
-        raise OrbitMismatchError(f"matching must be a sequence, got {type(matching).__name__}")
-    matching = tuple(as_integer(i, "matching entry", OrbitMismatchError) for i in matching)
-    if len(matching) != len(P.planes) or sorted(matching) != list(range(len(Q.planes))):
-        raise OrbitMismatchError(f"matching {matching} is not a bijection")
-    return matching
-
-
-def sup_product_distance(P: ProductPoint, Q: ProductPoint, matching=None) -> float:
-    """Sup of the half-plane distances over matched curves: ``matching[i]``
-    is the curve of ``Q`` matched with curve ``i`` of ``P``.  A matching
-    that is no sequence or no bijection raises :class:`OrbitMismatchError`."""
-    m = _resolve_matching(P, Q, matching)
-    return max(
-        half_plane_distance(P.planes[i], Q.planes[m[i]]) for i in range(len(m))
-    )
-
-
-def partial_sup_distance(P: ProductPoint, Q: ProductPoint, shared_edges, matching=None) -> float:
-    """Sup of the half-plane distances over a nonempty shared subset of
-    curves.  This is the model's lower-bound surrogate for distances
-    between structures sharing only part of a decomposition; it is exact
-    only up to an additive constant that is not computable here and is
-    therefore reported separately, never folded into the value.  Shared
-    edges outside ``P`` and a matching that is not a bijection raise
-    :class:`OrbitMismatchError`; no matching means the identity, and then
-    shared edges outside ``Q`` raise it too."""
-    shared = tuple(as_integer(i, "shared edge", OrbitMismatchError) for i in shared_edges)
-    if not shared:
-        raise ValueError("shared edge set must be nonempty")
-    for X in (P, Q) if matching is None else (P,):
-        if not all(i in range(len(X.planes)) for i in shared):
-            raise OrbitMismatchError(f"shared edges {shared} are not all edges of {X.orbit_id}")
-    m = tuple(range(len(P.planes))) if matching is None else _resolve_matching(P, Q, matching)
-    return max(half_plane_distance(P.planes[i], Q.planes[m[i]]) for i in shared)
+def sup_product_distance(P: ProductPoint, Q: ProductPoint) -> float:
+    """Sup of the half-plane distances, curve by curve, between two product
+    points of one orbit; points of different orbits or sizes raise
+    :class:`OrbitMismatchError`.  Across orbits, use ``metric.distance``."""
+    if P.orbit_id != Q.orbit_id or len(P.planes) != len(Q.planes):
+        raise OrbitMismatchError(
+            f"product points of {len(P.planes)} curves on {P.orbit_id} and "
+            f"{len(Q.planes)} curves on {Q.orbit_id}"
+        )
+    return max(half_plane_distance(a, b) for a, b in zip(P.planes, Q.planes))

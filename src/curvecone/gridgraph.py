@@ -54,7 +54,7 @@ def grid_units(cx: QuotientComplex, mesh: float, box: float) -> int:
     n_nodes = sum((units + 1) ** cx.orbit(oid).n_edges for oid in cx.maximal_ids)
     if n_nodes > _MAX_NODES:
         raise ValueError(
-            f"grid would hold {n_nodes} nodes; coarsen the mesh or shrink the box"
+            f"grid would hold more than {_MAX_NODES} nodes; coarsen the mesh or shrink the box"
         )
     return units
 

@@ -124,6 +124,7 @@ class QuotientComplex:
             raise KeyError(f"no orbit {orbit_id!r} in complex of {self.surface}")
 
     def orbits_of_dim(self, dim: int) -> tuple[SimplexOrbit, ...]:
+        dim = as_integer(dim, "dim")
         return tuple(o for o in self.orbits if o.dim == dim)
 
     def face(self, orbit_id: str, edge: int) -> FaceMap:

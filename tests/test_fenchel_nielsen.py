@@ -12,11 +12,11 @@ from curvecone import (
     HalfPlanePoint,
     OrbitMismatchError,
     cone_point,
+    distance,
     extensions,
     half_plane_distance,
     length_coords,
     orthant_distance,
-    partial_sup_distance,
     sup_product_distance,
     to_fenchel_nielsen,
     to_plane_coords,
@@ -121,6 +121,43 @@ def test_half_plane_points_are_finite():
         to_plane_coords(FenchelNielsenPoint("x", (0.1,), (math.nan,)))
 
 
+@pytest.mark.parametrize(
+    "record, args",
+    [
+        (HalfPlanePoint, (True, 1.0)),
+        (HalfPlanePoint, ("a", 1.0)),
+        (HalfPlanePoint, (0.0, np.True_)),
+        (FenchelNielsenPoint, ("x", (math.inf,), (0.0,))),
+        (FenchelNielsenPoint, ("x", ("0.1",), (0.0,))),
+        (FenchelNielsenPoint, ("x", (0.1,), (False,))),
+    ],
+)
+def test_model_records_read_real_numbers(record, args):
+    # A bool read as 1.0, a string raised TypeError and an infinite length
+    # was accepted.
+    with pytest.raises(ValueError, match="real number|positive and finite"):
+        record(*args)
+
+
+def test_model_records_store_floats():
+    # A list used to be stored as given, and hash() rejected the record.
+    f = FenchelNielsenPoint("x", [np.float64(0.1)], [0])
+    assert f == FenchelNielsenPoint("x", (0.1,), (0.0,))
+    assert hash(f) == hash(FenchelNielsenPoint("x", (0.1,), (0.0,)))
+    assert type(f.lengths) is tuple and type(f.twists[0]) is float
+    a = HalfPlanePoint(np.float64(0.5), 2)
+    assert (type(a.x), type(a.y)) == (float, float)
+
+
+def test_length_map_names_a_coordinate_past_the_float_range(s12):
+    # EPSILON0 * exp(-x) underflows to 0.0 near x = 743, which used to read
+    # as "hyperbolic lengths must be positive".
+    nn = orbit_by_structure(s12, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
+    with pytest.raises(ValueError, match="coordinate 800.0 leaves the float range"):
+        extensions(cone_point(s12, nn.id, (800.0, 1.0)))
+    assert length_coords((742.0, 1.0)) == (EPSILON0 * math.exp(-742.0), EPSILON0 * math.exp(-1.0))
+
+
 def _unit_step_distance(cx, c):
     # Half-plane distance between (1, c) and (1, c + 1) on a top orbit;
     # the orthant distance is 0.5.
@@ -207,106 +244,30 @@ def test_sup_attained_on_single_perturbed_factor(s12):
     )
 
 
-def test_matching_required_between_orbits(s12):
+def test_product_distance_needs_one_orbit(s12):
     nn = orbit_by_structure(s12, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
     sn = orbit_by_structure(s12, [(0, 0), (0, 2)], [(0, 0), (0, 1)])
-    P = _planes_from(nn.id, (1.0, 2.0))
-    Q = _planes_from(sn.id, (1.0, 2.0))
-    with pytest.raises(OrbitMismatchError):
-        sup_product_distance(P, Q)
-    assert sup_product_distance(P, Q, matching=(0, 1)) >= 0.0
-    with pytest.raises(OrbitMismatchError):
-        sup_product_distance(P, Q, matching=(0, 0))
-
-
-def test_partial_sup_examples(s12):
-    nn = orbit_by_structure(s12, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
-    P = _planes_from(nn.id, (1.0, 4.0))
-    Q = _planes_from(nn.id, (2.0, 2.0))
-    full = sup_product_distance(P, Q)
-    assert partial_sup_distance(P, Q, [0, 1]) == full
-    assert partial_sup_distance(P, Q, [0]) == pytest.approx(0.5)
-    assert partial_sup_distance(P, Q, [0]) <= full
-    with pytest.raises(ValueError):
-        partial_sup_distance(P, Q, [])
-
-
-@pytest.mark.parametrize(
-    "shared, matching",
-    [([-1], None), ([5], None), ([0, 2], None), ([0], (0, 0)), ([0], (1,)), ([0], {0: 1}),
-     ([True], None), ([1.0], None), ([0, np.False_], (0, 1)), ([0], (True, False)),
-     ([0], (1.0, 0.0))],
-)
-def test_partial_sup_rejects_out_of_range_input(s12, shared, matching):
-    # Edge -1 used to read the last curve, edge 5 raised IndexError, the
-    # matchings (0, 0), (1,) and {0: 1} passed unchecked, edge True read
-    # edge 1, edge 1.0 raised TypeError and (True, False) read as (1, 0).
-    nn = orbit_by_structure(s12, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
-    P = _planes_from(nn.id, (1.0, 4.0))
-    Q = _planes_from(nn.id, (2.0, 2.0))
-    with pytest.raises(OrbitMismatchError):
-        partial_sup_distance(P, Q, shared, matching=matching)
-
-
-def test_dict_matching_rejected(s12):
-    # A dict is no sequence: read as its keys, {0: 1, 1: 0} would pass as
-    # the identity (0, 1) instead of the swap.
-    nn = orbit_by_structure(s12, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
-    P = _planes_from(nn.id, (1.0, 4.0))
-    Q = _planes_from(nn.id, (2.0, 2.0))
-    for matching in ({0: 1, 1: 0}, {0: 0, 1: 1}, {0, 1}):
-        with pytest.raises(OrbitMismatchError, match="must be a sequence"):
-            sup_product_distance(P, Q, matching)
-        with pytest.raises(OrbitMismatchError, match="must be a sequence"):
-            partial_sup_distance(P, Q, [0], matching)
-    assert sup_product_distance(P, Q, [1, 0]) == sup_product_distance(P, Q, (1, 0))
-
-
-def test_matching_entries_have_an_integer_type(s12):
-    # (True, False) used to read as the swap (1, 0).
-    nn = orbit_by_structure(s12, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
-    P = _planes_from(nn.id, (1.0, 4.0))
-    Q = _planes_from(nn.id, (2.0, 2.0))
-    for bad in ((True, False), (1.0, 0.0), (np.True_, 0)):
-        with pytest.raises(OrbitMismatchError, match="must be an integer"):
-            sup_product_distance(P, Q, bad)
-    swap = (np.int64(1), np.int64(0))
-    assert sup_product_distance(P, Q, swap) == sup_product_distance(P, Q, (1, 0))
-    assert partial_sup_distance(P, Q, [np.int64(1)]) == partial_sup_distance(P, Q, [1])
-
-
-def test_partial_sup_without_matching_needs_shared_edges_of_q(s12):
-    # P has two curves and Q one; with the identity matching, edge 1 of P
-    # has no counterpart in Q and used to raise a bare IndexError.
-    nn = orbit_by_structure(s12, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
     loop = orbit_by_structure(s12, [(0, 2)], [(0, 0)])
-    P = _planes_from(nn.id, (1.0, 4.0))
-    Q = _planes_from(loop.id, (2.0,))
-    with pytest.raises(OrbitMismatchError, match=f"not all edges of {loop.id}"):
-        partial_sup_distance(P, Q, [1])
-    assert partial_sup_distance(P, Q, [0]) == half_plane_distance(P.planes[0], Q.planes[0])
-
-
-def test_partial_sup_monotone(s12):
-    nn = orbit_by_structure(s12, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
-    rng = np.random.default_rng(13)
-    for _ in range(50):
-        P = _planes_from(nn.id, rng.uniform(0, 8, size=2))
-        Q = _planes_from(nn.id, rng.uniform(0, 8, size=2))
-        assert partial_sup_distance(P, Q, [0]) <= partial_sup_distance(P, Q, [0, 1]) + 1e-15
+    P = _planes_from(nn.id, (1.0, 2.0))
+    for Q in (_planes_from(sn.id, (1.0, 2.0)), _planes_from(loop.id, (1.0,))):
+        with pytest.raises(OrbitMismatchError):
+            sup_product_distance(P, Q)
+    with pytest.raises(OrbitMismatchError):
+        sup_product_distance(P, _planes_from(nn.id, (1.0,)))
 
 
 def test_shared_curve_reduces_to_axis_case(s12):
     # One nonseparating curve shared between the two pants types of the
-    # twice-marked torus, with cone coordinates a and b on it.
+    # twice-marked torus, with cone coordinates a and b on it: both points
+    # lie on that curve's ray, half the coordinate gap apart.
     sn = orbit_by_structure(s12, [(0, 0), (0, 2)], [(0, 0), (0, 1)])
     nn = orbit_by_structure(s12, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
+    loop = orbit_by_structure(s12, [(0, 2)], [(0, 0)])
     a, b = 1.25, 3.75
-    P = _planes_from(sn.id, (a, 0.0))  # edge 0 is the nonseparating loop
-    Q = _planes_from(nn.id, (b, 0.0))
-    assert partial_sup_distance(P, Q, [0], matching=(0, 1)) == pytest.approx(
-        0.5 * abs(a - b)
-    )
+    p = cone_point(s12, sn.id, (a, 0.0))  # edge 0 is the nonseparating loop
+    q = cone_point(s12, nn.id, (b, 0.0))
+    assert p.orbit_id == q.orbit_id == loop.id
+    assert distance(p, q).distance == 0.5 * abs(a - b)
 
 
 # -- equivariance ------------------------------------------------------------------------

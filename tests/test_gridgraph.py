@@ -89,6 +89,8 @@ def test_box_too_small_rejected(s12):
         (0.3, 8.0, "positive multiple"),
         (1e-320, 8.0, "too fine"),
         (1e-4, 8.0, "coarsen the mesh"),
+        # The message printed the node count, about 600 digits here.
+        (1e-300, 8.0, "more than 5000000 nodes; coarsen the mesh"),
         # A bool compares like a number and a string raised a bare TypeError.
         (True, 8.0, "mesh must be a real number"),
         ("0.5", 4.0, "mesh must be a real number"),

@@ -3,6 +3,7 @@ import hashlib
 import json
 from itertools import combinations
 
+import numpy as np
 import pytest
 
 import curvecone.multicurves as multicurves
@@ -23,6 +24,15 @@ from test_acceptance import SUPPORTED
 
 
 # -- enumeration against documented examples ----------------------------------
+
+
+def test_orbits_of_dim_takes_an_integer():
+    # orbits_of_dim(True) used to list the one-curve orbits.
+    cx = complex_for(1, 2)
+    assert cx.orbits_of_dim(np.int64(1)) == cx.orbits_of_dim(1)
+    for bad in (True, 1.0, "1"):
+        with pytest.raises(ValueError, match="dim must be an integer"):
+            cx.orbits_of_dim(bad)
 
 
 def test_s12_vertex_orbits():

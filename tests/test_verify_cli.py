@@ -519,7 +519,7 @@ RunReport SimplexOrbit SuiteResult Surface Transit UnsupportedSurfaceError
 VertexDecoration add_curve apex brute_force_distance build_complex canonicalize
 complex_from_json complex_to_dot complex_to_json cone_point delete_curve distance
 dropped_edges extensions half_plane_distance is_stable length_coords orthant_distance
-partial_sup_distance point_from_dict run_verification scale segment_lengths solve_lp
+point_from_dict run_verification scale segment_lengths solve_lp
 sup_product_distance symmetric_orthant_distance to_fenchel_nielsen to_plane_coords
 """.split()
 
