@@ -59,21 +59,37 @@ class HalfPlanePoint(Record):
 
 
 class ProductPoint(Record):
-    """One half-plane factor per curve of a pants decomposition type."""
+    """One half-plane factor per curve of a pants decomposition type,
+    stored as a tuple of at least one :class:`HalfPlanePoint`."""
 
     __slots__ = ("orbit_id", "planes")
 
+    def __init__(self, orbit_id: str, planes):
+        try:
+            factors = tuple(planes)
+        except TypeError:
+            factors = ()
+        if not factors or not all(isinstance(a, HalfPlanePoint) for a in factors):
+            raise ValueError(f"a product point needs one or more half-plane points, got {planes!r}")
+        object.__setattr__(self, "orbit_id", orbit_id)
+        object.__setattr__(self, "planes", factors)
+
 
 def length_coords(xvec) -> tuple[float, ...]:
-    """Curve lengths assigned to raw cone coordinates on one orbit.  A
-    coordinate past about 743, whose length underflows to 0.0, raises
-    ``ValueError``."""
-    xvec = tuple(xvec)
-    lengths = tuple(EPSILON0 * math.exp(-x) for x in xvec)
-    if 0.0 in lengths:
-        x = xvec[lengths.index(0.0)]
-        raise ValueError(f"cone coordinate {x} leaves the float range: its length is 0")
-    return lengths
+    """Curve lengths assigned to raw cone coordinates on one orbit.  The
+    length is a positive float for coordinates from about -709.78 to
+    742.94; a coordinate outside, whose length overflows or underflows to
+    0.0, raises ``ValueError`` naming it."""
+    lengths = []
+    for x in xvec:
+        try:
+            length = EPSILON0 * math.exp(-x)
+        except OverflowError:
+            length = math.inf
+        if not 0.0 < length < math.inf:
+            raise ValueError(f"cone coordinate {x} leaves the float range: its length is {length}")
+        lengths.append(length)
+    return tuple(lengths)
 
 
 def extensions(p: ConePoint):

@@ -40,6 +40,18 @@ which holds at most ``_MAX_NODES`` stretches.  Recording holds the
 store's lock, and a node is complete before the trie links to it, so a
 replay in another thread only reads whole nodes; the counters of
 :func:`plan_stats` may miss a solve when threads race.
+
+The store also keeps programs.  A caller whose programs follow from a
+key, as the gallery search's do, passes its rows as a :class:`Program`
+carrying that key and its cost, and the program keeps its rows'
+``marshal`` bytes once written.  Once a replay answers such a program,
+the store keeps it under its key, and :func:`kept_program` hands it
+back: a later solve of the key builds only ``b``, and the solver neither
+rebuilds the rows nor writes their bytes.  A program whose solves all
+run the tableau is not kept, as the tableau costs far more than
+building its rows.  The store keeps no more programs than shapes, so
+``_MAX_NODES`` bounds them too.  Like a node, a program is complete
+before the store links to it, and its rows and cost are never written.
 """
 
 from __future__ import annotations
@@ -97,24 +109,29 @@ class LPResult(Record):
 class _PlanStore:
     """The recorded stretches of every program shape, shared by all solves.
 
-    ``plans`` maps a shape's key (see :func:`solve_lp`) to its trie, a flat
-    list of nodes, the root first.  A node at position ``pos`` holds its
-    stretch's operations and its ``test``, then one slot per way on: the
-    position of the node that follows, or, while that is unrecorded, minus
-    the number of solves that took the way.  ``test`` is ``(col, rows,
-    coefs)``, a ratio test in column ``col`` with its candidate rows in
-    basis-index order; after the optimum (``test`` None) the node holds
-    instead the ``(row, variable)`` pairs, flat, that read ``x`` off the
-    basis.  ``seen`` counts the solves of shapes not recorded, in a slot
-    picked by the key's hash; two shapes sharing a slot only admit one
-    early.  Equal tuples of one kind are stored once; kinds stay apart,
-    since ``(1, 2) == (1.0, 2.0)``.
+    ``plans`` maps the ``marshal`` bytes of a shape's ``c`` and rows to a
+    dict from the signs of its right-hand sides (see :func:`solve_lp`) to
+    the shape's trie, a flat list of nodes, the root first.  A node at
+    position ``pos`` holds its stretch's operations and its ``test``, then
+    one slot per way on: the position of the node that follows, or, while
+    that is unrecorded, minus the number of solves that took the way.
+    ``test`` is ``(col, rows, coefs)``, a ratio test in column ``col`` with
+    its candidate rows in basis-index order; after the optimum (``test``
+    None) the node holds instead the ``(row, variable)`` pairs, flat, that
+    read ``x`` off the basis.  ``seen`` counts the solves of shapes not
+    recorded, in a slot picked by the hash of the shape's bytes and signs;
+    two shapes sharing a slot only admit one early.  ``programs`` maps a :class:`Program`'s key to the program, kept
+    once a replay answers it, and never more programs than shapes.
+    Equal tuples of one kind are stored once; kinds stay apart, since
+    ``(1, 2) == (1.0, 2.0)``.
     """
 
     def __init__(self):
         self.plans: dict = {}
+        self.programs: dict = {}
         self.seen = bytearray(_SEEN_SLOTS)
         self.shared: dict = defaultdict(dict)
+        self.shapes = 0
         self.nodes = 0
         self.replays = 0
         self.misses = 0
@@ -142,7 +159,7 @@ class _PlanStore:
         pairs = [v for i, f in zip(rows, facs) for v in (i, one(f, f))]
         return self.share("op", (kind, r, d and one(d, d), *pairs))
 
-    def recorder(self, key, a_ub, plan: list | None, slot: int | None) -> _Recorder | None:
+    def recorder(self, prefix, signs, a_ub, plan: list | None, slot) -> _Recorder | None:
         """The recorder of a tableau solve that ``_replay`` could not answer
         (``slot``), or of a shape not recorded (``plan`` None), once
         ``_ADMIT`` earlier solves have taken that way (``_ADMIT_SHAPE`` have
@@ -153,7 +170,7 @@ class _PlanStore:
             if self.nodes >= _MAX_NODES:
                 return None
             if plan is None:
-                h = hash(key) % _SEEN_SLOTS
+                h = hash(prefix + signs) % _SEEN_SLOTS
                 if self.seen[h] < _ADMIT_SHAPE:
                     self.seen[h] += 1
                     return None
@@ -164,7 +181,16 @@ class _PlanStore:
             elif plan[slot] > -_ADMIT:
                 plan[slot] -= 1
                 return None
-        return _Recorder(self, key, plan, slot)
+        return _Recorder(self, prefix, signs, plan, slot)
+
+    def keep(self, program: Program) -> None:
+        """Keep ``program``, which a replay has just answered, while the
+        store holds fewer programs than shapes.  The program is complete
+        before the store links to it, and its rows and cost never change."""
+        with self.lock:
+            if len(self.programs) < self.shapes and program.key not in self.programs:
+                program.kept = self
+                self.programs[program.key] = program
 
 
 _STORE = _PlanStore()
@@ -183,10 +209,36 @@ def _exact(rows) -> bool:
 
 
 def plan_stats() -> dict:
-    """Replay-store counters: shapes and stretches recorded, and solves
-    answered by replay or by the tableau (``misses``) so far."""
+    """Replay-store counters: shapes, stretches and programs kept, and
+    solves answered by replay or by the tableau (``misses``) so far."""
     s = _STORE
-    return {"shapes": len(s.plans), "nodes": s.nodes, "replays": s.replays, "misses": s.misses}
+    return {"shapes": s.shapes, "nodes": s.nodes, "programs": len(s.programs),
+            "replays": s.replays, "misses": s.misses}
+
+
+class Program(list):
+    """The rows of a program the replay store may keep, with its cost
+    vector, a list of floats, and a ``key`` that determines both; solve it
+    as ``solve_lp(program.cost, program, b)``.  Once a replay answers it
+    the store may keep it, and :func:`kept_program` hands it back, so a
+    later solve of that key builds only ``b`` and skips the shape's
+    ``marshal`` bytes.  Neither its rows nor its cost may change."""
+
+    __slots__ = ("key", "cost", "prefix", "kept")
+
+    def __init__(self, key, cost: list, rows: list):
+        super().__init__(rows)
+        self.key = key
+        self.cost = cost
+        # The marshal bytes of its cost and rows, once solved, and the store
+        # that keeps it.
+        self.prefix = None
+        self.kept = None
+
+
+def kept_program(key) -> Program | None:
+    """The program the replay store keeps under ``key``, if any."""
+    return _STORE.programs.get(key)
 
 
 # -- replay ---------------------------------------------------------------------
@@ -261,9 +313,10 @@ class _Recorder:
     """Follows a tableau solve down its shape's trie to the branch ``slot``
     and records the stretch after it; with no ``plan`` yet, the first."""
 
-    def __init__(self, store: _PlanStore, key, plan: list | None, slot: int | None):
+    def __init__(self, store: _PlanStore, prefix, signs, plan: list | None, slot: int | None):
         self.store = store
-        self.key = key
+        self.prefix = prefix
+        self.signs = signs
         self.plan = plan
         self.slot = slot
         # The recorded node being followed, then the stretch being recorded.
@@ -316,7 +369,11 @@ class _Recorder:
         # never follows a slot to a node that is not there yet.
         with store.lock:
             if plan is None:
-                store.plans[self.key] = node
+                tries = store.plans.setdefault(self.prefix, {})
+                if self.signs in tries:
+                    return  # another thread recorded the shape
+                tries[self.signs] = node
+                store.shapes += 1
             else:
                 pos = len(plan)
                 plan += node
@@ -480,27 +537,39 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
     A program of a recorded shape and pivot path is replayed (see the
     module docstring), with the same result bit for bit.
     """
-    c = list(map(float, c))
     b = list(map(float, b_ub))
     if len(a_ub) != len(b):
         raise ValueError(f"{len(a_ub)} rows in a_ub but {len(b)} right-hand sides")
     store = _STORE
-    try:
-        # The shape's key, one bytes object whose hash Python caches.
-        # marshal's version 2 writes no back-references, so the bytes
-        # follow from the values alone (see ``_exact``).
-        key = marshal.dumps((c, a_ub), 2) + bytes(map(_NEGATIVE, b))
-    except ValueError:
-        # A value marshal cannot write, such as a dict subclass: the
-        # tableau solves the program and checks its rows.
-        return _solve_tableau(c, a_ub, b, None)
-    plan = store.plans.get(key)
+    signs = bytes(map(_NEGATIVE, b))
+    program = a_ub if type(a_ub) is Program and c is a_ub.cost else None
+    if program is not None and program.prefix is not None:
+        # A program solved before: its cost is floats, its bytes written.
+        c, prefix = program.cost, program.prefix
+    else:
+        c = list(map(float, c))
+        try:
+            # The shape's key, the marshal bytes of ``c`` and the rows and
+            # the signs of ``b``.  marshal's version 2 writes no
+            # back-references, so the bytes follow from the values alone
+            # (see ``_exact``).
+            prefix = marshal.dumps((c, a_ub if program is None else list(a_ub)), 2)
+        except ValueError:
+            # A value marshal cannot write, such as a dict subclass: the
+            # tableau solves the program and checks its rows.
+            return _solve_tableau(c, a_ub, b, None)
+        if program is not None:
+            program.prefix = prefix
+    tries = store.plans.get(prefix)
+    plan = tries.get(signs) if tries else None
     slot = None
     if plan is not None:
         res = _replay(plan, len(c), b)
         if isinstance(res, LPResult):
             store.replays += 1
+            if program is not None and program.kept is not store:
+                store.keep(program)
             return res
         slot = res
     store.misses += 1
-    return _solve_tableau(c, a_ub, b, store.recorder(key, a_ub, plan, slot))
+    return _solve_tableau(c, a_ub, b, store.recorder(prefix, signs, a_ub, plan, slot))

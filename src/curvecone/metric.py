@@ -18,16 +18,22 @@ and the search returns a longer path (ROADMAP item 1).
 A gallery program is an interval-covering problem: each curve
 coordinate, followed through the transits, demands a total length over
 a run of consecutive segments.  Its exact value is a weighted-interval
-DP (:func:`_gallery_bound`), which screens every program first; the
-simplex (the sparse Bland solver in :mod:`curvecone.lp`) runs only
-where its value can still change the answer, and every value that
-reaches the result comes from the simplex.  The screen reads the bound
-less one rounding slack, ``_SLACK`` times ``1 + max p + max q``: a
-program is skipped when that clears the pruning threshold, and a closed
-gallery also when it is within ``_TIE`` of the best and the gallery
-ranks no lower than the best in the tie order.  The simplex value of a
-skipped program would be thrown away, so the result is the same bit for
-bit.
+DP over these threads.  Each prefix on the search heap carries its
+threads and its DP row (:class:`_Prefix`), and extends them by one
+transit for a child or one end embedding for a closing, so the screen
+reads every program's value without walking its gallery again.  The
+screen runs first; the simplex (the sparse Bland solver in
+:mod:`curvecone.lp`) runs only where its value can still change the
+answer, and every value that reaches the result comes from the simplex.
+The screen reads the bound less one rounding slack, ``_SLACK`` times
+``1 + max p + max q``: a program is skipped when that clears the
+pruning threshold, and a closed gallery also when it is within ``_TIE``
+of the best and the gallery ranks no lower than the best in the tie
+order.  The simplex value of a skipped program would be thrown away, so
+the result is the same bit for bit.  A program's cost and rows follow
+from its key, the sizes of its orbits and its transits' index maps; the
+replay store keeps those it replays under that key, and a later solve
+builds only the right-hand side.
 """
 
 from __future__ import annotations
@@ -35,7 +41,7 @@ from __future__ import annotations
 import heapq
 import json
 
-from .lp import solve_lp
+from .lp import Program, kept_program, solve_lp
 from .quotient import QuotientComplex, SimplexOrbit, Transit
 from .surfaces import Record, as_integer, as_real, payload_fields
 
@@ -279,16 +285,56 @@ def _gallery_lp(cx, seq, transits, emb_p, p, emb_q, q):
     coordinate and the breakpoint height (the top-coordinate function is
     nonexpansive up to the factor two in the metric), which a slack
     variable charges against the breakpoint coordinate sum.
+
+    The cost and rows depend only on the program's key, the sizes of its
+    segments' orbits and the transits' index maps, of which an open
+    program reads only the last transit's ``into_source``.  The replay
+    store may keep them under that key (:func:`curvecone.lp.kept_program`);
+    the right-hand side is built for every solve.
     """
-    sizes = [cx.orbit(oid).n_edges for oid in seq]
     closed = emb_q is not None
     n_seg = len(seq) if closed else len(seq) - 1
+    sizes = [cx.orbit(oid).n_edges for oid in seq[:n_seg]]
     if closed and not transits:
         # Single segment: direct half-sup evaluation.
         u = _pad(emb_p, p.coords, sizes[0])
         v = _pad(emb_q, q.coords, sizes[0])
         return 0.5 * max(abs(a - b) for a, b in zip(u, v)), ()
 
+    inner = transits if closed else transits[:-1]
+    key = (
+        tuple(sizes),
+        tuple((t.into_source, t.into_target) for t in inner),
+        None if closed else transits[-1].into_source,
+    )
+    program = kept_program(key)
+    if program is None:
+        program = Program(key, *_gallery_rows(sizes, transits, closed))
+    # Each row pair bounds one edge of one segment; its constants are p's
+    # coordinates on the first segment and q's, negated, on a closed last.
+    rhs = [] if closed else [-0.5 * max(q.coords)]
+    for j, m in enumerate(sizes):
+        const = _pad(emb_p, p.coords, m) if j == 0 else [0.0] * m
+        if closed and j == n_seg - 1:
+            for e, v in enumerate(_pad(emb_q, q.coords, m)):
+                const[e] -= v
+        for v in const:
+            rhs += (-v, v)
+    res = solve_lp(program.cost, program, rhs)
+    if not closed:
+        return res.value, ()
+    bps, off = [], n_seg
+    for t in transits:
+        bps.append(res.x[off : off + len(t.into_source)])
+        off += len(t.into_source)
+    return res.value, tuple(bps)
+
+
+def _gallery_rows(sizes, transits, closed):
+    """Cost and rows of a gallery program over segments of ``sizes``:
+    one length per segment, then one variable per carried curve at each
+    transit, then, open, the climb variable."""
+    n_seg = len(sizes)
     offsets = []
     pos = n_seg
     for t in transits:
@@ -296,7 +342,7 @@ def _gallery_lp(cx, seq, transits, emb_p, p, emb_q, q):
         pos += len(t.into_source)
     nvar = pos if closed else pos + 1
     c = [1.0] * n_seg + [0.0] * (nvar - n_seg)
-    rows, rhs = [], []
+    rows = []
     if not closed:
         # The climb variable s: s + sum(w_last) / 2 >= max(q) / 2, an
         # admissible completion cost.
@@ -304,37 +350,24 @@ def _gallery_lp(cx, seq, transits, emb_p, p, emb_q, q):
         c[climb_var] = 1.0
         last = range(offsets[-1], offsets[-1] + len(transits[-1].into_source))
         rows.append({climb_var: -1.0, **dict.fromkeys(last, -0.5)})
-        rhs.append(-0.5 * max(q.coords))
-    for j in range(n_seg):
-        m = sizes[j]
-        const = _pad(emb_p, p.coords, m) if j == 0 else [0.0] * m
+    for j, m in enumerate(sizes):
         coefs: list[dict[int, float]] = [{} for _ in range(m)]
         if j > 0:
             t = transits[j - 1]
             for cidx, e in enumerate(t.into_target):
                 coefs[e][offsets[j - 1] + cidx] = 1.0
-        if closed and j == n_seg - 1:
-            for e, v in enumerate(_pad(emb_q, q.coords, m)):
-                const[e] -= v
-        else:
+        if not closed or j < n_seg - 1:
             t = transits[j]
             for cidx, e in enumerate(t.into_source):
                 coefs[e][offsets[j] + cidx] = -1.0
         for e in range(m):
             rows.append({j: -2.0, **coefs[e]})
-            rhs.append(-const[e])
             rows.append({j: -2.0, **{var: -co for var, co in coefs[e].items()}})
-            rhs.append(const[e])
-    res = solve_lp(c, rows, rhs)
-    if not closed:
-        return res.value, ()
-    return res.value, tuple(
-        res.x[off : off + len(t.into_source)] for t, off in zip(transits, offsets)
-    )
+    return c, rows
 
 
-def _gallery_bound(cx, seq, transits, emb_p, p, emb_q, q):
-    """Interval-covering value of one gallery, without the simplex.
+class _Prefix:
+    """A gallery prefix of the search, with its threads carried along.
 
     With the segment lengths fixed, the breakpoint program splits into
     *threads*: one curve coordinate followed through the transits from
@@ -346,43 +379,64 @@ def _gallery_bound(cx, seq, transits, emb_p, p, emb_q, q):
     unimodular, so the optimum is the dual's: the heaviest set of
     pairwise disjoint intervals, found by a weighted-interval DP.
 
-    A closed gallery gets exactly the value of :func:`_gallery_lp`.  An
-    open prefix drops the threads that reach its free end and the climb
-    term, a relaxation of the open program and hence a lower bound on it.
+    The prefix carries the threads that reach its last orbit, each as its
+    height ``height[e]`` on edge ``e`` there and the segment ``born[e]``
+    where it started, and the DP row ``best``: ``best[r]`` is the weight
+    of the heaviest set of disjoint threads ended within segments
+    ``0..r-1``.  A closing or a child
+    extends them by one end embedding or one transit, in time linear in
+    the orbit's edges.  Half the row's last entry is the interval-covering
+    value: exactly the simplex value of a closed gallery, and for an open
+    prefix, which drops the threads that reach its free end and the climb
+    term, a lower bound on its open program.
     """
-    closed = emb_q is not None
-    n_seg = len(seq) if closed else len(seq) - 1
-    # ends[r] holds (l, |a - b|) for the threads over segments l..r.
-    ends: list[list[tuple[int, float]]] = [[] for _ in range(n_seg)]
-    height = _pad(emb_p, p.coords, cx.orbit(seq[0]).n_edges)
-    born = [0] * len(height)
-    for j, tr in enumerate(transits):
-        src = tr.into_source
-        for e, a in enumerate(height):
-            if a and e not in src:
-                ends[j].append((born[e], a))
-        if j + 1 == n_seg:
-            # Free end of an open prefix: surviving threads cost nothing.
-            break
-        m = cx.orbit(seq[j + 1]).n_edges
-        nxt_height = [0.0] * m
-        nxt_born = [j + 1] * m
-        for e, f in zip(src, tr.into_target):
-            nxt_height[f] = height[e]
-            nxt_born[f] = born[e]
-        height, born = nxt_height, nxt_born
-    if closed:
-        target = _pad(emb_q, q.coords, len(height))
-        for e, (a, b) in enumerate(zip(height, target)):
+
+    __slots__ = ("seq", "transits", "emb_p", "height", "born", "best")
+
+    def __init__(self, seq: tuple, transits: tuple, emb_p, height: list, born: list, best: tuple):
+        self.seq = seq
+        self.transits = transits
+        self.emb_p = emb_p
+        self.height = height
+        self.born = born
+        self.best = best
+
+    @classmethod
+    def start(cls, orbit_id: str, size: int, emb_p, p: ConePoint) -> _Prefix:
+        return cls((orbit_id,), (), emb_p, _pad(emb_p, p.coords, size), [0] * size, (0.0,))
+
+    def closing(self, emb_q, q: ConePoint) -> float:
+        """The DP's last entry for the gallery closed at ``q``: every thread
+        that misses its height in ``q`` ends in the last segment."""
+        best = self.best
+        top = best[-1]
+        for a, b, first in zip(self.height, _pad(emb_q, q.coords, len(self.height)), self.born):
             if a != b:
-                ends[n_seg - 1].append((born[e], abs(a - b)))
-    best = [0.0] * (n_seg + 1)
-    for r in range(n_seg):
-        top = best[r]
-        for first, w in ends[r]:
-            top = max(top, best[first] + w)
-        best[r + 1] = top
-    return 0.5 * best[n_seg]
+                top = max(top, best[first] + abs(a - b))
+        return top
+
+    def opening(self, tr: Transit) -> float:
+        """The DP's last entry for the child through ``tr``: every thread
+        that ``tr`` does not carry dies in the last segment."""
+        src = tr.into_source
+        best = self.best
+        top = best[-1]
+        for e, (a, first) in enumerate(zip(self.height, self.born)):
+            if a and e not in src:
+                top = max(top, best[first] + a)
+        return top
+
+    def child(self, nxt: str, size: int, tr: Transit, top: float) -> _Prefix:
+        """The child through ``tr`` into ``nxt``, of ``size`` edges, whose
+        DP entry :meth:`opening` gave as ``top``."""
+        height = [0.0] * size
+        born = [len(self.seq)] * size
+        for e, f in zip(tr.into_source, tr.into_target):
+            height[f] = self.height[e]
+            born[f] = self.born[e]
+        return _Prefix(
+            self.seq + (nxt,), self.transits + (tr,), self.emb_p, height, born, self.best + (top,)
+        )
 
 
 def _open_program_key(tr: Transit):
@@ -436,7 +490,9 @@ def distance(p: ConePoint, q: ConePoint) -> GeodesicResult:
     It is skipped without the simplex when that clears the pruning
     threshold, and a closed gallery also when it is no more than ``_TIE``
     below the best and ranks no lower than the best, so the tie order
-    would reject it.  Neither skip changes the result by a bit.
+    would reject it.  Neither skip changes the result by a bit.  The
+    bound is read off the threads each prefix on the heap carries
+    (:class:`_Prefix`), not walked from the start of the gallery.
     """
     _require_same_complex(p, q)
     cx = p.complex
@@ -458,20 +514,26 @@ def distance(p: ConePoint, q: ConePoint) -> GeodesicResult:
     heap = []
     counter = 0
     for start in max_ids:
+        size = cx.orbit(start).n_edges
         # One start embedding per symmetry orbit of the start chart: the
         # twist is absorbed by the fully enumerated first transit (or end
         # embedding), so the quotient loses no gallery values.
         for emb_p in cx.embeddings_mod_host(p.orbit_id, start):
-            heap.append((0.0, counter, [start], [], emb_p))
+            heap.append((0.0, counter, _Prefix.start(start, size, emb_p, p), None, None, None))
             counter += 1
     heapq.heapify(heap)
     while heap:
-        bound, _, seq, transits, emb_p = heapq.heappop(heap)
+        # A child is pushed as its parent and the step to it, and only
+        # built once popped.
+        bound, _, prefix, nxt, tr, top = heapq.heappop(heap)
         if bound > best.distance + _TIE:
             break
+        if nxt is not None:
+            prefix = prefix.child(nxt, cx.orbit(nxt).n_edges, tr, top)
+        seq, transits, emb_p = prefix.seq, prefix.transits, prefix.emb_p
         # No gallery through seq ranks below seq, so once seq ranks above
         # the best, a tie cannot help any of them.
-        rank = (0, tuple(seq))
+        rank = (0, seq)
         if bound >= best.distance - _TIE and rank > best_rank:
             continue
         cur = seq[-1]
@@ -481,7 +543,7 @@ def distance(p: ConePoint, q: ConePoint) -> GeodesicResult:
         # with the best are those of the unscreened search.
         for emb_q in cx.embeddings(q.orbit_id, cur):
             wins_tie = rank < best_rank
-            low = _gallery_bound(cx, seq, transits, emb_p, p, emb_q, q) - slack
+            low = 0.5 * prefix.closing(emb_q, q) - slack
             if low > best.distance + _TIE or (
                 not wins_tie and low >= best.distance - _TIE
             ):
@@ -490,26 +552,27 @@ def distance(p: ConePoint, q: ConePoint) -> GeodesicResult:
             if value < best.distance - _TIE or (
                 wins_tie and value <= best.distance + _TIE
             ):
-                gallery = Gallery(tuple(seq), tuple(transits), emb_p, emb_q)
+                gallery = Gallery(seq, transits, emb_p, emb_q)
                 best, best_rank = GeodesicResult(value, gallery, bps), rank
-        child_bounds = {}
+        # (open bound, DP entry) per open program of a child.
+        children = {}
         for nxt in max_ids:
             if nxt in seq:
                 continue
             for tr in cx.transits(cur, nxt):
                 key = _open_program_key(tr)
-                child_bound = child_bounds.get(key)
-                if child_bound is None:
-                    child = (cx, seq + [nxt], transits + [tr], emb_p, p, None, q)
-                    child_bound = _gallery_bound(*child)
+                child = children.get(key)
+                if child is None:
+                    top = prefix.opening(tr)
+                    child_bound = 0.5 * top
                     if child_bound - slack <= best.distance + _TIE:
-                        child_bound, _ = _gallery_lp(*child)
-                    child_bounds[key] = child_bound
+                        child_bound, _ = _gallery_lp(
+                            cx, seq + (nxt,), transits + (tr,), emb_p, p, None, q
+                        )
+                    children[key] = child = (child_bound, top)
+                child_bound, top = child
                 if child_bound <= best.distance + _TIE:
-                    heapq.heappush(
-                        heap,
-                        (child_bound, counter, seq + [nxt], transits + [tr], emb_p),
-                    )
+                    heapq.heappush(heap, (child_bound, counter, prefix, nxt, tr, top))
                     counter += 1
     return best
 

@@ -11,6 +11,7 @@ from curvecone import (
     FenchelNielsenPoint,
     HalfPlanePoint,
     OrbitMismatchError,
+    ProductPoint,
     cone_point,
     distance,
     extensions,
@@ -147,6 +148,31 @@ def test_model_records_store_floats():
     assert type(f.lengths) is tuple and type(f.twists[0]) is float
     a = HalfPlanePoint(np.float64(0.5), 2)
     assert (type(a.x), type(a.y)) == (float, float)
+
+
+@pytest.mark.parametrize("planes", [[], (), "ab", [(0.0, 1.0)], [HalfPlanePoint(0.0, 1.0), 1.0], 5])
+def test_product_point_needs_half_plane_factors(planes):
+    # An empty product made sup_product_distance raise a bare "max() arg is
+    # an empty sequence", and any other entry was stored as given.
+    with pytest.raises(ValueError, match="one or more half-plane points"):
+        ProductPoint("x", planes)
+
+
+def test_product_point_stores_a_tuple():
+    # A list used to be stored as given, and hash() rejected the record.
+    a = HalfPlanePoint(0.0, 1.0)
+    P = ProductPoint("x", [a])
+    assert P.planes == (a,) and P == ProductPoint("x", (a,))
+    assert hash(P) == hash(ProductPoint("x", (a,)))
+    assert sup_product_distance(P, P) == 0.0
+
+
+@pytest.mark.parametrize("x", [-1000.0, -709.8, -math.inf])
+def test_length_map_names_a_coordinate_below_the_float_range(x):
+    # exp(-x) overflowed, a bare OverflowError "math range error".
+    with pytest.raises(ValueError, match=f"coordinate {x} leaves the float range"):
+        length_coords([1.0, x])
+    assert 0.0 < length_coords([-709.7])[0] < math.inf
 
 
 def test_length_map_names_a_coordinate_past_the_float_range(s12):

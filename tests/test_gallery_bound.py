@@ -1,8 +1,11 @@
 """The interval-covering screen in ``distance``.
 
-``_gallery_bound`` must equal the gallery program's value on closed
-galleries, stay below it on open prefixes, and leave every geodesic
-payload byte-identical to the unscreened search at any scale.
+The screen reads each prefix's carried threads (``metric._Prefix``).  It
+must equal :func:`gallery_bound`, the interval-covering value walked
+from scratch, bit for bit on every program a search screens; that value
+must equal the gallery program's on closed galleries and stay below it
+on open prefixes; and the screen must leave every geodesic payload
+byte-identical to the unscreened search at any scale.
 """
 
 import functools
@@ -29,6 +32,50 @@ def _slack(p, q):
     return 1e-12 * (1.0 + p.max_coord + q.max_coord)
 
 
+def gallery_bound(cx, seq, transits, emb_p, p, emb_q, q):
+    """Interval-covering value of one gallery, walked from scratch.
+
+    Each thread (one curve coordinate followed through the transits, from
+    ``p`` or from 0 where it is born to ``q`` or to 0 where it dies) over
+    segments ``l..r`` demands ``|a - b| / 2`` of their total length; the
+    value is the heaviest set of pairwise disjoint intervals, by a
+    weighted-interval DP.  An open prefix drops the threads that reach
+    its free end, whose orbit it never reads.
+    """
+    closed = emb_q is not None
+    n_seg = len(seq) if closed else len(seq) - 1
+    # ends[r] holds (l, |a - b|) for the threads over segments l..r.
+    ends = [[] for _ in range(n_seg)]
+    height = metric._pad(emb_p, p.coords, cx.orbit(seq[0]).n_edges)
+    born = [0] * len(height)
+    for j, tr in enumerate(transits):
+        src = tr.into_source
+        for e, a in enumerate(height):
+            if a and e not in src:
+                ends[j].append((born[e], a))
+        if j + 1 == n_seg:
+            break
+        m = cx.orbit(seq[j + 1]).n_edges
+        nxt_height = [0.0] * m
+        nxt_born = [j + 1] * m
+        for e, f in zip(src, tr.into_target):
+            nxt_height[f] = height[e]
+            nxt_born[f] = born[e]
+        height, born = nxt_height, nxt_born
+    if closed:
+        target = metric._pad(emb_q, q.coords, len(height))
+        for e, (a, b) in enumerate(zip(height, target)):
+            if a != b:
+                ends[n_seg - 1].append((born[e], abs(a - b)))
+    best = [0.0] * (n_seg + 1)
+    for r in range(n_seg):
+        top = best[r]
+        for first, w in ends[r]:
+            top = max(top, best[first] + w)
+        best[r + 1] = top
+    return 0.5 * best[n_seg]
+
+
 def _random_point(cx, rng, integer):
     ids = [o.id for o in cx.orbits]
     oid = ids[rng.integers(len(ids))]
@@ -50,7 +97,8 @@ def _payloads(pairs):
 def _unscreened(mp):
     # A bound of -inf never clears the pruning threshold, and a fresh key
     # per child solves every open program afresh.
-    mp.setattr(metric, "_gallery_bound", lambda *args: -math.inf)
+    mp.setattr(metric._Prefix, "closing", lambda *args: -math.inf)
+    mp.setattr(metric._Prefix, "opening", lambda *args: -math.inf)
     mp.setattr(metric, "_open_program_key", lambda tr: object())
 
 
@@ -137,6 +185,48 @@ def test_screen_skips_programs(surface, monkeypatch):
     assert screened < _solves(pairs)[1]
 
 
+# -- the carried screen against the reference ---------------------------------
+
+
+def _screened_values(pairs):
+    """(carried, reference) for every closing and child a search screens:
+    half the DP entry the prefix's carried threads give, and
+    :func:`gallery_bound` walked from scratch."""
+    seen = []
+    closing, opening = metric._Prefix.closing, metric._Prefix.opening
+    for p, q in pairs:
+        cx = p.complex
+
+        def checked_closing(prefix, emb_q, end):
+            top = closing(prefix, emb_q, end)
+            ref = gallery_bound(cx, prefix.seq, prefix.transits, prefix.emb_p, p, emb_q, end)
+            seen.append((0.5 * top, ref))
+            return top
+
+        def checked_opening(prefix, tr):
+            top = opening(prefix, tr)
+            # The reference never reads an open prefix's last orbit.
+            child = (*prefix.seq, None), (*prefix.transits, tr)
+            seen.append((0.5 * top, gallery_bound(cx, *child, prefix.emb_p, p, None, q)))
+            return top
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(metric._Prefix, "closing", checked_closing)
+            mp.setattr(metric._Prefix, "opening", checked_opening)
+            distance(p, q)
+    return seen
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e3, 1e-3])
+@pytest.mark.parametrize("surface", [(1, 3), (0, 7), (2, 1)], ids=lambda s: f"S{s[0]}_{s[1]}")
+def test_carried_screen_equals_reference_bit_for_bit(surface, lam):
+    pairs = [(scale(p, lam), scale(q, lam))
+             for p, q in _pairs(surface, False, 4 if surface == (2, 1) else 8)]
+    seen = _screened_values(pairs)
+    assert len(seen) > 10 * len(pairs)
+    assert [carried.hex() for carried, _ in seen] == [ref.hex() for _, ref in seen]
+
+
 # -- the bound against the gallery program ------------------------------------
 
 
@@ -147,7 +237,7 @@ def test_bound_exact_on_closed_and_admissible_on_open(surface, integer):
     closed = [g for g in programs if g[5] is not None]
     assert closed and len(closed) < len(programs)
     for cx, seq, transits, emb_p, p, emb_q, q, value in programs:
-        bound = metric._gallery_bound(cx, seq, transits, emb_p, p, emb_q, q)
+        bound = gallery_bound(cx, seq, transits, emb_p, p, emb_q, q)
         if emb_q is not None:
             assert abs(bound - value) <= _slack(p, q)
         else:
@@ -171,7 +261,7 @@ def _bound_value_slack(program):
     # Bound and simplex value of one program, and a sixteenth of _SLACK
     # at its scale.
     cx, seq, transits, emb_p, p, emb_q, q, value = program
-    bound = metric._gallery_bound(cx, seq, transits, emb_p, p, emb_q, q)
+    bound = gallery_bound(cx, seq, transits, emb_p, p, emb_q, q)
     return bound, value, metric._SLACK / 16 * (1.0 + p.max_coord + q.max_coord)
 
 
@@ -216,7 +306,7 @@ def test_open_program_reads_only_its_key(surface):
                     continue
                 args = (cx, seq[:-1] + [nxt], transits[:-1] + [tr], emb_p, p, None, q)
                 assert metric._gallery_lp(*args)[0] == value
-                assert metric._gallery_bound(*args) == metric._gallery_bound(
+                assert gallery_bound(*args) == gallery_bound(
                     cx, seq, transits, emb_p, p, None, q
                 )
 
@@ -229,7 +319,7 @@ def test_closed_bound_matches_linprog(surface):
     )
     assert closed
     for cx, seq, transits, emb_p, p, emb_q, q, _ in closed[:12]:
-        bound = metric._gallery_bound(cx, seq, transits, emb_p, p, emb_q, q)
+        bound = gallery_bound(cx, seq, transits, emb_p, p, emb_q, q)
         ref = linprog_value(cx, seq, transits, emb_p, p, emb_q, q)
         assert bound == pytest.approx(ref, abs=1e-9 * (1.0 + p.max_coord + q.max_coord))
 

@@ -479,8 +479,20 @@ def test_store_stays_within_its_cap(monkeypatch, empty_plan_store):
                 out.append(distance(p, q).to_json())
         return out
 
+    # After every solve: no more programs kept than shapes recorded, and
+    # no more shapes than stretches.
+    solve = metric.solve_lp
+
+    def checked(*args):
+        res = solve(*args)
+        stats = lp.plan_stats()
+        assert stats["programs"] <= stats["shapes"] <= stats["nodes"] <= lp._MAX_NODES
+        return res
+
+    monkeypatch.setattr(metric, "solve_lp", checked)
     monkeypatch.setattr(lp, "_MAX_NODES", 0)
     tableau_only = payloads()
+    assert lp.plan_stats()["programs"] == 0
     cap = 4
     monkeypatch.setattr(lp, "_MAX_NODES", cap)
     for _ in range(8):
@@ -491,9 +503,10 @@ def test_store_stays_within_its_cap(monkeypatch, empty_plan_store):
     assert lp.plan_stats()["nodes"] == cap
 
 
-def test_warm_search_replays(empty_plan_store):
-    # A search on a warm store answers most of its programs by replay; a
-    # change that sent every solve back to the tableau would fail here.
+def test_warm_search_replays(monkeypatch, empty_plan_store):
+    # A search on a warm store answers most of its programs by replay, and
+    # builds the rows of few of them; a change that sent every solve back
+    # to the tableau, or rebuilt every program, would fail here.
     cx = complex_for(1, 3)
     ids = [o.id for o in cx.orbits if o.n_edges]
 
@@ -507,12 +520,22 @@ def test_warm_search_replays(empty_plan_store):
 
     for seed in range(3):
         search(seed)
+    built = [0]
+    build = metric._gallery_rows
+
+    def counting(*args):
+        built[0] += 1
+        return build(*args)
+
+    monkeypatch.setattr(metric, "_gallery_rows", counting)
     before = lp.plan_stats()
     search(3)
     after = lp.plan_stats()
     replays = after["replays"] - before["replays"]
     misses = after["misses"] - before["misses"]
     assert replays > misses
+    assert after["programs"] > 0
+    assert 10 * built[0] < replays + misses
 
 
 def test_threads_sharing_the_store_get_serial_payloads(monkeypatch, empty_plan_store):

@@ -1,0 +1,74 @@
+"""Pinned geodesic payloads and simplex solve counts.
+
+How ``distance`` screens, builds and solves its gallery programs may
+change; what it decides may not.  Each surface's payload digest and its
+number of ``metric.solve_lp`` calls are pinned, and each must come out
+the same on an empty replay store, on a warm one, and with the store
+recording nothing.
+"""
+
+import hashlib
+
+import numpy as np
+import pytest
+
+import curvecone.lp as lp
+import curvecone.metric as metric
+from conftest import complex_for
+from curvecone import cone_point, distance
+
+# Point kinds as (integer coordinates, scale factor).
+KINDS = [(False, 1.0), (True, 1.0), (False, 1e3)]
+
+# surface: (pairs per kind, sha256 of the payloads, solve_lp calls)
+PINNED = {
+    (1, 2): (12, "efc23b451f2012047976104ce22f5e956dab36d8eee56b5b06b43f94f947b230", 63),
+    (2, 0): (12, "c824be8de67dc1a0342de3ac30f4a1de200cc0def8722c29a3d8933795186f75", 214),
+    (1, 3): (12, "83f9f9f33d1a82b44d5be4b3205651fd070cdf3c11fa37a5c3201d506180489a", 880),
+    (0, 7): (12, "91cf8e79b36e694bd03130ce256ae35140a5a0967453ba71791ae23855c8af68", 266),
+    (2, 1): (4, "972a8ea301631335245f7b9586985393104b5ac1b1ea7279c0c2a4b4597b9e17", 1685),
+}
+
+
+def _pairs(surface):
+    cx = complex_for(*surface)
+    ids = [o.id for o in cx.orbits if o.n_edges]
+    n = PINNED[surface][0]
+    out = []
+    for k, (integer, lam) in enumerate(KINDS):
+        rng = np.random.default_rng([*surface, k])
+        for _ in range(2 * n):
+            oid = ids[rng.integers(len(ids))]
+            size = cx.orbit(oid).n_edges
+            xs = rng.integers(0, 4, size=size) if integer else rng.uniform(0.25, 8.0, size=size)
+            out.append(cone_point(cx, oid, lam * xs.astype(float)))
+    return list(zip(out[::2], out[1::2]))
+
+
+def _digest_and_solves(pairs, monkeypatch):
+    calls = [0]
+    solve = metric.solve_lp
+
+    def counting(*args):
+        calls[0] += 1
+        return solve(*args)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(metric, "solve_lp", counting)
+        digest = hashlib.sha256()
+        for p, q in pairs:
+            digest.update(distance(p, q).to_json().encode())
+    return digest.hexdigest(), calls[0]
+
+
+@pytest.mark.parametrize("surface", PINNED, ids=lambda s: f"S{s[0]}_{s[1]}")
+def test_payloads_and_solve_counts_are_pinned(surface, monkeypatch, empty_plan_store):
+    pairs = _pairs(surface)
+    pinned = PINNED[surface][1:]
+    # An empty store, then the same store warm from that pass.
+    assert _digest_and_solves(pairs, monkeypatch) == pinned
+    assert _digest_and_solves(pairs, monkeypatch) == pinned
+    monkeypatch.setattr(lp, "_MAX_NODES", 0)
+    monkeypatch.setattr(lp, "_STORE", lp._PlanStore())
+    assert _digest_and_solves(pairs, monkeypatch) == pinned
+    assert lp.plan_stats()["shapes"] == 0
