@@ -19,8 +19,11 @@ a dense tableau bit for bit; only the sign of a zero could differ, and
 no comparison depends on it (``tests/test_lp.py`` compares results with
 signed zeros too).
 
-**Replay.**  Fix a program's *shape*: ``c``, the rows of ``A`` and which
-entries of ``b`` are negative.  Every tableau entry outside the
+**Replay.**  Only a :class:`Program` is replayed: a caller whose
+programs follow from a key, as the gallery search's do, passes its rows
+as a Program carrying that key and its cost.  Other rows run the
+tableau and never touch the store.  A program's *shape* is its key and
+which entries of ``b`` are negative.  Every tableau entry outside the
 right-hand side is then fixed by the pivots taken so far, and so is
 Bland's entering column; the only step that reads ``b`` is which row
 wins a ratio test with more than one candidate.  So a solve is a chain
@@ -41,22 +44,18 @@ store's lock, and a node is complete before the trie links to it, so a
 replay in another thread only reads whole nodes; the counters of
 :func:`plan_stats` may miss a solve when threads race.
 
-The store also keeps programs.  A caller whose programs follow from a
-key, as the gallery search's do, passes its rows as a :class:`Program`
-carrying that key and its cost, and the program keeps its rows'
-``marshal`` bytes once written.  Once a replay answers such a program,
-the store keeps it under its key, and :func:`kept_program` hands it
-back: a later solve of the key builds only ``b``, and the solver neither
-rebuilds the rows nor writes their bytes.  A program whose solves all
-run the tableau is not kept, as the tableau costs far more than
-building its rows.  The store keeps no more programs than shapes, so
-``_MAX_NODES`` bounds them too.  Like a node, a program is complete
-before the store links to it, and its rows and cost are never written.
+The store also keeps programs.  Once a replay answers a program, the
+store keeps it under its key, and :func:`kept_program` hands it back: a
+later solve of the key builds only ``b``, not the rows.  A program
+whose solves all run the tableau is not kept, as the tableau costs far
+more than building its rows.  The store keeps no more programs than
+shapes, so ``_MAX_NODES`` bounds them too.  Like a node, a program is
+complete before the store links to it, and its rows and cost are never
+written.
 """
 
 from __future__ import annotations
 
-import marshal
 import threading
 from collections import defaultdict
 
@@ -101,28 +100,26 @@ class LPUnboundedError(LPError):
 class LPResult(Record):
     __slots__ = ("value", "x")
 
-    def __init__(self, value: float, x: tuple[float, ...]):
-        object.__setattr__(self, "value", value)
-        object.__setattr__(self, "x", x)
-
 
 class _PlanStore:
     """The recorded stretches of every program shape, shared by all solves.
 
-    ``plans`` maps the ``marshal`` bytes of a shape's ``c`` and rows to a
-    dict from the signs of its right-hand sides (see :func:`solve_lp`) to
-    the shape's trie, a flat list of nodes, the root first.  A node at
-    position ``pos`` holds its stretch's operations and its ``test``, then
-    one slot per way on: the position of the node that follows, or, while
-    that is unrecorded, minus the number of solves that took the way.
-    ``test`` is ``(col, rows, coefs)``, a ratio test in column ``col`` with
-    its candidate rows in basis-index order; after the optimum (``test``
-    None) the node holds instead the ``(row, variable)`` pairs, flat, that
-    read ``x`` off the basis.  ``seen`` counts the solves of shapes not
-    recorded, in a slot picked by the hash of the shape's bytes and signs;
-    two shapes sharing a slot only admit one early.  ``programs`` maps a :class:`Program`'s key to the program, kept
-    once a replay answers it, and never more programs than shapes.
-    Equal tuples of one kind are stored once; kinds stay apart, since
+    ``plans`` maps a :class:`Program`'s key to a dict from the signs of its
+    right-hand sides (see :func:`solve_lp`) to the shape's trie, a flat
+    list of nodes, the root first.  A node at position ``pos`` holds its
+    stretch's operations and its ``test``, then one slot per way on: the
+    position of the node that follows, or, while that is unrecorded, minus
+    the number of solves that took the way.  ``test`` is ``(col, rows,
+    coefs)``, a ratio test in column ``col`` with its candidate rows in
+    basis-index order; after the optimum (``test`` None) the node holds
+    instead the ``(row, variable)`` pairs, flat, that read ``x`` off the
+    basis.  ``seen`` counts the solves of shapes not recorded, in a slot
+    picked by the hash of the shape's key and signs; two shapes sharing a
+    slot only admit one early.  The search's keys hold only ints, as do
+    the signs, so what the store records does not depend on
+    ``PYTHONHASHSEED``.  ``programs`` maps a key to its program, kept once
+    a replay answers it, and never more programs than shapes.  Equal
+    tuples of one kind are stored once; kinds stay apart, since
     ``(1, 2) == (1.0, 2.0)``.
     """
 
@@ -141,8 +138,9 @@ class _PlanStore:
         return self.shared[kind].setdefault(value, value)
 
     def floats(self, values) -> tuple:
+        # From a list: a tuple grown from an iterator is resized as it grows.
         one = self.shared["float"].setdefault
-        return tuple(list(map(one, values, values)))  # see solve_lp
+        return tuple(list(map(one, values, values)))
 
     @staticmethod
     def ints(values) -> bytes | tuple:
@@ -159,29 +157,27 @@ class _PlanStore:
         pairs = [v for i, f in zip(rows, facs) for v in (i, one(f, f))]
         return self.share("op", (kind, r, d and one(d, d), *pairs))
 
-    def recorder(self, prefix, signs, a_ub, plan: list | None, slot) -> _Recorder | None:
+    def recorder(self, key, signs: int, plan: list | None, slot) -> _Recorder | None:
         """The recorder of a tableau solve that ``_replay`` could not answer
         (``slot``), or of a shape not recorded (``plan`` None), once
         ``_ADMIT`` earlier solves have taken that way (``_ADMIT_SHAPE`` have
         solved that shape); until then the solve is counted in the slot or
-        in ``seen``.  None past the cap, for rows that ``_exact`` rejects,
-        or when another thread has recorded the way since."""
+        in ``seen``.  None past the cap, or when another thread has
+        recorded the way since."""
         with self.lock:
             if self.nodes >= _MAX_NODES:
                 return None
             if plan is None:
-                h = hash(prefix + signs) % _SEEN_SLOTS
+                h = hash((key, signs)) % _SEEN_SLOTS
                 if self.seen[h] < _ADMIT_SHAPE:
                     self.seen[h] += 1
-                    return None
-                if not _exact(a_ub):
                     return None
             elif plan[slot] > 0:
                 return None
             elif plan[slot] > -_ADMIT:
                 plan[slot] -= 1
                 return None
-        return _Recorder(self, prefix, signs, plan, slot)
+        return _Recorder(self, key, signs, plan, slot)
 
     def keep(self, program: Program) -> None:
         """Keep ``program``, which a replay has just answered, while the
@@ -196,18 +192,6 @@ class _PlanStore:
 _STORE = _PlanStore()
 
 
-def _exact(rows) -> bool:
-    """Whether every row is a dict of int columns and int or float values.
-    marshal writes these with their type code and exact bits, but other
-    numbers, such as numpy scalars, as bare bytes that do not tell an
-    integer from a float; only shapes of exact rows are recorded, so a key
-    equal to a recorded one is a program of the same values."""
-    return all(
-        type(row) is dict and all(type(j) is int and type(v) in (int, float) for j, v in row.items())
-        for row in rows
-    )
-
-
 def plan_stats() -> dict:
     """Replay-store counters: shapes, stretches and programs kept, and
     solves answered by replay or by the tableau (``misses``) so far."""
@@ -217,22 +201,21 @@ def plan_stats() -> dict:
 
 
 class Program(list):
-    """The rows of a program the replay store may keep, with its cost
-    vector, a list of floats, and a ``key`` that determines both; solve it
-    as ``solve_lp(program.cost, program, b)``.  Once a replay answers it
-    the store may keep it, and :func:`kept_program` hands it back, so a
-    later solve of that key builds only ``b`` and skips the shape's
-    ``marshal`` bytes.  Neither its rows nor its cost may change."""
+    """The rows of a program the replay store may replay and keep, with
+    its cost vector, a list of floats, and a hashable ``key`` that
+    determines both: programs with equal keys have equal costs and rows.
+    Solve it as ``solve_lp(program.cost, program, b)``.  Once a replay
+    answers it the store may keep it, and :func:`kept_program` hands it
+    back, so a later solve of that key builds only ``b``.  Neither its
+    rows nor its cost may change."""
 
-    __slots__ = ("key", "cost", "prefix", "kept")
+    __slots__ = ("key", "cost", "kept")
 
     def __init__(self, key, cost: list, rows: list):
         super().__init__(rows)
         self.key = key
         self.cost = cost
-        # The marshal bytes of its cost and rows, once solved, and the store
-        # that keeps it.
-        self.prefix = None
+        # The store that keeps it.
         self.kept = None
 
 
@@ -313,9 +296,9 @@ class _Recorder:
     """Follows a tableau solve down its shape's trie to the branch ``slot``
     and records the stretch after it; with no ``plan`` yet, the first."""
 
-    def __init__(self, store: _PlanStore, prefix, signs, plan: list | None, slot: int | None):
+    def __init__(self, store: _PlanStore, key, signs: int, plan: list | None, slot: int | None):
         self.store = store
-        self.prefix = prefix
+        self.key = key
         self.signs = signs
         self.plan = plan
         self.slot = slot
@@ -369,7 +352,7 @@ class _Recorder:
         # never follows a slot to a node that is not there yet.
         with store.lock:
             if plan is None:
-                tries = store.plans.setdefault(self.prefix, {})
+                tries = store.plans.setdefault(self.key, {})
                 if self.signs in tries:
                     return  # another thread recorded the shape
                 tries[self.signs] = node
@@ -534,42 +517,29 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
     ``range(len(c))`` per ``b_ub`` entry, anything else raising ``ValueError``.
     Raises :class:`LPInfeasibleError` / :class:`LPUnboundedError`; both
     indicate a malformed caller program rather than a recoverable state.
-    A program of a recorded shape and pivot path is replayed (see the
-    module docstring), with the same result bit for bit.
+    A :class:`Program` solved with its own cost, of a recorded shape and
+    pivot path, is replayed (see the module docstring), with the same
+    result bit for bit; other rows run the tableau alone.
     """
     b = list(map(float, b_ub))
     if len(a_ub) != len(b):
         raise ValueError(f"{len(a_ub)} rows in a_ub but {len(b)} right-hand sides")
+    if type(a_ub) is not Program or c is not a_ub.cost:
+        return _solve_tableau(list(map(float, c)), a_ub, b, None)
     store = _STORE
-    signs = bytes(map(_NEGATIVE, b))
-    program = a_ub if type(a_ub) is Program and c is a_ub.cost else None
-    if program is not None and program.prefix is not None:
-        # A program solved before: its cost is floats, its bytes written.
-        c, prefix = program.cost, program.prefix
-    else:
-        c = list(map(float, c))
-        try:
-            # The shape's key, the marshal bytes of ``c`` and the rows and
-            # the signs of ``b``.  marshal's version 2 writes no
-            # back-references, so the bytes follow from the values alone
-            # (see ``_exact``).
-            prefix = marshal.dumps((c, a_ub if program is None else list(a_ub)), 2)
-        except ValueError:
-            # A value marshal cannot write, such as a dict subclass: the
-            # tableau solves the program and checks its rows.
-            return _solve_tableau(c, a_ub, b, None)
-        if program is not None:
-            program.prefix = prefix
-    tries = store.plans.get(prefix)
+    key = a_ub.key
+    # The signs of ``b`` as an int: byte i is 1 where b[i] < 0.
+    signs = int.from_bytes(bytes(map(_NEGATIVE, b)), "little")
+    tries = store.plans.get(key)
     plan = tries.get(signs) if tries else None
     slot = None
     if plan is not None:
         res = _replay(plan, len(c), b)
         if isinstance(res, LPResult):
             store.replays += 1
-            if program is not None and program.kept is not store:
-                store.keep(program)
+            if a_ub.kept is not store:
+                store.keep(a_ub)
             return res
         slot = res
     store.misses += 1
-    return _solve_tableau(c, a_ub, b, store.recorder(prefix, signs, a_ub, plan, slot))
+    return _solve_tableau(c, a_ub, b, store.recorder(key, signs, plan, slot))

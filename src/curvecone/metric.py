@@ -286,11 +286,13 @@ def _gallery_lp(cx, seq, transits, emb_p, p, emb_q, q):
     nonexpansive up to the factor two in the metric), which a slack
     variable charges against the breakpoint coordinate sum.
 
-    The cost and rows depend only on the program's key, the sizes of its
-    segments' orbits and the transits' index maps, of which an open
-    program reads only the last transit's ``into_source``.  The replay
-    store may keep them under that key (:func:`curvecone.lp.kept_program`);
-    the right-hand side is built for every solve.
+    The program's key is the sizes of its segments' orbits and its inner
+    transits' ``(into_source, into_target)``, then, for an open program,
+    the last transit's ``into_source``: ints only.  The cost and rows are
+    built from the key alone (:func:`_gallery_rows`), so one key is one
+    program, and the replay store names the program's shape by that key
+    and keeps it once replayed (:func:`curvecone.lp.kept_program`); the
+    right-hand side is built for every solve.
     """
     closed = emb_q is not None
     n_seg = len(seq) if closed else len(seq) - 1
@@ -302,14 +304,12 @@ def _gallery_lp(cx, seq, transits, emb_p, p, emb_q, q):
         return 0.5 * max(abs(a - b) for a, b in zip(u, v)), ()
 
     inner = transits if closed else transits[:-1]
-    key = (
-        tuple(sizes),
-        tuple((t.into_source, t.into_target) for t in inner),
-        None if closed else transits[-1].into_source,
-    )
+    key = (tuple(sizes), tuple((t.into_source, t.into_target) for t in inner))
+    if not closed:
+        key += (transits[-1].into_source,)
     program = kept_program(key)
     if program is None:
-        program = Program(key, *_gallery_rows(sizes, transits, closed))
+        program = Program(key, *_gallery_rows(key))
     # Each row pair bounds one edge of one segment; its constants are p's
     # coordinates on the first segment and q's, negated, on a closed last.
     rhs = [] if closed else [-0.5 * max(q.coords)]
@@ -330,35 +330,34 @@ def _gallery_lp(cx, seq, transits, emb_p, p, emb_q, q):
     return res.value, tuple(bps)
 
 
-def _gallery_rows(sizes, transits, closed):
-    """Cost and rows of a gallery program over segments of ``sizes``:
-    one length per segment, then one variable per carried curve at each
-    transit, then, open, the climb variable."""
+def _gallery_rows(key):
+    """Cost and rows of the gallery program of ``key`` (see
+    :func:`_gallery_lp`): one length per segment, then one variable per
+    carried curve at each transit, then, open, the climb variable."""
+    sizes, inner, *last = key
     n_seg = len(sizes)
+    # The into_source of each transit the program reads: the inner ones',
+    # then an open program's last.
+    sources = [src for src, _ in inner] + last
     offsets = []
     pos = n_seg
-    for t in transits:
+    for src in sources:
         offsets.append(pos)
-        pos += len(t.into_source)
-    nvar = pos if closed else pos + 1
-    c = [1.0] * n_seg + [0.0] * (nvar - n_seg)
+        pos += len(src)
+    c = [1.0] * n_seg + [0.0] * (pos - n_seg)
     rows = []
-    if not closed:
+    if last:
         # The climb variable s: s + sum(w_last) / 2 >= max(q) / 2, an
         # admissible completion cost.
-        climb_var = pos
-        c[climb_var] = 1.0
-        last = range(offsets[-1], offsets[-1] + len(transits[-1].into_source))
-        rows.append({climb_var: -1.0, **dict.fromkeys(last, -0.5)})
+        c.append(1.0)
+        rows.append({pos: -1.0, **dict.fromkeys(range(offsets[-1], pos), -0.5)})
     for j, m in enumerate(sizes):
         coefs: list[dict[int, float]] = [{} for _ in range(m)]
         if j > 0:
-            t = transits[j - 1]
-            for cidx, e in enumerate(t.into_target):
+            for cidx, e in enumerate(inner[j - 1][1]):
                 coefs[e][offsets[j - 1] + cidx] = 1.0
-        if not closed or j < n_seg - 1:
-            t = transits[j]
-            for cidx, e in enumerate(t.into_source):
+        if j < len(sources):
+            for cidx, e in enumerate(sources[j]):
                 coefs[e][offsets[j] + cidx] = -1.0
         for e in range(m):
             rows.append({j: -2.0, **coefs[e]})

@@ -351,3 +351,22 @@ def test_homogeneity_and_screen_at_extreme_scales(case):
     with pytest.MonkeyPatch.context() as mp:
         _unscreened(mp)
         assert distance(sp, sq).to_json() == screened.to_json()
+
+
+# The simplex's tolerances (``lp.TOL`` 1e-9, ``lp._PHASE1_TOL`` 1e-7) are
+# absolute, so at a scale of 1e-6 they swallow a gap of 1e-11.  The
+# screened search returns one orbit at 4.99999999992626e-12, while the
+# unscreened one solves a two-orbit gallery, ('d1-57fb6950d4',
+# 'd1-a2f55d89d8'), and returns it at -0.0.  The test above fails
+# whenever Hypothesis draws this pair; here it is pinned.
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the simplex's absolute tolerances do not scale with the coordinates")
+def test_unscreened_search_at_extreme_scale_on_a_vertex_pair():
+    cx = complex_for(1, 2)
+    p, q = (cone_point(cx, "d0-d9f7d07a62", (x,)) for x in (1.0, 0.99999))
+    sp, sq = scale(p, 1e-6), scale(q, 1e-6)
+    screened = distance(sp, sq)
+    assert screened.distance == pytest.approx(1e-6 * distance(p, q).distance, rel=1e-9)
+    with pytest.MonkeyPatch.context() as mp:
+        _unscreened(mp)
+        assert distance(sp, sq).to_json() == screened.to_json()

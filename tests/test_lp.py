@@ -136,6 +136,12 @@ def solve_dense(c, rows, rhs):
     return solve_lp(c, sparse(rows), rhs)
 
 
+def keyed(c, rows, key=0):
+    """``rows`` as a :class:`lp.Program` under ``key``, which the replay
+    store records and replays; plain rows only run the tableau."""
+    return lp.Program(key, list(map(float, c)), rows)
+
+
 def dense(rows, n):
     """``{column: coefficient}`` rows as the dense rows of the reference."""
     return [[row.get(j, 0.0) for j in range(n)] for row in rows]
@@ -328,21 +334,22 @@ def test_gallery_programs_match_dense_tableau_bits(surface, coords, monkeypatch,
         assert all(isinstance(row, dict) for row in rows)
         # On an empty store: solved on the tableau, the first time cold,
         # until its whole pivot path is recorded, then replayed.
+        assert isinstance(rows, lp.Program) and c is rows.cost
         monkeypatch.setattr(lp, "_STORE", lp._PlanStore())
-        for r in (res, *solved_until_replayed(c, rows, rhs)):
+        for r in (res, *solved_until_replayed(rows, rhs)):
             assert_bit_identical(c, dense(rows, len(c)), rhs, r)
 
 
 # -- replay of recorded pivot paths --------------------------------------------
 
 
-def solved_until_replayed(c, rows, rhs):
-    """Solve one program again and again until the replay store answers it;
-    returns every result, the replay's last."""
+def solved_until_replayed(program, rhs):
+    """Solve one :class:`lp.Program` again and again until the replay store
+    answers it; returns every result, the replay's last."""
     replays = lp.plan_stats()["replays"]
     results = []
     while lp.plan_stats()["replays"] == replays:
-        results.append(solve_lp(c, rows, rhs))
+        results.append(solve_lp(program.cost, program, rhs))
         assert len(results) <= 64, "the pivot path was never recorded"
     return results
 
@@ -350,24 +357,25 @@ def solved_until_replayed(c, rows, rhs):
 @pytest.mark.parametrize("program", [HALF_SUP, TWO_SEGMENT, DEGENERATE_FIRST, TIES, PINNED])
 def test_replayed_hand_programs_match_dense_tableau_bits(program, empty_plan_store):
     c, rows, rhs = program
-    results = solved_until_replayed(c, sparse(rows), rhs)
+    results = solved_until_replayed(keyed(c, sparse(rows)), rhs)
     assert lp.plan_stats()["misses"] == len(results) - 1
     for r in results:
         assert_bit_identical(c, rows, rhs, r)
 
 
 def raised_by_replay(program, data, exc):
-    """Solve ``program(*d)`` for each ``d`` in ``data``; each must raise
-    ``exc``, as the dense reference does.  Returns how many of the solves
-    raised from the replay store, without running the tableau."""
+    """Solve ``program(*d)``, keyed, for each ``d`` in ``data``; each must
+    raise ``exc``, as the dense reference does.  Returns how many of the
+    solves raised from the replay store, without running the tableau."""
     replayed = 0
     for d in data:
         c, rows, rhs = program(*d)
         with pytest.raises(exc):
             reference_solve_lp(c, dense(rows, len(c)), rhs)
         misses = lp.plan_stats()["misses"]
+        keyed_rows = keyed(c, rows)
         with pytest.raises(exc):
-            solve_lp(c, rows, rhs)
+            solve_lp(keyed_rows.cost, keyed_rows, rhs)
         replayed += lp.plan_stats()["misses"] == misses
     return replayed
 
@@ -381,7 +389,7 @@ def test_recorded_path_with_infeasible_data_raises(empty_plan_store):
         return [1.0], [{0: -1.0}, {0: 1.0}], [-lo, hi]
 
     c, rows, rhs = program(1.0 + 5e-8, 1.0)
-    solved_until_replayed(c, rows, rhs)
+    solved_until_replayed(keyed(c, rows), rhs)
     data = [(2.0, 1.0), (5.0, 0.5), (3.0, 2.0), (1.0 + 2e-7, 1.0)]
     assert raised_by_replay(program, data, LPInfeasibleError) == len(data)
 
@@ -393,7 +401,8 @@ def test_recorded_shape_with_infeasible_data_raises(empty_plan_store):
     def program(lo, u0, u1):
         return [1.0, 1.0], [{0: -1.0, 1: -1.0}, {0: 1.0}, {1: 1.0}], [-lo, u0, u1]
 
-    solved_until_replayed(*program(1.0, 2.0, 2.0))
+    c, rows, rhs = program(1.0, 2.0, 2.0)
+    solved_until_replayed(keyed(c, rows), rhs)
     data = [(5.0, 1.0, 2.0), (9.0, 3.0, 4.0), (4.0, 1.0, 1.0), (7.0, 2.0, 2.5)] * 3
     raised_by_replay(program, data, LPInfeasibleError)
     assert lp.plan_stats()["shapes"] == 1
@@ -424,7 +433,7 @@ def test_zeros_signed_zeros_and_subnormal_right_hand_sides(program, monkeypatch)
         monkeypatch.setattr(lp, "_STORE", lp._PlanStore())
         for z in order:
             b = [z if v == 0 else v for v in rhs]
-            for r in solved_until_replayed(c, sparse(rows), b):
+            for r in solved_until_replayed(keyed(c, sparse(rows)), b):
                 assert_bit_identical(c, rows, b, r)
         assert lp.plan_stats()["shapes"] == (2 if any(v == 0 for v in rhs) else 1)
 
@@ -503,6 +512,77 @@ def test_store_stays_within_its_cap(monkeypatch, empty_plan_store):
     assert lp.plan_stats()["nodes"] == cap
 
 
+def gallery_rows(cx, seq, transits, closed):
+    """Cost and rows of a gallery program read off the whole gallery: the
+    size of every segment's orbit and both maps of every transit.
+
+    The variables are a length ``t_j`` per segment, a breakpoint ``w`` per
+    curve carried by each transit, and, open, a climb ``s``.  On segment
+    ``j`` an edge starts at the ``w`` the transit before carries into it
+    (or at a constant) and ends at the ``w`` the transit after carries out
+    of it (or at a constant); each edge gives the rows ``start - end -
+    2 t_j`` and ``end - start - 2 t_j``, and an open program first the row
+    ``-s - sum(w_last) / 2``.
+    """
+    n_seg = len(seq) if closed else len(seq) - 1
+    first_w = [n_seg]
+    for tr in transits:
+        first_w.append(first_w[-1] + len(tr.into_source))
+    n = first_w[-1] if closed else first_w[-1] + 1
+    cost = [1.0 if j < n_seg or j == n - 1 and not closed else 0.0 for j in range(n)]
+    rows = []
+    if not closed:
+        rows.append({n - 1: -1.0, **{w: -0.5 for w in range(first_w[-2], first_w[-1])}})
+    for j in range(n_seg):
+        for e in range(cx.orbit(seq[j]).n_edges):
+            row = {j: -2.0}
+            if j > 0 and e in transits[j - 1].into_target:
+                row[first_w[j - 1] + transits[j - 1].into_target.index(e)] = 1.0
+            if j < len(transits) and e in transits[j].into_source:
+                row[first_w[j] + transits[j].into_source.index(e)] = -1.0
+            rows.append(row)
+            rows.append({v: -a if v != j else a for v, a in row.items()})
+    return cost, rows
+
+
+def test_rows_built_from_the_key_match_the_whole_gallery(monkeypatch, empty_plan_store):
+    # Every program the search solves, built from its key or kept by the
+    # store under it, has the cost and rows of the gallery it is solved
+    # for.  A key that left out part of what the rows read would hand one
+    # gallery another's kept program: dropping the sizes from the key
+    # mixes up surfaces of other complexity, dropping an open program's
+    # last into_source mixes up the children of one expansion.
+    gallery_lp, solve = metric._gallery_lp, metric.solve_lp
+    gallery = []
+    kept = [0]
+
+    def recording(cx, seq, transits, emb_p, p, emb_q, q):
+        gallery[:] = [cx, seq, transits, emb_q is not None]
+        return gallery_lp(cx, seq, transits, emb_p, p, emb_q, q)
+
+    def checking(c, rows, rhs):
+        assert (c, list(rows)) == gallery_rows(*gallery)
+        kept[0] += rows.kept is not None
+        return solve(c, rows, rhs)
+
+    monkeypatch.setattr(metric, "_gallery_lp", recording)
+    monkeypatch.setattr(metric, "solve_lp", checking)
+    for surface in [(1, 2), (2, 0), (1, 3), (0, 7), (2, 1)]:
+        cx = complex_for(*surface)
+        rng = np.random.default_rng([*surface, 29])
+        ids = [o.id for o in cx.orbits if o.n_edges]
+        pairs = []
+        for integer in (False, True):
+            for _ in range(2 if surface == (2, 1) else 6):
+                p, q = (cone_point(cx, oid, rng.integers(0, 4, size=cx.orbit(oid).n_edges)
+                                   if integer else rng.uniform(0.25, 8.0, size=cx.orbit(oid).n_edges))
+                        for oid in (ids[rng.integers(len(ids))], ids[rng.integers(len(ids))]))
+                pairs.append((p, q))
+        for p, q in pairs * 3:
+            distance(p, q)
+    assert kept[0] > 0
+
+
 def test_warm_search_replays(monkeypatch, empty_plan_store):
     # A search on a warm store answers most of its programs by replay, and
     # builds the rows of few of them; a change that sent every solve back
@@ -575,14 +655,24 @@ def test_threads_sharing_the_store_get_serial_payloads(monkeypatch, empty_plan_s
     assert all(out == [serial] * 3 for out in results)
 
 
-def test_numpy_scalar_rows_are_solved_but_never_recorded(empty_plan_store):
-    # The shape key writes numpy scalars as their bare bytes, so the rows
-    # {0: np.int64(1)} and {0: np.float64(5e-324)} give one key.  Neither
-    # shape is recorded, and each program gets the tableau's answer: x = 4,
-    # and unbounded, as a pivot of 5e-324 is below TOL.
+def test_plain_rows_run_the_tableau_and_leave_the_store_alone(empty_plan_store):
+    # Only a Program solved with its own cost reaches the replay store.
+    # Rows of numpy scalars, rows of a dict subclass, an ordinary program
+    # and a Program solved with a copy of its cost each run the tableau,
+    # however often, and get its answer; the store neither records nor
+    # counts them.
+    class Row(dict):
+        pass
+
+    pinned = keyed(PINNED[0], sparse(PINNED[1]))
     for _ in range(lp._ADMIT_SHAPE + 2):
         res = solve_lp([-1.0], [{0: np.int64(1)}], [4.0])
         assert (res.value, res.x) == (-4.0, (4.0,))
-    with pytest.raises(LPUnboundedError):
-        solve_lp([-1.0], [{0: np.float64(5e-324)}], [4.0])
-    assert lp.plan_stats()["shapes"] == 0
+        # A pivot of 5e-324 is below TOL.
+        with pytest.raises(LPUnboundedError):
+            solve_lp([-1.0], [{0: np.float64(5e-324)}], [4.0])
+        res = solve_lp([1.0, 1.0], [Row({0: -1.0, 1: -1.0})], [-1.0])
+        assert (res.value, res.x) == (1.0, (1.0, 0.0))
+        assert_bit_identical(*TWO_SEGMENT)
+        assert solve_lp(list(pinned.cost), pinned, PINNED[2]).x == (1.0,)
+    assert lp.plan_stats() == {"shapes": 0, "nodes": 0, "programs": 0, "replays": 0, "misses": 0}
