@@ -35,23 +35,24 @@ whose shape and pivot path are recorded is solved by walking the trie
 and doing only the right-hand-side operations, the same IEEE operations
 as the tableau with a zero stored as ``+0.0``, and the same ratio
 tests; so on finite data a replay returns, or raises, exactly what the
-tableau would.  At a branch not yet recorded the solver runs the
-tableau, which records as it pivots: one new stretch per solve at most,
-and only where ``_ADMIT`` earlier solves have been (``_ADMIT_SHAPE`` for
-the first stretch of a shape).  :func:`plan_stats` reports the store,
-which holds at most ``_MAX_NODES`` stretches.  Recording holds the
-store's lock, and a node is complete before the trie links to it, so a
-replay in another thread only reads whole nodes; the counters of
-:func:`plan_stats` may miss a solve when threads race.
+tableau would.  At a branch not yet recorded, or on a new shape, the
+solver runs the tableau, which records the rest of its path, from there
+to the optimum; so a path replays from its second solve on.  This serves
+warm searches, whose program shapes recur.  :func:`plan_stats` reports
+the store, which holds at most ``_MAX_NODES`` stretches.  A node is
+complete before the trie links to it under the store's lock, so a replay
+in another thread only reads whole nodes, and a way that another thread
+has recorded ends a recording; the counters of :func:`plan_stats` may
+miss a solve when threads race.
 
 The store also keeps programs.  Once a replay answers a program, the
-store keeps it under its key, and :func:`kept_program` hands it back: a
-later solve of the key builds only ``b``, not the rows.  A program
-whose solves all run the tableau is not kept, as the tableau costs far
-more than building its rows.  The store keeps no more programs than
-shapes, so ``_MAX_NODES`` bounds them too.  Like a node, a program is
-complete before the store links to it, and its rows and cost are never
-written.
+store keeps it beside its key's tries, and :func:`program_of` hands it
+back: a later solve of the key builds only ``b``, not the rows, and
+looks the key up once.  A program whose solves all run the tableau is
+not kept, as the tableau costs far more than building its rows.  The
+store keeps one program at most per recorded key, so ``_MAX_NODES``
+bounds them too.  Like a node, a program is complete before the store
+links to it, and its rows and cost are never written.
 """
 
 from __future__ import annotations
@@ -65,24 +66,15 @@ from .surfaces import Record
 TOL = 1e-9
 # Phase-1 residual of an infeasible program: feasible ones end at rounding.
 _PHASE1_TOL = 1e-7
-# Stretches kept for replay, about 1 MB.  A path is recorded once enough
-# earlier solves have reached it (below), first come first kept, and is
-# never evicted; past the cap new paths are solved without recording.
+# Stretches kept for replay, about 1 MB.  A solve that misses records
+# the rest of its path, first come first kept, and nothing is evicted;
+# past the cap new paths are solved without recording.
 _MAX_NODES = 4_500
 
 # Right-hand-side operations, the parts of a stretch.
 _PIVOT, _COST, _CHECK = range(3)
 # ``_NEGATIVE(v)`` is ``v < 0``.
 _NEGATIVE = (0.0).__gt__
-# Solves that reach a branch before one records it: most branches occur
-# once or twice, and recording them costs more than their replays save.
-_ADMIT = 2
-# Solves of a shape before one records its first stretch, which starts at
-# the first pivot: most shapes of a cold search recur a few times at most
-# (20 S(2,1) calls: 1 417 shapes, 202 of them solved four times or more).
-_ADMIT_SHAPE = 4
-# Counters of those solves, by key hash: a fixed 64 KB.
-_SEEN_SLOTS = 1 << 16
 
 
 class LPError(RuntimeError):
@@ -101,32 +93,33 @@ class LPResult(Record):
     __slots__ = ("value", "x")
 
 
+class _Tries(dict):
+    """A key's tries by the signs of ``b``, and the program kept under it."""
+
+    __slots__ = ("program",)
+
+    def __init__(self):
+        super().__init__()
+        self.program = None
+
+
 class _PlanStore:
     """The recorded stretches of every program shape, shared by all solves.
 
-    ``plans`` maps a :class:`Program`'s key to a dict from the signs of its
-    right-hand sides (see :func:`solve_lp`) to the shape's trie, a flat
-    list of nodes, the root first.  A node at position ``pos`` holds its
-    stretch's operations and its ``test``, then one slot per way on: the
-    position of the node that follows, or, while that is unrecorded, minus
-    the number of solves that took the way.  ``test`` is ``(col, rows,
-    coefs)``, a ratio test in column ``col`` with its candidate rows in
-    basis-index order; after the optimum (``test`` None) the node holds
-    instead the ``(row, variable)`` pairs, flat, that read ``x`` off the
-    basis.  ``seen`` counts the solves of shapes not recorded, in a slot
-    picked by the hash of the shape's key and signs; two shapes sharing a
-    slot only admit one early.  The search's keys hold only ints, as do
-    the signs, so what the store records does not depend on
-    ``PYTHONHASHSEED``.  ``programs`` maps a key to its program, kept once
-    a replay answers it, and never more programs than shapes.  Equal
-    tuples of one kind are stored once; kinds stay apart, since
-    ``(1, 2) == (1.0, 2.0)``.
+    ``plans`` maps a :class:`Program`'s key to its :class:`_Tries`.  A
+    shape's trie is a flat list of nodes, the root first.  A node at
+    position ``pos`` holds its stretch's operations and its ``test``,
+    then one slot per way on: the position of the node that follows, or
+    0 while that is unrecorded.  ``test`` is ``(col, rows, coefs)``, a
+    ratio test in column ``col`` with its candidate rows in basis-index
+    order; after the optimum (``test`` None) the node holds instead the
+    ``(row, variable)`` pairs, flat, that read ``x`` off the basis.  Equal
+    tuples of one kind are stored once; kinds stay apart, since ``(1, 2)
+    == (1.0, 2.0)``.
     """
 
     def __init__(self):
         self.plans: dict = {}
-        self.programs: dict = {}
-        self.seen = bytearray(_SEEN_SLOTS)
         self.shared: dict = defaultdict(dict)
         self.shapes = 0
         self.nodes = 0
@@ -157,37 +150,6 @@ class _PlanStore:
         pairs = [v for i, f in zip(rows, facs) for v in (i, one(f, f))]
         return self.share("op", (kind, r, d and one(d, d), *pairs))
 
-    def recorder(self, key, signs: int, plan: list | None, slot) -> _Recorder | None:
-        """The recorder of a tableau solve that ``_replay`` could not answer
-        (``slot``), or of a shape not recorded (``plan`` None), once
-        ``_ADMIT`` earlier solves have taken that way (``_ADMIT_SHAPE`` have
-        solved that shape); until then the solve is counted in the slot or
-        in ``seen``.  None past the cap, or when another thread has
-        recorded the way since."""
-        with self.lock:
-            if self.nodes >= _MAX_NODES:
-                return None
-            if plan is None:
-                h = hash((key, signs)) % _SEEN_SLOTS
-                if self.seen[h] < _ADMIT_SHAPE:
-                    self.seen[h] += 1
-                    return None
-            elif plan[slot] > 0:
-                return None
-            elif plan[slot] > -_ADMIT:
-                plan[slot] -= 1
-                return None
-        return _Recorder(self, key, signs, plan, slot)
-
-    def keep(self, program: Program) -> None:
-        """Keep ``program``, which a replay has just answered, while the
-        store holds fewer programs than shapes.  The program is complete
-        before the store links to it, and its rows and cost never change."""
-        with self.lock:
-            if len(self.programs) < self.shapes and program.key not in self.programs:
-                program.kept = self
-                self.programs[program.key] = program
-
 
 _STORE = _PlanStore()
 
@@ -196,7 +158,8 @@ def plan_stats() -> dict:
     """Replay-store counters: shapes, stretches and programs kept, and
     solves answered by replay or by the tableau (``misses``) so far."""
     s = _STORE
-    return {"shapes": s.shapes, "nodes": s.nodes, "programs": len(s.programs),
+    kept = sum(t.program is not None for t in list(s.plans.values()))
+    return {"shapes": s.shapes, "nodes": s.nodes, "programs": kept,
             "replays": s.replays, "misses": s.misses}
 
 
@@ -204,24 +167,29 @@ class Program(list):
     """The rows of a program the replay store may replay and keep, with
     its cost vector, a list of floats, and a hashable ``key`` that
     determines both: programs with equal keys have equal costs and rows.
-    Solve it as ``solve_lp(program.cost, program, b)``.  Once a replay
-    answers it the store may keep it, and :func:`kept_program` hands it
-    back, so a later solve of that key builds only ``b``.  Neither its
-    rows nor its cost may change."""
+    Solve it as ``solve_lp(program.cost, program, b)``; :func:`program_of`
+    hands back the one the store keeps.  Neither its rows nor its cost
+    may change."""
 
-    __slots__ = ("key", "cost", "kept")
+    __slots__ = ("key", "cost", "tries")
 
     def __init__(self, key, cost: list, rows: list):
         super().__init__(rows)
         self.key = key
         self.cost = cost
-        # The store that keeps it.
-        self.kept = None
+        # The store's tries of the key, once known, so a solve skips the lookup.
+        self.tries = None
 
 
-def kept_program(key) -> Program | None:
-    """The program the replay store keeps under ``key``, if any."""
-    return _STORE.programs.get(key)
+def program_of(key, build) -> Program:
+    """The program the replay store keeps under ``key``, or else
+    ``Program(key, *build(key))`` with the key's tries: one lookup."""
+    tries = _STORE.plans.get(key)
+    if tries is not None and tries.program is not None:
+        return tries.program
+    made = Program(key, *build(key))
+    made.tries = tries
+    return made
 
 
 # -- replay ---------------------------------------------------------------------
@@ -285,7 +253,7 @@ def _replay(plan: list, n: int, b: list) -> LPResult | int:
             return LPResult(value=-rhs[-1], x=tuple(x))
         slot = pos + 2 + _leaving(*test, rhs)
         pos = plan[slot]
-        if pos <= 0:
+        if not pos:
             return slot
 
 
@@ -293,8 +261,10 @@ def _replay(plan: list, n: int, b: list) -> LPResult | int:
 
 
 class _Recorder:
-    """Follows a tableau solve down its shape's trie to the branch ``slot``
-    and records the stretch after it; with no ``plan`` yet, the first."""
+    """Follows a tableau solve down its shape's trie to the way ``slot``
+    that replay found unrecorded (from the root, with no ``plan`` yet) and
+    records the rest of the path, linking a node per stretch once complete,
+    until the optimum, the cap or a way another thread recorded first."""
 
     def __init__(self, store: _PlanStore, key, signs: int, plan: list | None, slot: int | None):
         self.store = store
@@ -302,7 +272,8 @@ class _Recorder:
         self.signs = signs
         self.plan = plan
         self.slot = slot
-        # The recorded node being followed, then the stretch being recorded.
+        # The recorded node being followed, or else the stretch being
+        # recorded; neither once the recording has ended.
         self.pos = 0 if plan else None
         self.ops = None if plan else []
 
@@ -326,42 +297,44 @@ class _Recorder:
             test = self.store.share("test", (col, self.store.ints(rows), coefs))
             self._close(test, len(rows), rows.index(r) if rows else 0)
         elif self.pos is not None:
-            self._follow(self.plan[self.pos + 1][1].index(r))
+            slot = self.pos + 2 + self.plan[self.pos + 1][1].index(r)
+            if slot == self.slot:
+                self.pos, self.ops = None, []
+            else:
+                self.pos = self.plan[slot]
 
     def optimum(self, basis: list[int], n: int) -> None:
         if self.ops is not None:
             pairs = [v for i, j in enumerate(basis) if j < n for v in (i, j)]
             self._close(None, 0, 0, self.store.share("x", self.store.ints(pairs)))
 
-    def _follow(self, k: int) -> None:
-        slot = self.pos + 2 + k
-        if slot == self.slot:
-            self.pos, self.ops = None, []
-        else:
-            self.pos = self.plan[slot]
-
     def _close(self, test, ways: int, k: int, *tail) -> None:
-        """Record the stretch, ending at ``test``, as a new node; this solve
-        goes on by way ``k``, which counts it."""
+        """Link the stretch, ending at ``test``, as a new node, and go on
+        recording after its way ``k``, which this solve takes."""
         store, plan = self.store, self.plan
         node = [store.share("ops", tuple(self.ops)), test, *tail] + [0] * ways
         self.ops = None
-        if ways:
-            node[2 + k] = -1
         # The node is complete before anything links to it, so a replay
         # never follows a slot to a node that is not there yet.
         with store.lock:
+            if store.nodes >= _MAX_NODES:
+                return
             if plan is None:
-                tries = store.plans.setdefault(self.key, {})
+                tries = store.plans.setdefault(self.key, _Tries())
                 if self.signs in tries:
                     return  # another thread recorded the shape
-                tries[self.signs] = node
+                tries[self.signs] = self.plan = node
                 store.shapes += 1
+                pos = 0
+            elif plan[self.slot]:
+                return  # another thread recorded the way
             else:
                 pos = len(plan)
                 plan += node
                 plan[self.slot] = pos
             store.nodes += 1
+        if ways:
+            self.slot, self.ops = pos + 2 + k, []
 
 
 def _subtract(row: dict, f: float, other: dict) -> None:
@@ -527,19 +500,21 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
     if type(a_ub) is not Program or c is not a_ub.cost:
         return _solve_tableau(list(map(float, c)), a_ub, b, None)
     store = _STORE
-    key = a_ub.key
     # The signs of ``b`` as an int: byte i is 1 where b[i] < 0.
     signs = int.from_bytes(bytes(map(_NEGATIVE, b)), "little")
-    tries = store.plans.get(key)
+    tries = a_ub.tries or store.plans.get(a_ub.key)
     plan = tries.get(signs) if tries else None
     slot = None
     if plan is not None:
         res = _replay(plan, len(c), b)
         if isinstance(res, LPResult):
             store.replays += 1
-            if a_ub.kept is not store:
-                store.keep(a_ub)
+            if tries.program is None:
+                # Complete, with rows and cost that never change.
+                a_ub.tries = tries
+                tries.program = a_ub
             return res
         slot = res
     store.misses += 1
-    return _solve_tableau(c, a_ub, b, store.recorder(key, signs, plan, slot))
+    rec = _Recorder(store, a_ub.key, signs, plan, slot) if store.nodes < _MAX_NODES else None
+    return _solve_tableau(c, a_ub, b, rec)

@@ -41,7 +41,7 @@ from __future__ import annotations
 import heapq
 import json
 
-from .lp import Program, kept_program, solve_lp
+from .lp import program_of, solve_lp
 from .quotient import QuotientComplex, SimplexOrbit, Transit
 from .surfaces import Record, as_integer, as_real, payload_fields
 
@@ -291,8 +291,9 @@ def _gallery_lp(cx, seq, transits, emb_p, p, emb_q, q):
     the last transit's ``into_source``: ints only.  The cost and rows are
     built from the key alone (:func:`_gallery_rows`), so one key is one
     program, and the replay store names the program's shape by that key
-    and keeps it once replayed (:func:`curvecone.lp.kept_program`); the
-    right-hand side is built for every solve.
+    and keeps it once replayed (:func:`curvecone.lp.program_of` hands it
+    back, with one lookup of the key); the right-hand side is built for
+    every solve.
     """
     closed = emb_q is not None
     n_seg = len(seq) if closed else len(seq) - 1
@@ -307,9 +308,7 @@ def _gallery_lp(cx, seq, transits, emb_p, p, emb_q, q):
     key = (tuple(sizes), tuple((t.into_source, t.into_target) for t in inner))
     if not closed:
         key += (transits[-1].into_source,)
-    program = kept_program(key)
-    if program is None:
-        program = Program(key, *_gallery_rows(key))
+    program = program_of(key, _gallery_rows)
     # Each row pair bounds one edge of one segment; its constants are p's
     # coordinates on the first segment and q's, negated, on a closed last.
     rhs = [] if closed else [-0.5 * max(q.coords)]

@@ -332,11 +332,12 @@ def test_gallery_programs_match_dense_tableau_bits(surface, coords, monkeypatch,
     assert recorded
     for c, rows, rhs, res in recorded:
         assert all(isinstance(row, dict) for row in rows)
-        # On an empty store: solved on the tableau, the first time cold,
-        # until its whole pivot path is recorded, then replayed.
+        # On an empty store: solved on the tableau, which records the
+        # whole pivot path, then replayed.  The search's Program carries
+        # its own store's tries, so a fresh one is solved.
         assert isinstance(rows, lp.Program) and c is rows.cost
         monkeypatch.setattr(lp, "_STORE", lp._PlanStore())
-        for r in (res, *solved_until_replayed(rows, rhs)):
+        for r in (res, *solved_until_replayed(lp.Program(rows.key, c, rows), rhs)):
             assert_bit_identical(c, dense(rows, len(c)), rhs, r)
 
 
@@ -344,14 +345,16 @@ def test_gallery_programs_match_dense_tableau_bits(surface, coords, monkeypatch,
 
 
 def solved_until_replayed(program, rhs):
-    """Solve one :class:`lp.Program` again and again until the replay store
-    answers it; returns every result, the replay's last."""
+    """Solve one :class:`lp.Program` until the replay store answers it,
+    which must be by the second solve: a solve that misses records its
+    whole pivot path.  Returns every result, the replay's last."""
     replays = lp.plan_stats()["replays"]
     results = []
-    while lp.plan_stats()["replays"] == replays:
+    for _ in range(2):
         results.append(solve_lp(program.cost, program, rhs))
-        assert len(results) <= 64, "the pivot path was never recorded"
-    return results
+        if lp.plan_stats()["replays"] > replays:
+            return results
+    pytest.fail("the second solve ran the tableau: the first did not record its path")
 
 
 @pytest.mark.parametrize("program", [HALF_SUP, TWO_SEGMENT, DEGENERATE_FIRST, TIES, PINNED])
@@ -361,6 +364,79 @@ def test_replayed_hand_programs_match_dense_tableau_bits(program, empty_plan_sto
     assert lp.plan_stats()["misses"] == len(results) - 1
     for r in results:
         assert_bit_identical(c, rows, rhs, r)
+
+
+def two_segments(s, t, u):
+    """The right-hand side of the two-segment rows from p = (0, s), on the
+    shared ray, to q = (t, u); DEGENERATE_FIRST is (3, 3, 1)."""
+    return [0.0, 0.0, s, -s, t, -t, u, -u]
+
+
+def test_one_miss_records_its_whole_path(empty_plan_store):
+    # DEGENERATE_FIRST passes three ratio tests with several candidates
+    # (2, 6 and 5 rows), so its path is four stretches.  One solve records
+    # all four, and the next replays.
+    c, rows, rhs = DEGENERATE_FIRST
+    program = keyed(c, sparse(rows))
+    first = solve_lp(program.cost, program, rhs)
+    assert lp.plan_stats() == {"shapes": 1, "nodes": 4, "programs": 0, "replays": 0, "misses": 1}
+    second = solve_lp(program.cost, program, rhs)
+    assert lp.plan_stats() == {"shapes": 1, "nodes": 4, "programs": 1, "replays": 1, "misses": 1}
+    for r in (first, second):
+        assert_bit_identical(c, rows, rhs, r)
+
+
+@pytest.mark.parametrize("s, t, u, after", [(1.0, 2.0, 1.0, 3), (4.0, 2.0, 1.0, 1)])
+def test_a_branching_solve_records_only_the_stretches_after_the_branch(s, t, u, after, empty_plan_store):
+    # Both take DEGENERATE_FIRST's shape and its first ratio test's way.
+    # (1, 2, 1) then wins another row at its second test and passes two
+    # more tests (three stretches after the branch); (4, 2, 1) wins
+    # another row at its third test (one stretch after it).  The branching
+    # solve replays up to the branch and records only what follows.
+    c, rows, rhs = DEGENERATE_FIRST
+    program = keyed(c, sparse(rows))
+    solve_lp(program.cost, program, rhs)
+    other = two_segments(s, t, u)
+    res = solve_lp(program.cost, program, other)
+    stats = lp.plan_stats()
+    assert (stats["shapes"], stats["nodes"], stats["misses"]) == (1, 4 + after, 2)
+    assert_bit_identical(c, rows, other, res)
+    # Both paths now replay.
+    for b in (rhs, other, rhs, other):
+        assert_bit_identical(c, rows, b, solve_lp(program.cost, program, b))
+    assert lp.plan_stats()["misses"] == 2
+    assert lp.plan_stats()["replays"] == 4
+
+
+def test_a_warm_solve_looks_its_key_up_once(empty_plan_store):
+    # program_of finds the key's tries and kept program in one entry and
+    # hands the tries on with the program, so once the key is recorded a
+    # solve through it hashes the key once, whether or not it is kept.
+    class Key(tuple):
+        hashes = 0
+
+        def __hash__(self):
+            Key.hashes += 1
+            return tuple.__hash__(self)
+
+    c, rows, rhs = DEGENERATE_FIRST
+    key = Key((1, 2))
+
+    def build(k):
+        return list(map(float, c)), sparse(rows)
+
+    first = lp.program_of(key, build)
+    solve_lp(first.cost, first, rhs)
+    hashes = []
+    for _ in range(3):
+        Key.hashes = 0
+        program = lp.program_of(key, build)
+        assert_bit_identical(c, rows, rhs, solve_lp(program.cost, program, rhs))
+        hashes.append(Key.hashes)
+    assert hashes == [1, 1, 1]
+    # The second solve replayed and was kept; the later ones reuse it.
+    assert program is lp.program_of(key, None) is not first
+    assert lp.plan_stats()["programs"] == 1
 
 
 def raised_by_replay(program, data, exc):
@@ -411,13 +487,13 @@ def test_recorded_shape_with_infeasible_data_raises(empty_plan_store):
 @pytest.mark.parametrize("phase_one", [False, True])
 def test_recorded_shape_with_unbounded_data_raises(phase_one, empty_plan_store):
     # min -x over x >= -b, or over x >= b after a phase 1, for b > 0: one
-    # stretch.  The first _ADMIT_SHAPE solves only count the shape, the
-    # next records the stretch, and every later one raises from the replay.
+    # stretch.  The first solve records it, and every later one raises
+    # from the replay.
     def program(b):
         return [-1.0], [{0: -1.0}], [-b if phase_one else b]
 
     data = [(1.0,), (2.0,), (0.5,), (3.0,), (8.0,), (0.25,), (5.0,), (0.75,)]
-    assert raised_by_replay(program, data, LPUnboundedError) == len(data) - 1 - lp._ADMIT_SHAPE
+    assert raised_by_replay(program, data, LPUnboundedError) == len(data) - 1
 
 
 @pytest.mark.parametrize("program", [TWO_SEGMENT, DEGENERATE_FIRST, HALF_SUP])
@@ -562,7 +638,7 @@ def test_rows_built_from_the_key_match_the_whole_gallery(monkeypatch, empty_plan
 
     def checking(c, rows, rhs):
         assert (c, list(rows)) == gallery_rows(*gallery)
-        kept[0] += rows.kept is not None
+        kept[0] += rows.tries is not None and rows.tries.program is rows
         return solve(c, rows, rhs)
 
     monkeypatch.setattr(metric, "_gallery_lp", recording)
@@ -665,7 +741,7 @@ def test_plain_rows_run_the_tableau_and_leave_the_store_alone(empty_plan_store):
         pass
 
     pinned = keyed(PINNED[0], sparse(PINNED[1]))
-    for _ in range(lp._ADMIT_SHAPE + 2):
+    for _ in range(6):
         res = solve_lp([-1.0], [{0: np.int64(1)}], [4.0])
         assert (res.value, res.x) == (-4.0, (4.0,))
         # A pivot of 5e-324 is below TOL.
