@@ -38,20 +38,21 @@ tests; so on finite data a replay returns, or raises, exactly what the
 tableau would.  At a branch not yet recorded, or on a new shape, the
 solver runs the tableau, which records the rest of its path, from there
 to the optimum; so a path replays from its second solve on.  This serves
-warm searches, whose program shapes recur.  :func:`plan_stats` reports
-the store, which holds at most ``_MAX_NODES`` stretches.  A node is
+warm searches, whose program shapes recur.  The store holds at most
+``_MAX_NODES`` stretches, sized from a warm search's own traffic, first
+come first kept and never evicted; past the cap a miss runs the tableau
+and records nothing.  :func:`plan_stats` reports the store.  A node is
 complete before the trie links to it under the store's lock, so a replay
 in another thread only reads whole nodes, and a way that another thread
 has recorded ends a recording; the counters of :func:`plan_stats` may
 miss a solve when threads race.
 
 The store also keeps programs.  Once a replay answers a program, the
-store keeps it beside its key's tries, and :func:`program_of` hands it
-back: a later solve of the key builds only ``b``, not the rows, and
-looks the key up once.  A program whose solves all run the tableau is
-not kept, as the tableau costs far more than building its rows.  The
-store keeps one program at most per recorded key, so ``_MAX_NODES``
-bounds them too.  Like a node, a program is complete before the store
+store keeps it beside its key's tries, at most one per key, and
+:func:`program_of` hands it back: a later solve of the key builds only
+``b``, not the rows, and looks the key up once.  A program whose solves
+all run the tableau is not kept, as the tableau costs far more than
+building its rows.  Like a node, a program is complete before the store
 links to it, and its rows and cost are never written.
 """
 
@@ -66,10 +67,12 @@ from .surfaces import Record
 TOL = 1e-9
 # Phase-1 residual of an infeasible program: feasible ones end at rounding.
 _PHASE1_TOL = 1e-7
-# Stretches kept for replay, about 1 MB.  A solve that misses records
-# the rest of its path, first come first kept, and nothing is evicted;
-# past the cap new paths are solved without recording.
-_MAX_NODES = 4_500
+# Stretches kept for replay.  On the warm S(1,3) search of the benchmark's
+# geodesic workload, 250 rounds at seeds 0 and 1 record 10 020 and 9 987
+# stretches, missing a solve or two a round by then.  The cap is 1.5 times
+# the larger: about 4.1 MB at the 269 bytes a stretch (kept programs too,
+# by sys.getsizeof) found there.  Past it a miss runs the tableau alone.
+_MAX_NODES = 15_100
 
 # Right-hand-side operations, the parts of a stretch.
 _PIVOT, _COST, _CHECK = range(3)
@@ -130,25 +133,32 @@ class _PlanStore:
     def share(self, kind: str, value):
         return self.shared[kind].setdefault(value, value)
 
-    def floats(self, values) -> tuple:
-        # From a list: a tuple grown from an iterator is resized as it grows.
-        one = self.shared["float"].setdefault
-        return tuple(list(map(one, values, values)))
-
     @staticmethod
     def ints(values) -> bytes | tuple:
-        """Row or variable indices, as bytes where they fit: a third of the
-        memory of a tuple."""
+        """Indices as bytes where they fit: a third of a tuple's memory."""
         try:
             return bytes(values)
         except ValueError:
             return tuple(values)
 
-    def op(self, kind: int, r: int, d, rows, facs) -> tuple:
-        """``(kind, r, d, i0, f0, i1, f1, ...)``: one flat tuple per operation."""
-        one = self.shared["float"].setdefault
-        pairs = [v for i, f in zip(rows, facs) for v in (i, one(f, f))]
-        return self.share("op", (kind, r, d and one(d, d), *pairs))
+    def stretch(self, ops: list) -> tuple:
+        """A stretch's operations, lists ``[kind, r, d, i0, f0, ...]``, as a
+        tuple of flat tuples.  A stretch stored before is found as it is;
+        only a new one has its floats (and ``d`` of None) and operations
+        stored once."""
+        got = self.shared["ops"].get(tuple(map(tuple, ops)))
+        if got is None:
+            one = self.shared["float"].setdefault
+            for op in ops:
+                op[2::2] = map(one, op[2::2], op[2::2])
+            got = self.share("ops", tuple([self.share("op", tuple(op)) for op in ops]))
+        return got
+
+    def test(self, col: int, rows: list, coefs: list) -> tuple:
+        """``(col, rows, coefs)``: found, or stored once as a stretch is."""
+        rows, one = self.ints(rows), self.shared["float"].setdefault
+        got = self.shared["test"].get((col, rows, tuple(coefs)))
+        return got or self.share("test", (col, rows, tuple(list(map(one, coefs, coefs)))))
 
 
 _STORE = _PlanStore()
@@ -195,55 +205,37 @@ def program_of(key, build) -> Program:
 # -- replay ---------------------------------------------------------------------
 
 
-def _run(ops, rhs: list) -> None:
-    """Apply one stretch's operations ``(kind, r, d, i0, f0, ...)`` to the
-    right-hand sides ``rhs``, the cost row's last."""
-    for op in ops:
-        it = iter(op)
-        kind, r, d = next(it), next(it), next(it)
-        if kind == _PIVOT:
-            # A zero is skipped, as the tableau skips an absent entry; no
-            # difference below is -0.0, since no right-hand side is.
-            p = rhs[r]
-            if p:
-                p = rhs[r] = p / d or 0.0
-                if p:
-                    for i, f in zip(it, it):
-                        rhs[i] -= f * p
-        elif kind == _COST:
-            # A fresh cost row less f times each listed row, in order.
-            acc = 0.0
-            for i, f in zip(it, it):
-                p = rhs[i]
-                if p:
-                    acc -= f * p
-            rhs[r] = acc
-        elif -rhs[r] > _PHASE1_TOL:  # _CHECK
-            raise LPInfeasibleError(f"phase-1 residual {-rhs[r]:g}")
-
-
-def _leaving(col, rows, coefs, rhs: list) -> int:
-    """The ratio test of :func:`_run_simplex` on candidates in basis-index
-    order: the first whose ratio is within TOL of the least."""
-    if not rows:
-        raise LPUnboundedError(f"unbounded in column {col}")
-    ratios = [rhs[i] / a for i, a in zip(rows, coefs)]
-    floor = min(ratios) + TOL
-    for k, ratio in enumerate(ratios):
-        if ratio <= floor:
-            return k
-    raise ValueError(f"no ratio in column {col} is a number")
-
-
 def _replay(plan: list, n: int, b: list) -> LPResult | int:
-    """Solve by walking a shape's trie; at a branch not recorded, return
-    the slot that would hold it."""
+    """Solve by walking a shape's trie: apply each node's operations
+    ``(kind, r, d, i0, f0, ...)`` to the right-hand sides, the cost row's
+    last, then run its ratio test as :func:`_run_simplex` does.  At a
+    branch not recorded, return the slot that would hold it."""
     # Rows with a negative right-hand side were negated; a zero is +0.0.
-    rhs = [-v if v < 0 else v or 0.0 for v in b]
-    rhs.append(0.0)
+    rhs = [*map(abs, b), 0.0]
     pos = 0
     while True:
-        _run(plan[pos], rhs)
+        for op in plan[pos]:
+            it = iter(op)
+            kind, r, d = next(it), next(it), next(it)
+            if kind == _PIVOT:
+                # A zero is skipped, as the tableau skips an absent entry; no
+                # difference below is -0.0, since no right-hand side is.
+                p = rhs[r]
+                if p:
+                    p = rhs[r] = p / d or 0.0
+                    if p:
+                        for i, f in zip(it, it):
+                            rhs[i] -= f * p
+            elif kind == _COST:
+                # A fresh cost row less f times each listed row, in order.
+                acc = 0.0
+                for i, f in zip(it, it):
+                    p = rhs[i]
+                    if p:
+                        acc -= f * p
+                rhs[r] = acc
+            elif -rhs[r] > _PHASE1_TOL:  # _CHECK
+                raise LPInfeasibleError(f"phase-1 residual {-rhs[r]:g}")
         test = plan[pos + 1]
         if test is None:
             x = [0.0] * n
@@ -251,7 +243,19 @@ def _replay(plan: list, n: int, b: list) -> LPResult | int:
             for i, j in zip(it, it):
                 x[j] = rhs[i]
             return LPResult(value=-rhs[-1], x=tuple(x))
-        slot = pos + 2 + _leaving(*test, rhs)
+        # The first candidate whose ratio is within TOL of the least.
+        col, rows, coefs = test
+        if not rows:
+            raise LPUnboundedError(f"unbounded in column {col}")
+        ratios = [rhs[i] / a for i, a in zip(rows, coefs)]
+        floor = min(ratios) + TOL
+        slot = pos + 2
+        for ratio in ratios:
+            if ratio <= floor:
+                break
+            slot += 1
+        else:
+            raise ValueError(f"no ratio in column {col} is a number")
         pos = plan[slot]
         if not pos:
             return slot
@@ -263,8 +267,7 @@ def _replay(plan: list, n: int, b: list) -> LPResult | int:
 class _Recorder:
     """Follows a tableau solve down its shape's trie to the way ``slot``
     that replay found unrecorded (from the root, with no ``plan`` yet) and
-    records the rest of the path, linking a node per stretch once complete,
-    until the optimum, the cap or a way another thread recorded first."""
+    collects the rest of the path, which :meth:`link` records."""
 
     def __init__(self, store: _PlanStore, key, signs: int, plan: list | None, slot: int | None):
         self.store = store
@@ -272,69 +275,54 @@ class _Recorder:
         self.signs = signs
         self.plan = plan
         self.slot = slot
-        # The recorded node being followed, or else the stretch being
-        # recorded; neither once the recording has ended.
-        self.pos = 0 if plan else None
-        self.ops = None if plan else []
-
-    def pivot(self, tab: list[dict], r: int, col: int) -> None:
-        if self.ops is not None:
-            rows = [i for i, row in enumerate(tab) if i != r and col in row]
-            self.ops.append(self.store.op(_PIVOT, r, tab[r][col], rows, [tab[i][col] for i in rows]))
-
-    def cost(self, r: int, rows: list, facs: list) -> None:
-        if self.ops is not None:
-            self.ops.append(self.store.op(_COST, r, None, rows, facs))
-
-    def check(self, r: int) -> None:
-        if self.ops is not None:
-            self.ops.append(self.store.op(_CHECK, r, None, (), ()))
+        # ``pos``: the node followed, None once collecting.  ``ops``: the
+        # tableau's operations since the last ratio test.  Per stretch, its
+        # ops and its test's column, rows, coefficients and winner, or None
+        # and the x pairs.
+        self.pos, self.ops, self.stretches = 0 if plan else None, [], []
 
     def ratio_test(self, tab: list[dict], basis: list[int], col: int, cands: list, r) -> None:
-        if self.ops is not None:
+        if self.pos is None:
             rows = sorted([i for _, i in cands], key=basis.__getitem__)
-            coefs = self.store.floats([tab[i][col] for i in rows])
-            test = self.store.share("test", (col, self.store.ints(rows), coefs))
-            self._close(test, len(rows), rows.index(r) if rows else 0)
-        elif self.pos is not None:
+            self.stretches.append((self.ops, col, rows, [tab[i][col] for i in rows], r))
+        else:
             slot = self.pos + 2 + self.plan[self.pos + 1][1].index(r)
-            if slot == self.slot:
-                self.pos, self.ops = None, []
-            else:
-                self.pos = self.plan[slot]
+            self.pos = None if slot == self.slot else self.plan[slot]
+        self.ops = []
 
     def optimum(self, basis: list[int], n: int) -> None:
-        if self.ops is not None:
+        if self.pos is None:
             pairs = [v for i, j in enumerate(basis) if j < n for v in (i, j)]
-            self._close(None, 0, 0, self.store.share("x", self.store.ints(pairs)))
+            self.stretches.append((self.ops, None, pairs, None, None))
 
-    def _close(self, test, ways: int, k: int, *tail) -> None:
-        """Link the stretch, ending at ``test``, as a new node, and go on
-        recording after its way ``k``, which this solve takes."""
-        store, plan = self.store, self.plan
-        node = [store.share("ops", tuple(self.ops)), test, *tail] + [0] * ways
-        self.ops = None
-        # The node is complete before anything links to it, so a replay
-        # never follows a slot to a node that is not there yet.
+    def link(self) -> None:
+        """Link each stretch collected as a node, complete before anything
+        links to it, until the cap or a way another thread recorded first."""
+        store, plan, slot = self.store, self.plan, self.slot
         with store.lock:
-            if store.nodes >= _MAX_NODES:
-                return
-            if plan is None:
-                tries = store.plans.setdefault(self.key, _Tries())
-                if self.signs in tries:
-                    return  # another thread recorded the shape
-                tries[self.signs] = self.plan = node
-                store.shapes += 1
-                pos = 0
-            elif plan[self.slot]:
-                return  # another thread recorded the way
-            else:
-                pos = len(plan)
-                plan += node
-                plan[self.slot] = pos
-            store.nodes += 1
-        if ways:
-            self.slot, self.ops = pos + 2 + k, []
+            for ops, col, rows, coefs, r in self.stretches:
+                if store.nodes >= _MAX_NODES:
+                    return
+                if col is None:
+                    node = [store.stretch(ops), None, store.share("x", store.ints(rows))]
+                else:
+                    node = [store.stretch(ops), store.test(col, rows, coefs)] + [0] * len(rows)
+                if plan is None:
+                    tries = store.plans.setdefault(self.key, _Tries())
+                    if self.signs in tries:
+                        return  # another thread recorded the shape
+                    tries[self.signs] = plan = node
+                    store.shapes += 1
+                    pos = 0
+                elif plan[slot]:
+                    return  # another thread recorded the way
+                else:
+                    pos = len(plan)
+                    plan += node
+                    plan[slot] = pos
+                store.nodes += 1
+                if r is not None:
+                    slot = pos + 2 + rows.index(r)
 
 
 def _subtract(row: dict, f: float, other: dict) -> None:
@@ -348,18 +336,26 @@ def _subtract(row: dict, f: float, other: dict) -> None:
             row.pop(k, None)
 
 
-def _pivot(tab: list[dict], basis: list[int], r: int, col: int) -> None:
+def _pivot(tab: list[dict], basis: list[int], r: int, col: int, rec) -> None:
+    """Pivot on ``tab[r][col]``, handing a recorder its right-hand-side
+    operation ``[_PIVOT, r, d, i0, f0, ...]``: the pivot ``d``, then each
+    other row ``i`` holding the column, in order, with its entry ``f``."""
     # The pivot column cancels exactly in every other row (f - f * 1.0),
     # so it is dropped there and set to d / d = 1.0 in the pivot row last.
-    # The row update is _subtract inlined: this loop is the solver's cost.
+    # The row update is _subtract inlined, walking the pivot row's items
+    # as a tuple, quicker than the dict: this loop is the solver's cost.
     d = tab[r].pop(col)
     piv = {k: q for k, v in tab[r].items() if (q := v / d)}
     tab[r] = piv
-    for row in tab:
+    op = [_PIVOT, r, d] if rec else None
+    items = tuple(piv.items())
+    for i, row in enumerate(tab):
         f = row.pop(col, None)
         if f is not None:
+            if op is not None:
+                op += i, f
             get = row.get
-            for k, p in piv.items():
+            for k, p in items:
                 v = get(k, 0.0) - f * p
                 if v:
                     row[k] = v
@@ -367,6 +363,8 @@ def _pivot(tab: list[dict], basis: list[int], r: int, col: int) -> None:
                     row.pop(k, None)
     piv[col] = 1.0
     basis[r] = col
+    if op is not None:
+        rec.ops.append(op)
 
 
 def _run_simplex(tab: list[dict], basis: list[int], ncols: int, rhs: int, rec) -> None:
@@ -394,9 +392,7 @@ def _run_simplex(tab: list[dict], basis: list[int], ncols: int, rhs: int, rec) -
                 rec.ratio_test(tab, basis, col, cands, r)
             if r is None:
                 raise LPUnboundedError(f"unbounded in column {col}")
-        if rec:
-            rec.pivot(tab, r, col)
-        _pivot(tab, basis, r, col)
+        _pivot(tab, basis, r, col, rec)
 
 
 def _solve_tableau(c: list, a_ub, b: list, rec: _Recorder | None) -> LPResult:
@@ -429,15 +425,17 @@ def _solve_tableau(c: list, a_ub, b: list, rec: _Recorder | None) -> LPResult:
 
     if n_art:
         cost = dict.fromkeys(range(real, rhs), 1.0)
-        arts = [i for i in range(m) if basis[i] >= real]
-        for i in arts:
-            _subtract(cost, 1.0, tab[i])
+        op = [_COST, m, None]
+        for i in range(m):
+            if basis[i] >= real:
+                op += i, 1.0
+                _subtract(cost, 1.0, tab[i])
         if rec:
-            rec.cost(m, arts, [1.0] * n_art)
+            rec.ops.append(op)
         tab.append(cost)
         _run_simplex(tab, basis, ncols, rhs, rec)
         if rec:
-            rec.check(m)
+            rec.ops.append([_CHECK, m, None])
         residual = -cost.get(rhs, 0.0)
         if residual > _PHASE1_TOL:
             raise LPInfeasibleError(f"phase-1 residual {residual:g}")
@@ -450,9 +448,7 @@ def _solve_tableau(c: list, a_ub, b: list, rec: _Recorder | None) -> LPResult:
                 )
                 if pivot_col is None:
                     continue  # redundant row, harmless
-                if rec:
-                    rec.pivot(tab, i, pivot_col)
-                _pivot(tab, basis, i, pivot_col)
+                _pivot(tab, basis, i, pivot_col, rec)
         # Drop the phase-1 cost row and the artificial columns.  A basis
         # entry still naming an artificial stays, as in a dense tableau.
         del tab[m]
@@ -462,15 +458,14 @@ def _solve_tableau(c: list, a_ub, b: list, rec: _Recorder | None) -> LPResult:
         ncols = real
 
     cost = {j: v for j, v in enumerate(c) if v}
-    rows, facs = [], []
+    op = [_COST, m, None]
     for i in range(m):
         f = cost.get(basis[i])
         if f:
-            rows.append(i)
-            facs.append(f)
+            op += i, f
             _subtract(cost, f, tab[i])
     if rec:
-        rec.cost(m, rows, facs)
+        rec.ops.append(op)
     tab.append(cost)
     _run_simplex(tab, basis, ncols, rhs, rec)
     if rec:
@@ -516,5 +511,10 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
             return res
         slot = res
     store.misses += 1
-    rec = _Recorder(store, a_ub.key, signs, plan, slot) if store.nodes < _MAX_NODES else None
-    return _solve_tableau(c, a_ub, b, rec)
+    if store.nodes >= _MAX_NODES:
+        return _solve_tableau(c, a_ub, b, None)
+    rec = _Recorder(store, a_ub.key, signs, plan, slot)
+    try:
+        return _solve_tableau(c, a_ub, b, rec)
+    finally:
+        rec.link()

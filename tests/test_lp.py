@@ -588,6 +588,31 @@ def test_store_stays_within_its_cap(monkeypatch, empty_plan_store):
     assert lp.plan_stats()["nodes"] == cap
 
 
+def test_warm_search_keeps_recording_until_its_paths_replay(empty_plan_store):
+    # Twelve rounds of the benchmark's geodesic inputs on S(1,3): every
+    # ordered orbit pair, with points from default_rng([0, r]).  The store
+    # must hold every path these rounds record, so that their misses keep
+    # falling: with room for every path rounds 9-11 miss 109 solves, and
+    # a store full by round 2 leaves them missing over 400.
+    cx = complex_for(1, 3)
+    ids = [o.id for o in cx.orbits]
+    pairs = [(a, b) for a in ids for b in ids]
+    late = 0
+    for r in range(12):
+        rng = np.random.default_rng([0, r])
+        misses = lp.plan_stats()["misses"]
+        for j in rng.permutation(len(pairs)):
+            a, b = pairs[j]
+            p = cone_point(cx, a, rng.uniform(0.25, 8.0, size=cx.orbit(a).n_edges))
+            q = cone_point(cx, b, rng.uniform(0.25, 8.0, size=cx.orbit(b).n_edges))
+            distance(p, q)
+        stats = lp.plan_stats()
+        assert stats["nodes"] < lp._MAX_NODES, (r, stats)
+        if r >= 9:
+            late += stats["misses"] - misses
+    assert late < 200
+
+
 def gallery_rows(cx, seq, transits, closed):
     """Cost and rows of a gallery program read off the whole gallery: the
     size of every segment's orbit and both maps of every transit.
