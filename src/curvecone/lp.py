@@ -36,16 +36,16 @@ and doing only the right-hand-side operations, the same IEEE operations
 as the tableau with a zero stored as ``+0.0``, and the same ratio
 tests; so on finite data a replay returns, or raises, exactly what the
 tableau would.  At a branch not yet recorded, or on a new shape, the
-solver runs the tableau, which records the rest of its path, from there
-to the optimum; so a path replays from its second solve on.  This serves
-warm searches, whose program shapes recur.  The store holds at most
-``_MAX_NODES`` stretches, sized from a warm search's own traffic, first
-come first kept and never evicted; past the cap a miss runs the tableau
-and records nothing.  :func:`plan_stats` reports the store.  A node is
-complete before the trie links to it under the store's lock, so a replay
-in another thread only reads whole nodes, and a way that another thread
-has recorded ends a recording; the counters of :func:`plan_stats` may
-miss a solve when threads race.
+solver runs the tableau, which hands back its whole pivot path, and
+links the path in the trie: it follows the recorded ways from the root
+and adds the stretches past them, so a path replays from its second
+solve on.  This serves warm searches, whose program shapes recur.  The
+store holds at most ``_MAX_NODES`` stretches, sized from a warm
+search's own traffic, first come first kept and never evicted; once
+full it drops its intern tables.  :func:`plan_stats` reports the store.
+A node is complete before the trie links to it under the store's lock,
+so a replay in another thread only reads whole nodes; the counters of
+:func:`plan_stats` may miss a solve when threads race.
 
 The store also keeps programs.  Once a replay answers a program, the
 store keeps it beside its key's tries, at most one per key, and
@@ -117,8 +117,8 @@ class _PlanStore:
     ratio test in column ``col`` with its candidate rows in basis-index
     order; after the optimum (``test`` None) the node holds instead the
     ``(row, variable)`` pairs, flat, that read ``x`` off the basis.  Equal
-    tuples of one kind are stored once; kinds stay apart, since ``(1, 2)
-    == (1.0, 2.0)``.
+    tuples of one kind are stored once, through ``shared``, until the
+    store is full; kinds stay apart, since ``(1, 2) == (1.0, 2.0)``.
     """
 
     def __init__(self):
@@ -154,10 +154,13 @@ class _PlanStore:
             got = self.share("ops", tuple([self.share("op", tuple(op)) for op in ops]))
         return got
 
-    def test(self, col: int, rows: list, coefs: list) -> tuple:
-        """``(col, rows, coefs)``: found, or stored once as a stretch is."""
-        rows, one = self.ints(rows), self.shared["float"].setdefault
-        got = self.shared["test"].get((col, rows, tuple(coefs)))
+    def test(self, col: int, cands: list, basis: list) -> tuple:
+        """``(col, rows, coefs)`` of a ratio test's candidates ``(ratio, row,
+        coef)``, in basis-index order: found, or stored once as a stretch is."""
+        cands = sorted(cands, key=lambda t: basis[t[1]])
+        rows, coefs = self.ints([t[1] for t in cands]), tuple([t[2] for t in cands])
+        got = self.shared["test"].get((col, rows, coefs))
+        one = self.shared["float"].setdefault
         return got or self.share("test", (col, rows, tuple(list(map(one, coefs, coefs)))))
 
 
@@ -205,11 +208,11 @@ def program_of(key, build) -> Program:
 # -- replay ---------------------------------------------------------------------
 
 
-def _replay(plan: list, n: int, b: list) -> LPResult | int:
+def _replay(plan: list, n: int, b: list) -> LPResult | None:
     """Solve by walking a shape's trie: apply each node's operations
     ``(kind, r, d, i0, f0, ...)`` to the right-hand sides, the cost row's
     last, then run its ratio test as :func:`_run_simplex` does.  At a
-    branch not recorded, return the slot that would hold it."""
+    branch not recorded, return None."""
     # Rows with a negative right-hand side were negated; a zero is +0.0.
     rhs = [*map(abs, b), 0.0]
     pos = 0
@@ -258,71 +261,10 @@ def _replay(plan: list, n: int, b: list) -> LPResult | int:
             raise ValueError(f"no ratio in column {col} is a number")
         pos = plan[slot]
         if not pos:
-            return slot
+            return None
 
 
 # -- the tableau ------------------------------------------------------------------
-
-
-class _Recorder:
-    """Follows a tableau solve down its shape's trie to the way ``slot``
-    that replay found unrecorded (from the root, with no ``plan`` yet) and
-    collects the rest of the path, which :meth:`link` records."""
-
-    def __init__(self, store: _PlanStore, key, signs: int, plan: list | None, slot: int | None):
-        self.store = store
-        self.key = key
-        self.signs = signs
-        self.plan = plan
-        self.slot = slot
-        # ``pos``: the node followed, None once collecting.  ``ops``: the
-        # tableau's operations since the last ratio test.  Per stretch, its
-        # ops and its test's column, rows, coefficients and winner, or None
-        # and the x pairs.
-        self.pos, self.ops, self.stretches = 0 if plan else None, [], []
-
-    def ratio_test(self, tab: list[dict], basis: list[int], col: int, cands: list, r) -> None:
-        if self.pos is None:
-            rows = sorted([i for _, i in cands], key=basis.__getitem__)
-            self.stretches.append((self.ops, col, rows, [tab[i][col] for i in rows], r))
-        else:
-            slot = self.pos + 2 + self.plan[self.pos + 1][1].index(r)
-            self.pos = None if slot == self.slot else self.plan[slot]
-        self.ops = []
-
-    def optimum(self, basis: list[int], n: int) -> None:
-        if self.pos is None:
-            pairs = [v for i, j in enumerate(basis) if j < n for v in (i, j)]
-            self.stretches.append((self.ops, None, pairs, None, None))
-
-    def link(self) -> None:
-        """Link each stretch collected as a node, complete before anything
-        links to it, until the cap or a way another thread recorded first."""
-        store, plan, slot = self.store, self.plan, self.slot
-        with store.lock:
-            for ops, col, rows, coefs, r in self.stretches:
-                if store.nodes >= _MAX_NODES:
-                    return
-                if col is None:
-                    node = [store.stretch(ops), None, store.share("x", store.ints(rows))]
-                else:
-                    node = [store.stretch(ops), store.test(col, rows, coefs)] + [0] * len(rows)
-                if plan is None:
-                    tries = store.plans.setdefault(self.key, _Tries())
-                    if self.signs in tries:
-                        return  # another thread recorded the shape
-                    tries[self.signs] = plan = node
-                    store.shapes += 1
-                    pos = 0
-                elif plan[slot]:
-                    return  # another thread recorded the way
-                else:
-                    pos = len(plan)
-                    plan += node
-                    plan[slot] = pos
-                store.nodes += 1
-                if r is not None:
-                    slot = pos + 2 + rows.index(r)
 
 
 def _subtract(row: dict, f: float, other: dict) -> None:
@@ -336,10 +278,10 @@ def _subtract(row: dict, f: float, other: dict) -> None:
             row.pop(k, None)
 
 
-def _pivot(tab: list[dict], basis: list[int], r: int, col: int, rec) -> None:
-    """Pivot on ``tab[r][col]``, handing a recorder its right-hand-side
-    operation ``[_PIVOT, r, d, i0, f0, ...]``: the pivot ``d``, then each
-    other row ``i`` holding the column, in order, with its entry ``f``."""
+def _pivot(tab: list[dict], basis: list[int], r: int, col: int) -> list:
+    """Pivot on ``tab[r][col]`` and return its right-hand-side operation
+    ``[_PIVOT, r, d, i0, f0, ...]``: the pivot ``d``, then each other row
+    ``i`` holding the column, in order, with its entry ``f``."""
     # The pivot column cancels exactly in every other row (f - f * 1.0),
     # so it is dropped there and set to d / d = 1.0 in the pivot row last.
     # The row update is _subtract inlined, walking the pivot row's items
@@ -347,13 +289,12 @@ def _pivot(tab: list[dict], basis: list[int], r: int, col: int, rec) -> None:
     d = tab[r].pop(col)
     piv = {k: q for k, v in tab[r].items() if (q := v / d)}
     tab[r] = piv
-    op = [_PIVOT, r, d] if rec else None
+    op = [_PIVOT, r, d]
     items = tuple(piv.items())
     for i, row in enumerate(tab):
         f = row.pop(col, None)
         if f is not None:
-            if op is not None:
-                op += i, f
+            op += i, f
             get = row.get
             for k, p in items:
                 v = get(k, 0.0) - f * p
@@ -363,12 +304,14 @@ def _pivot(tab: list[dict], basis: list[int], r: int, col: int, rec) -> None:
                     row.pop(k, None)
     piv[col] = 1.0
     basis[r] = col
-    if op is not None:
-        rec.ops.append(op)
+    return op
 
 
-def _run_simplex(tab: list[dict], basis: list[int], ncols: int, rhs: int, rec) -> None:
-    """Bland pivots on ``tab`` (cost row last) until no cost is below -TOL."""
+def _run_simplex(tab: list[dict], basis: list[int], ncols: int, rhs: int, path: list) -> None:
+    """Bland pivots on ``tab`` (cost row last) until no cost is below -TOL.
+    Appends to ``path`` each pivot's operation and each ratio test with
+    other than one candidate as ``(col, cands, basis, r)``: candidates
+    ``(ratio, row, coef)``, a copy of the basis, the winner or None."""
     while True:
         neg = [j for j, v in tab[-1].items() if v < -TOL and j < ncols]
         if not neg:
@@ -377,7 +320,7 @@ def _run_simplex(tab: list[dict], basis: list[int], ncols: int, rhs: int, rec) -
         # Least ratio, ties within TOL to the least basis index.  The cost
         # row's entry in ``col`` is below -TOL, so it is never a candidate.
         cands = [
-            (row.get(rhs, 0.0) / a, i)
+            (row.get(rhs, 0.0) / a, i, a)
             for i, row in enumerate(tab)
             if (a := row.get(col, 0.0)) > TOL
         ]
@@ -387,15 +330,17 @@ def _run_simplex(tab: list[dict], basis: list[int], ncols: int, rhs: int, rec) -
             r = None
             if cands:
                 floor = min(cands)[0] + TOL
-                r = min((i for ratio, i in cands if ratio <= floor), key=basis.__getitem__)
-            if rec:
-                rec.ratio_test(tab, basis, col, cands, r)
+                r = min((i for ratio, i, _ in cands if ratio <= floor), key=basis.__getitem__)
+            path.append((col, cands, basis[:], r))
             if r is None:
                 raise LPUnboundedError(f"unbounded in column {col}")
-        _pivot(tab, basis, r, col, rec)
+        path.append(_pivot(tab, basis, r, col))
 
 
-def _solve_tableau(c: list, a_ub, b: list, rec: _Recorder | None) -> LPResult:
+def _solve_tableau(c: list, a_ub, b: list, path: list) -> LPResult:
+    """The two-phase tableau.  Appends its pivot path to ``path``: the
+    right-hand-side operations (lists) and ratio tests it runs, then at
+    the optimum ``(None, pairs)``, the ``(row, variable)`` pairs of x."""
     n, m = len(c), len(b)
     # Slack per row; rows with negative right-hand side get an artificial
     # after a sign flip, and phase 1 drives the artificials to zero.
@@ -430,25 +375,21 @@ def _solve_tableau(c: list, a_ub, b: list, rec: _Recorder | None) -> LPResult:
             if basis[i] >= real:
                 op += i, 1.0
                 _subtract(cost, 1.0, tab[i])
-        if rec:
-            rec.ops.append(op)
+        path.append(op)
         tab.append(cost)
-        _run_simplex(tab, basis, ncols, rhs, rec)
-        if rec:
-            rec.ops.append([_CHECK, m, None])
+        _run_simplex(tab, basis, ncols, rhs, path)
+        path.append([_CHECK, m, None])
         residual = -cost.get(rhs, 0.0)
         if residual > _PHASE1_TOL:
             raise LPInfeasibleError(f"phase-1 residual {residual:g}")
         # Kick leftover artificials out of the basis.
         for i in range(m):
             if basis[i] >= real:
-                pivot_col = min(
-                    (j for j, v in tab[i].items() if j < real and abs(v) > TOL),
-                    default=None,
-                )
+                pivot_col = min((j for j, v in tab[i].items() if j < real and abs(v) > TOL),
+                                default=None)
                 if pivot_col is None:
                     continue  # redundant row, harmless
-                _pivot(tab, basis, i, pivot_col, rec)
+                path.append(_pivot(tab, basis, i, pivot_col))
         # Drop the phase-1 cost row and the artificial columns.  A basis
         # entry still naming an artificial stays, as in a dense tableau.
         del tab[m]
@@ -464,18 +405,56 @@ def _solve_tableau(c: list, a_ub, b: list, rec: _Recorder | None) -> LPResult:
         if f:
             op += i, f
             _subtract(cost, f, tab[i])
-    if rec:
-        rec.ops.append(op)
+    path.append(op)
     tab.append(cost)
-    _run_simplex(tab, basis, ncols, rhs, rec)
-    if rec:
-        rec.optimum(basis, n)
+    _run_simplex(tab, basis, ncols, rhs, path)
 
     x = [0.0] * n
-    for i in range(m):
-        if basis[i] < n:
-            x[basis[i]] = tab[i].get(rhs, 0.0)
+    pairs = []
+    for i, j in enumerate(basis):
+        if j < n:
+            x[j] = tab[i].get(rhs, 0.0)
+            pairs += i, j
+    path.append((None, pairs))
     return LPResult(value=-cost.get(rhs, 0.0), x=tuple(x))
+
+
+def _link(store: _PlanStore, key, signs: int, path: list) -> None:
+    """Walk the stretches of a tableau solve's ``path`` down its shape's
+    trie from the root, and link each one past the recorded ways as a
+    node, complete before it is linked, until ``_MAX_NODES``.  The open
+    stretch of a solve that raised is dropped."""
+    with store.lock:
+        tries = store.plans.get(key)
+        plan = tries.get(signs) if tries else None
+        pos, start = (0 if plan else None), 0  # the stretch's recorded node, if any
+        for end, test in enumerate(path):
+            if type(test) is list:
+                continue  # an operation of the stretch
+            if pos is None:
+                if store.nodes >= _MAX_NODES:
+                    return
+                ops = store.stretch(path[start:end])
+                if test[0] is None:
+                    node = [ops, None, store.share("x", store.ints(test[1]))]
+                else:
+                    node = [ops, store.test(*test[:3])] + [0] * len(test[1])
+                if plan is None:
+                    tries = store.plans.setdefault(key, _Tries())
+                    tries[signs] = plan = node
+                    store.shapes += 1
+                    pos = 0
+                else:
+                    pos = len(plan)
+                    plan += node
+                    plan[slot] = pos
+                store.nodes += 1
+                if store.nodes >= _MAX_NODES:
+                    store.shared.clear()  # read only while recording
+            if test[0] is None or test[3] is None:
+                return  # the optimum, or an unbounded ratio test
+            slot = pos + 2 + plan[pos + 1][1].index(test[3])
+            pos, start = plan[slot] or None, end + 1
 
 
 def solve_lp(c, a_ub, b_ub) -> LPResult:
@@ -493,28 +472,24 @@ def solve_lp(c, a_ub, b_ub) -> LPResult:
     if len(a_ub) != len(b):
         raise ValueError(f"{len(a_ub)} rows in a_ub but {len(b)} right-hand sides")
     if type(a_ub) is not Program or c is not a_ub.cost:
-        return _solve_tableau(list(map(float, c)), a_ub, b, None)
+        return _solve_tableau(list(map(float, c)), a_ub, b, [])
     store = _STORE
     # The signs of ``b`` as an int: byte i is 1 where b[i] < 0.
     signs = int.from_bytes(bytes(map(_NEGATIVE, b)), "little")
     tries = a_ub.tries or store.plans.get(a_ub.key)
     plan = tries.get(signs) if tries else None
-    slot = None
     if plan is not None:
         res = _replay(plan, len(c), b)
-        if isinstance(res, LPResult):
+        if res is not None:
             store.replays += 1
             if tries.program is None:
                 # Complete, with rows and cost that never change.
                 a_ub.tries = tries
                 tries.program = a_ub
             return res
-        slot = res
     store.misses += 1
-    if store.nodes >= _MAX_NODES:
-        return _solve_tableau(c, a_ub, b, None)
-    rec = _Recorder(store, a_ub.key, signs, plan, slot)
+    path: list = []
     try:
-        return _solve_tableau(c, a_ub, b, rec)
+        return _solve_tableau(c, a_ub, b, path)
     finally:
-        rec.link()
+        _link(store, a_ub.key, signs, path)

@@ -408,6 +408,102 @@ def test_a_branching_solve_records_only_the_stretches_after_the_branch(s, t, u, 
     assert lp.plan_stats()["replays"] == 4
 
 
+def signs_of(b):
+    """The sign pattern under which ``solve_lp`` files right-hand side ``b``."""
+    return int.from_bytes(bytes(map(lp._NEGATIVE, b)), "little")
+
+
+@pytest.mark.parametrize("first", ["main", "branch"])
+def test_linking_a_path_adds_only_what_is_not_recorded(first, empty_plan_store):
+    # DEGENERATE_FIRST's path is four stretches; (1, 2, 1) shares its
+    # first two and then takes another way for three more.  Linked in
+    # either order the trie ends with 4 + 3 nodes, and linking a path
+    # again adds nothing: the link follows the recorded ways from the
+    # root.  No threads; it is the case of a way that another solve
+    # recorded between this solve's replay and its link.
+    c, rows, main = DEGENERATE_FIRST
+    branch = two_segments(1.0, 2.0, 1.0)
+    assert signs_of(main) == signs_of(branch)
+    paths = {}
+    for name, b in (("main", main), ("branch", branch)):
+        paths[name] = []
+        assert_bit_identical(c, rows, b, lp._solve_tableau(c, sparse(rows), b, paths[name]))
+    second = "branch" if first == "main" else "main"
+    store = lp._STORE
+    lp._link(store, 0, signs_of(main), paths[first])
+    assert (store.shapes, store.nodes) == (1, 4 if first == "main" else 5)
+    lp._link(store, 0, signs_of(main), paths[second])
+    assert (store.shapes, store.nodes) == (1, 7)
+    for path in paths.values():
+        lp._link(store, 0, signs_of(main), path)
+        assert (store.shapes, store.nodes) == (1, 7)
+    # Both paths now replay, with the tableau's bits.
+    program = keyed(c, sparse(rows))
+    for b in (main, branch):
+        assert_bit_identical(c, rows, b, solve_lp(program.cost, program, b))
+    assert lp.plan_stats() == {"shapes": 1, "nodes": 7, "programs": 1, "replays": 2, "misses": 0}
+
+
+def recorded_stretches(plan, pos=0):
+    """The operations of every node of a trie, depth first from ``pos``."""
+    yield plan[pos]
+    test = plan[pos + 1]
+    for slot in range(pos + 2, pos + 2 + (len(test[1]) if test else 0)):
+        if plan[slot]:
+            yield from recorded_stretches(plan, plan[slot])
+
+
+@pytest.mark.parametrize("program, exc, nodes", [
+    # x >= 3, x >= 2, x <= 1: one ratio test (3 candidates), then the
+    # phase-1 check fails.
+    (([1.0], [{0: -1.0}, {0: -1.0}, {0: 1.0}], [-3.0, -2.0, 1.0]), LPInfeasibleError, 1),
+    # x0 + x1 >= 5, x0 <= 1, x1 <= 2: two ratio tests, then the check.
+    (([1.0, 1.0], [{0: -1.0, 1: -1.0}, {0: 1.0}, {1: 1.0}], [-5.0, 1.0, 2.0]), LPInfeasibleError, 2),
+    # min -x0 over x0 - x1 >= 1, x1 <= 1, 2 x1 <= 2: a phase-2 test with
+    # two candidates, then one with none.
+    (([-1.0, 0.0], [{0: -1.0, 1: 1.0}, {1: 1.0}, {1: 2.0}], [-1.0, 1.0, 2.0]), LPUnboundedError, 2),
+])
+def test_a_raising_solve_records_only_its_completed_stretches(program, exc, nodes, empty_plan_store):
+    # A solve on a new shape that raises records each stretch that ended
+    # at a ratio test, an unbounded one included, and never the open
+    # stretch holding a failed phase-1 check.  An infeasible solve of the
+    # shape then misses again, where its open stretch begins; an
+    # unbounded one raises from the replay.
+    c, rows, rhs = program
+    keyed_rows = keyed(c, rows)
+    for k in range(3):
+        with pytest.raises(exc):
+            solve_lp(keyed_rows.cost, keyed_rows, rhs)
+        stats = lp.plan_stats()
+        assert (stats["shapes"], stats["nodes"], stats["replays"]) == (1, nodes, 0)
+        assert stats["misses"] == (k + 1 if exc is LPInfeasibleError else 1)
+    plan = lp._STORE.plans[0][signs_of(rhs)]
+    checks = [op for ops in recorded_stretches(plan) for op in ops if op[0] == lp._CHECK]
+    assert len(list(recorded_stretches(plan))) == nodes
+    # The unbounded solve passed its check; the infeasible ones failed theirs.
+    assert len(checks) == (exc is LPUnboundedError)
+
+
+def test_a_full_store_drops_its_intern_tables(monkeypatch, empty_plan_store):
+    # The intern tables serve only recording, so the link that fills the
+    # store to its cap clears them.  Recorded paths still replay with the
+    # tableau's bits, and a path past the cap runs the tableau.
+    monkeypatch.setattr(lp, "_MAX_NODES", 6)
+    c, rows, rhs = DEGENERATE_FIRST
+    program = keyed(c, sparse(rows))
+    solve_lp(program.cost, program, rhs)
+    assert lp._STORE.nodes == 4 and lp._STORE.shared
+    # This path adds three stretches past the branch; the cap takes two.
+    other = two_segments(1.0, 2.0, 1.0)
+    assert_bit_identical(c, rows, other, solve_lp(program.cost, program, other))
+    assert lp._STORE.nodes == 6 and not lp._STORE.shared
+    # DEGENERATE_FIRST replays; the cut path and a new branch miss.
+    for b in (rhs, other, two_segments(4.0, 2.0, 1.0)):
+        assert_bit_identical(c, rows, b, solve_lp(program.cost, program, b))
+    assert lp.plan_stats() == {"shapes": 1, "nodes": 6, "programs": 1, "replays": 1, "misses": 4}
+    assert not lp._STORE.shared
+
+
 def test_a_warm_solve_looks_its_key_up_once(empty_plan_store):
     # program_of finds the key's tries and kept program in one entry and
     # hands the tries on with the program, so once the key is recorded a
