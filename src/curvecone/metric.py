@@ -41,7 +41,7 @@ from __future__ import annotations
 import heapq
 import json
 
-from .lp import program_of, solve_lp
+from .lp import MAX_COORD, program_of, solve_lp
 from .quotient import QuotientComplex, SimplexOrbit, Transit
 from .surfaces import Record, as_integer, as_real, payload_fields
 
@@ -153,12 +153,18 @@ def _coerce_coords(orbit: SimplexOrbit, coords) -> list[float]:
 def cone_point(cx: QuotientComplex, orbit_id: str | None, coords=()) -> ConePoint:
     """Canonicalizing constructor: zero coordinates are dropped onto the
     spanned face, and the apex is returned when everything vanishes.
-    The apex has no edges, so it takes only empty coordinates."""
+    The apex has no edges, so it takes only empty coordinates.  A
+    coordinate must be finite, nonnegative and at most ``lp.MAX_COORD``,
+    as the simplex that measures :func:`distance` needs."""
     if orbit_id in (None, APEX_ID):
         if _listed(coords):
             raise OrbitMismatchError(f"the apex has no edges, got coordinates {coords!r}")
         return ConePoint(None, (), cx)
     vec = _coerce_coords(cx.orbit(orbit_id), coords)
+    if max(vec) > MAX_COORD:
+        raise ValueError(
+            f"coordinates must be finite, nonnegative and at most {MAX_COORD:.3g}, got {vec}"
+        )
     return ConePoint(*cx.reduce(orbit_id, vec), cx)
 
 
@@ -178,8 +184,8 @@ def point_from_dict(cx: QuotientComplex, payload: dict) -> ConePoint:
 def scale(p: ConePoint, lam: float) -> ConePoint:
     """Dilate a point by ``lam > 0``; the cone's self-similarity.
 
-    The result goes through :func:`cone_point`: a coordinate that
-    overflows raises ``ValueError``, and one that underflows to zero
+    The result goes through :func:`cone_point`: a coordinate past
+    ``lp.MAX_COORD`` raises ``ValueError``, and one that underflows to zero
     drops the point onto its face."""
     lam = as_real(lam, "scale factor")
     if not lam > 0:
@@ -437,16 +443,6 @@ class _Prefix:
         )
 
 
-def _open_program_key(tr: Transit):
-    """What a child prefix's open program reads of its last transit.
-
-    The open program stops at the last breakpoint, so it never reads that
-    transit's ``into_target`` or the orbit it enters: children of one
-    expansion that share ``into_source`` share their program bit for bit.
-    """
-    return tr.into_source
-
-
 def _apex_route(p: ConePoint, q: ConePoint) -> GeodesicResult:
     value = 0.5 * p.max_coord + 0.5 * q.max_coord
     gallery = Gallery(
@@ -558,7 +554,10 @@ def distance(p: ConePoint, q: ConePoint) -> GeodesicResult:
             if nxt in seq:
                 continue
             for tr in cx.transits(cur, nxt):
-                key = _open_program_key(tr)
+                # A child's open program stops at the last breakpoint, so it
+                # never reads that transit's into_target or the orbit it
+                # enters: children that share into_source share it bit for bit.
+                key = tr.into_source
                 child = children.get(key)
                 if child is None:
                     top = prefix.opening(tr)

@@ -94,16 +94,40 @@ def _payloads(pairs):
     return [distance(p, q).to_json() for p, q in pairs]
 
 
+def _siblings(cx, seq, transits):
+    """The other children of ``seq[:-1]`` whose last transit has the
+    ``into_source`` of ``transits[-1]``, as ``(seq, transits)``: the
+    search solves one open program for all of them."""
+    last = transits[-1]
+    for nxt in cx.maximal_ids:
+        if nxt in seq[:-1]:
+            continue
+        for tr in cx.transits(seq[-2], nxt):
+            if tr.into_source == last.into_source and (nxt, tr) != (seq[-1], last):
+                yield (*seq[:-1], nxt), (*transits[:-1], tr)
+
+
 def _unscreened(mp):
-    # A bound of -inf never clears the pruning threshold, and a fresh key
-    # per child solves every open program afresh.
+    # A bound of -inf never clears the pruning threshold.  The search
+    # solves an open program once for all children that share it; here
+    # each of them is solved too, and must give the same value.
     mp.setattr(metric._Prefix, "closing", lambda *args: -math.inf)
     mp.setattr(metric._Prefix, "opening", lambda *args: -math.inf)
-    mp.setattr(metric, "_open_program_key", lambda tr: object())
+    solve = metric._gallery_lp
+
+    def every_child(cx, seq, transits, emb_p, p, emb_q=None, q=None):
+        got = solve(cx, seq, transits, emb_p, p, emb_q, q)
+        if emb_q is None:
+            for sib in _siblings(cx, seq, transits):
+                assert solve(cx, *sib, emb_p, p, None, q)[0] == got[0]
+        return got
+
+    mp.setattr(metric, "_gallery_lp", every_child)
 
 
 def _recorded_programs(pairs):
-    """Every gallery program an unscreened search solves, with its value."""
+    """Every gallery program an unscreened search solves, with its value,
+    an open program once per child."""
     seen = []
     solve = metric._gallery_lp
 
@@ -113,8 +137,8 @@ def _recorded_programs(pairs):
         return value, bps
 
     with pytest.MonkeyPatch.context() as mp:
-        _unscreened(mp)
         mp.setattr(metric, "_gallery_lp", record)
+        _unscreened(mp)
         _payloads(pairs)
     return seen
 
@@ -293,22 +317,19 @@ def test_open_bound_within_slack(surface, kind):
 
 @pytest.mark.parametrize("surface", [(2, 0), (1, 3)], ids=lambda s: f"S{s[0]}_{s[1]}")
 def test_open_program_reads_only_its_key(surface):
-    # What lets one expansion solve one open program per _open_program_key.
+    # What lets one expansion solve one open program per into_source of
+    # its children's transits; _unscreened checks the values on every
+    # search it runs.
     for cx, seq, transits, emb_p, p, emb_q, q, value in _recorded_programs(
         _pairs(surface, False, 4)
     ):
         if emb_q is not None:
             continue
-        last = transits[-1]
-        for nxt in cx.maximal_ids:
-            for tr in cx.transits(seq[-2], nxt):
-                if metric._open_program_key(tr) != metric._open_program_key(last):
-                    continue
-                args = (cx, seq[:-1] + [nxt], transits[:-1] + [tr], emb_p, p, None, q)
-                assert metric._gallery_lp(*args)[0] == value
-                assert gallery_bound(*args) == gallery_bound(
-                    cx, seq, transits, emb_p, p, None, q
-                )
+        for sib in _siblings(cx, seq, transits):
+            assert metric._gallery_lp(cx, *sib, emb_p, p, None, q)[0] == value
+            assert gallery_bound(cx, *sib, emb_p, p, None, q) == gallery_bound(
+                cx, seq, transits, emb_p, p, None, q
+            )
 
 
 @pytest.mark.parametrize("surface", [(2, 0), (1, 3)], ids=lambda s: f"S{s[0]}_{s[1]}")

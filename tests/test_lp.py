@@ -229,6 +229,29 @@ def test_unbounded_detected():
         solve_lp([-1.0], [{0: -1.0}], [1.0])
 
 
+@pytest.mark.parametrize("bad", [float("nan"), float("inf"), -float("inf")], ids=str)
+@pytest.mark.parametrize("where", ["c", "row", "b"])
+@pytest.mark.parametrize("program", [False, True], ids=["plain", "program"])
+def test_non_finite_data_rejected(bad, where, program, empty_plan_store):
+    # They used to be answered: a NaN right-hand side dropped its row, an
+    # infinite one gave the value -inf, a NaN cost the value -0.0.  Plain
+    # rows and a fresh Program's first solve both run the tableau, which
+    # checks, and nothing is recorded.
+    c, rows, rhs = [1.0, 1.0], [{0: -1.0, 1: -1.0}, {0: 1.0}], [-1.0, 2.0]
+    if where == "c":
+        c[0] = bad
+    elif where == "row":
+        rows[1] = {0: bad}
+    else:
+        rhs[0] = bad
+    if program:
+        rows = keyed(c, rows)
+        c = rows.cost
+    with pytest.raises(ValueError, match="finite"):
+        solve_lp(c, rows, rhs)
+    assert lp.plan_stats()["nodes"] == 0
+
+
 @pytest.mark.parametrize(
     "c, rows, rhs",
     [
@@ -284,10 +307,15 @@ def test_deterministic_resolution_of_ties():
 # -- bit identity with the dense tableau -----------------------------------------
 
 PAIRS = 25
+# Right-hand sides times 2**30, an exact scaling.  TOL is then below half
+# an ulp of each ratio, so the least ratio plus TOL rounds to the least
+# ratio, which must still win its ratio test.
+SMALL = [HALF_SUP, TWO_SEGMENT, DEGENERATE_FIRST, PINNED]
+LARGE = [(c, rows, [v * 2.0**30 for v in rhs]) for c, rows, rhs in SMALL]
 
 
 @pytest.mark.parametrize(
-    "program", [HALF_SUP, TWO_SEGMENT, DEGENERATE_FIRST, TIES, PINNED]
+    "program", [HALF_SUP, TWO_SEGMENT, DEGENERATE_FIRST, TIES, PINNED, *LARGE]
 )
 def test_hand_programs_match_dense_tableau_bits(program):
     assert_bit_identical(*program)
@@ -341,6 +369,27 @@ def test_gallery_programs_match_dense_tableau_bits(surface, coords, monkeypatch,
             assert_bit_identical(c, dense(rows, len(c)), rhs, r)
 
 
+# An artificial left basic at a subnormal value, below _PHASE1_TOL, then
+# kicked out of the basis on a negative entry: its right-hand side
+# underflows to -0.0 in the dense tableau, and is kept as +0.0 here.
+UNDERFLOWS = [
+    ([0.0], [{0: -1.0}, {0: 4.0}], [2.0, -5e-324]),
+    ([-1.0], [{0: 4.0}, {0: -2.0}, {0: 4.0}], [0.0, 1e-323, -5e-324]),
+    ([2.0, -1.0], [{1: 4.0}, {0: 2.0}], [-1e-323, 1e-323]),
+]
+
+
+def dense_bits_with_plus_zeros(c, rows, rhs):
+    value, x = reference_solve_lp(c, dense(rows, len(c)), rhs)
+    return _packed(value, [v or 0.0 for v in x])
+
+
+@pytest.mark.parametrize("program", UNDERFLOWS)
+def test_a_right_hand_side_that_underflows_is_plus_zero(program):
+    res = solve_lp(*program)
+    assert _packed(res.value, res.x) == dense_bits_with_plus_zeros(*program)
+
+
 # -- replay of recorded pivot paths --------------------------------------------
 
 
@@ -364,6 +413,25 @@ def test_replayed_hand_programs_match_dense_tableau_bits(program, empty_plan_sto
     assert lp.plan_stats()["misses"] == len(results) - 1
     for r in results:
         assert_bit_identical(c, rows, rhs, r)
+
+
+@pytest.mark.parametrize("small, large", list(zip(SMALL, LARGE)))
+def test_large_right_hand_sides_replay_the_path_of_small_ones(small, large, empty_plan_store):
+    # The scaling keeps every ratio test's winner, so the path recorded
+    # for the program as it is replays for it times 2**30.
+    c, rows, rhs = small
+    solved_until_replayed(keyed(c, sparse(rows)), rhs)
+    misses = lp.plan_stats()["misses"]
+    program, big = keyed(c, sparse(rows)), large[2]
+    assert_bit_identical(c, rows, big, solve_lp(program.cost, program, big))
+    assert lp.plan_stats()["misses"] == misses
+
+
+@pytest.mark.parametrize("program", UNDERFLOWS)
+def test_a_replayed_right_hand_side_that_underflows_is_plus_zero(program, empty_plan_store):
+    c, rows, rhs = program
+    for r in solved_until_replayed(keyed(c, rows), rhs):
+        assert _packed(r.value, r.x) == dense_bits_with_plus_zeros(c, rows, rhs)
 
 
 def two_segments(s, t, u):

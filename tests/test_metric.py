@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -13,10 +15,12 @@ from curvecone import (
     distance,
     dropped_edges,
     orthant_distance,
+    point_from_dict,
     scale,
     segment_lengths,
     symmetric_orthant_distance,
 )
+from curvecone.lp import MAX_COORD
 from reference_search import reference_distance
 
 
@@ -335,6 +339,49 @@ def test_scale_examples(s12):
     tiny = scale(cone_point(s12, nn.id, (1e-200, 2.0)), 1e-200)
     assert tiny == cone_point(s12, nn.id, (0.0, 2e-200))
     assert tiny.orbit_id != nn.id and tiny.coords == (2e-200,)
+
+
+def top_pair(cx, size):
+    """``(size, size/2, ...)`` on the first top orbit and ``(size/3, size,
+    ...)`` on the last."""
+    first, last = cx.maximal_ids[0], cx.maximal_ids[-1]
+    k = cx.orbit(first).n_edges
+    return (cone_point(cx, first, [size] + [size / 2] * (k - 1)),
+            cone_point(cx, last, [size / 3] + [size] * (k - 1)))
+
+
+@pytest.mark.parametrize("surface", [(1, 2), (0, 7), (2, 1)], ids=lambda s: f"S{s[0]}_{s[1]}")
+def test_top_orbit_pair_at_the_coordinate_bound(surface):
+    # Past the bound the simplex's absolute phase-1 tolerance failed
+    # feasible programs (from about 2**27 on S(2,1)), and near the float
+    # maximum its phase-1 cost row overflowed: distance raised.
+    p, q = top_pair(complex_for(*surface), MAX_COORD)
+    d = distance(p, q).distance
+    assert math.isfinite(d)
+    assert d <= 0.5 * p.max_coord + 0.5 * q.max_coord  # the apex route
+
+
+def test_a_coordinate_past_the_bound_is_rejected(s12):
+    over = math.nextafter(MAX_COORD, math.inf)
+    top = s12.maximal_ids[0]
+    with pytest.raises(ValueError, match="at most"):
+        cone_point(s12, top, (over, 1.0))
+    with pytest.raises(ValueError, match="at most"):
+        point_from_dict(s12, {**cone_point(s12, top, (1.0, 1.0)).to_dict(), "coords": [1.0, over]})
+    at = cone_point(s12, top, (MAX_COORD, 1.0))
+    with pytest.raises(ValueError, match="at most"):
+        scale(at, math.nextafter(1.0, 2.0))
+    # The points that overflowed the phase-1 cost row.
+    with pytest.raises(ValueError, match="at most"):
+        top_pair(s12, 2.0**1023)
+
+
+def test_orthant_distances_take_any_finite_coordinate(s12):
+    # They never reach the simplex, so the bound is not theirs.
+    orbit = nn_orbit(s12)
+    big = 2.0**1022
+    assert orthant_distance(orbit, (big, 0.0), (0.0, big)) == 0.5 * big
+    assert symmetric_orthant_distance(orbit, (big, 0.0), (0.0, big)) == 0.0
 
 
 def test_scale_takes_a_real_factor(s12):

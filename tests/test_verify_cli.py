@@ -1,4 +1,5 @@
 import json
+import math
 import os
 import subprocess
 import sys
@@ -211,6 +212,26 @@ def test_cli_dist_invalid_point(tmp_path, s12, capsys):
         )
     )
     assert main(["dist", str(cx_file), str(bad), str(bad)]) == 2
+
+
+def test_cli_dist_rejects_a_coordinate_past_the_bound(tmp_path, s12, capsys):
+    # One float past the bound is an input error, exit 2 with one line;
+    # near the float maximum such points used to exit 1 with a traceback.
+    from curvecone.lp import MAX_COORD
+    from curvecone.metric import SCHEMA_POINT
+
+    cx_file = tmp_path / "cx.json"
+    main(["complex", "-g", "1", "-n", "2", "--out", str(cx_file)])
+    capsys.readouterr()
+    files = []
+    for name, orbit in (("p", s12.maximal_ids[0]), ("q", s12.maximal_ids[-1])):
+        files.append(tmp_path / f"{name}.json")
+        files[-1].write_text(json.dumps({"schema_version": SCHEMA_POINT, "orbit": orbit,
+                                         "coords": [math.nextafter(MAX_COORD, math.inf), 1.0]}))
+    assert main(["dist", str(cx_file), *map(str, files)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("curvecone: error:") and err.count("\n") == 1
+    assert "finite" in err
 
 
 _POINT = {"schema_version": "curvecone/cone-point/1", "orbit": "TOP"}
