@@ -28,13 +28,16 @@ class InputError(Exception):
 
 
 @contextmanager
-def _reading_input():
+def _reading_input(what: str | None = None):
     # Every input error the library raises is a ValueError (the typed
     # ones subclass it), a KeyError (unknown orbit id) or an OSError.
+    # ``what`` names the input in the message, where the error does not.
     try:
         yield
     except (ValueError, KeyError, OSError) as exc:
-        raise InputError(str(exc)) from exc
+        # str() of a KeyError is the repr of its message.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
+        raise InputError(message if what is None else f"{what}: {message}") from exc
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -110,9 +113,11 @@ def _cmd_dist(args) -> int:
             cx = complex_from_json(handle.read(), f"complex file {args.complex_file}")
         points = []
         for path in (args.point_p, args.point_q):
+            # Opening and decoding errors name the file already.
             with open(path, "rb") as handle:
                 payload = read_payload(handle.read(), f"point file {path}")
-            points.append(point_from_dict(cx, payload))
+            with _reading_input(f"point file {path}"):
+                points.append(point_from_dict(cx, payload))
     result = distance(points[0], points[1])
     _emit(result.to_json(), args.out)
     return 0

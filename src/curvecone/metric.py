@@ -32,8 +32,10 @@ of the best and the gallery ranks no lower than the best in the tie
 order.  The simplex value of a skipped program would be thrown away, so
 the result is the same bit for bit.  A program's cost and rows follow
 from its key, the sizes of its orbits and its transits' index maps; the
-replay store keeps those it replays under that key, and a later solve
-builds only the right-hand side.
+replay store keeps those it replays under that key.  The prefix carries
+the key's parts and the right-hand side's rows for ``p``, the children
+of one popped prefix share one open right-hand side, and ``q`` is padded
+once per call, so a solve builds little more than its key tuple.
 """
 
 from __future__ import annotations
@@ -281,7 +283,7 @@ def _pad(embedding, coords, size) -> list[float]:
     return vec
 
 
-def _gallery_lp(cx, seq, transits, emb_p, p, emb_q, q):
+def _gallery_lp(cx, seq, transits, emb_p, p, emb_q, q, key, rhs):
     """Value of one gallery, minimizing over transit breakpoints.
 
     With ``emb_q`` given the gallery is closed at ``q``; with ``None`` the
@@ -292,43 +294,32 @@ def _gallery_lp(cx, seq, transits, emb_p, p, emb_q, q):
     nonexpansive up to the factor two in the metric), which a slack
     variable charges against the breakpoint coordinate sum.
 
-    The program's key is the sizes of its segments' orbits and its inner
-    transits' ``(into_source, into_target)``, then, for an open program,
-    the last transit's ``into_source``: ints only.  The cost and rows are
-    built from the key alone (:func:`_gallery_rows`), so one key is one
-    program, and the replay store names the program's shape by that key
-    and keeps it once replayed (:func:`curvecone.lp.program_of` hands it
-    back, with one lookup of the key); the right-hand side is built for
-    every solve.
+    The first seven arguments name the gallery; ``key`` and ``rhs`` are
+    its program, which :func:`distance` carries (:class:`_Prefix`)
+    instead of walking the gallery for them.  The gallery itself is read
+    only for the breakpoints and for a closed gallery of one orbit,
+    measured directly, whose key and right-hand side go unread.  The key
+    is the sizes of the segments' orbits and the inner transits'
+    ``(into_source, into_target)``, then, for an open program, the last
+    transit's ``into_source``: ints only.  The cost and rows are built
+    from the key alone (:func:`_gallery_rows`), so one key is one program,
+    and the replay store names the program's shape by that key and keeps
+    it once replayed (:func:`curvecone.lp.program_of` hands it back, with
+    one lookup of the key).  ``rhs`` holds each row pair's constants
+    ``(-v, v)``, where ``v`` is ``p``'s coordinate on the first segment,
+    ``0.0 - q``'s on a closed last and 0 between; an open program's climb
+    constant ``-max(q) / 2`` comes first.
     """
-    closed = emb_q is not None
-    n_seg = len(seq) if closed else len(seq) - 1
-    sizes = [cx.orbit(oid).n_edges for oid in seq[:n_seg]]
-    if closed and not transits:
+    if emb_q is not None and not transits:
         # Single segment: direct half-sup evaluation.
-        u = _pad(emb_p, p.coords, sizes[0])
-        v = _pad(emb_q, q.coords, sizes[0])
+        u = _pad(emb_p, p.coords, key[0][0])
+        v = _pad(emb_q, q.coords, key[0][0])
         return 0.5 * max(abs(a - b) for a, b in zip(u, v)), ()
-
-    inner = transits if closed else transits[:-1]
-    key = (tuple(sizes), tuple((t.into_source, t.into_target) for t in inner))
-    if not closed:
-        key += (transits[-1].into_source,)
     program = program_of(key, _gallery_rows)
-    # Each row pair bounds one edge of one segment; its constants are p's
-    # coordinates on the first segment and q's, negated, on a closed last.
-    rhs = [] if closed else [-0.5 * max(q.coords)]
-    for j, m in enumerate(sizes):
-        const = _pad(emb_p, p.coords, m) if j == 0 else [0.0] * m
-        if closed and j == n_seg - 1:
-            for e, v in enumerate(_pad(emb_q, q.coords, m)):
-                const[e] -= v
-        for v in const:
-            rhs += (-v, v)
     res = solve_lp(program.cost, program, rhs)
-    if not closed:
+    if emb_q is None:
         return res.value, ()
-    bps, off = [], n_seg
+    bps, off = [], len(seq)
     for t in transits:
         bps.append(res.x[off : off + len(t.into_source)])
         off += len(t.into_source)
@@ -393,28 +384,44 @@ class _Prefix:
     value: exactly the simplex value of a closed gallery, and for an open
     prefix, which drops the threads that reach its free end and the climb
     term, a lower bound on its open program.
+
+    It carries its program's parts too, so that no solve walks the
+    gallery: the sizes of its orbits ``sizes``, its transits' maps
+    ``inner`` as ``(into_source, into_target)`` pairs, and ``head``, the
+    right-hand side's pairs ``(-v, v)`` for ``p``'s coordinates on the
+    first segment, shared by every prefix of one start.  The closed
+    program's key is ``(sizes, inner)`` and an open child's ``(sizes,
+    inner, into_source)``: the tuples :func:`_gallery_lp` used to build
+    from the gallery, equal entry for entry.
     """
 
-    __slots__ = ("seq", "transits", "emb_p", "height", "born", "best")
+    __slots__ = ("seq", "transits", "emb_p", "sizes", "inner", "head", "height", "born", "best")
 
-    def __init__(self, seq: tuple, transits: tuple, emb_p, height: list, born: list, best: tuple):
+    def __init__(self, seq: tuple, transits: tuple, emb_p, sizes: tuple, inner: tuple,
+                 head: list, height: list, born: list, best: tuple):
         self.seq = seq
         self.transits = transits
         self.emb_p = emb_p
+        self.sizes = sizes
+        self.inner = inner
+        self.head = head
         self.height = height
         self.born = born
         self.best = best
 
     @classmethod
     def start(cls, orbit_id: str, size: int, emb_p, p: ConePoint) -> _Prefix:
-        return cls((orbit_id,), (), emb_p, _pad(emb_p, p.coords, size), [0] * size, (0.0,))
+        height = _pad(emb_p, p.coords, size)
+        head = [x for v in height for x in (-v, v)]
+        return cls((orbit_id,), (), emb_p, (size,), (), head, height, [0] * size, (0.0,))
 
-    def closing(self, emb_q, q: ConePoint) -> float:
-        """The DP's last entry for the gallery closed at ``q``: every thread
-        that misses its height in ``q`` ends in the last segment."""
+    def closing(self, end: list) -> float:
+        """The DP's last entry for the gallery closed at ``q``, padded to
+        the last orbit as ``end``: every thread that misses its height in
+        ``q`` ends in the last segment."""
         best = self.best
         top = best[-1]
-        for a, b, first in zip(self.height, _pad(emb_q, q.coords, len(self.height)), self.born):
+        for a, b, first in zip(self.height, end, self.born):
             if a != b:
                 top = max(top, best[first] + abs(a - b))
         return top
@@ -439,7 +446,15 @@ class _Prefix:
             height[f] = self.height[e]
             born[f] = self.born[e]
         return _Prefix(
-            self.seq + (nxt,), self.transits + (tr,), self.emb_p, height, born, self.best + (top,)
+            self.seq + (nxt,),
+            self.transits + (tr,),
+            self.emb_p,
+            self.sizes + (size,),
+            self.inner + ((tr.into_source, tr.into_target),),
+            self.head,
+            height,
+            born,
+            self.best + (top,),
         )
 
 
@@ -487,6 +502,17 @@ def distance(p: ConePoint, q: ConePoint) -> GeodesicResult:
     would reject it.  Neither skip changes the result by a bit.  The
     bound is read off the threads each prefix on the heap carries
     (:class:`_Prefix`), not walked from the start of the gallery.
+
+    Nothing a solve needs is walked from the gallery either: the key is
+    one tuple of the prefix's carried sizes and transit maps, the open
+    programs of one popped prefix, which differ only in the last
+    ``into_source``, share one right-hand side built for the first of
+    them that reaches the simplex, and ``q`` is padded once per call for
+    each end embedding of each top orbit, for the closing screen and the
+    closed right-hand side alike.  Each of these is the value the search
+    once rebuilt per solve, entry for entry, and nothing decides
+    differently, so the simplex sees the same programs and right-hand
+    sides in the same order.
     """
     _require_same_complex(p, q)
     cx = p.complex
@@ -501,6 +527,21 @@ def distance(p: ConePoint, q: ConePoint) -> GeodesicResult:
     best_rank = (1,)
     slack = _SLACK * (1.0 + p.max_coord + q.max_coord)
     max_ids = list(cx.maximal_ids)
+    size_of = {top: cx.orbit(top).n_edges for top in max_ids}
+    # q padded once per end embedding of each top orbit, with a closed
+    # last segment's right-hand-side pairs (-v, v), v = 0.0 - q's
+    # coordinate: a zero gives (-0.0, 0.0), as on every other segment.
+    ends = {}
+    for top in max_ids:
+        ends[top] = []
+        for emb_q in cx.embeddings(q.orbit_id, top):
+            end = _pad(emb_q, q.coords, size_of[top])
+            tail = []
+            for v in end:
+                d = 0.0 - v
+                tail += (-d, d)
+            ends[top].append((emb_q, end, tail))
+    climb = -0.5 * max(q.coords)
 
     # Best-first over gallery prefixes ordered by their open lower bound;
     # once the cheapest open prefix cannot beat the best value, nothing
@@ -508,12 +549,12 @@ def distance(p: ConePoint, q: ConePoint) -> GeodesicResult:
     heap = []
     counter = 0
     for start in max_ids:
-        size = cx.orbit(start).n_edges
         # One start embedding per symmetry orbit of the start chart: the
         # twist is absorbed by the fully enumerated first transit (or end
         # embedding), so the quotient loses no gallery values.
         for emb_p in cx.embeddings_mod_host(p.orbit_id, start):
-            heap.append((0.0, counter, _Prefix.start(start, size, emb_p, p), None, None, None))
+            prefix = _Prefix.start(start, size_of[start], emb_p, p)
+            heap.append((0.0, counter, prefix, None, None, None))
             counter += 1
     heapq.heapify(heap)
     while heap:
@@ -523,8 +564,9 @@ def distance(p: ConePoint, q: ConePoint) -> GeodesicResult:
         if bound > best.distance + _TIE:
             break
         if nxt is not None:
-            prefix = prefix.child(nxt, cx.orbit(nxt).n_edges, tr, top)
+            prefix = prefix.child(nxt, size_of[nxt], tr, top)
         seq, transits, emb_p = prefix.seq, prefix.transits, prefix.emb_p
+        sizes, inner, head = prefix.sizes, prefix.inner, prefix.head
         # No gallery through seq ranks below seq, so once seq ranks above
         # the best, a tie cannot help any of them.
         rank = (0, seq)
@@ -535,14 +577,16 @@ def distance(p: ConePoint, q: ConePoint) -> GeodesicResult:
         # thrown away: a closed gallery the tie order rejects, a child
         # that is not pushed.  Heap, pop order and the values compared
         # with the best are those of the unscreened search.
-        for emb_q in cx.embeddings(q.orbit_id, cur):
+        for emb_q, end, tail in ends[cur]:
             wins_tie = rank < best_rank
-            low = 0.5 * prefix.closing(emb_q, q) - slack
+            low = 0.5 * prefix.closing(end) - slack
             if low > best.distance + _TIE or (
                 not wins_tie and low >= best.distance - _TIE
             ):
                 continue
-            value, bps = _gallery_lp(cx, seq, transits, emb_p, p, emb_q, q)
+            # p on the first segment, zeros between, q on the last.
+            rhs = head + [-0.0, 0.0] * sum(sizes[1:-1]) + tail
+            value, bps = _gallery_lp(cx, seq, transits, emb_p, p, emb_q, q, (sizes, inner), rhs)
             if value < best.distance - _TIE or (
                 wins_tie and value <= best.distance + _TIE
             ):
@@ -550,6 +594,10 @@ def distance(p: ConePoint, q: ConePoint) -> GeodesicResult:
                 best, best_rank = GeodesicResult(value, gallery, bps), rank
         # (open bound, DP entry) per open program of a child.
         children = {}
+        # The children's open programs differ only in the last into_source,
+        # so they share one right-hand side: the climb, then p on the first
+        # segment and zeros on the rest, built for the first one solved.
+        open_rhs = None
         for nxt in max_ids:
             if nxt in seq:
                 continue
@@ -563,8 +611,11 @@ def distance(p: ConePoint, q: ConePoint) -> GeodesicResult:
                     top = prefix.opening(tr)
                     child_bound = 0.5 * top
                     if child_bound - slack <= best.distance + _TIE:
+                        if open_rhs is None:
+                            open_rhs = [climb, *head] + [-0.0, 0.0] * sum(sizes[1:])
                         child_bound, _ = _gallery_lp(
-                            cx, seq + (nxt,), transits + (tr,), emb_p, p, None, q
+                            cx, seq + (nxt,), transits + (tr,), emb_p, p, None, q,
+                            (sizes, inner, key), open_rhs,
                         )
                     children[key] = child = (child_bound, top)
                 child_bound, top = child

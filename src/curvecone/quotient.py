@@ -113,6 +113,7 @@ class QuotientComplex:
         self._subface_cache: dict[str, dict] = {}
         self._chart_cache: dict[str, dict] = {}
         self._embedding_cache: dict[tuple[str, str], tuple] = {}
+        self._mod_host_cache: dict[tuple[str, str], tuple] = {}
         self._transit_cache: dict[tuple[str, str], tuple] = {}
 
     # -- basic access -------------------------------------------------------
@@ -229,10 +230,18 @@ class QuotientComplex:
         Post-composing an embedding with a host symmetry relabels the
         whole host chart, so search procedures that already enumerate
         every identification out of the host lose nothing by fixing one
-        representative per orbit."""
+        representative per orbit.  Each orbit's representative is its
+        least image.  Cached per ``(face, host)`` as :meth:`embeddings`
+        is: ``distance`` asks for it at every start orbit of every call."""
+        key = (face_id, host_id)
+        cached = self._mod_host_cache.get(key)
+        if cached is not None:
+            return cached
         auts = self.orbit(host_id).automorphisms
         embs = self.embeddings(face_id, host_id)
-        return tuple(sorted({min(tuple(b[x] for x in e) for b in auts) for e in embs}))
+        result = tuple(sorted({min(tuple(b[x] for x in e) for b in auts) for e in embs}))
+        self._mod_host_cache[key] = result
+        return result
 
     def transits(self, source_id: str, target_id: str) -> tuple[Transit, ...]:
         """Shared-face identifications usable between two maximal orbits,

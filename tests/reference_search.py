@@ -59,6 +59,37 @@ def linprog_value(cx, seq, transits, emb_p, p, emb_q, q):
     return res.fun
 
 
+def gallery_program(cx, seq, transits, emb_p, p, emb_q, q):
+    """The key and right-hand side ``metric._gallery_lp`` takes for a
+    gallery, walked from the whole gallery.
+
+    The key is the segments' orbit sizes and the inner transits'
+    ``(into_source, into_target)``, then, open, the last transit's
+    ``into_source``.  Each edge of each segment gives a row pair with
+    constants ``(-v, v)``, ``v`` being ``p``'s coordinate on the first
+    segment minus ``q``'s on a closed last (``0.0 - q`` past the first),
+    and 0 elsewhere; an open program's climb row ``-max(q) / 2`` comes
+    first.  A closed gallery of one orbit is measured directly, and its
+    key and right-hand side go unread.
+    """
+    closed = emb_q is not None
+    n_seg = len(seq) if closed else len(seq) - 1
+    sizes = tuple(cx.orbit(oid).n_edges for oid in seq[:n_seg])
+    inner = transits if closed else transits[:-1]
+    key = (sizes, tuple((t.into_source, t.into_target) for t in inner))
+    if not closed:
+        key += (transits[-1].into_source,)
+    rhs = [] if closed else [-0.5 * max(q.coords)]
+    for j, m in enumerate(sizes):
+        const = _pad(emb_p, p.coords, m) if j == 0 else [0.0] * m
+        if closed and j == n_seg - 1:
+            for e, v in enumerate(_pad(emb_q, q.coords, m)):
+                const[e] -= v
+        for v in const:
+            rhs += (-v, v)
+    return key, rhs
+
+
 def reference_distance(p, q, revisit_budget):
     """Least value over the apex route and every gallery of top orbits
     that repeats at most ``revisit_budget`` orbits."""

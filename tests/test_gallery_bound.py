@@ -10,6 +10,7 @@ byte-identical to the unscreened search at any scale.
 
 import functools
 import math
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -19,7 +20,7 @@ from hypothesis import strategies as st
 import curvecone.metric as metric
 from conftest import SELF_GLUED_DEFECTS, complex_for
 from curvecone import cone_point, distance, scale
-from reference_search import linprog_value
+from reference_search import gallery_program, linprog_value
 
 SURFACES = [(1, 2), (2, 0), (1, 3), (0, 6)]
 # Points as (integer coordinates, scale factor); the screen's rounding
@@ -115,11 +116,12 @@ def _unscreened(mp):
     mp.setattr(metric._Prefix, "opening", lambda *args: -math.inf)
     solve = metric._gallery_lp
 
-    def every_child(cx, seq, transits, emb_p, p, emb_q=None, q=None):
-        got = solve(cx, seq, transits, emb_p, p, emb_q, q)
+    def every_child(cx, seq, transits, emb_p, p, emb_q, q, key, rhs):
+        got = solve(cx, seq, transits, emb_p, p, emb_q, q, key, rhs)
         if emb_q is None:
             for sib in _siblings(cx, seq, transits):
-                assert solve(cx, *sib, emb_p, p, None, q)[0] == got[0]
+                program = gallery_program(cx, *sib, emb_p, p, None, q)
+                assert solve(cx, *sib, emb_p, p, None, q, *program)[0] == got[0]
         return got
 
     mp.setattr(metric, "_gallery_lp", every_child)
@@ -131,8 +133,8 @@ def _recorded_programs(pairs):
     seen = []
     solve = metric._gallery_lp
 
-    def record(cx, seq, transits, emb_p, p, emb_q=None, q=None):
-        value, bps = solve(cx, seq, transits, emb_p, p, emb_q, q)
+    def record(cx, seq, transits, emb_p, p, emb_q, q, key, rhs):
+        value, bps = solve(cx, seq, transits, emb_p, p, emb_q, q, key, rhs)
         seen.append((cx, list(seq), list(transits), emb_p, p, emb_q, q, value))
         return value, bps
 
@@ -180,10 +182,10 @@ def _solves(pairs):
     calls = [0, 0]
     solve = metric._gallery_lp
 
-    def counting(cx, seq, transits, emb_p, p, emb_q=None, q=None):
+    def counting(cx, seq, transits, emb_p, p, emb_q, q, key, rhs):
         calls[0] += emb_q is not None
         calls[1] += 1
-        return solve(cx, seq, transits, emb_p, p, emb_q, q)
+        return solve(cx, seq, transits, emb_p, p, emb_q, q, key, rhs)
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(metric, "_gallery_lp", counting)
@@ -221,9 +223,12 @@ def _screened_values(pairs):
     for p, q in pairs:
         cx = p.complex
 
-        def checked_closing(prefix, emb_q, end):
-            top = closing(prefix, emb_q, end)
-            ref = gallery_bound(cx, prefix.seq, prefix.transits, prefix.emb_p, p, emb_q, end)
+        def checked_closing(prefix, end):
+            # The prefix reads q padded to its last orbit: the reference
+            # pads it again, through the identity.
+            top = closing(prefix, end)
+            ref = gallery_bound(cx, prefix.seq, prefix.transits, prefix.emb_p, p,
+                                range(len(end)), SimpleNamespace(coords=end))
             seen.append((0.5 * top, ref))
             return top
 
@@ -249,6 +254,31 @@ def test_carried_screen_equals_reference_bit_for_bit(surface, lam):
     seen = _screened_values(pairs)
     assert len(seen) > 10 * len(pairs)
     assert [carried.hex() for carried, _ in seen] == [ref.hex() for _, ref in seen]
+
+
+@pytest.mark.parametrize("lam", [1.0, 1e3, 1e-3])
+@pytest.mark.parametrize("surface", [(1, 3), (0, 7), (2, 1)], ids=lambda s: f"S{s[0]}_{s[1]}")
+def test_carried_programs_equal_the_gallery_walk(surface, lam, monkeypatch):
+    # The key and right-hand side each program reaches _gallery_lp with
+    # come from the prefix's carried parts, the call's padded ends and a
+    # right-hand side shared by one expansion's children; walked from the
+    # whole gallery they must come out the same, bit for bit.
+    solve = metric._gallery_lp
+    checked = [0]
+
+    def walked(cx, seq, transits, emb_p, p, emb_q, q, key, rhs):
+        if emb_q is None or transits:
+            want_key, want_rhs = gallery_program(cx, seq, transits, emb_p, p, emb_q, q)
+            assert key == want_key
+            assert list(map(float.hex, rhs)) == list(map(float.hex, want_rhs))
+            checked[0] += 1
+        return solve(cx, seq, transits, emb_p, p, emb_q, q, key, rhs)
+
+    monkeypatch.setattr(metric, "_gallery_lp", walked)
+    pairs = [(scale(p, lam), scale(q, lam))
+             for p, q in _pairs(surface, False, 4 if surface == (2, 1) else 8)]
+    _payloads(pairs)
+    assert checked[0] > 5 * len(pairs)
 
 
 # -- the bound against the gallery program ------------------------------------
@@ -326,7 +356,8 @@ def test_open_program_reads_only_its_key(surface):
         if emb_q is not None:
             continue
         for sib in _siblings(cx, seq, transits):
-            assert metric._gallery_lp(cx, *sib, emb_p, p, None, q)[0] == value
+            program = gallery_program(cx, *sib, emb_p, p, None, q)
+            assert metric._gallery_lp(cx, *sib, emb_p, p, None, q, *program)[0] == value
             assert gallery_bound(cx, *sib, emb_p, p, None, q) == gallery_bound(
                 cx, seq, transits, emb_p, p, None, q
             )

@@ -821,9 +821,9 @@ def test_rows_built_from_the_key_match_the_whole_gallery(monkeypatch, empty_plan
     gallery = []
     kept = [0]
 
-    def recording(cx, seq, transits, emb_p, p, emb_q, q):
+    def recording(cx, seq, transits, emb_p, p, emb_q, q, key, rhs):
         gallery[:] = [cx, seq, transits, emb_q is not None]
-        return gallery_lp(cx, seq, transits, emb_p, p, emb_q, q)
+        return gallery_lp(cx, seq, transits, emb_p, p, emb_q, q, key, rhs)
 
     def checking(c, rows, rhs):
         assert (c, list(rows)) == gallery_rows(*gallery)

@@ -21,7 +21,7 @@ from curvecone import (
     symmetric_orthant_distance,
 )
 from curvecone.lp import MAX_COORD
-from reference_search import reference_distance
+from reference_search import gallery_program, reference_distance
 
 
 def nn_orbit(s12):
@@ -266,9 +266,10 @@ def test_least_orbit_sequence_wins_a_tie(s12):
     q = cone_point(s12, "d0-d9f7d07a62", [2])
     for top in s12.maximal_ids:
         values = [
-            metric._gallery_lp(s12, [top], [], emb_p, p, emb_q, q)[0]
+            metric._gallery_lp(*gallery, *gallery_program(*gallery))[0]
             for emb_p in s12.embeddings(p.orbit_id, top)
             for emb_q in s12.embeddings(q.orbit_id, top)
+            for gallery in [(s12, [top], [], emb_p, p, emb_q, q)]
         ]
         assert min(values) == 0.5
     res = distance(p, q)

@@ -4,7 +4,9 @@ How ``distance`` screens, builds and solves its gallery programs may
 change; what it decides may not.  Each surface's payload digest and its
 number of ``metric.solve_lp`` calls are pinned, and each must come out
 the same on an empty replay store, on a warm one, and with the store
-recording nothing.
+recording nothing.  So is the sequence of programs the simplex gets:
+each call's key, which fixes the cost and rows, and its right-hand side,
+bit for bit.
 """
 
 import hashlib
@@ -72,3 +74,40 @@ def test_payloads_and_solve_counts_are_pinned(surface, monkeypatch, empty_plan_s
     monkeypatch.setattr(lp, "_STORE", lp._PlanStore())
     assert _digest_and_solves(pairs, monkeypatch) == pinned
     assert lp.plan_stats()["shapes"] == 0
+
+
+def _solve_sequence_digest(pairs, monkeypatch):
+    """sha256 of every ``metric.solve_lp`` call's program key and
+    right-hand side, in call order, each entry as ``float.hex``."""
+    digest = hashlib.sha256()
+    solve = metric.solve_lp
+
+    def hashing(c, a_ub, b_ub):
+        digest.update(repr(a_ub.key).encode())
+        digest.update(",".join(map(float.hex, b_ub)).encode() + b";")
+        return solve(c, a_ub, b_ub)
+
+    with monkeypatch.context() as mp:
+        mp.setattr(metric, "solve_lp", hashing)
+        for p, q in pairs:
+            distance(p, q)
+    return digest.hexdigest()
+
+
+# surface: sha256 of the solve sequence over its PINNED pairs
+SOLVE_SEQUENCES = {
+    (1, 2): "bf500d0183a122ff5e051c0d4eca599834addb058322092f731c51192777144b",
+    (2, 0): "9b0400001efb6e21b56cd5aa593c5b92546d69531c211bc1dd1d0490e5b20ab7",
+    (1, 3): "1ccd8e4cbf3d9e09b2ee90a8ea7db26f94ff2686533812ebd4c2d441060ea776",
+    (0, 7): "504a25d6099dbc553dfb5e2d80417007d233717c5454720075fe665abc9e9fb7",
+    (2, 1): "dade16dede2eea32e93a58814852c0c7423f2f19aec782b7ae3ba016bb075f14",
+}
+
+
+@pytest.mark.parametrize("surface", PINNED, ids=lambda s: f"S{s[0]}_{s[1]}")
+def test_solve_sequences_are_pinned(surface, monkeypatch, empty_plan_store):
+    # How the search builds its programs may change; which programs reach
+    # the simplex, with which right-hand sides and in which order, may not.
+    pairs = _pairs(surface)
+    assert _solve_sequence_digest(pairs, monkeypatch) == SOLVE_SEQUENCES[surface]
+    assert _solve_sequence_digest(pairs, monkeypatch) == SOLVE_SEQUENCES[surface]

@@ -201,6 +201,20 @@ def test_s12_embeddings(s12):
     assert len(s12.transits(sn.id, nn.id)) == 2
 
 
+@pytest.mark.parametrize("genus, marked", [(1, 3), (0, 7), (2, 1)])
+def test_embeddings_mod_host_cache_matches_the_formula(genus, marked):
+    # A fresh complex, so the first ask fills the cache and the second
+    # reads it; both must give the least image per host-symmetry orbit.
+    cx = build_complex(Surface(genus, marked))
+    for _ in range(2):
+        for face in cx.orbits:
+            for host in cx.maximal_ids:
+                auts = cx.orbit(host).automorphisms
+                embs = cx.embeddings(face.id, host)
+                want = sorted({min(tuple(b[x] for x in e) for b in auts) for e in embs})
+                assert list(cx.embeddings_mod_host(face.id, host)) == want
+
+
 @pytest.mark.parametrize("vec", [[1.0], [1.0, 2.0, 3.0]])
 def test_reduce_checks_the_vector_length(s12, vec):
     # A short vector must not read its missing entries as zeros.

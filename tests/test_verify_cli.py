@@ -188,30 +188,40 @@ def test_cli_dist_roundtrip(tmp_path, s12, capsys):
     assert payload["breakpoints"]
 
 
-def test_cli_dist_schema_mismatch(tmp_path, s12, capsys):
+def _dist_with_bad_q(tmp_path, capsys, bad_payload):
+    """Exit code and stderr of ``dist`` with a good p and a bad q."""
     cx_file = tmp_path / "cx.json"
     main(["complex", "-g", "1", "-n", "2", "--out", str(cx_file)])
     capsys.readouterr()
+    good = tmp_path / "good.json"
+    good.write_text(json.dumps({"schema_version": "curvecone/cone-point/1",
+                                "orbit": None, "coords": []}))
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"schema_version": "wrong", "orbit": None}))
-    assert main(["dist", str(cx_file), str(bad), str(bad)]) == 2
+    bad.write_text(json.dumps(bad_payload))
+    code = main(["dist", str(cx_file), str(good), str(bad)])
+    return code, capsys.readouterr().err, bad
+
+
+def test_cli_dist_schema_mismatch(tmp_path, s12, capsys):
+    code, err, bad = _dist_with_bad_q(tmp_path, capsys, {"schema_version": "wrong", "orbit": None})
+    assert code == 2
+    assert err == f"curvecone: error: point file {bad}: unsupported point schema 'wrong'\n"
 
 
 def test_cli_dist_invalid_point(tmp_path, s12, capsys):
-    cx_file = tmp_path / "cx.json"
-    main(["complex", "-g", "1", "-n", "2", "--out", str(cx_file)])
-    capsys.readouterr()
-    bad = tmp_path / "bad.json"
-    bad.write_text(
-        json.dumps(
-            {
-                "schema_version": "curvecone/cone-point/1",
-                "orbit": "d9-nonexistent",
-                "coords": {"0": 1.0},
-            }
-        )
+    code, err, bad = _dist_with_bad_q(
+        tmp_path,
+        capsys,
+        {
+            "schema_version": "curvecone/cone-point/1",
+            "orbit": "d9-nonexistent",
+            "coords": {"0": 1.0},
+        },
     )
-    assert main(["dist", str(cx_file), str(bad), str(bad)]) == 2
+    assert code == 2
+    # The unknown orbit's KeyError prints its message, not the message's repr.
+    assert err == (f"curvecone: error: point file {bad}: "
+                   f"no orbit 'd9-nonexistent' in complex of {s12.surface}\n")
 
 
 def test_cli_dist_rejects_a_coordinate_past_the_bound(tmp_path, s12, capsys):
