@@ -107,18 +107,23 @@ def _cmd_complex(args) -> int:
     return 0
 
 
+def _read_input(kind: str, path: str, parse):
+    """``parse`` of the bytes of the ``kind`` file at ``path``.  Every input
+    error, from opening the file to validating its payload, names the
+    file here and nowhere else: ``<kind> file <path>: <message>``."""
+    with _reading_input(f"{kind} file {path}"):
+        with open(path, "rb") as handle:
+            data = handle.read()
+        return parse(data)
+
+
 def _cmd_dist(args) -> int:
-    with _reading_input():
-        with open(args.complex_file, "rb") as handle:
-            cx = complex_from_json(handle.read(), f"complex file {args.complex_file}")
-        points = []
-        for path in (args.point_p, args.point_q):
-            # Opening and decoding errors name the file already.
-            with open(path, "rb") as handle:
-                payload = read_payload(handle.read(), f"point file {path}")
-            with _reading_input(f"point file {path}"):
-                points.append(point_from_dict(cx, payload))
-    result = distance(points[0], points[1])
+    cx = _read_input("complex", args.complex_file, complex_from_json)
+    p, q = (
+        _read_input("point", path, lambda data: point_from_dict(cx, read_payload(data)))
+        for path in (args.point_p, args.point_q)
+    )
+    result = distance(p, q)
     _emit(result.to_json(), args.out)
     return 0
 

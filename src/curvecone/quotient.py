@@ -365,8 +365,15 @@ def build_complex(surface: Surface, *, expected: list | None = None) -> Quotient
     ``expected``, a payload's orbit list, is compared with each level's
     serialized orbits as the level closes, so a payload that does not
     match stops the build at the first dimension that differs, with
-    ``ValueError``.
+    ``ValueError``.  Before the first level, its count of dimension-0
+    entries is compared with :func:`_vertex_orbit_count`, since that
+    level alone adds a curve in each of the bare surface's
+    ``(g + 1)(n + 1)`` ways.
     """
+    if expected is not None and sum(
+        isinstance(o, dict) and o.get("dim") == 0 for o in expected
+    ) != _vertex_orbit_count(surface):
+        raise ValueError("complex payload does not match its surface's complex at dimension 0")
     bare = VertexDecoration(surface.genus, surface.marked_points)
     # Faces are (orbit id, canonical graph, vertex symmetries); the bare
     # surface has no id.
@@ -409,6 +416,21 @@ def build_complex(surface: Surface, *, expected: list | None = None) -> Quotient
     cx = QuotientComplex(surface, orbits, face_maps)
     cx.check_invariants()
     return cx
+
+
+def _vertex_orbit_count(surface: Surface) -> int:
+    """The number of single-curve orbits of S(g, n), without enumerating
+    them: one nonseparating curve when ``g >= 1``, and one separating
+    curve per unordered split of the genus and the marked points whose
+    sides are both stable.  A side ``(g1, m1)`` is unstable when it is a
+    disk, ``(0, 0)``, or a once-marked disk, ``(0, 1)``; a split is
+    unordered, so the one split that is its own mirror, ``(g/2, n/2)``,
+    is counted once."""
+    g, n = surface.genus, surface.marked_points
+    unstable = {(0, 0), (0, 1), (g, n), (g, n - 1)}
+    in_range = sum(0 <= m1 <= n for _g1, m1 in unstable)
+    mirror = g % 2 == 0 and n % 2 == 0 and (g // 2, n // 2) not in unstable
+    return (g >= 1) + ((g + 1) * (n + 1) - in_range + mirror) // 2
 
 
 def _face_maps(orbit: SimplexOrbit, pairs, steps: dict) -> list[FaceMap]:
@@ -509,12 +531,14 @@ def complex_from_dict(payload: dict) -> QuotientComplex:
     The complex is reconstructed from the surface and re-derived; the
     payload must equal the rebuilt complex's :func:`complex_to_dict`
     exactly (orbits, automorphisms and face maps alike), which guards
-    against stale or hand-edited files.  A payload of the wrong shape
-    raises ``ValueError``.  The payload's orbits are compared level by
-    level as the build closes each dimension, so a short file naming a
-    large surface fails at its first dimension instead of after the whole
-    build; a file that matches up to a high dimension pays for the build
-    up to there.
+    against stale or hand-edited files.  Any payload that does not
+    raises ``ValueError``, one of the wrong shape included.  Its
+    dimension-0 entries are counted against the surface's vertex orbits
+    before any curve is added, so a short file naming a large surface
+    fails at once; its orbits are then compared level by level as the
+    build closes each dimension, so a file that matches up to a
+    dimension pays for the build up to the next one.  No message names
+    a file; the caller that read one does.
     """
     surface, orbits = payload_fields(payload, SCHEMA_COMPLEX, ("surface", "orbits"), "complex")
     if not isinstance(surface, dict):
@@ -528,10 +552,10 @@ def complex_from_dict(payload: dict) -> QuotientComplex:
     return cx
 
 
-def complex_from_json(text: bytes | str, what: str = "complex") -> QuotientComplex:
+def complex_from_json(text: bytes | str) -> QuotientComplex:
     """:func:`complex_from_dict` of the JSON ``text`` or bytes; input that
-    is not JSON raises ``ValueError`` naming ``what``, such as its file."""
-    return complex_from_dict(read_payload(text, what))
+    is not JSON raises ``ValueError`` too (:func:`~curvecone.surfaces.read_payload`)."""
+    return complex_from_dict(read_payload(text))
 
 
 def complex_to_dot(cx: QuotientComplex) -> str:

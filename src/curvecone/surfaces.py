@@ -35,16 +35,16 @@ def as_real(value, name: str) -> float:
     raise ValueError(f"{name} must be a real number, got {value!r}")
 
 
-def read_payload(data: bytes | str, what: str):
-    """Decode a ``what`` file's JSON, text or bytes (decoded whatever the
-    locale); malformed, undecodable or too deep input raises ``ValueError``
-    naming ``what``."""
+def read_payload(data: bytes | str):
+    """Decode JSON text or bytes (bytes decoded whatever the locale);
+    malformed, undecodable or too deep input raises ``ValueError``.  The
+    message names no file: the caller that opened one says which."""
     try:
         return json.loads(data)
     except RecursionError:
-        raise ValueError(f"{what} JSON is nested too deeply") from None
+        raise ValueError("JSON nested too deeply") from None
     except (json.JSONDecodeError, UnicodeDecodeError) as exc:
-        raise ValueError(f"{what} is not valid JSON: {exc}") from None
+        raise ValueError(f"not valid JSON: {exc}") from None
 
 
 def payload_fields(payload, schema: str, keys, what: str) -> list:

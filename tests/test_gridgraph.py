@@ -228,7 +228,7 @@ def test_point_lookup_matches_class_table(genus, marked):
     assert node == oracle.n_nodes
 
 
-@pytest.mark.parametrize("genus, marked", SUPPORTED)
+@pytest.mark.parametrize("genus, marked", sorted({*SUPPORTED, *SELF_GLUED_CENSUS}))
 def test_self_gluing_census(genus, marked):
     cx = complex_for(genus, marked)
     count = sum(

@@ -35,6 +35,34 @@ def test_orbits_of_dim_takes_an_integer():
             cx.orbits_of_dim(bad)
 
 
+def test_vertex_orbit_count_matches_the_first_level():
+    # The count a complex file's dimension-0 entries must meet before the
+    # build starts: the single curves add_curve makes on the bare surface,
+    # up to canonical form, and the built complex's vertex orbits.
+    for genus in range(12):
+        for marked in range(12):
+            if 3 * genus - 3 + marked < 1:
+                continue
+            surface = Surface(genus, marked)
+            bare = multicurves.MulticurveGraph(
+                (multicurves.VertexDecoration(genus, marked),), ()
+            )
+            labels = {canonicalize(g).label for g in multicurves.add_curve(bare, 0)}
+            assert quotient._vertex_orbit_count(surface) == len(labels), surface
+    for genus, marked in [*SUPPORTED, (3, 0), (2, 2), (1, 5), (0, 8)]:
+        cx = complex_for(genus, marked)
+        assert quotient._vertex_orbit_count(cx.surface) == len(cx.orbits_of_dim(0))
+
+
+def test_build_without_a_payload_counts_nothing(monkeypatch):
+    # The count guards a payload's build only; a plain build skips it.
+    def no_count(surface):
+        raise AssertionError("counted the vertex orbits of a plain build")
+
+    monkeypatch.setattr(quotient, "_vertex_orbit_count", no_count)
+    assert build_complex(Surface(1, 2)).orbit_counts() == {0: 2, 1: 2}
+
+
 def test_s12_vertex_orbits():
     orbits = complex_for(1, 2).orbits_of_dim(0)
     assert len(orbits) == 2

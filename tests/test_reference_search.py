@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import SELF_GLUED_DEFECTS, complex_for
+from conftest import SELF_GLUED_DEFECTS, UNIFORM_S07_DEFECTS, complex_for
 from curvecone import brute_force_distance, cone_point, distance
 from reference_search import reference_distance
 
@@ -47,3 +47,26 @@ def test_one_revisit_finds_the_s07_shortcut():
     assert grid == 1.0
     assert reference_distance(p, q, 1) == pytest.approx(grid, rel=1e-12)
     assert distance(p, q).distance == 2.0
+
+
+def _uniform_s07_pair(case):
+    cx = complex_for(0, 7)
+    return [cone_point(cx, oid, coords) for oid, coords in UNIFORM_S07_DEFECTS[case]]
+
+
+@pytest.mark.parametrize("case", [0, 1])
+def test_uniform_s07_defect_is_never_below_one_revisit(case):
+    # Both instances pin ROADMAP item 1's defect off the grid's mesh:
+    # ``distance`` overshoots the search that may revisit one orbit.
+    p, q = _uniform_s07_pair(case)
+    assert p.coords == UNIFORM_S07_DEFECTS[case][0][1]
+    assert q.coords == UNIFORM_S07_DEFECTS[case][1][1]
+    reference = reference_distance(p, q, 1)
+    assert distance(p, q).distance >= reference - 1e-9 * reference
+
+
+@pytest.mark.xfail(strict=True, reason="distance misses self-glued returns (ROADMAP item 1)")
+@pytest.mark.parametrize("case", [0, 1])
+def test_uniform_s07_defect_matches_one_revisit(case):
+    p, q = _uniform_s07_pair(case)
+    assert distance(p, q).distance == pytest.approx(reference_distance(p, q, 1), rel=1e-9)

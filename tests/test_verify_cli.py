@@ -1,16 +1,22 @@
+import io
 import json
 import math
 import os
-import subprocess
-import sys
-from pathlib import Path
+import tempfile
+from contextlib import redirect_stderr, redirect_stdout
+from datetime import timedelta
+from functools import lru_cache
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from conftest import complex_for, orbit_by_structure
-from curvecone import QuotientComplex, SimplexOrbit, fenchel_nielsen, run_verification
+from conftest import complex_for, orbit_by_structure, run_cli, run_python
+from curvecone import QuotientComplex, SimplexOrbit, cone_point, fenchel_nielsen, run_verification
 from curvecone.cli import main
+from curvecone.lp import MAX_COORD
+from curvecone.quotient import complex_from_dict, complex_to_dict, complex_to_json
 
 
 def test_verification_passes_on_s12(s12):
@@ -188,42 +194,6 @@ def test_cli_dist_roundtrip(tmp_path, s12, capsys):
     assert payload["breakpoints"]
 
 
-def _dist_with_bad_q(tmp_path, capsys, bad_payload):
-    """Exit code and stderr of ``dist`` with a good p and a bad q."""
-    cx_file = tmp_path / "cx.json"
-    main(["complex", "-g", "1", "-n", "2", "--out", str(cx_file)])
-    capsys.readouterr()
-    good = tmp_path / "good.json"
-    good.write_text(json.dumps({"schema_version": "curvecone/cone-point/1",
-                                "orbit": None, "coords": []}))
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(bad_payload))
-    code = main(["dist", str(cx_file), str(good), str(bad)])
-    return code, capsys.readouterr().err, bad
-
-
-def test_cli_dist_schema_mismatch(tmp_path, s12, capsys):
-    code, err, bad = _dist_with_bad_q(tmp_path, capsys, {"schema_version": "wrong", "orbit": None})
-    assert code == 2
-    assert err == f"curvecone: error: point file {bad}: unsupported point schema 'wrong'\n"
-
-
-def test_cli_dist_invalid_point(tmp_path, s12, capsys):
-    code, err, bad = _dist_with_bad_q(
-        tmp_path,
-        capsys,
-        {
-            "schema_version": "curvecone/cone-point/1",
-            "orbit": "d9-nonexistent",
-            "coords": {"0": 1.0},
-        },
-    )
-    assert code == 2
-    # The unknown orbit's KeyError prints its message, not the message's repr.
-    assert err == (f"curvecone: error: point file {bad}: "
-                   f"no orbit 'd9-nonexistent' in complex of {s12.surface}\n")
-
-
 def test_cli_dist_rejects_a_coordinate_past_the_bound(tmp_path, s12, capsys):
     # One float past the bound is an input error, exit 2 with one line;
     # near the float maximum such points used to exit 1 with a traceback.
@@ -244,108 +214,286 @@ def test_cli_dist_rejects_a_coordinate_past_the_bound(tmp_path, s12, capsys):
     assert "finite" in err
 
 
-_POINT = {"schema_version": "curvecone/cone-point/1", "orbit": "TOP"}
-_MALFORMED = {
-    # name: (which input file, its JSON; "TOP" stands for a top orbit id)
-    "point-list": ("point", [1, 2]),
-    "scalar-coords": ("point", {**_POINT, "coords": 5}),
-    "null-coordinate": ("point", {**_POINT, "coords": [None, 1.0]}),
-    "list-orbit": ("point", {**_POINT, "orbit": [1], "coords": {"0": 1.0}}),
-    "same-edge-twice": ("point", {**_POINT, "coords": {"0": 1.0, "00": 2.0}}),
-    "apex-coords": ("point", {**_POINT, "orbit": None, "coords": {"7": 0.0}}),
-    "signed-edge-keys": ("point", {**_POINT, "coords": {"+0": 1.0, " 1": 2.0}}),
-    "huge-int-coordinate": ("point", {**_POINT, "coords": {"0": 10**400}}),
-    "complex-list": ("complex", []),
-    "complex-surface-scalar": ("complex", {"schema_version": "curvecone/quotient-complex/1",
-                                           "surface": 5, "orbits": []}),
-    "complex-surface-float": ("complex", {"schema_version": "curvecone/quotient-complex/1",
-                                          "surface": {"genus": 1.0, "marked_points": 2},
-                                          "orbits": []}),
-    "complex-surface-missing": ("complex", {"schema_version": "curvecone/quotient-complex/1",
-                                            "surface": {"genus": 1}, "orbits": []}),
+
+
+# -- dist input errors -------------------------------------------------------------
+#
+# Every error in a file that ``curvecone dist`` reads exits 2 with one line,
+# ``curvecone: error: <complex|point> file <path>: <message>``.  The table
+# holds the cases met so far; the properties below look for the next.
+
+_S12_TOP = "d1-57fb6950d4"
+_POINT = {"schema_version": "curvecone/cone-point/1", "orbit": _S12_TOP}
+_COMPLEX = "curvecone/quotient-complex/1"
+
+
+def _without(key):
+    return lambda valid: json.dumps({k: v for k, v in json.loads(valid).items() if k != key}).encode()
+
+
+def _edited_orbit_id(valid):
+    payload = json.loads(valid)
+    payload["orbits"][0]["id"] = "d0-bogus"
+    return json.dumps(payload).encode()
+
+
+_NOT_JSON = {
+    "empty": b"",
+    "truncated": lambda valid: valid[: len(valid) // 2],
+    "bom": b"\xff\xfe",
+    "bad-byte": b"\xff{",
+}
+
+# case: (file at fault, its content, the start of the message after the
+# file's name).  The content is a JSON payload, bytes, bytes made from
+# those of a valid S(1,2) file, or None for no file.  The cases are
+# grouped under the tests that run them.
+_DIST_INPUT_ERRORS = {
+    "schema_mismatch": {
+        "wrong": ("point", {"schema_version": "wrong", "orbit": None},
+                  "unsupported point schema 'wrong'"),
+    },
+    "invalid_point": {
+        # The unknown orbit's KeyError prints its message, not its repr.
+        "unknown-orbit": ("point", {**_POINT, "orbit": "d9-nonexistent", "coords": {"0": 1.0}},
+                          "no orbit 'd9-nonexistent' in complex of S_{1,2}"),
+    },
+    "malformed_input": {
+        "point-list": ("point", [1, 2], "a point must be an object, got list"),
+        "scalar-coords": ("point", {**_POINT, "coords": 5},
+                          "coordinates must be a list or an object, got 5"),
+        "null-coordinate": ("point", {**_POINT, "coords": [None, 1.0]},
+                            "coordinate must be a real number, got None"),
+        "list-orbit": ("point", {**_POINT, "orbit": [1], "coords": {"0": 1.0}},
+                       "point orbit must be a string or null, got [1]"),
+        "same-edge-twice": ("point", {**_POINT, "coords": {"0": 1.0, "00": 2.0}},
+                            "edge key '00' is not an integer"),
+        "apex-coords": ("point", {**_POINT, "orbit": None, "coords": {"7": 0.0}},
+                        "the apex has no edges"),
+        "signed-edge-keys": ("point", {**_POINT, "coords": {"+0": 1.0, " 1": 2.0}},
+                             "edge key '+0' is not an integer"),
+        "huge-int-coordinate": ("point", {**_POINT, "coords": {"0": 10**400}},
+                                "coordinate exceeds the float range"),
+        "complex-list": ("complex", [], "a complex must be an object, got list"),
+        "complex-schema": ("complex", {"schema_version": "wrong", "surface": {}, "orbits": []},
+                           "unsupported complex schema 'wrong'"),
+        "complex-surface-scalar": ("complex", {"schema_version": _COMPLEX, "surface": 5, "orbits": []},
+                                   "complex surface must be an object, got 5"),
+        "complex-surface-float": ("complex", {"schema_version": _COMPLEX, "orbits": [],
+                                              "surface": {"genus": 1.0, "marked_points": 2}},
+                                  "genus must be an integer, got 1.0"),
+        "complex-surface-missing": ("complex", {"schema_version": _COMPLEX, "orbits": [],
+                                                "surface": {"genus": 1}},
+                                    "marked_points must be an integer, got None"),
+        "complex-edited-orbit-id": ("complex", _edited_orbit_id,
+                                    "complex payload does not match its surface's complex "
+                                    "at dimension 0"),
+    },
+    # JSON decoding used to raise RecursionError with a traceback.
+    "rejects_deep_nesting": {
+        which: (which, b"[" * 200_000 + b"]" * 200_000, "JSON nested too deeply")
+        for which in ("complex", "point")
+    },
+    # A missing key used to surface as a bare KeyError: "error: 'surface'".
+    "names_a_missing_key": {
+        f"{which}-{key}": (which, _without(key), f"{which} payload lacks '{key}'")
+        for which, key in [("complex", "surface"), ("complex", "orbits"),
+                           ("point", "orbit"), ("point", "coords")]
+    },
+    # The decoder's message used to come alone ("Expecting value: line 1
+    # ..."), and a file that is not UTF-8 gave only the codec's message.
+    "names_a_file_that_is_not_json": {
+        f"{which}-{cut}": (which, content, "not valid JSON: ")
+        for which in ("complex", "point") for cut, content in _NOT_JSON.items()
+    },
+    "missing_file": {
+        "complex": ("complex", None, "[Errno 2] No such file or directory"),
+    },
 }
 
 
-@pytest.mark.parametrize("case", sorted(_MALFORMED))
-def test_cli_dist_malformed_input(case, tmp_path, s12, capsys):
-    from curvecone import cone_point
-
-    top = s12.maximal_ids[0]
-    cx_file = tmp_path / "cx.json"
-    main(["complex", "-g", "1", "-n", "2", "--out", str(cx_file)])
-    good = tmp_path / "good.json"
-    good.write_text(cone_point(s12, top, (1.0, 2.0)).to_json())
-    which, payload = _MALFORMED[case]
-    bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps(payload).replace('"TOP"', json.dumps(top)))
-    files = [bad, good, good] if which == "complex" else [cx_file, bad, good]
+def _assert_dist_rejects(test, case, tmp_path, capsys):
+    """Run ``dist`` on valid S(1,2) files with one replaced by the case's:
+    the complex file, or the point file q."""
+    which, content, message = _DIST_INPUT_ERRORS[test][case]
+    s12 = complex_for(1, 2)
+    point = cone_point(s12, _S12_TOP, (1.0, 2.0)).to_json()
+    files = {"complex": tmp_path / "cx.json", "p": tmp_path / "p.json", "point": tmp_path / "q.json"}
+    files["complex"].write_text(complex_to_json(s12))
+    files["p"].write_text(point)
+    files["point"].write_text(point)
+    bad = files[which]
+    if content is None:
+        bad.unlink()
+    elif callable(content):
+        bad.write_bytes(content(bad.read_bytes()))
+    else:
+        bad.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
     capsys.readouterr()
-    assert main(["dist", *map(str, files)]) == 2
+    assert main(["dist", *map(str, files.values())]) == 2
     err = capsys.readouterr().err
-    assert err.startswith("curvecone: error:") and "Traceback" not in err
+    prefix = f"curvecone: error: {which} file {bad}: "
+    assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), err
+    assert err[len(prefix):].startswith(message), err
 
 
-@pytest.mark.parametrize("which", ["complex", "point"])
-def test_cli_dist_rejects_deep_nesting(which, tmp_path, s12, capsys):
-    # JSON decoding used to raise RecursionError with a traceback.
-    from curvecone import cone_point
-
-    cx_file = tmp_path / "cx.json"
-    main(["complex", "-g", "1", "-n", "2", "--out", str(cx_file)])
-    good = tmp_path / "good.json"
-    good.write_text(cone_point(s12, s12.maximal_ids[0], (1.0, 2.0)).to_json())
-    bad = tmp_path / "bad.json"
-    bad.write_text("[" * 200_000 + "]" * 200_000)
-    files = [bad, good, good] if which == "complex" else [cx_file, bad, good]
-    capsys.readouterr()
-    assert main(["dist", *map(str, files)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("curvecone: error:") and "nested too deeply" in err
+def test_cli_dist_schema_mismatch(tmp_path, capsys):
+    _assert_dist_rejects("schema_mismatch", "wrong", tmp_path, capsys)
 
 
-@pytest.mark.parametrize(
-    "which, key",
-    [("complex", "surface"), ("complex", "orbits"), ("point", "orbit"), ("point", "coords")],
-)
-def test_cli_dist_names_a_missing_key(which, key, tmp_path, s12, capsys):
-    # A missing key used to surface as a bare KeyError: "error: 'surface'".
-    from curvecone import cone_point
-
-    cx_file = tmp_path / "cx.json"
-    main(["complex", "-g", "1", "-n", "2", "--out", str(cx_file)])
-    point_file = tmp_path / "p.json"
-    point_file.write_text(cone_point(s12, s12.maximal_ids[0], (1.0, 2.0)).to_json())
-    target = cx_file if which == "complex" else point_file
-    payload = json.loads(target.read_text())
-    del payload[key]
-    target.write_text(json.dumps(payload))
-    capsys.readouterr()
-    assert main(["dist", str(cx_file), str(point_file), str(point_file)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith("curvecone: error:") and f"lacks '{key}'" in err
+def test_cli_dist_invalid_point(tmp_path, capsys):
+    _assert_dist_rejects("invalid_point", "unknown-orbit", tmp_path, capsys)
 
 
-@pytest.mark.parametrize("cut", ["empty", "truncated", "bom", "bad-byte"])
-@pytest.mark.parametrize("which", ["complex", "point"])
-def test_cli_dist_names_a_file_that_is_not_json(which, cut, tmp_path, s12, capsys):
-    # The decoder's message used to come alone: "Expecting value: line 1 ...",
-    # and a file that is not UTF-8 gave only the codec's message.
-    from curvecone import cone_point
+def test_cli_dist_missing_file(tmp_path, capsys):
+    _assert_dist_rejects("missing_file", "complex", tmp_path, capsys)
 
-    cx_file = tmp_path / "cx.json"
-    main(["complex", "-g", "1", "-n", "2", "--out", str(cx_file)])
-    point_file = tmp_path / "p.json"
-    point_file.write_text(cone_point(s12, s12.maximal_ids[0], (1.0, 2.0)).to_json())
-    target = cx_file if which == "complex" else point_file
-    data = target.read_bytes()
-    cuts = {"empty": b"", "truncated": data[: len(data) // 2], "bom": b"\xff\xfe",
-            "bad-byte": b"\xff{"}
-    target.write_bytes(cuts[cut])
-    capsys.readouterr()
-    assert main(["dist", str(cx_file), str(point_file), str(point_file)]) == 2
-    err = capsys.readouterr().err
-    assert err.startswith(f"curvecone: error: {which} file {target} is not valid JSON")
-    assert "Traceback" not in err
+
+@pytest.mark.parametrize("case", sorted(_DIST_INPUT_ERRORS["malformed_input"]))
+def test_cli_dist_malformed_input(case, tmp_path, capsys):
+    _assert_dist_rejects("malformed_input", case, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("which", sorted(_DIST_INPUT_ERRORS["rejects_deep_nesting"]))
+def test_cli_dist_rejects_deep_nesting(which, tmp_path, capsys):
+    _assert_dist_rejects("rejects_deep_nesting", which, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(_DIST_INPUT_ERRORS["names_a_missing_key"]))
+def test_cli_dist_names_a_missing_key(case, tmp_path, capsys):
+    _assert_dist_rejects("names_a_missing_key", case, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(_DIST_INPUT_ERRORS["names_a_file_that_is_not_json"]))
+def test_cli_dist_names_a_file_that_is_not_json(case, tmp_path, capsys):
+    _assert_dist_rejects("names_a_file_that_is_not_json", case, tmp_path, capsys)
+
+
+# Mutations of valid files: a value of another JSON type at any key or
+# index, a key or item dropped or added, coordinates at the float edges,
+# truncated bytes and another, mostly larger, surface.  Genus and marked
+# points stay at most 100 in process; the astronomically large ones run
+# in a child under a memory limit, in
+# ``test_cli_dist_rejects_a_large_surface_without_building_it``.
+_BASES = [(1, 2), (2, 1), (0, 7)]
+_ODD_VALUES = [None, True, False, 0, -1, 2**64, 10**400, 1.5, -0.0, math.nan, math.inf,
+               "", "x", "d0-bogus", [], [None], [[0, 1]], {}, {"0": 1.0}]
+_EDGE_FLOATS = [0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1.0, MAX_COORD,
+                math.nextafter(MAX_COORD, math.inf), 1.7976931348623157e308, math.inf,
+                -math.inf, math.nan, 10**400]
+
+
+@lru_cache(maxsize=None)
+def _valid_files(surface):
+    """The complex and the two point payloads of a ``dist`` run that
+    succeeds, with every place in each: a vertex and a top orbit, so that
+    the distance stays cheap."""
+    cx = complex_for(*surface)
+    vertex, top = cx.orbits[0], cx.orbit(cx.maximal_ids[-1])
+    docs = {
+        "complex": complex_to_dict(cx),
+        "p": cone_point(cx, vertex.id, (1.5,)).to_dict(),
+        "q": cone_point(cx, top.id, [1.0 + i for i in range(top.n_edges)]).to_dict(),
+    }
+    return docs, {name: list(_places(doc)) for name, doc in docs.items()}
+
+
+def _places(doc, at=()):
+    """Every place in a JSON document, as the path of keys and indices to it."""
+    yield at
+    items = doc.items() if isinstance(doc, dict) else enumerate(doc) if isinstance(doc, list) else ()
+    for key, value in items:
+        yield from _places(value, (*at, key))
+
+
+def _at(doc, at):
+    for key in at:
+        doc = doc[key]
+    return doc
+
+
+def _copy_at(doc, at):
+    """A deep copy of ``doc``, and the value at the place ``at`` in the copy."""
+    doc = json.loads(json.dumps(doc))
+    return doc, _at(doc, at)
+
+
+@st.composite
+def _mutated_payload(draw, surface, name):
+    """A valid ``name`` payload of ``surface`` with one mutation."""
+    docs, places = _valid_files(surface)
+    doc, places = docs[name], places[name]
+    kind = draw(st.sampled_from(["retype", "drop", "extra", "surface" if name == "complex" else "edges"]))
+    if kind == "retype":
+        at, value = draw(st.sampled_from(places)), draw(st.sampled_from(_ODD_VALUES))
+        if not at:
+            return value
+        doc, parent = _copy_at(doc, at[:-1])
+        parent[at[-1]] = value
+    elif kind == "drop":
+        at = draw(st.sampled_from(places[1:]))
+        doc, parent = _copy_at(doc, at[:-1])
+        del parent[at[-1]]
+    elif kind == "extra":
+        at = draw(st.sampled_from([a for a in places if isinstance(_at(doc, a), (dict, list))]))
+        value = draw(st.sampled_from(_ODD_VALUES))
+        doc, node = _copy_at(doc, at)
+        if isinstance(node, dict):
+            node[draw(st.sampled_from(["extra", "0", "id", "dim", ""]))] = value
+        else:
+            node.insert(draw(st.integers(0, len(node))), value)
+    elif kind == "surface":
+        doc = {**doc, "surface": {"genus": draw(st.integers(0, 100)),
+                                  "marked_points": draw(st.integers(0, 100))}}
+    else:
+        doc = {**doc, "coords": {key: draw(st.sampled_from([v, *_EDGE_FLOATS]))
+                                 for key, v in doc["coords"].items()}}
+    return doc
+
+
+@st.composite
+def _mutated_dist_files(draw):
+    """(name of the file at fault, {name: file bytes})."""
+    surface = draw(st.sampled_from(_BASES))
+    docs, _ = _valid_files(surface)
+    name = draw(st.sampled_from(sorted(docs)))
+    files = {key: json.dumps(doc).encode() for key, doc in docs.items()}
+    if draw(st.booleans()):
+        files[name] = json.dumps(draw(_mutated_payload(surface, name))).encode()
+    else:
+        files[name] = files[name][: draw(st.integers(0, len(files[name]) - 1))]
+    return name, files
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5), derandomize=True)
+@given(case=_mutated_dist_files())
+def test_cli_dist_names_the_file_at_fault(case):
+    name, files = case
+    with tempfile.TemporaryDirectory() as work:
+        paths = {key: os.path.join(work, f"{key}.json") for key in files}
+        for key, data in files.items():
+            with open(paths[key], "wb") as handle:
+                handle.write(data)
+        out, err = io.StringIO(), io.StringIO()
+        with redirect_stdout(out), redirect_stderr(err):
+            code = main(["dist", paths["complex"], paths["p"], paths["q"]])
+    err = err.getvalue()
+    assert code in (0, 2), err
+    if code == 2:
+        kind = "complex" if name == "complex" else "point"
+        assert err.startswith(f"curvecone: error: {kind} file {paths[name]}: "), err
+        assert err.count("\n") == 1 and err.endswith("\n"), err
+    else:
+        assert err == "" and json.loads(out.getvalue())["distance"] >= 0
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5), derandomize=True)
+@given(case=st.sampled_from(_BASES).flatmap(lambda surface: _mutated_payload(surface, "complex")))
+def test_complex_from_dict_raises_only_input_errors(case):
+    try:
+        complex_from_dict(case)
+    except (ValueError, KeyError):
+        pass
 
 
 def test_cli_verify_passes(tmp_path, capsys):
@@ -390,47 +538,38 @@ def test_cli_verify_grid_suite_ends_on_a_one_point_grid(genus, marked):
     # A complexity-1 surface has one orbit with one edge, and mesh 8 puts
     # a single point on its grid; the grid suite used to redraw its pair
     # forever.  A subprocess, so that a hang fails instead of stalling.
-    import curvecone
-
-    src = str(Path(curvecone.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run(
-        [sys.executable, "-m", "curvecone.cli", "verify", "-g", str(genus), "-n", str(marked),
-         "--mesh", "8"],
-        env=env, capture_output=True, text=True, timeout=60,
-    )
+    run = run_cli(["verify", "-g", str(genus), "-n", str(marked), "--mesh", "8"], timeout=60)
     assert run.returncode == 0, run.stderr
     grid = json.loads(run.stdout)["results"][-1]
     assert (grid["suite"], grid["samples"]) == ("grid_oracle", 0)
 
 
 @pytest.mark.parametrize(
-    "orbits", [[], [{"id": f"d{d}-x", "dim": d} for d in range(12)]], ids=["none", "dims"]
+    "surface, orbits",
+    [
+        ((5, 0), []),
+        ((5, 0), [{"id": f"d{d}-x", "dim": d} for d in range(12)]),
+        ((10**6, 0), []),
+        ((2**64, 0), []),
+    ],
+    ids=["none", "dims", "genus-1e6", "genus-2**64"],
 )
-def test_cli_dist_rejects_a_large_surface_without_building_it(tmp_path, orbits):
-    # The short file names S(5,0), with no orbit or one stub per dimension;
-    # the complex used to be built before the comparison, taking over 40 s.
-    import curvecone
-
-    cx_file = tmp_path / "g5.json"
+def test_cli_dist_rejects_a_large_surface_without_building_it(tmp_path, surface, orbits):
+    # A short file naming a large surface, with no orbit or one stub per
+    # dimension.  The complex used to be built before the comparison,
+    # taking over 40 s on S(5,0); then its first level alone ran for
+    # 50 s on genus 10**6 and ended in a MemoryError.  Under a 1 GB
+    # address-space limit, so that a regression fails in the child.
+    cx_file = tmp_path / "large.json"
     cx_file.write_text(json.dumps({
         "schema_version": "curvecone/quotient-complex/1",
-        "surface": {"genus": 5, "marked_points": 0},
+        "surface": {"genus": surface[0], "marked_points": surface[1]},
         "orbits": orbits,
     }))
-    src = str(Path(curvecone.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run(
-        [sys.executable, "-m", "curvecone.cli", "dist", str(cx_file), str(cx_file), str(cx_file)],
-        env=env, capture_output=True, text=True, timeout=20,
-    )
+    run = run_cli(["dist", *[str(cx_file)] * 3], timeout=10, address_space=1 << 30)
     assert run.returncode == 2, run.stderr
-    assert run.stderr.startswith("curvecone: error:") and "complex at dimension 0" in run.stderr
-
-
-def test_cli_dist_missing_file(tmp_path):
-    missing = str(tmp_path / "missing.json")
-    assert main(["dist", missing, missing, missing]) == 2
+    assert run.stderr == (f"curvecone: error: complex file {cx_file}: complex payload does not "
+                          "match its surface's complex at dimension 0\n")
 
 
 def test_cli_internal_fault_propagates(monkeypatch, tmp_path, s12, capsys):
@@ -527,14 +666,7 @@ print(repr(result))
 
 
 def test_cli_commands_load_neither_dataclasses_nor_inspect(tmp_path):
-    import curvecone
-
-    src = str(Path(curvecone.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run(
-        [sys.executable, "-S", "-c", _LEAN_IMPORT_PROBE, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    run = run_python(["-S", "-c", _LEAN_IMPORT_PROBE, str(tmp_path)], timeout=120)
     assert run.returncode == 0, run.stderr
     result = run.stdout.splitlines()[-1]
     assert result == repr({"start": [], "cli": [], "complex": [], "dist": []})
@@ -564,14 +696,7 @@ def test_complex_and_dist_run_without_numpy(tmp_path):
     # numpy serves only the grid oracle and verify's sampler, so the CLI's
     # import and its complex and dist commands must not load it.  The bare
     # package loads each module only when one of its names is first read.
-    import curvecone
-
-    src = str(Path(curvecone.__file__).resolve().parent.parent)
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
-    run = subprocess.run(
-        [sys.executable, "-c", _IMPORT_PATH_PROBE, str(tmp_path)],
-        env=env, capture_output=True, text=True, timeout=120,
-    )
+    run = run_python(["-c", _IMPORT_PATH_PROBE, str(tmp_path)], timeout=120)
     assert run.returncode == 0, run.stderr
     result = json.loads(run.stdout.splitlines()[-1])
     assert result["bare"] == []
