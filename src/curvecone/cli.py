@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification failure, 2 usage or input error.
 Only errors raised while reading, parsing and validating the inputs map
-to exit 2; an exception from the computation itself is an internal fault
+to exit 2, each printed as one line that names the option or file at
+fault; an exception from the computation itself is an internal fault
 and propagates with its traceback.
 """
 
@@ -20,7 +21,12 @@ from .quotient import (
     complex_to_json,
 )
 from .surfaces import Surface, read_payload
-from .verify import run_verification, verification_config
+from .verify import (
+    check_mesh,
+    check_samples,
+    check_seed,
+    run_verification,
+)
 
 
 class InputError(Exception):
@@ -28,20 +34,29 @@ class InputError(Exception):
 
 
 @contextmanager
-def _reading_input(what: str | None = None):
+def _reading_input(what: str):
     # Every input error the library raises is a ValueError (the typed
     # ones subclass it), a KeyError (unknown orbit id) or an OSError.
-    # ``what`` names the input in the message, where the error does not.
+    # ``what`` names the input in the message; the library's errors do not.
     try:
         yield
     except (ValueError, KeyError, OSError) as exc:
         # str() of a KeyError is the repr of its message.
         message = exc.args[0] if isinstance(exc, KeyError) and exc.args else str(exc)
-        raise InputError(message if what is None else f"{what}: {message}") from exc
+        raise InputError(f"{what}: {message}") from exc
+
+
+class _Parser(argparse.ArgumentParser):
+    """A parser whose usage errors raise :class:`InputError`, so that they
+    print as every other input error does, without the usage text.  Its
+    subparsers are of this class too."""
+
+    def error(self, message):
+        raise InputError(message)
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="curvecone",
         description="Curve-system quotient complexes and their cone metric.",
     )
@@ -71,7 +86,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("--seed", type=int, default=0)
     p_verify.add_argument("--samples", type=int, default=200)
     p_verify.add_argument(
-        "--mesh", type=float, default=None, help="also run the grid oracle suite"
+        "--mesh",
+        type=float,
+        default=None,
+        help="also run the grid oracle suite, on a grid of side 8 with this mesh",
     )
     p_verify.add_argument("--out", help="write the report JSON here (default stdout)")
     return parser
@@ -89,16 +107,17 @@ def _emit(text: str, out: str | None) -> None:
     if out in (None, "-"):
         sys.stdout.write(text)
         return
-    with _reading_input():
-        handle = open(out, "w")
-    with handle:
+    with _reading_input(f"output file {out}"), open(out, "w") as handle:
         handle.write(text)
 
 
+def _surface(args) -> Surface:
+    with _reading_input("argument -g/-n"):
+        return Surface(args.genus, args.marked)
+
+
 def _cmd_complex(args) -> int:
-    with _reading_input():
-        surface = Surface(args.genus, args.marked)
-    cx = build_complex(surface)
+    cx = build_complex(_surface(args))
     if args.out is not None:
         payload = complex_to_json(cx) if args.format == "json" else complex_to_dot(cx)
         _emit(payload, args.out)
@@ -129,27 +148,35 @@ def _cmd_dist(args) -> int:
 
 
 def _cmd_verify(args) -> int:
-    with _reading_input():
-        surface = Surface(args.genus, args.marked)
+    surface = _surface(args)
+    # Every option is checked before the build, which can take minutes;
+    # only the grid's node cap needs the complex's top orbits.
+    for flag, check, value in (
+        ("--seed", check_seed, args.seed),
+        ("--samples", check_samples, args.samples),
+        ("--mesh", check_mesh, args.mesh),
+    ):
+        with _reading_input(f"argument {flag}"):
+            check(value)
     cx = build_complex(surface)
-    with _reading_input():
-        verification_config(cx, args.seed, args.samples, args.mesh)
+    with _reading_input("argument --mesh"):
+        check_mesh(args.mesh, cx)
     report = run_verification(cx, seed=args.seed, samples=args.samples, mesh=args.mesh)
     _emit(report.to_json(), args.out)
     return 0 if report.passed else 1
 
 
 def main(argv=None) -> int:
-    parser = _build_parser()
-    try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
     handlers = {"complex": _cmd_complex, "dist": _cmd_dist, "verify": _cmd_verify}
     try:
+        args = _build_parser().parse_args(argv)
         return handlers[args.command](args)
+    except SystemExit as exc:
+        # Only -h exits the parser, with 0 once it has printed the help.
+        return exc.code
     except InputError as exc:
-        print(f"curvecone: error: {exc}", file=sys.stderr)
+        # One line, even for a path or an argument that holds a newline.
+        print(f"curvecone: error: {exc}".replace("\n", "\\n"), file=sys.stderr)
         return 2
 
 

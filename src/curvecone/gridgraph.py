@@ -37,9 +37,11 @@ _BOX_RATIO_TOL = 1e-9
 _MESH_ALIGN_TOL = 1e-6
 
 
-def grid_units(cx: QuotientComplex, mesh: float, box: float) -> int:
-    """Validate a grid configuration and return the box side in mesh
-    units; raises :class:`ValueError` before any grid is allocated."""
+def box_units(mesh: float, box: float) -> int:
+    """The box side in mesh units; a mesh or box that is not a positive
+    real, or a box that is no positive multiple of the mesh, raises
+    :class:`ValueError`.  Needs no complex, so it can run before one is
+    built."""
     mesh, box = as_real(mesh, "mesh"), as_real(box, "box")
     if not mesh > 0:
         raise ValueError(f"mesh must be positive, got {mesh}")
@@ -51,6 +53,14 @@ def grid_units(cx: QuotientComplex, mesh: float, box: float) -> int:
     units = int(round(ratio))
     if units < 1 or abs(ratio - units) > _BOX_RATIO_TOL:
         raise ValueError(f"box {box} must be a positive multiple of mesh {mesh}")
+    return units
+
+
+def grid_units(cx: QuotientComplex, mesh: float, box: float) -> int:
+    """Validate a grid configuration (:func:`box_units`, then the node
+    cap over ``cx``'s top orbits) and return the box side in mesh units;
+    raises :class:`ValueError` before any grid is allocated."""
+    units = box_units(mesh, box)
     n_nodes = sum((units + 1) ** cx.orbit(oid).n_edges for oid in cx.maximal_ids)
     if n_nodes > _MAX_NODES:
         raise ValueError(

@@ -363,12 +363,12 @@ def build_complex(surface: Surface, *, expected: list | None = None) -> Quotient
     the complex is returned.
 
     ``expected``, a payload's orbit list, is compared with each level's
-    serialized orbits as the level closes, so a payload that does not
-    match stops the build at the first dimension that differs, with
-    ``ValueError``.  Before the first level, its count of dimension-0
-    entries is compared with :func:`_vertex_orbit_count`, since that
-    level alone adds a curve in each of the bare surface's
-    ``(g + 1)(n + 1)`` ways.
+    serialized orbits as the level closes, JSON types included
+    (:func:`_same_json`), so a payload that does not match stops the
+    build at the first dimension that differs, with ``ValueError``.
+    Before the first level, its count of dimension-0 entries is compared
+    with :func:`_vertex_orbit_count`, since that level alone adds a curve
+    in each of the bare surface's ``(g + 1)(n + 1)`` ways.
     """
     if expected is not None and sum(
         isinstance(o, dict) and o.get("dim") == 0 for o in expected
@@ -403,7 +403,7 @@ def build_complex(surface: Surface, *, expected: list | None = None) -> Quotient
         )
         if expected is not None:
             listed = expected[len(orbits) : len(orbits) + len(made)]
-            if listed != [_orbit_dict(o) for o, _cf in made]:
+            if not _same_json(listed, [_orbit_dict(o) for o, _cf in made]):
                 raise ValueError(
                     f"complex payload does not match its surface's complex at dimension {dim}"
                 )
@@ -525,20 +525,30 @@ def complex_to_json(cx: QuotientComplex) -> str:
     return json.dumps(complex_to_dict(cx), indent=2, sort_keys=True)
 
 
+def _same_json(payload, made) -> bool:
+    """Whether ``payload`` is the JSON document ``made``, types included:
+    ``==`` would take ``true`` for ``1`` and ``0.0`` for ``0``.  A payload
+    that is no JSON document matches nothing."""
+    try:
+        return json.dumps(payload, sort_keys=True) == json.dumps(made, sort_keys=True)
+    except TypeError:
+        return False
+
+
 def complex_from_dict(payload: dict) -> QuotientComplex:
     """Rebuild a complex from its serialized form.
 
     The complex is reconstructed from the surface and re-derived; the
-    payload must equal the rebuilt complex's :func:`complex_to_dict`
-    exactly (orbits, automorphisms and face maps alike), which guards
-    against stale or hand-edited files.  Any payload that does not
-    raises ``ValueError``, one of the wrong shape included.  Its
-    dimension-0 entries are counted against the surface's vertex orbits
-    before any curve is added, so a short file naming a large surface
-    fails at once; its orbits are then compared level by level as the
-    build closes each dimension, so a file that matches up to a
-    dimension pays for the build up to the next one.  No message names
-    a file; the caller that read one does.
+    payload must be the rebuilt complex's :func:`complex_to_dict`
+    exactly, JSON types included (orbits, automorphisms and face maps
+    alike), which guards against stale or hand-edited files.  Any
+    payload that does not raises ``ValueError``, one of the wrong shape
+    included.  Its dimension-0 entries are counted against the surface's
+    vertex orbits before any curve is added, so a short file naming a
+    large surface fails at once; its orbits are then compared level by
+    level as the build closes each dimension, so a file that matches up
+    to a dimension pays for the build up to the next one.  No message
+    names a file; the caller that read one does.
     """
     surface, orbits = payload_fields(payload, SCHEMA_COMPLEX, ("surface", "orbits"), "complex")
     if not isinstance(surface, dict):
@@ -547,7 +557,7 @@ def complex_from_dict(payload: dict) -> QuotientComplex:
     if not isinstance(orbits, list):
         raise ValueError(f"complex orbits must be a list, got {type(orbits).__name__}")
     cx = build_complex(surface, expected=orbits)
-    if payload != complex_to_dict(cx):
+    if not _same_json(payload, complex_to_dict(cx)):
         raise ValueError("complex payload does not match its surface's complex")
     return cx
 

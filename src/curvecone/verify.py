@@ -339,21 +339,52 @@ def _suite_grid_oracle(cx, rng, samples, mesh):
     return passed, samples, max(worst, low), note
 
 
+def check_seed(seed) -> int:
+    """``seed`` as an ``int``; one of no integer type
+    (``surfaces.as_integer``) or below 0 raises ``ValueError``."""
+    seed = as_integer(seed, "seed")
+    if seed < 0:
+        raise ValueError(f"seed must be >= 0, got {seed}")
+    return seed
+
+
+def check_samples(samples) -> int:
+    """``samples`` as an ``int``; one of no integer type or below 1
+    raises ``ValueError``."""
+    samples = as_integer(samples, "samples")
+    if samples < 1:
+        raise ValueError(f"samples must be >= 1, got {samples}")
+    return samples
+
+
+def check_mesh(mesh, cx: QuotientComplex | None = None) -> None:
+    """A mesh other than ``None`` must be a positive real that divides
+    the grid suite's box side ``GRID_BOX`` (``gridgraph.box_units``) and,
+    given ``cx``, keep the grid within its node cap over ``cx``'s top
+    orbits (``gridgraph.grid_units``); else ``ValueError`` is raised."""
+    if mesh is None:
+        return
+    from . import gridgraph
+
+    if cx is None:
+        gridgraph.box_units(mesh, GRID_BOX)
+    else:
+        gridgraph.grid_units(cx, mesh, GRID_BOX)
+
+
 def verification_config(cx: QuotientComplex, seed, samples, mesh) -> dict:
-    """Check ``run_verification``'s options and return the config its
-    report records, collar constant ``fenchel_nielsen.EPSILON0`` included.
+    """Check ``run_verification``'s options on ``cx`` and return the
+    config its report records, collar constant ``fenchel_nielsen.EPSILON0``
+    included.
 
-    ``seed`` and ``samples`` must be integers (``surfaces.as_integer``),
-    ``seed >= 0`` and ``samples >= 1``, and a mesh must fit the grid
-    (``gridgraph.grid_units``); anything else raises ``ValueError``.
+    Each option has its own check, :func:`check_seed`,
+    :func:`check_samples` and :func:`check_mesh` with the node cap on
+    ``cx``; the first that fails raises ``ValueError``.  ``curvecone
+    verify`` runs the same checks, each naming its option, before it
+    builds the complex, and the node cap after.
     """
-    seed, samples = as_integer(seed, "seed"), as_integer(samples, "samples")
-    if seed < 0 or samples < 1:
-        raise ValueError(f"seed must be >= 0 and samples >= 1, got {seed} and {samples}")
-    if mesh is not None:
-        from .gridgraph import grid_units
-
-        grid_units(cx, mesh, GRID_BOX)
+    seed, samples = check_seed(seed), check_samples(samples)
+    check_mesh(mesh, cx)
     return {
         "surface": {"genus": cx.surface.genus, "marked_points": cx.surface.marked_points},
         "seed": seed,
@@ -376,9 +407,11 @@ def run_verification(
     has side ``GRID_BOX`` and holds ``(GRID_BOX / mesh + 1) ** n_edges``
     nodes per top orbit, and each sample is one breadth-first search over
     all of them, so a fine mesh on a large complex makes it the slowest
-    suite.  Sample counts are scaled down for the heavier suites.  The
-    options are checked by :func:`verification_config` before any suite
-    runs.
+    suite.  Sample counts are scaled down for the heavier suites.
+
+    :func:`verification_config` checks the options before any suite
+    runs, so a bad one raises ``ValueError`` whatever the caller checked
+    first; the report's ``config`` is what it returns.
     """
     config = verification_config(cx, seed, samples, mesh)
     seed, samples = config["seed"], config["samples"]

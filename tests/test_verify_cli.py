@@ -2,6 +2,7 @@ import io
 import json
 import math
 import os
+import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
@@ -14,8 +15,10 @@ from hypothesis import strategies as st
 
 from conftest import complex_for, orbit_by_structure, run_cli, run_python
 from curvecone import QuotientComplex, SimplexOrbit, cone_point, fenchel_nielsen, run_verification
+import curvecone.cli as cli
 from curvecone.cli import main
 from curvecone.lp import MAX_COORD
+from curvecone.metric import point_from_dict
 from curvecone.quotient import complex_from_dict, complex_to_dict, complex_to_json
 
 
@@ -73,7 +76,8 @@ def test_corrupted_automorphism_table_fails(s12):
 @pytest.mark.parametrize("seed, samples", [(-1, 20), (0, 0), (0, -3)])
 def test_run_verification_rejects_bad_sampling(s12, seed, samples):
     # The report's config must name the seed and sample count it ran with.
-    with pytest.raises(ValueError, match="samples >= 1"):
+    message = f"seed must be >= 0, got {seed}" if seed < 0 else f"samples must be >= 1, got {samples}"
+    with pytest.raises(ValueError, match=message):
         run_verification(s12, seed=seed, samples=samples)
 
 
@@ -165,14 +169,20 @@ def test_cli_complex_streams_payload_to_stdout(capsys):
     assert "dim 0: 2 orbits" in captured.err
 
 
-def test_cli_complex_rejects_unsupported(capsys):
-    assert main(["complex", "-g", "0", "-n", "3"]) == 2
-    assert "error" in capsys.readouterr().err
+def test_cli_complex_rejects_unsupported(tmp_path, capsys):
+    for case in _INPUT_ERRORS["complex_rejects_unsupported"]:
+        _assert_rejects("complex_rejects_unsupported", case, tmp_path, capsys)
 
 
-def test_cli_usage_error():
-    assert main(["complex", "-g", "1"]) == 2
-    assert main(["nonsense"]) == 2
+def test_cli_usage_error(tmp_path, capsys):
+    for case in _INPUT_ERRORS["usage_error"]:
+        _assert_rejects("usage_error", case, tmp_path, capsys)
+
+
+def test_cli_help_exits_0(capsys):
+    # Usage errors raise instead of exiting the parser; -h still exits it.
+    assert main(["verify", "-h"]) == 0
+    assert capsys.readouterr().out.startswith("usage: curvecone verify")
 
 
 def test_cli_dist_roundtrip(tmp_path, s12, capsys):
@@ -214,13 +224,13 @@ def test_cli_dist_rejects_a_coordinate_past_the_bound(tmp_path, s12, capsys):
     assert "finite" in err
 
 
-
-
-# -- dist input errors -------------------------------------------------------------
+# -- input errors ------------------------------------------------------------------
 #
-# Every error in a file that ``curvecone dist`` reads exits 2 with one line,
-# ``curvecone: error: <complex|point> file <path>: <message>``.  The table
-# holds the cases met so far; the properties below look for the next.
+# Every input error exits 2 with one line, ``curvecone: error: <fault>:
+# <message>``, where the fault names the option (``argument --samples``),
+# the output file (``output file <path>``) or the file that ``dist`` reads
+# (``<complex|point> file <path>``).  The table holds the cases met so far;
+# the properties below look for the next.
 
 _S12_TOP = "d1-57fb6950d4"
 _POINT = {"schema_version": "curvecone/cone-point/1", "orbit": _S12_TOP}
@@ -231,10 +241,13 @@ def _without(key):
     return lambda valid: json.dumps({k: v for k, v in json.loads(valid).items() if k != key}).encode()
 
 
-def _edited_orbit_id(valid):
-    payload = json.loads(valid)
-    payload["orbits"][0]["id"] = "d0-bogus"
-    return json.dumps(payload).encode()
+def _set(at, value):
+    """A valid file's bytes with ``value`` at the place ``at`` of its payload."""
+    def edit(valid):
+        payload = json.loads(valid)
+        _at(payload, at[:-1])[at[-1]] = value
+        return json.dumps(payload).encode()
+    return edit
 
 
 _NOT_JSON = {
@@ -244,11 +257,64 @@ _NOT_JSON = {
     "bad-byte": b"\xff{",
 }
 
-# case: (file at fault, its content, the start of the message after the
-# file's name).  The content is a JSON payload, bytes, bytes made from
-# those of a valid S(1,2) file, or None for no file.  The cases are
-# grouped under the tests that run them.
-_DIST_INPUT_ERRORS = {
+# case: (the command line, the fault, the start of the message after it),
+# or for ``dist`` (file at fault, its content, the start of the message
+# after the file's name).  The content is a JSON payload, bytes, bytes
+# made from those of a valid S(1,2) file, or None for no file.  The cases
+# are grouped under the tests that run them.
+_INPUT_ERRORS = {
+    "usage_error": {
+        "missing-marked": (["complex", "-g", "1"], "the following arguments are required",
+                           "-n/--marked"),
+        "unknown-command": (["nonsense"], "argument command", "invalid choice: 'nonsense'"),
+        # A newline in an argument or a path used to split the line.
+        "newline": (["verify", "-g", "1", "-n", "1", "--bo\ngus"], "unrecognized arguments",
+                    "--bo\\ngus\n"),
+    },
+    "complex_rejects_unsupported": {
+        "complexity-0": (["complex", "-g", "0", "-n", "3"], "argument -g/-n",
+                         "surface (0, 3) has complexity 0 < 1"),
+        "negative-genus": (["complex", "-g", "-1", "-n", "5"], "argument -g/-n",
+                           "genus and marked point count must be nonnegative, got (-1, 5)"),
+        "float-genus": (["complex", "-g", "1.0", "-n", "2"], "argument -g/--genus",
+                        "invalid int value: '1.0'"),
+        "format": (["complex", "-g", "1", "-n", "2", "--format", "png"], "argument --format",
+                   "invalid choice: 'png'"),
+    },
+    # Each option is named alone; the seed and sample count used to share
+    # one message, and a bad value printed the usage text too.
+    "verify_rejects_bad_options": {
+        # The collar constant is fixed, so --epsilon0 is no option.
+        "epsilon0": (["verify", "-g", "1", "-n", "1", "--epsilon0", "0.1"],
+                     "unrecognized arguments", "--epsilon0 0.1"),
+        "mesh-not-dividing": (["verify", "-g", "1", "-n", "1", "--mesh", "0.3"], "argument --mesh",
+                              "box 8.0 must be a positive multiple of mesh 0.3"),
+        "mesh-nan": (["verify", "-g", "1", "-n", "1", "--mesh", "nan"], "argument --mesh",
+                     "mesh must be positive, got nan"),
+        # The node cap counts the top orbits' nodes, after the build.
+        "mesh-too-fine": (["verify", "-g", "1", "-n", "2", "--mesh", "1e-4"], "argument --mesh",
+                          "grid would hold more than 5000000 nodes"),
+        # A negative seed or a sample count below 1 is an input error,
+        # not a failed verification or a report of negative samples.
+        "negative-seed": (["verify", "-g", "1", "-n", "2", "--seed", "-1"], "argument --seed",
+                          "seed must be >= 0, got -1"),
+        "zero-samples": (["verify", "-g", "1", "-n", "2", "--samples", "0"], "argument --samples",
+                         "samples must be >= 1, got 0"),
+        "negative-samples": (["verify", "-g", "1", "-n", "2", "--samples", "-3"],
+                             "argument --samples", "samples must be >= 1, got -3"),
+        "non-integer-samples": (["verify", "-g", "1", "-n", "1", "--samples", "x"],
+                                "argument --samples", "invalid int value: 'x'"),
+        "seed-without-value": (["verify", "-g", "1", "-n", "1", "--seed"], "argument --seed",
+                               "expected one argument"),
+        "unsupported": (["verify", "-g", "0", "-n", "3"], "argument -g/-n",
+                        "surface (0, 3) has complexity 0 < 1"),
+    },
+    "names_the_output_file": {
+        "complex": (["complex", "-g", "1", "-n", "1", "--out", "."], "output file .",
+                    "[Errno 21] Is a directory"),
+        "verify": (["verify", "-g", "1", "-n", "1", "--samples", "2", "--out", "."],
+                   "output file .", "[Errno 21] Is a directory"),
+    },
     "schema_mismatch": {
         "wrong": ("point", {"schema_version": "wrong", "orbit": None},
                   "unsupported point schema 'wrong'"),
@@ -285,9 +351,15 @@ _DIST_INPUT_ERRORS = {
         "complex-surface-missing": ("complex", {"schema_version": _COMPLEX, "orbits": [],
                                                 "surface": {"genus": 1}},
                                     "marked_points must be an integer, got None"),
-        "complex-edited-orbit-id": ("complex", _edited_orbit_id,
+        "complex-edited-orbit-id": ("complex", _set(("orbits", 0, "id"), "d0-bogus"),
                                     "complex payload does not match its surface's complex "
                                     "at dimension 0"),
+        # Equal under ``==`` to the complex's 1 and 0, these used to load.
+        "complex-bool-dim": ("complex", _set(("orbits", 2, "dim"), True),
+                             "complex payload does not match its surface's complex "
+                             "at dimension 1"),
+        "complex-float-deleted-edge": ("complex", _set(("face_maps", 0, "deleted_edge"), 0.0),
+                                       "complex payload does not match its surface's complex\n"),
     },
     # JSON decoding used to raise RecursionError with a traceback.
     "rejects_deep_nesting": {
@@ -312,10 +384,25 @@ _DIST_INPUT_ERRORS = {
 }
 
 
-def _assert_dist_rejects(test, case, tmp_path, capsys):
-    """Run ``dist`` on valid S(1,2) files with one replaced by the case's:
-    the complex file, or the point file q."""
-    which, content, message = _DIST_INPUT_ERRORS[test][case]
+def _assert_rejects(test, case, tmp_path, capsys):
+    """Run the case's command line, or ``dist`` on valid S(1,2) files with
+    one replaced by the case's: the complex file, or the point file q."""
+    first, second, message = _INPUT_ERRORS[test][case]
+    if isinstance(first, list):
+        argv, fault = first, second
+    else:
+        argv, fault = _dist_with_a_bad_file(first, second, tmp_path)
+    capsys.readouterr()
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    prefix = f"curvecone: error: {fault}: "
+    assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), err
+    assert err[len(prefix):].startswith(message), err
+
+
+def _dist_with_a_bad_file(which, content, tmp_path):
+    """The argv of ``dist`` on valid S(1,2) files with the ``which`` file
+    holding ``content``, and that file as its error names it."""
     s12 = complex_for(1, 2)
     point = cone_point(s12, _S12_TOP, (1.0, 2.0)).to_json()
     files = {"complex": tmp_path / "cx.json", "p": tmp_path / "p.json", "point": tmp_path / "q.json"}
@@ -329,44 +416,39 @@ def _assert_dist_rejects(test, case, tmp_path, capsys):
         bad.write_bytes(content(bad.read_bytes()))
     else:
         bad.write_bytes(content if isinstance(content, bytes) else json.dumps(content).encode())
-    capsys.readouterr()
-    assert main(["dist", *map(str, files.values())]) == 2
-    err = capsys.readouterr().err
-    prefix = f"curvecone: error: {which} file {bad}: "
-    assert err.startswith(prefix) and err.count("\n") == 1 and err.endswith("\n"), err
-    assert err[len(prefix):].startswith(message), err
+    return ["dist", *map(str, files.values())], f"{which} file {bad}"
 
 
 def test_cli_dist_schema_mismatch(tmp_path, capsys):
-    _assert_dist_rejects("schema_mismatch", "wrong", tmp_path, capsys)
+    _assert_rejects("schema_mismatch", "wrong", tmp_path, capsys)
 
 
 def test_cli_dist_invalid_point(tmp_path, capsys):
-    _assert_dist_rejects("invalid_point", "unknown-orbit", tmp_path, capsys)
+    _assert_rejects("invalid_point", "unknown-orbit", tmp_path, capsys)
 
 
 def test_cli_dist_missing_file(tmp_path, capsys):
-    _assert_dist_rejects("missing_file", "complex", tmp_path, capsys)
+    _assert_rejects("missing_file", "complex", tmp_path, capsys)
 
 
-@pytest.mark.parametrize("case", sorted(_DIST_INPUT_ERRORS["malformed_input"]))
+@pytest.mark.parametrize("case", sorted(_INPUT_ERRORS["malformed_input"]))
 def test_cli_dist_malformed_input(case, tmp_path, capsys):
-    _assert_dist_rejects("malformed_input", case, tmp_path, capsys)
+    _assert_rejects("malformed_input", case, tmp_path, capsys)
 
 
-@pytest.mark.parametrize("which", sorted(_DIST_INPUT_ERRORS["rejects_deep_nesting"]))
+@pytest.mark.parametrize("which", sorted(_INPUT_ERRORS["rejects_deep_nesting"]))
 def test_cli_dist_rejects_deep_nesting(which, tmp_path, capsys):
-    _assert_dist_rejects("rejects_deep_nesting", which, tmp_path, capsys)
+    _assert_rejects("rejects_deep_nesting", which, tmp_path, capsys)
 
 
-@pytest.mark.parametrize("case", sorted(_DIST_INPUT_ERRORS["names_a_missing_key"]))
+@pytest.mark.parametrize("case", sorted(_INPUT_ERRORS["names_a_missing_key"]))
 def test_cli_dist_names_a_missing_key(case, tmp_path, capsys):
-    _assert_dist_rejects("names_a_missing_key", case, tmp_path, capsys)
+    _assert_rejects("names_a_missing_key", case, tmp_path, capsys)
 
 
-@pytest.mark.parametrize("case", sorted(_DIST_INPUT_ERRORS["names_a_file_that_is_not_json"]))
+@pytest.mark.parametrize("case", sorted(_INPUT_ERRORS["names_a_file_that_is_not_json"]))
 def test_cli_dist_names_a_file_that_is_not_json(case, tmp_path, capsys):
-    _assert_dist_rejects("names_a_file_that_is_not_json", case, tmp_path, capsys)
+    _assert_rejects("names_a_file_that_is_not_json", case, tmp_path, capsys)
 
 
 # Mutations of valid files: a value of another JSON type at any key or
@@ -453,22 +535,24 @@ def _mutated_payload(draw, surface, name):
 
 @st.composite
 def _mutated_dist_files(draw):
-    """(name of the file at fault, {name: file bytes})."""
+    """(name of the file at fault, {name: file bytes}, whether its bytes
+    differ from the valid file's)."""
     surface = draw(st.sampled_from(_BASES))
     docs, _ = _valid_files(surface)
     name = draw(st.sampled_from(sorted(docs)))
     files = {key: json.dumps(doc).encode() for key, doc in docs.items()}
+    valid = files[name]
     if draw(st.booleans()):
         files[name] = json.dumps(draw(_mutated_payload(surface, name))).encode()
     else:
         files[name] = files[name][: draw(st.integers(0, len(files[name]) - 1))]
-    return name, files
+    return name, files, files[name] != valid
 
 
 @settings(max_examples=200, deadline=timedelta(seconds=5), derandomize=True)
 @given(case=_mutated_dist_files())
 def test_cli_dist_names_the_file_at_fault(case):
-    name, files = case
+    name, files, changed = case
     with tempfile.TemporaryDirectory() as work:
         paths = {key: os.path.join(work, f"{key}.json") for key in files}
         for key, data in files.items():
@@ -479,6 +563,8 @@ def test_cli_dist_names_the_file_at_fault(case):
             code = main(["dist", paths["complex"], paths["p"], paths["q"]])
     err = err.getvalue()
     assert code in (0, 2), err
+    # Only its surface's complex itself loads, JSON types included.
+    assert code == 2 or not (name == "complex" and changed), files[name]
     if code == 2:
         kind = "complex" if name == "complex" else "point"
         assert err.startswith(f"curvecone: error: {kind} file {paths[name]}: "), err
@@ -494,6 +580,79 @@ def test_complex_from_dict_raises_only_input_errors(case):
         complex_from_dict(case)
     except (ValueError, KeyError):
         pass
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5), derandomize=True)
+@given(surface=st.sampled_from(_BASES), name=st.sampled_from("pq"), data=st.data())
+def test_point_from_dict_raises_only_input_errors(surface, name, data):
+    payload = data.draw(_mutated_payload(surface, name))
+    try:
+        point_from_dict(complex_for(*surface), payload)
+    except (ValueError, KeyError):
+        pass
+
+
+# Valid ``complex`` and ``verify`` command lines with one option mutated: a
+# value that is no integer or no float, negative, zero, nan, inf, past
+# the float range or a mesh that does not divide 8; a flag without its
+# value or left out; an unknown flag.  No value names a larger surface
+# than these: an unbounded build is ROADMAP item 4's.
+_OPTION_BASES = [(1, 1), (0, 4), (1, 2)]
+_ODD_OPTIONS = ["x", "", "1.5", "-1", "-0.5", "0", "nan", "inf", "-inf", "1e400", "0.3", "1e-300"]
+
+
+@st.composite
+def _mutated_options(draw):
+    """(the mutated flag, argv)."""
+    g, n = map(str, draw(st.sampled_from(_OPTION_BASES)))
+    argv = draw(st.sampled_from([
+        ["complex", "-g", g, "-n", n, "--format", "json"],
+        ["verify", "-g", g, "-n", n, "--seed", "0", "--samples", "2", "--mesh", "0.5"],
+    ]))
+    at = draw(st.sampled_from(range(1, len(argv), 2)))
+    flag = argv[at]
+    kind = draw(st.sampled_from(["value", "no-value", "drop", "unknown"]))
+    if kind == "value":
+        argv[at + 1] = draw(st.sampled_from(_ODD_OPTIONS))
+    elif kind == "no-value":
+        del argv[at + 1]
+    elif kind == "drop":
+        del argv[at : at + 2]
+    else:
+        flag = draw(st.sampled_from(["--bogus", "--epsilon0", "-x"]))
+        argv.insert(at, flag)
+    return flag, argv
+
+
+def _names(flag, line):
+    """Whether ``line`` names ``flag`` as a whole word: ``-g`` in
+    ``-g/--genus`` or ``-g/-n``, not in ``--genus``."""
+    return re.search(rf"(?<![\w-]){re.escape(flag)}(?![\w-])", line) is not None
+
+
+@settings(max_examples=200, deadline=timedelta(seconds=5), derandomize=True)
+@given(case=_mutated_options())
+def test_cli_options_name_the_option_at_fault(case):
+    flag, argv = case
+    built = []
+
+    def build(surface):
+        built.append(surface)
+        return complex_for(surface.genus, surface.marked_points)
+
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as patch, redirect_stdout(out), redirect_stderr(err):
+        patch.setattr(cli, "build_complex", build)
+        code = main(argv)
+    err = err.getvalue()
+    assert code in (0, 1, 2), err
+    if code == 2:
+        assert err.startswith("curvecone: error: ") and err.count("\n") == 1, err
+        assert err.endswith("\n") and _names(flag, err), err
+        # Only the grid's node cap waits for the complex's top orbits.
+        assert not built or err.startswith("curvecone: error: argument --mesh: grid would hold"), err
+    else:
+        assert err == "" and out.getvalue(), argv
 
 
 def test_cli_verify_passes(tmp_path, capsys):
@@ -520,17 +679,27 @@ def test_cli_verify_failure_exit_code(monkeypatch, s12, tmp_path):
     assert json.loads(out.read_text())["passed"] is False
 
 
-def test_cli_verify_rejects_bad_options(capsys):
-    # The collar constant is fixed, so --epsilon0 is no option.
-    assert main(["verify", "-g", "1", "-n", "1", "--epsilon0", "0.1"]) == 2
-    assert "unrecognized arguments: --epsilon0" in capsys.readouterr().err
-    assert main(["verify", "-g", "1", "-n", "1", "--mesh", "0.3"]) == 2
-    assert "error" in capsys.readouterr().err
-    # A negative seed or a sample count below 1 is an input error, not a
-    # failed verification or a report of negative samples.
-    for option, value in (("--seed", "-1"), ("--samples", "0"), ("--samples", "-3")):
-        assert main(["verify", "-g", "1", "-n", "2", option, value]) == 2
-        assert "seed must be >= 0 and samples >= 1" in capsys.readouterr().err
+def test_cli_verify_rejects_bad_options(tmp_path, capsys):
+    for case in _INPUT_ERRORS["verify_rejects_bad_options"]:
+        _assert_rejects("verify_rejects_bad_options", case, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("case", sorted(_INPUT_ERRORS["names_the_output_file"]))
+def test_cli_names_the_output_file(case, tmp_path, capsys):
+    _assert_rejects("names_the_output_file", case, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("option", ["--seed=-1", "--samples=0", "--mesh=0.3", "--mesh=nan"])
+def test_cli_verify_checks_its_options_before_building(option, monkeypatch, capsys):
+    # Building S(0,13) alone takes tens of seconds, and the options used to be
+    # checked only after it.
+    def no_build(surface):
+        raise AssertionError(f"built {surface} before checking {option}")
+
+    monkeypatch.setattr(cli, "build_complex", no_build)
+    assert main(["verify", "-g", "0", "-n", "13", option]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"curvecone: error: argument {option.split('=')[0]}: "), err
 
 
 @pytest.mark.parametrize("genus, marked", [(1, 1), (0, 4)])
