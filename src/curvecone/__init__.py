@@ -25,9 +25,8 @@ _EXPORTS = {
     "lp": ("LPInfeasibleError", "LPResult", "LPUnboundedError", "solve_lp"),
     "metric": (
         "ComplexMismatchError", "ConePoint", "Gallery", "GeodesicResult",
-        "OrbitMismatchError", "apex", "cone_point", "distance", "dropped_edges",
-        "orthant_distance", "point_from_dict", "scale", "segment_lengths",
-        "symmetric_orthant_distance",
+        "OrbitMismatchError", "apex", "cone_point", "distance", "orthant_distance",
+        "point_from_dict", "scale", "segment_lengths", "symmetric_orthant_distance",
     ),
     "multicurves": (
         "CanonicalForm", "InvalidMulticurve", "MulticurveGraph", "VertexDecoration",

@@ -20,10 +20,6 @@ import math
 from .metric import ConePoint, OrbitMismatchError, _pad
 from .surfaces import Record, as_real
 
-# Rounding allowed below 0 in arccosh(1 + u): u is a squared distance over
-# 2 y y', so only a point off the half-plane goes further below.
-_ACOSH_TOL = 1e-12
-
 # The collar constant: the length of a curve at cone coordinate 0.
 EPSILON0 = 0.1
 
@@ -131,16 +127,14 @@ def to_plane_coords(f: FenchelNielsenPoint) -> ProductPoint:
 
 
 def _acosh1p(u: float) -> float:
-    """arccosh(1 + u) for u >= 0 without cancellation near u = 0.
+    """arccosh(1 + u) for u >= 0 without cancellation near u = 0.  Its
+    one caller passes a sum of squares over the positive ``2 y y'``, so
+    ``u`` is never negative.
 
     Algebraically log(z + sqrt(z^2 - 1)) at z = 1 + u; evaluating through
     log1p on u keeps full precision for small u, and the log(2(1+u))
     asymptote guards against overflow of u^2.
     """
-    if u < 0.0:
-        if u < -_ACOSH_TOL:
-            raise ValueError(f"arccosh argument below 1: 1 + {u}")
-        return 0.0
     if u > 1e150:
         return math.log(2.0) + math.log1p(u)
     return math.log1p(u + math.sqrt(u * (2.0 + u)))

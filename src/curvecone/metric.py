@@ -648,32 +648,3 @@ def segment_lengths(result: GeodesicResult, p: ConePoint, q: ConePoint) -> tuple
             v = _pad(t.into_source, result.breakpoints[j], size)
         lengths.append(0.5 * max(abs(a - b) for a, b in zip(u, v)))
     return tuple(lengths)
-
-
-def dropped_edges(result: GeodesicResult, p: ConePoint, q: ConePoint):
-    """Support edges of the endpoints whose thread dies inside the gallery.
-
-    Returns ``(dropped_from_p, dropped_from_q)`` as lists of (edge, coord)
-    pairs.  Any such coordinate forces ``distance >= coord / 2``, since a
-    dropped curve's coordinate must pass through zero along the path.
-    """
-    gal = result.gallery
-
-    def thread(embedding, coords, steps):
-        # steps: one {edge before: edge after} map per transit crossed.
-        dropped = []
-        for c, x in enumerate(coords):
-            e = embedding[c]
-            for step in steps:
-                e = step.get(e)
-                if e is None:
-                    dropped.append((c, x))
-                    break
-        return dropped
-
-    forward = [dict(zip(t.into_source, t.into_target)) for t in gal.transits]
-    backward = [dict(zip(t.into_target, t.into_source)) for t in reversed(gal.transits)]
-    return (
-        thread(gal.start_embedding, p.coords, forward),
-        thread(gal.end_embedding, q.coords, backward),
-    )

@@ -7,13 +7,14 @@ import pytest
 
 import curvecone
 import curvecone.lp as lp
-from curvecone import Surface, build_complex
+from curvecone import Surface, build_complex, run_verification
 
 sys.path.insert(0, str(Path(__file__).parent))
 
 _SRC = str(Path(curvecone.__file__).resolve().parent.parent)
 
 _CACHE = {}
+_REPORTS = {}
 
 # ROADMAP item 1's mesh-aligned instances on self-glued top orbits, as
 # (genus, marked, orbit id, p, q): ``distance`` reads 2.0, 1.5 and 2.0
@@ -60,6 +61,15 @@ def complex_for(genus, marked):
     if key not in _CACHE:
         _CACHE[key] = build_complex(Surface(genus, marked))
     return _CACHE[key]
+
+
+def report_for(genus, marked, mesh=None):
+    """``run_verification(complex_for(genus, marked), seed=0, mesh=mesh)``,
+    run once per session and shared by the tests that read it."""
+    key = (genus, marked, mesh)
+    if key not in _REPORTS:
+        _REPORTS[key] = run_verification(complex_for(genus, marked), seed=0, mesh=mesh)
+    return _REPORTS[key]
 
 
 @pytest.fixture(scope="session")

@@ -1,8 +1,9 @@
 import math
+import sys
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.integrate import quad
 
@@ -231,6 +232,25 @@ def test_half_plane_scaling_invariance(x1, y1, x2, y2, lam):
     assert half_plane_distance(sa, sb) == pytest.approx(
         half_plane_distance(a, b), rel=1e-9, abs=1e-12
     )
+
+
+@given(
+    st.floats(allow_nan=False, allow_infinity=False), st.floats(5e-324, sys.float_info.max),
+    st.floats(allow_nan=False, allow_infinity=False), st.floats(5e-324, sys.float_info.max),
+)
+@example(0.0, 5e-324, 0.0, 5e-324)
+@example(-sys.float_info.max, sys.float_info.max, sys.float_info.max, 5e-324)
+@settings(max_examples=500)
+def test_half_plane_distance_is_finite_or_leaves_the_float_range(x1, y1, x2, y2):
+    # u is a sum of squares over the positive 2 y y', never below 0, so a
+    # valid pair gives a finite distance >= 0 or the one range error.
+    a, b = HalfPlanePoint(x1, y1), HalfPlanePoint(x2, y2)
+    try:
+        d = half_plane_distance(a, b)
+    except ValueError as err:
+        assert "leaves the float range" in str(err)
+    else:
+        assert math.isfinite(d) and d >= 0.0
 
 
 # -- product distances -----------------------------------------------------------------

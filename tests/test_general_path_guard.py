@@ -14,7 +14,7 @@ import json
 import numpy as np
 import pytest
 
-from conftest import complex_for
+from conftest import complex_for, report_for
 from curvecone import (
     FenchelNielsenPoint,
     apex,
@@ -22,7 +22,6 @@ from curvecone import (
     distance,
     extensions,
     length_coords,
-    run_verification,
     segment_lengths,
 )
 from curvecone.cli import main
@@ -46,7 +45,7 @@ def _sha256(text: str) -> str:
 
 @pytest.mark.parametrize("genus, marked, mesh", sorted(REPORT_DIGESTS, key=str))
 def test_verify_report_digest(genus, marked, mesh):
-    report = run_verification(complex_for(genus, marked), seed=0, mesh=mesh).to_dict()
+    report = report_for(genus, marked, mesh).to_dict()
     report.pop("timings")
     text = json.dumps(report, indent=2, sort_keys=True)
     assert _sha256(text) == REPORT_DIGESTS[genus, marked, mesh]

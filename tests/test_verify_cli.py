@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import complex_for, orbit_by_structure, run_cli, run_python
+from conftest import complex_for, orbit_by_structure, report_for, run_cli, run_python
 from curvecone import QuotientComplex, SimplexOrbit, cone_point, fenchel_nielsen, run_verification
 import curvecone.cli as cli
 from curvecone.cli import main
@@ -41,7 +41,7 @@ def test_verification_passes_on_s12(s12):
 def test_verification_passes_on_self_glued_s07():
     # Some same-orbit pairs of S(0,7) have a gallery shorter than the
     # orthant value; the suite notes the shortcut and still passes.
-    report = run_verification(complex_for(0, 7), seed=0)
+    report = report_for(0, 7)
     assert report.passed, report.to_json()
     same_orbit = next(r for r in report.results if r.name == "same_orbit_consistency")
     assert same_orbit.note.startswith("shortcut gallery beats orthant value")
@@ -842,7 +842,7 @@ def test_cli_commands_load_neither_dataclasses_nor_inspect(tmp_path):
     assert json.loads((tmp_path / "d.json").read_text())["distance"] > 0
 
 
-# The package's public names at the time it bound them all on import.
+# The package's public names, which loading its modules lazily must keep.
 _PUBLIC_NAMES = """
 CanonicalForm ComplexMismatchError ConePoint FaceMap FenchelNielsenPoint Gallery
 GeodesicResult GridOracle HalfPlanePoint InvalidMulticurve LPInfeasibleError LPResult
@@ -850,7 +850,7 @@ LPUnboundedError MulticurveGraph OrbitMismatchError ProductPoint QuotientComplex
 RunReport SimplexOrbit SuiteResult Surface Transit UnsupportedSurfaceError
 VertexDecoration add_curve apex brute_force_distance build_complex canonicalize
 complex_from_json complex_to_dot complex_to_json cone_point delete_curve distance
-dropped_edges extensions half_plane_distance is_stable length_coords orthant_distance
+extensions half_plane_distance is_stable length_coords orthant_distance
 point_from_dict run_verification scale segment_lengths solve_lp
 sup_product_distance symmetric_orthant_distance to_fenchel_nielsen to_plane_coords
 """.split()
