@@ -25,6 +25,11 @@ from .metric import ConePoint, _require_same_complex
 from .quotient import QuotientComplex
 from .surfaces import as_real
 
+# Construction peaks at 8 bytes a node for the class table plus at most
+# 32 for each node of the largest face's support patterns, so under 40
+# bytes a node, 200 MB at the cap (16-23 bytes a node measured on S(2,0),
+# S(1,3), S(2,1), S(0,7), S(0,8) and S(1,5)); each query adds a few
+# boolean arrays of one byte a node.
 _MAX_NODES = 5_000_000
 # box / mesh of decimal inputs misses its integer by a few ulps
 # (8 / 0.1 = 80.00000000000001); 1e-9 absorbs that at any grid size the
@@ -72,10 +77,12 @@ def grid_units(cx: QuotientComplex, mesh: float, box: float) -> int:
 class GridOracle:
     """Mesh discretization of the cone over one complex, up to a box bound.
 
-    The node classes are built with array operations, one support
-    pattern of one top orbit at a time, and cost less than a handful of
-    queries.  A query point reads its class off the node it sits at; each
-    query is a breadth-first search over every node.
+    The node classes are built with array operations, one face at a
+    time over the support patterns of the top orbits that reduce onto
+    it, in place in the class table: about 16 to 23 bytes a node at the
+    peak, 8 of them the table's, and less time than a handful of queries.
+    A query point reads its class off the node it sits at; each query is
+    a breadth-first search over every node.
     """
 
     def __init__(self, cx: QuotientComplex, mesh: float, box: float):
@@ -98,43 +105,90 @@ class GridOracle:
         # A key (face id, vector) is coded as the face's number times
         # base ** (top dimension) plus the vector read as digits in base
         # units + 1, so over one face's symmetries the least code is
-        # reduce's lexicographically least image.  The apex codes as 0.
+        # reduce's lexicographically least image.
         self._base = self.units + 1
         self._face_number = {o.id: i + 1 for i, o in enumerate(cx.orbits)}
         self._face_stride = self._base ** max(self._dims)
-        codes = np.zeros(self.n_nodes, dtype=np.int64)
+        # Every node first holds the first node of its class, the least
+        # node whose key has the same code, found one face at a time over
+        # the support patterns that reduce onto that face.  Block origins
+        # are the apex, whose first node is node 0.  Then, in place (one
+        # more int64 per node), each node's class is the count of first
+        # nodes up to its first node, less one, so classes are numbered
+        # in order of their first node.  take buffers its output only in
+        # "raise" mode, and every first node is in range.
+        self._class_id = np.zeros(self.n_nodes, dtype=np.int64)
+        faces = {}
         for oid, m, (lo, _hi) in zip(self._orbit_ids, self._dims, self._blocks):
             for size in range(1, m + 1):
                 for support in combinations(range(m), size):
-                    pos, least = self._pattern_codes(oid, m, support)
-                    codes[lo + pos] = least
-        # Classes are numbered in order of their first node.
-        _, first, inverse = np.unique(codes, return_index=True, return_inverse=True)
-        class_of_code = np.empty(len(first), dtype=np.int64)
-        class_of_code[np.argsort(first)] = np.arange(len(first))
-        self._class_id = class_of_code[inverse]
-        self.n_classes = len(first)
+                    fid, iota = cx.subfaces(oid)[frozenset(support)]
+                    faces.setdefault(fid, []).append((lo, m, support, iota))
+        for fid, patterns in faces.items():
+            self._point_to_first(fid, patterns)
+        number = np.arange(self.n_nodes)
+        np.equal(self._class_id, number, out=number)
+        np.cumsum(number, out=number)
+        self.n_classes = int(number[-1])
+        number -= 1
+        np.take(number, self._class_id, out=self._class_id, mode="clip")
 
-    def _pattern_codes(self, oid: str, m: int, support: tuple[int, ...]):
-        """Block offsets and least codes of the nodes of ``oid`` whose
-        nonzero entries are exactly ``support``."""
+    def _point_to_first(self, fid: str, patterns: list) -> None:
+        """Write at each node of ``patterns`` (block start, top dimension,
+        support, embedding into the support) the least node, over all of
+        them, with the same code on face ``fid``.  Each temporary is
+        dropped once spent, so at most four int64 arrays of the patterns'
+        size are alive at a time."""
+        sizes = [self.units ** len(support) for _, _, support, _ in patterns]
+        codes = np.empty(sum(sizes), dtype=np.int64)
+        nodes = np.empty_like(codes)
+        at = 0
+        for (lo, m, support, iota), size in zip(patterns, sizes):
+            self._least_codes(fid, support, iota, codes[at : at + size])
+            weights = [self._base ** (m - 1 - e) for e in support]
+            self._digit_sum(lo, weights, nodes[at : at + size])
+            at += size
+        order = np.argsort(codes)
+        codes = codes[order]
+        nodes = nodes[order]
+        del order
+        # Number the distinct codes in place, in sorted order, and point
+        # each node at the least node holding its code.
+        new = codes[1:] != codes[:-1]
+        codes[0] = 0
+        codes[1:] = new
+        del new
+        np.cumsum(codes, out=codes)
+        first = np.full(codes[-1] + 1, self.n_nodes, dtype=np.int64)
+        np.minimum.at(first, codes, nodes)
+        self._class_id[nodes] = first[codes]
+
+    def _least_codes(self, fid: str, support: tuple[int, ...], iota, out: np.ndarray) -> None:
+        """Write into ``out``, in grid order, the least code over ``fid``'s
+        symmetries of each node whose nonzero entries are exactly
+        ``support``; ``iota`` maps the face's coordinates into it."""
         size = len(support)
-        base = self._base
-        digits = np.indices((self.units,) * size, dtype=np.int32).reshape(size, -1) + 1
-        pos = np.zeros(digits.shape[1], dtype=np.intp)
-        for row, e in zip(digits, support):
-            pos += row * base ** (m - 1 - e)
-        fid, iota = self.cx.subfaces(oid)[frozenset(support)]
-        rows = [digits[support.index(e)] for e in iota]
-        least = None
-        for a in self.cx.orbit(fid).automorphisms:
-            code = np.zeros(len(pos), dtype=np.int64)
-            for c in a:
-                code *= base
-                code += rows[c]
-            least = code if least is None else np.minimum(least, code, out=least)
-        least += self._face_number[fid] * self._face_stride
-        return pos, least
+        axis = [support.index(e) for e in iota]
+        start = self._face_number[fid] * self._face_stride
+        automorphisms = self.cx.orbit(fid).automorphisms
+        image = np.empty_like(out) if len(automorphisms) > 1 else None
+        for i, a in enumerate(automorphisms):
+            weights = [0] * size
+            for j, c in enumerate(a):
+                weights[axis[c]] = self._base ** (size - 1 - j)
+            self._digit_sum(start, weights, out if i == 0 else image)
+            if i:
+                np.minimum(out, image, out=out)
+
+    def _digit_sum(self, start: int, weights: list[int], out: np.ndarray) -> None:
+        """Write into ``out``, in grid order, ``start`` plus the sum of
+        digit times weight over every vector of digits 1..units, one digit
+        per weight; broadcasting builds it in one pass over ``out``."""
+        digits = np.arange(1, self.units + 1, dtype=np.int64)
+        acc = start
+        for w in weights[:-1]:
+            acc = np.add.outer(acc, digits * w)
+        np.add.outer(acc, digits * weights[-1], out=out.reshape((self.units,) * len(weights)))
 
     def _class_of(self, p: ConePoint) -> int:
         """The class of a mesh-aligned point: that of the node it sits at

@@ -1,3 +1,4 @@
+import tracemalloc
 from itertools import product
 
 import numpy as np
@@ -189,15 +190,43 @@ def reference_dilate(oracle, frontier):
     return out
 
 
-@pytest.mark.parametrize("genus, marked", [(1, 2), (2, 0), (0, 6), (1, 3), (0, 7), (2, 1)])
-@pytest.mark.parametrize("mesh, box", [(1.0, 4.0), (0.5, 3.0)])
-def test_class_table_matches_reduce_reference(genus, marked, mesh, box):
+@pytest.mark.parametrize(
+    "mesh, box, genus, marked",
+    [
+        *(
+            (mesh, box, genus, marked)
+            for mesh, box in [(1.0, 4.0), (0.5, 3.0)]
+            for genus, marked in [(1, 2), (2, 0), (0, 6), (1, 3), (0, 7), (2, 1)]
+        ),
+        # The grid of `curvecone verify -g 2 -n 0 --mesh 0.25`: 71 874
+        # nodes, two top orbits of 33^3.
+        (0.25, 8.0, 2, 0),
+    ],
+)
+def test_class_table_matches_reduce_reference(mesh, box, genus, marked):
     oracle = GridOracle(complex_for(genus, marked), mesh, box)
     ids, n_classes = reference_class_ids(oracle.cx, oracle.units)
     assert oracle._class_id.dtype == ids.dtype
     np.testing.assert_array_equal(oracle._class_id, ids)
     assert oracle.n_classes == n_classes
     assert oracle.n_nodes == len(ids)
+
+
+@pytest.mark.parametrize("genus, marked, bytes_per_node", [(0, 8, 40), (1, 5, 32)])
+def test_class_table_construction_memory(genus, marked, bytes_per_node):
+    # The table is built in place, one face's support patterns at a
+    # time: 8 bytes a node for the table and at most 32 for each node of
+    # the largest face's patterns.  numpy reports its buffers to
+    # tracemalloc, so the traced peak repeats exactly.
+    cx = complex_for(genus, marked)
+    GridOracle(cx, 0.5, 4.0)  # fills the complex's face caches untraced
+    tracemalloc.start()
+    try:
+        oracle = GridOracle(cx, 0.5, 4.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= bytes_per_node * oracle.n_nodes
 
 
 @pytest.mark.parametrize("genus, marked, m", [(1, 2, 2), (2, 0, 3), (0, 7, 4)])

@@ -643,3 +643,17 @@ def test_s12_orbit_ids_golden(s12):
         "d1-57fb6950d4",
         "d1-a2f55d89d8",
     ]
+
+
+@pytest.mark.parametrize("genus, marked", SUPPORTED)
+def test_maximal_embeddings_are_injective(genus, marked):
+    # Every extension of a face point pads its coordinates through one
+    # embedding, so two extensions can give a curve different lengths
+    # only where an embedding sends two curves of the face to one curve
+    # of the top orbit.  None does, so verify's well_definedness suite
+    # and acceptance criterion 8 hold by construction.
+    cx = complex_for(genus, marked)
+    for orbit in cx.orbits:
+        for _mid, emb in cx.maximal_embeddings(orbit.id):
+            assert len(emb) == orbit.n_edges
+            assert len(set(emb)) == orbit.n_edges
