@@ -17,7 +17,6 @@ with the geodesic solver, not its search.
 from __future__ import annotations
 
 import math
-from itertools import combinations
 
 import numpy as np
 
@@ -111,19 +110,18 @@ class GridOracle:
         self._face_stride = self._base ** max(self._dims)
         # Every node first holds the first node of its class, the least
         # node whose key has the same code, found one face at a time over
-        # the support patterns that reduce onto that face.  Block origins
-        # are the apex, whose first node is node 0.  Then, in place (one
-        # more int64 per node), each node's class is the count of first
-        # nodes up to its first node, less one, so classes are numbered
-        # in order of their first node.  take buffers its output only in
-        # "raise" mode, and every first node is in range.
+        # the support masks whose face table entry is that face.  Block
+        # origins are the apex, whose first node is node 0.  Then, in place
+        # (one more int64 per node), each node's class is the count of
+        # first nodes up to its first node, less one, so classes are
+        # numbered in order of their first node.  take buffers its output
+        # only in "raise" mode, and every first node is in range.
         self._class_id = np.zeros(self.n_nodes, dtype=np.int64)
         faces = {}
         for oid, m, (lo, _hi) in zip(self._orbit_ids, self._dims, self._blocks):
-            for size in range(1, m + 1):
-                for support in combinations(range(m), size):
-                    fid, iota = cx.subfaces(oid)[frozenset(support)]
-                    faces.setdefault(fid, []).append((lo, m, support, iota))
+            for mask, (fid, iota) in enumerate(cx.subfaces(oid)[1:], 1):
+                support = tuple(e for e in range(m) if mask >> e & 1)
+                faces.setdefault(fid, []).append((lo, m, support, iota))
         for fid, patterns in faces.items():
             self._point_to_first(fid, patterns)
         number = np.arange(self.n_nodes)

@@ -11,8 +11,8 @@ the surviving curves are re-identified there: as each curve count
 closes, they are read off that level's steps, since deleting the curve
 a step added gives back the face it started from.
 The complex also exposes the derived gluing data needed by the metric
-layer: one face table per orbit, listing the face spanned by every
-nonempty curve subset (the whole system last, as the orbit itself),
+layer: one face table per orbit, giving the face spanned by each nonempty
+curve subset at the subset's bit mask (the orbit itself at the full mask),
 the set of embeddings of an orbit into a host orbit, and the transit
 identifications between pairs of top-dimensional orbits.  A transit
 table from ``X`` to ``Y`` is the transpose of the one from ``Y`` to
@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
-from itertools import combinations
 from operator import lshift
 
 from .multicurves import (
@@ -110,7 +109,7 @@ class QuotientComplex:
         self.maximal_ids = tuple(
             o.id for o in self.orbits if o.dim == self.max_dim
         )
-        self._subface_cache: dict[str, dict] = {}
+        self._subface_cache: dict[str, tuple] = {}
         self._chart_cache: dict[str, dict] = {}
         self._embedding_cache: dict[tuple[str, str], tuple] = {}
         self._mod_host_cache: dict[tuple[str, str], tuple] = {}
@@ -140,59 +139,62 @@ class QuotientComplex:
 
     # -- derived gluing data --------------------------------------------------
 
-    def subfaces(self, orbit_id: str) -> dict[frozenset, tuple[str, tuple[int, ...]]]:
-        """For each nonempty edge subset ``F`` of the orbit, the face orbit
-        spanned by ``F`` and the injection of that face's canonical edges
-        onto ``F`` (``iota[c]`` is the host edge carrying face edge ``c``);
-        the whole edge set comes last, as the orbit itself.
+    def subfaces(self, orbit_id: str) -> tuple[tuple[str, tuple[int, ...]] | None, ...]:
+        """At the mask of each nonempty edge subset ``F`` of the orbit
+        (bit ``e`` is edge ``e``), the face orbit spanned by ``F`` and the
+        injection of that face's canonical edges onto ``F`` (``iota[c]``
+        is the host edge carrying face edge ``c``); entry 0 is ``None``
+        and the full mask holds the orbit itself.
 
-        For a proper subset the lowest-numbered edge outside ``F`` is
-        deleted first: one face map carries ``F`` into that face, whose
-        own table (filled once) gives the rest of the way down.  The
-        host's chart, this table grouped by face, is filled with it."""
+        For a proper subset the lowest-numbered edge ``e`` outside ``F``
+        is deleted first: one face map carries ``F`` into that face, whose
+        own table (filled once) gives the rest of the way down.  So one
+        pass over that table writes every host mask whose lowest missing
+        edge is ``e``, each once.  The host's chart, this table sorted and
+        grouped by face, is filled with it."""
         cached = self._subface_cache.get(orbit_id)
         if cached is not None:
             return cached
         k = self.orbit(orbit_id).n_edges
-        # Deleting edge e: where its face map sends each surviving edge,
-        # and the face's own table.  A single curve has no proper face.
-        down = [] if k == 1 else [
-            (dict(fm.edge_injection), self.subfaces(fm.target))
-            for fm in (self._face_at[(orbit_id, e)] for e in range(k))
-        ]
-        table = {}
-        for size in range(1, k):
-            for keep in combinations(range(k), size):
-                # keep is sorted, so its lowest missing edge is the first
-                # position that does not hold its own index.
-                inj, faces = down[next((e for e, f in enumerate(keep) if e != f), size)]
-                host_of = {inj[f]: f for f in keep}
-                fid, iota = faces[frozenset(host_of)]
-                table[frozenset(keep)] = (fid, tuple(map(host_of.__getitem__, iota)))
-        table[frozenset(range(k))] = (orbit_id, tuple(range(k)))
+        table = [None] * (1 << k)
+        table[-1] = (orbit_id, tuple(range(k)))
+        for e in range(k if k > 1 else 0):  # a single curve has no proper face
+            fm = self._face_at[(orbit_id, e)]
+            faces = self.subfaces(fm.target)
+            host = {c: s for s, c in fm.edge_injection}
+            below = (1 << e) - 1
+            # A face mask's host mask: that of it less its low bit, plus that bit's host.
+            host_mask = [0] * len(faces)
+            for m in range(1, len(faces)):
+                low = m & -m
+                h = host_mask[m] = host_mask[m ^ low] | 1 << host[low.bit_length() - 1]
+                if h & below == below:
+                    fid, iota = faces[m]
+                    table[h] = (fid, tuple(map(host.__getitem__, iota)))
+        table = tuple(table)
         chart = self._chart_cache[orbit_id] = {}
-        for fid, iota in table.values():
+        for fid, iota in sorted(table[1:]):
             chart.setdefault(fid, []).append(iota)
         self._subface_cache[orbit_id] = table
         return table
 
     def _chart(self, host_id: str) -> dict[str, list[tuple[int, ...]]]:
-        """The host's face table grouped by face, the host itself
-        included: ``{face id: [iota, ...]}``."""
+        """The host's face table sorted and grouped by face, the host
+        itself included: ``{face id: [iota, ...]}``."""
         self.subfaces(host_id)
         return self._chart_cache[host_id]
 
     def reduce(self, orbit_id: str, vec) -> tuple[str | None, tuple]:
         """Canonical form of a chart vector of ``orbit_id``: the face
-        spanned by its nonzero entries (read off the face table, the
-        orbit itself when none vanishes), and the lexicographically least
-        image of the vector there under that face's symmetries.  The
-        apex, where every entry vanishes, is ``(None, ())``.  A vector of
-        another length than the orbit's edge count raises ``ValueError``."""
+        spanned by its nonzero entries (the face table's entry at their
+        mask), and the lexicographically least image of the vector there
+        under that face's symmetries.  The apex, where every entry
+        vanishes, is ``(None, ())``.  A vector of another length than the
+        orbit's edge count raises ``ValueError``."""
         k = self.orbit(orbit_id).n_edges
         if len(vec) != k:
             raise ValueError(f"a vector of length {len(vec)} for orbit {orbit_id} with {k} edges")
-        support = frozenset(i for i, v in enumerate(vec) if v != 0)
+        support = sum(1 << i for i, v in enumerate(vec) if v != 0)
         if not support:
             return None, ()
         fid, iota = self.subfaces(orbit_id)[support]
@@ -203,18 +205,20 @@ class QuotientComplex:
         """All edge injections realizing ``face_id`` as a face of
         ``host_id``, automorphism twists of the face included: every
         ``c -> iota[a[c]]`` for an injection ``iota`` of the face in the
-        host's chart and a face symmetry ``a``, sorted.  When the two coincide
-        this is the host's edge-symmetry group."""
+        host's chart and a face symmetry ``a``, sorted; none repeats, as
+        each edge subset has one injection, injective, and the twists are
+        distinct.  When the two coincide this is the host's edge-symmetry
+        group."""
         key = (face_id, host_id)
         cached = self._embedding_cache.get(key)
         if cached is not None:
             return cached
         auts = self.orbit(face_id).automorphisms
-        result = tuple(sorted({
+        result = tuple(sorted([
             tuple(map(iota.__getitem__, a))
             for iota in self._chart(host_id).get(face_id, ())
             for a in auts
-        }))
+        ]))
         self._embedding_cache[key] = result
         return result
 
@@ -251,9 +255,9 @@ class QuotientComplex:
         The pair alone fixes the way: for ``source_id > target_id`` the
         table mirrors ``transits(target_id, source_id)``, each reverse
         transit ``(f, s, t)`` becoming ``(f, s', iota)``, where ``(f,
-        iota)`` is the target's face table entry for the edges ``s`` and
-        ``s'[c] = t[s.index(iota[c])]``, with the rows sorted as the
-        candidates are.  The face table holds one injection per edge
+        iota)`` is the target's face table entry at the mask of the edges
+        ``s`` and ``s'[c] = t[s.index(iota[c])]``, with the rows sorted as
+        the candidates are.  The face table holds one injection per edge
         subset and the embeddings carry every twist, so the mirror equals
         the table :meth:`_direct_transits` computes, in the same order."""
         key = (source_id, target_id)
@@ -264,7 +268,7 @@ class QuotientComplex:
             faces = self.subfaces(target_id)
             rows = []
             for t in self.transits(target_id, source_id):
-                fid, iota = faces[frozenset(t.into_source)]
+                fid, iota = faces[sum(1 << s for s in t.into_source)]
                 to_target = dict(zip(t.into_source, t.into_target))
                 rows.append((fid, tuple(map(to_target.__getitem__, iota)), iota))
             result = tuple(Transit(*row) for row in sorted(rows))
@@ -275,40 +279,38 @@ class QuotientComplex:
 
     def _direct_transits(self, source_id: str, target_id: str) -> tuple[Transit, ...]:
         """The transit table from ``source_id`` to ``target_id``, built
-        from the target's faces and their embeddings into the source."""
-        # Candidates: each face of the target's chart that the source's
-        # chart also holds, in the target chart's order, with every
+        from the target's faces and their embeddings into the source, in
+        one pass that also collects the dominated pair sets."""
+        # Candidates, nearly sorted as the charts are: each face of the
+        # target's chart that the source's chart also holds, with every
         # injection into the target and every embedding (twists included)
-        # into the source, and its set of (source edge, target edge)
-        # pairs as a bit mask, pair (s, t) at bit t * width + s; each
-        # target injection's bits are shifted once.
-        width = self.orbit(source_id).n_edges
-        in_source = self._chart(source_id)
-        candidates = []
-        for fid, iotas_t in self._chart(target_id).items():
-            if fid not in in_source:
-                continue
-            embs = self.embeddings(fid, source_id)
-            for iota_t in iotas_t:
-                row = [1 << (t * width) for t in iota_t]
-                candidates += [
-                    (fid, into_s, iota_t, sum(map(lshift, row, into_s))) for into_s in embs
-                ]
-
+        # into the source, and its set of (source edge, target edge) pairs
+        # as a bit mask, pair (s, t) at bit t * width + s; each target
+        # injection's bits are shifted once.
         # A candidate is dominated, and dropped, when its pair set lies
         # strictly inside a larger candidate's.  Every nonempty subset of
         # a candidate's pairs is itself a candidate's: its target edges
         # span a face of the target, with one chart injection, and its
         # source edges span that face of the source by one of the
         # embeddings, which carry every twist.  So the dominated sets are
-        # exactly those one pair short of a candidate's.
+        # exactly those one pair short of a candidate's, read off each
+        # candidate's pair bits as it is made.
+        width = self.orbit(source_id).n_edges
+        in_source = self._chart(source_id)
+        candidates = []
         short = set()
-        for mask in {cand[3] for cand in candidates}:
-            rest = mask
-            while rest:
-                low = rest & -rest
-                short.add(mask ^ low)
-                rest ^= low
+        for fid, iotas_t in self._chart(target_id).items():
+            if fid not in in_source:
+                continue
+            embs = self.embeddings(fid, source_id)
+            for iota_t in iotas_t:
+                row = [1 << (t * width) for t in iota_t]
+                for into_s in embs:
+                    bits = [*map(lshift, row, into_s)]
+                    mask = sum(bits)
+                    candidates.append((fid, into_s, iota_t, mask))
+                    for b in bits:
+                        short.add(mask ^ b)
         return tuple(
             Transit(fid, into_s, into_t)
             for fid, into_s, into_t, _mask in sorted(
