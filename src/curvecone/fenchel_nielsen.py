@@ -92,8 +92,8 @@ def extensions(p: ConePoint):
     """All Fenchel-Nielsen images of a point, one per way of extending its
     support to a pants decomposition type.  The images agree on the
     supported curves and assign exactly ``EPSILON0`` to the rest, so the
-    choice never matters; it is exposed for verification.  The apex is
-    the empty curve system, embedded by ``()`` into every top orbit."""
+    choice never matters.  The apex is the empty curve system, embedded
+    by ``()`` into every top orbit."""
     cx = p.complex
     if p.is_apex:
         embeddings = [(mid, ()) for mid in cx.maximal_ids]

@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import time
 from functools import partial
-from itertools import combinations, permutations
+from itertools import permutations
 
 from . import fenchel_nielsen as fn
 from .metric import (
@@ -88,12 +88,9 @@ class RunReport(Record):
 # ---------------------------------------------------------------------------
 
 
-def _random_point(cx, rng, orbit_ids=None):
-    ids = list(orbit_ids) if orbit_ids is not None else [o.id for o in cx.orbits]
-    oid = ids[int(rng.integers(len(ids)))]
-    k = cx.orbit(oid).n_edges
-    coords = rng.uniform(0.25, 8.0, size=k)
-    return cone_point(cx, oid, coords)
+def _random_point(cx, rng):
+    orbit = cx.orbits[int(rng.integers(len(cx.orbits)))]
+    return cone_point(cx, orbit.id, rng.uniform(0.25, 8.0, size=orbit.n_edges))
 
 
 def _permuted(vec, perm):
@@ -236,28 +233,6 @@ def _suite_orthant_isometry(cx, rng, samples):
     return worst <= _ISO_TOL, count, worst, ""
 
 
-def _suite_well_definedness(cx, rng, samples):
-    """Every two extensions of a point to top orbits give its curves the
-    same lengths.  The curves outside an embedding get ``EPSILON0`` by
-    construction (``_pad`` writes 0.0 there), so they are not checked."""
-    eligible = [
-        o.id
-        for o in cx.orbits
-        if o.id not in cx.maximal_ids and len(cx.maximal_embeddings(o.id)) >= 2
-    ]
-    if not eligible:
-        return True, 0, 0.0, "no multi-coface orbits"
-    worst = 0.0
-    count = 0
-    for _ in range(samples):
-        p = _random_point(cx, rng, orbit_ids=eligible)
-        for (_, emb_i, fn_i), (_, emb_j, fn_j) in combinations(fn.extensions(p), 2):
-            for c in range(len(p.coords)):
-                worst = max(worst, abs(fn_i.lengths[emb_i[c]] - fn_j.lengths[emb_j[c]]))
-            count += 1
-    return worst == 0.0, count, worst, ""
-
-
 def _suite_same_orbit(cx, rng, samples):
     """distance() never exceeds the symmetry-reduced orthant value.  It
     may fall below it where a gallery of several segments is shorter, as
@@ -349,19 +324,21 @@ def check_samples(samples) -> int:
     return samples
 
 
-def check_mesh(mesh, cx: QuotientComplex | None = None) -> None:
-    """A mesh other than ``None`` must be a positive real that divides
-    the grid suite's box side ``GRID_BOX`` (``gridgraph.box_units``) and,
-    given ``cx``, keep the grid within its node cap over ``cx``'s top
-    orbits (``gridgraph.grid_units``); else ``ValueError`` is raised."""
+def check_mesh(mesh, cx: QuotientComplex | None = None) -> float | None:
+    """``mesh`` as a ``float``, or ``None`` for no mesh.  A mesh must be a
+    positive real that divides the grid suite's box side ``GRID_BOX``
+    (``gridgraph.box_units``) and, given ``cx``, keep the grid within its
+    node cap over ``cx``'s top orbits (``gridgraph.grid_units``); else
+    ``ValueError`` is raised."""
     if mesh is None:
-        return
+        return None
     from . import gridgraph
 
     if cx is None:
         gridgraph.box_units(mesh, GRID_BOX)
     else:
         gridgraph.grid_units(cx, mesh, GRID_BOX)
+    return float(mesh)
 
 
 def verification_config(cx: QuotientComplex, seed, samples, mesh) -> dict:
@@ -375,8 +352,7 @@ def verification_config(cx: QuotientComplex, seed, samples, mesh) -> dict:
     verify`` runs the same checks, each naming its option, before it
     builds the complex, and the node cap after.
     """
-    seed, samples = check_seed(seed), check_samples(samples)
-    check_mesh(mesh, cx)
+    seed, samples, mesh = check_seed(seed), check_samples(samples), check_mesh(mesh, cx)
     return {
         "surface": {"genus": cx.surface.genus, "marked_points": cx.surface.marked_points},
         "seed": seed,
@@ -406,7 +382,7 @@ def run_verification(
     first; the report's ``config`` is what it returns.
     """
     config = verification_config(cx, seed, samples, mesh)
-    seed, samples = config["seed"], config["samples"]
+    seed, samples, mesh = config["seed"], config["samples"], config["mesh"]
     import numpy as np  # the seeded sampler, kept off the CLI import path
 
     # (name, suite, sample budget), in report order; each suite gets its
@@ -418,7 +394,6 @@ def run_verification(
         ("metric_axioms", _suite_metric_axioms, max(10, samples // 2)),
         ("homogeneity", _suite_homogeneity, max(5, samples // 10)),
         ("orthant_isometry", _suite_orthant_isometry, samples),
-        ("well_definedness", _suite_well_definedness, samples),
         ("same_orbit_consistency", _suite_same_orbit, samples),
         ("geodesic_consistency", _suite_geodesic_consistency, max(10, samples // 2)),
     ]

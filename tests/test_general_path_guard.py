@@ -30,10 +30,10 @@ SURFACES = [(1, 2), (2, 0), (1, 3), (0, 7), (2, 1)]
 
 # sha256 of each report's JSON with ``timings`` dropped, at samples 200.
 REPORT_DIGESTS = {
-    (1, 2, 0.5): "6d0f1c4e575b81fc6ab219efcc09e563bbe33cd077c7174180393efa69bb9e2c",
-    (2, 0, None): "126a5393a9cade88cf44ab276859a7274f1bd69c614e4e7b4e375bcd215fedfb",
-    (2, 0, 0.25): "f06cbbcaa8879904f2a2eda8d0efca36909ffaa76b8c767257ef02138bcc1178",
-    (0, 7, None): "dacad98383105a0e0a013f0bf00a7a60585a9b750f9fae4a4e735ca489d31e88",
+    (1, 2, 0.5): "955a891373d3284c8739d96cfcff550a96b512c37c4b9e915aee77d08cf5e622",
+    (2, 0, None): "4e094b8d892070f062827c6b0e1b5a014172d4bbe1d16eb206e21b67302fb4d6",
+    (2, 0, 0.25): "1ea380f5fdaf3528f2294643668c900ef0f5986c015caecccf1309851a40a2fe",
+    (0, 7, None): "3cc68633f6e1050930a6ef3cbdf53f310b75308717524bd5b75c1c39c0e1d597",
 }
 
 DOT_DIGEST = "f0479c4ea14cd4bf7206edfbba269ae885aa6c1db4d84d211fdb68016a948b1b"

@@ -672,14 +672,16 @@ def test_s12_orbit_ids_golden(s12):
     ]
 
 
-@pytest.mark.parametrize("genus, marked", SUPPORTED)
+@pytest.mark.parametrize("genus, marked", sorted({*SUPPORTED, *GLUING_SURFACES}))
 def test_maximal_embeddings_are_injective(genus, marked):
     # Every extension of a face point pads its coordinates through one
     # embedding, so two extensions can give a curve different lengths
     # only where an embedding sends two curves of the face to one curve
-    # of the top orbit.  None does, so verify's well_definedness suite
-    # and acceptance criterion 8 hold by construction.  No embedding is
-    # listed twice either, which embeddings relies on to skip a dedupe.
+    # of the top orbit.  None does, so acceptance criterion 8 holds by
+    # construction and no verify suite checks it: this test does, on the
+    # supported surfaces and those of the gluing-table tests.  No
+    # embedding is listed twice either, which embeddings relies on to
+    # skip a dedupe.
     cx = complex_for(genus, marked)
     for orbit in cx.orbits:
         for _mid, emb in cx.maximal_embeddings(orbit.id):

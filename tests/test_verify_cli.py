@@ -6,6 +6,7 @@ import re
 import tempfile
 from contextlib import redirect_stderr, redirect_stdout
 from datetime import timedelta
+from fractions import Fraction
 from functools import lru_cache
 
 import numpy as np
@@ -18,24 +19,29 @@ from curvecone import QuotientComplex, SimplexOrbit, cone_point, fenchel_nielsen
 import curvecone.cli as cli
 from curvecone.cli import main
 from curvecone.lp import MAX_COORD
-from curvecone.metric import point_from_dict
-from curvecone.quotient import complex_from_dict, complex_to_dict, complex_to_json
+from curvecone.fenchel_nielsen import _acosh1p
+from curvecone.metric import (
+    GeodesicResult,
+    distance,
+    point_from_dict,
+    segment_lengths,
+    symmetric_orthant_distance,
+)
+from curvecone.quotient import FaceMap, complex_from_dict, complex_to_dict, complex_to_json
 
 
 def test_verification_passes_on_s12(s12):
     report = run_verification(s12, seed=0, samples=40)
     assert report.passed, report.to_json()
-    names = {r.name for r in report.results}
-    assert {
+    assert [r.name for r in report.results] == [
         "automorphism_equivariance",
         "complex_structure",
         "metric_axioms",
         "homogeneity",
         "orthant_isometry",
-        "well_definedness",
         "same_orbit_consistency",
         "geodesic_consistency",
-    } <= names
+    ]
 
 
 def test_verification_passes_on_self_glued_s07():
@@ -66,11 +72,63 @@ def _corrupted(s12):
     return QuotientComplex(s12.surface, orbits, s12.face_maps)
 
 
-def test_corrupted_automorphism_table_fails(s12):
-    report = run_verification(_corrupted(s12), seed=0, samples=10)
-    assert not report.passed
-    failed = {r.name for r in report.results if not r.passed}
-    assert "automorphism_equivariance" in failed
+def _retargeted(s12):
+    # Send a top orbit's first face map to the other orbit of its target's
+    # dimension.
+    fm = next(f for f in s12.face_maps if f.source in s12.maximal_ids)
+    dim = s12.orbit(fm.target).dim
+    other = next(o.id for o in s12.orbits_of_dim(dim) if o.id != fm.target)
+    bad = FaceMap(fm.source, fm.deleted_edge, other, fm.edge_injection)
+    return QuotientComplex(s12.surface, s12.orbits, [bad if f is fm else f for f in s12.face_maps])
+
+
+def _patched(target, replacement):
+    # A mutation that puts ``replacement`` at ``target``, a dotted path,
+    # and leaves the complex as it is.
+    def mutate(monkeypatch, cx):
+        monkeypatch.setattr(target, replacement)
+        return cx
+
+    return mutate
+
+
+def _distance_as(f):
+    # verify's distance, reading each distance d between p and q as f(d, p).
+    def mutated(p, q):
+        r = distance(p, q)
+        return GeodesicResult(f(r.distance, p), r.gallery, r.breakpoints)
+
+    return _patched("curvecone.verify.distance", mutated)
+
+
+# One mutation per suite, which that suite must report as a failure: a
+# suite that no mutation can fail checks what holds by construction, and
+# belongs in tier-1 as a test, if anywhere.
+_MUTATIONS = {
+    "automorphism_equivariance": lambda monkeypatch, cx: _corrupted(cx),
+    "complex_structure": lambda monkeypatch, cx: _retargeted(cx),
+    "metric_axioms": _distance_as(lambda d, p: d * (1 + 1e-3 * p.max_coord)),
+    "homogeneity": _distance_as(lambda d, p: d + 1e-3),
+    "orthant_isometry": _patched("curvecone.fenchel_nielsen._acosh1p", lambda u: 1.01 * _acosh1p(u)),
+    "same_orbit_consistency": _patched(
+        "curvecone.verify.symmetric_orthant_distance", lambda *a: symmetric_orthant_distance(*a) / 2
+    ),
+    "geodesic_consistency": _patched(
+        "curvecone.verify.segment_lengths", lambda *a: segment_lengths(*a)[:-1]
+    ),
+    "grid_oracle": _distance_as(lambda d, p: d * 1.5),
+}
+
+
+def test_every_suite_fails_under_a_mutation(s12, monkeypatch):
+    report = run_verification(s12, seed=0, samples=10, mesh=0.5)
+    assert report.passed, report.to_json()
+    assert [r.name for r in report.results] == list(_MUTATIONS)
+    for name, mutate in _MUTATIONS.items():
+        with monkeypatch.context() as m:
+            report = run_verification(mutate(m, s12), seed=0, samples=10, mesh=0.5)
+        result = next(r for r in report.results if r.name == name)
+        assert not result.passed, (name, report.to_json())
 
 
 @pytest.mark.parametrize("seed, samples", [(-1, 20), (0, 0), (0, -3)])
@@ -117,6 +175,20 @@ def _untimed(report) -> dict:
 def test_run_verification_takes_numpy_integers(s11):
     report = run_verification(s11, seed=np.int64(3), samples=np.int32(20))
     assert _untimed(report) == _untimed(run_verification(s11, seed=3, samples=20))
+
+
+@pytest.mark.parametrize(
+    "mesh", [np.float32(0.5), np.float64(0.5), Fraction(1, 2), 1],
+    ids=["float32", "float64", "Fraction", "int"],
+)
+def test_report_records_the_mesh_as_a_float(s11, mesh):
+    # The config holds the mesh as a float whatever real it was given as,
+    # so the report serializes and an int mesh reads 1.0, as on the
+    # command line.
+    report = run_verification(s11, seed=0, samples=5, mesh=mesh)
+    assert json.loads(report.to_json())["config"]["mesh"] == float(mesh)
+    expected = run_verification(s11, seed=0, samples=5, mesh=float(mesh))
+    assert json.dumps(_untimed(report)) == json.dumps(_untimed(expected))
 
 
 def test_report_reproducible_modulo_timings(s12):
