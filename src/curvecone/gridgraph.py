@@ -20,7 +20,7 @@ import math
 
 import numpy as np
 
-from .metric import ConePoint, _require_same_complex
+from .metric import ConePoint, _require_same_complex, apex
 from .quotient import QuotientComplex
 from .surfaces import as_real
 
@@ -227,7 +227,8 @@ class GridOracle:
 
     def distance(self, p: ConePoint, q: ConePoint) -> float:
         """Shortest grid-path length between two mesh-aligned points."""
-        _require_same_complex(p, q)
+        for point in (p, q):
+            _require_same_complex(point, apex(self.cx))
         cls_p = self._class_of(p)
         cls_q = self._class_of(q)
         if cls_p == cls_q:

@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import json
 from collections import Counter, defaultdict
+from functools import wraps
 from operator import lshift
 
 from .multicurves import (
@@ -90,11 +91,32 @@ def orbit_from_canonical(cf: CanonicalForm) -> SimplexOrbit:
 # ---------------------------------------------------------------------------
 
 
+def _memoized(fill):
+    """A method cached per instance in ``self._memo[name][args]``, args
+    positional; ``fill`` never returns ``None``.  A value is stored only
+    once ``fill`` has returned it whole, so no thread can read a table
+    that is still being built."""
+    name = fill.__name__
+
+    @wraps(fill)
+    def method(self, *key):
+        memo = self._memo[name]
+        value = memo.get(key)
+        if value is None:
+            value = memo[key] = fill(self, *key)
+        return value
+
+    return method
+
+
 class QuotientComplex:
     """All simplex orbits of one surface with face maps and gluing caches.
 
-    Immutable after construction; the lazy caches are filled with
-    idempotent derived data only, so instances are safe to share.
+    Immutable after construction; the gluing tables are derived lazily
+    into one memo (:func:`_memoized`), each stored only once complete, so
+    instances are safe to share across threads, as
+    ``tests/test_quotient.py::test_threads_fill_the_tables_of_a_shared_complex``
+    checks.
     """
 
     def __init__(self, surface: Surface, orbits, face_maps):
@@ -109,11 +131,7 @@ class QuotientComplex:
         self.maximal_ids = tuple(
             o.id for o in self.orbits if o.dim == self.max_dim
         )
-        self._subface_cache: dict[str, tuple] = {}
-        self._chart_cache: dict[str, dict] = {}
-        self._embedding_cache: dict[tuple[str, str], tuple] = {}
-        self._mod_host_cache: dict[tuple[str, str], tuple] = {}
-        self._transit_cache: dict[tuple[str, str], tuple] = {}
+        self._memo = defaultdict(dict)  # {method name: {args: value}}
 
     # -- basic access -------------------------------------------------------
 
@@ -139,6 +157,7 @@ class QuotientComplex:
 
     # -- derived gluing data --------------------------------------------------
 
+    @_memoized
     def subfaces(self, orbit_id: str) -> tuple[tuple[str, tuple[int, ...]] | None, ...]:
         """At the mask of each nonempty edge subset ``F`` of the orbit
         (bit ``e`` is edge ``e``), the face orbit spanned by ``F`` and the
@@ -150,11 +169,7 @@ class QuotientComplex:
         is deleted first: one face map carries ``F`` into that face, whose
         own table (filled once) gives the rest of the way down.  So one
         pass over that table writes every host mask whose lowest missing
-        edge is ``e``, each once.  The host's chart, this table sorted and
-        grouped by face, is filled with it."""
-        cached = self._subface_cache.get(orbit_id)
-        if cached is not None:
-            return cached
+        edge is ``e``, each once."""
         k = self.orbit(orbit_id).n_edges
         table = [None] * (1 << k)
         table[-1] = (orbit_id, tuple(range(k)))
@@ -171,18 +186,16 @@ class QuotientComplex:
                 if h & below == below:
                     fid, iota = faces[m]
                     table[h] = (fid, tuple(map(host.__getitem__, iota)))
-        table = tuple(table)
-        chart = self._chart_cache[orbit_id] = {}
-        for fid, iota in sorted(table[1:]):
-            chart.setdefault(fid, []).append(iota)
-        self._subface_cache[orbit_id] = table
-        return table
+        return tuple(table)
 
+    @_memoized
     def _chart(self, host_id: str) -> dict[str, list[tuple[int, ...]]]:
         """The host's face table sorted and grouped by face, the host
         itself included: ``{face id: [iota, ...]}``."""
-        self.subfaces(host_id)
-        return self._chart_cache[host_id]
+        chart = {}
+        for fid, iota in sorted(self.subfaces(host_id)[1:]):
+            chart.setdefault(fid, []).append(iota)
+        return chart
 
     def reduce(self, orbit_id: str, vec) -> tuple[str | None, tuple]:
         """Canonical form of a chart vector of ``orbit_id``: the face
@@ -201,6 +214,7 @@ class QuotientComplex:
         auts = self.orbit(fid).automorphisms
         return fid, min(tuple(vec[iota[i]] for i in a) for a in auts)
 
+    @_memoized
     def embeddings(self, face_id: str, host_id: str) -> tuple[tuple[int, ...], ...]:
         """All edge injections realizing ``face_id`` as a face of
         ``host_id``, automorphism twists of the face included: every
@@ -209,18 +223,12 @@ class QuotientComplex:
         each edge subset has one injection, injective, and the twists are
         distinct.  When the two coincide this is the host's edge-symmetry
         group."""
-        key = (face_id, host_id)
-        cached = self._embedding_cache.get(key)
-        if cached is not None:
-            return cached
         auts = self.orbit(face_id).automorphisms
-        result = tuple(sorted([
+        return tuple(sorted([
             tuple(map(iota.__getitem__, a))
             for iota in self._chart(host_id).get(face_id, ())
             for a in auts
         ]))
-        self._embedding_cache[key] = result
-        return result
 
     def maximal_embeddings(self, face_id: str) -> tuple[tuple[str, tuple[int, ...]], ...]:
         """All (maximal orbit, embedding) realizations of an orbit."""
@@ -228,6 +236,7 @@ class QuotientComplex:
             (mid, emb) for mid in self.maximal_ids for emb in self.embeddings(face_id, mid)
         )
 
+    @_memoized
     def embeddings_mod_host(self, face_id: str, host_id: str) -> tuple[tuple[int, ...], ...]:
         """One embedding per orbit of the host symmetry group's action.
 
@@ -237,16 +246,11 @@ class QuotientComplex:
         representative per orbit.  Each orbit's representative is its
         least image.  Cached per ``(face, host)`` as :meth:`embeddings`
         is: ``distance`` asks for it at every start orbit of every call."""
-        key = (face_id, host_id)
-        cached = self._mod_host_cache.get(key)
-        if cached is not None:
-            return cached
         auts = self.orbit(host_id).automorphisms
         embs = self.embeddings(face_id, host_id)
-        result = tuple(sorted({min(tuple(b[x] for x in e) for b in auts) for e in embs}))
-        self._mod_host_cache[key] = result
-        return result
+        return tuple(sorted({min(tuple(b[x] for x in e) for b in auts) for e in embs}))
 
+    @_memoized
     def transits(self, source_id: str, target_id: str) -> tuple[Transit, ...]:
         """Shared-face identifications usable between two maximal orbits,
         reduced to the maximal ones (a transit whose carried-edge maps
@@ -260,22 +264,15 @@ class QuotientComplex:
         the candidates are.  The face table holds one injection per edge
         subset and the embeddings carry every twist, so the mirror equals
         the table :meth:`_direct_transits` computes, in the same order."""
-        key = (source_id, target_id)
-        cached = self._transit_cache.get(key)
-        if cached is not None:
-            return cached
-        if source_id > target_id:
-            faces = self.subfaces(target_id)
-            rows = []
-            for t in self.transits(target_id, source_id):
-                fid, iota = faces[sum(1 << s for s in t.into_source)]
-                to_target = dict(zip(t.into_source, t.into_target))
-                rows.append((fid, tuple(map(to_target.__getitem__, iota)), iota))
-            result = tuple(Transit(*row) for row in sorted(rows))
-        else:
-            result = self._direct_transits(source_id, target_id)
-        self._transit_cache[key] = result
-        return result
+        if source_id <= target_id:
+            return self._direct_transits(source_id, target_id)
+        faces = self.subfaces(target_id)
+        rows = []
+        for t in self.transits(target_id, source_id):
+            fid, iota = faces[sum(1 << s for s in t.into_source)]
+            to_target = dict(zip(t.into_source, t.into_target))
+            rows.append((fid, tuple(map(to_target.__getitem__, iota)), iota))
+        return tuple(Transit(*row) for row in sorted(rows))
 
     def _direct_transits(self, source_id: str, target_id: str) -> tuple[Transit, ...]:
         """The transit table from ``source_id`` to ``target_id``, built

@@ -1,10 +1,10 @@
 """Seeded property-suite runner producing reproducible reports.
 
 Each suite samples the complex with a seeded generator and returns a
-pass flag, the sample count, the worst violation magnitude seen and a
-note.  One complex and one config yield byte-identical payloads;
-wall-clock timings are kept in a separate field so reports can be
-diffed.
+pass flag, the sample count, the worst violation magnitude seen (the
+failure count, for suites that count them) and a note.  One complex and
+one config yield byte-identical payloads; wall-clock timings are kept in
+a separate field so reports can be diffed.
 """
 
 from __future__ import annotations
@@ -134,7 +134,7 @@ def _suite_automorphism_equivariance(cx, rng, samples):
             if cone_point(cx, orbit.id, x) != cone_point(cx, orbit.id, _permuted(x, a)):
                 fails += 1
     note = f"{fails} invalid table entries" if fails else ""
-    return fails == 0, checked, 0.0, note
+    return fails == 0, checked, float(fails), note
 
 
 def _suite_complex_structure(cx, rng, samples):
@@ -180,7 +180,7 @@ def _suite_complex_structure(cx, rng, samples):
             targets.add(cur)
         if len(targets) != 1:
             fails += 1
-    return fails == 0, checked, 0.0, f"{fails} failures" if fails else ""
+    return fails == 0, checked, float(fails), f"{fails} failures" if fails else ""
 
 
 def _suite_metric_axioms(cx, rng, samples):

@@ -6,9 +6,12 @@ import pytest
 
 from conftest import SELF_GLUED_CENSUS, SELF_GLUED_DEFECTS, complex_for, orbit_by_structure
 from curvecone import (
+    ComplexMismatchError,
     GridOracle,
+    Surface,
     apex,
     brute_force_distance,
+    build_complex,
     cone_point,
     distance,
     orthant_distance,
@@ -72,6 +75,21 @@ def test_misaligned_coordinates_rejected(s12, oracle):
         p = cone_point(s12, nn.id, coords)
         with pytest.raises(ValueError, match="aligned"):
             oracle.distance(p, q)
+
+
+def test_points_of_another_complex_rejected(s12, oracle):
+    # A point of another complex is refused before any lookup in the
+    # oracle's tables, where two S(0,5) top-orbit points would raise
+    # KeyError and two S(0,5) apexes would be at distance 0.
+    s05 = complex_for(0, 5)
+    p = cone_point(s05, s05.maximal_ids[0], (1.0, 2.0))
+    for pair in [(p, p), (apex(s05), apex(s05)), (apex(s12), p), (p, apex(s12))]:
+        with pytest.raises(ComplexMismatchError):
+            oracle.distance(*pair)
+    # A point of a rebuilt, equal complex is a point of the oracle's.
+    again = build_complex(Surface(1, 2))
+    nn = orbit_by_structure(again, [(0, 1), (0, 1)], [(0, 1), (0, 1)])
+    assert oracle.distance(apex(again), cone_point(again, nn.id, (2.0, 6.0))) == 3.0
 
 
 def test_box_too_small_rejected(s12):

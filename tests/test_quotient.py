@@ -1,6 +1,9 @@
 import functools
 import hashlib
 import json
+import random
+import sys
+import threading
 from itertools import combinations
 
 import numpy as np
@@ -482,6 +485,55 @@ def test_mirrored_transits_equal_direct_ones(genus, marked, every):
         for b in ids:
             if a > b:
                 assert cx.transits(a, b) == cx._direct_transits(a, b)
+
+
+def test_threads_fill_the_tables_of_a_shared_complex():
+    # Eight threads fill each of 300 fresh S(2,1) complexes at once, each
+    # in its own seeded order, with the interpreter switching threads as
+    # often as it can.  Every table a thread is handed, and every table
+    # the complex keeps, must be the one a serial fill gives.  A table
+    # published before it is complete leaves about one fresh complex in
+    # twenty with wrong tables.  On a 2-CPU host with one CPU kept busy,
+    # four threads missed that in 3 of 5 runs and eight in none of 5.
+    serial = build_complex(Surface(2, 1))
+    ids = [o.id for o in serial.orbits]
+    tops = serial.maximal_ids
+    calls = [(m, f, h) for m in ("embeddings", "embeddings_mod_host") for f in ids for h in tops]
+    calls += [("transits", a, b) for a in tops for b in tops]
+    expected = {call: getattr(serial, call[0])(*call[1:]) for call in calls}
+    fresh = [QuotientComplex(serial.surface, serial.orbits, serial.face_maps) for _ in range(300)]
+    barrier = threading.Barrier(8, timeout=60)
+    wrong, errors = set(), []
+
+    def fill(seed):
+        order = list(calls)
+        rng = random.Random(seed)
+        try:
+            for i, cx in enumerate(fresh):
+                rng.shuffle(order)
+                barrier.wait()
+                for call in order:
+                    if getattr(cx, call[0])(*call[1:]) != expected[call]:
+                        wrong.add((i, call))
+        except Exception as exc:
+            errors.append(repr(exc))
+            barrier.abort()
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=fill, args=(seed,)) for seed in range(8)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert errors == []
+    for i, cx in enumerate(fresh):
+        wrong.update((i, call) for call in calls if getattr(cx, call[0])(*call[1:]) != expected[call])
+    assert sorted(wrong) == []
 
 
 def reference_face_maps(orbits):

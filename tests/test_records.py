@@ -140,10 +140,16 @@ def test_complex_and_geodesic_copy_and_pickle(how):
     assert _ROUND_TRIPS[how](result) == result
     again = _ROUND_TRIPS[how](cx)
     assert complex_to_json(again) == complex_to_json(cx)
-    # The copy carries the gluing caches the distance filled, and reads
-    # them as the original does.
+    # The copy carries every gluing table the distance filled (face
+    # tables, charts, embeddings and transits), and reads them as the
+    # original does.
+    assert {"subfaces", "_chart", "embeddings", "embeddings_mod_host", "transits"} <= set(cx._memo)
+    assert again._memo == cx._memo
     for host in cx.maximal_ids:
+        assert again.subfaces(host) == cx.subfaces(host)
+        assert again.embeddings(first, host) == cx.embeddings(first, host)
         assert again.embeddings_mod_host(first, host) == cx.embeddings_mod_host(first, host)
+        assert again.transits(first, host) == cx.transits(first, host)
     assert distance(cone_point(again, first, (1.0, 2.0, 3.0, 4.0)),
                     cone_point(again, last, (4.0, 0.5, 2.5, 1.5))) == result
     point = _ROUND_TRIPS[how](cone_point(cx, first, (1.0, 2.0, 3.0, 4.0)))

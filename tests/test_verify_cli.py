@@ -128,7 +128,7 @@ def test_every_suite_fails_under_a_mutation(s12, monkeypatch):
         with monkeypatch.context() as m:
             report = run_verification(mutate(m, s12), seed=0, samples=10, mesh=0.5)
         result = next(r for r in report.results if r.name == name)
-        assert not result.passed, (name, report.to_json())
+        assert not result.passed and result.worst > 0, (name, report.to_json())
 
 
 @pytest.mark.parametrize("seed, samples", [(-1, 20), (0, 0), (0, -3)])
