@@ -78,7 +78,7 @@ class MulticurveGraph(Record):
 
     def __init__(self, vertices, edges):
         object.__setattr__(self, "vertices", tuple(vertices))
-        object.__setattr__(self, "edges", tuple((u, v) if u <= v else (v, u) for u, v in edges))
+        object.__setattr__(self, "edges", tuple([(u, v) if u <= v else (v, u) for u, v in edges]))
 
     # -- derived counts ----------------------------------------------------
 
@@ -98,24 +98,30 @@ class MulticurveGraph(Record):
     def is_connected(self) -> bool:
         """Whether every vertex is reached from vertex 0: each pass over
         the edges adds the far end of every edge with one end reached,
-        until a pass adds nothing."""
-        if not self.vertices:
+        until every vertex is reached or a pass adds nothing.  The edges'
+        endpoints must be vertices."""
+        nv = len(self.vertices)
+        if not nv:
             return False
         reached, size = {0}, 0
-        while size != len(reached):
+        while size < len(reached) < nv:
             size = len(reached)
             for u, w in self.edges:
                 if u in reached:
                     reached.add(w)
                 elif w in reached:
                     reached.add(u)
-        return size == len(self.vertices)
+        return len(reached) == nv
 
     def validate(self) -> tuple[list[int], list[int]]:
         """Raise :class:`InvalidMulticurve` with a diagnostic on any
         violation; otherwise return ``(degrees, loops)``, each vertex's
         edge-endpoint count (a loop counts twice) and loop count, taken
-        in the same pass over the edges as the checks."""
+        in the same pass over the edges as the checks.
+
+        Stability bounds the curve count by itself: each vertex has
+        ``3 g_v + n_v + deg_v >= 3``, and summed over the vertices that
+        reads ``|edges| <= 3 genus - 3 + marked_points``."""
         if not self.edges:
             raise InvalidMulticurve("curve system must contain at least one curve")
         nv = len(self.vertices)
@@ -129,18 +135,12 @@ class MulticurveGraph(Record):
         if not self.is_connected():
             raise InvalidMulticurve("cut graph must be connected")
         for v, dec in enumerate(self.vertices):
-            if not is_stable(dec, degs[v]):
+            genus, marked = dec.piece_genus, dec.piece_marked
+            if 2 * genus - 2 + marked + degs[v] <= 0:  # not is_stable(dec, degs[v])
                 raise InvalidMulticurve(
-                    f"vertex {v} with decoration ({dec.piece_genus}, "
-                    f"{dec.piece_marked}) and degree {degs[v]} is unstable"
+                    f"vertex {v} with decoration ({genus}, {marked}) "
+                    f"and degree {degs[v]} is unstable"
                 )
-        genus, marked = self.genus, self.marked_points
-        complexity = 3 * genus - 3 + marked
-        if len(self.edges) > complexity:
-            raise InvalidMulticurve(
-                f"{len(self.edges)} curves exceed the pants count {complexity} "
-                f"of genus {genus} with {marked} marked points"
-            )
         return degs, loops
 
 
@@ -180,8 +180,8 @@ class CanonicalForm(Record):
 
 def _class_blocks(graph: MulticurveGraph, degs, loops):
     """Vertices grouped by isomorphism-invariant class key (genus, marked
-    points, degree, loop count), with the position block each class
-    occupies in any canonical numbering."""
+    points, degree, loop count), in key order, each group with the
+    position block its class occupies in any canonical numbering."""
     by_key = defaultdict(list)
     for v, dec in enumerate(graph.vertices):
         by_key[(dec.piece_genus, dec.piece_marked, degs[v], loops[v])].append(v)
@@ -189,7 +189,7 @@ def _class_blocks(graph: MulticurveGraph, degs, loops):
     start = 0
     for key in sorted(by_key):
         members = by_key[key]
-        blocks.append((key, members, start))
+        blocks.append((members, range(start, start + len(members))))
         start += len(members)
     return blocks
 
@@ -250,15 +250,11 @@ def canonicalize(graph: MulticurveGraph) -> CanonicalForm:
     """
     degs, loops = graph.validate()
     nv = len(graph.vertices)
-    blocks = _class_blocks(graph, degs, loops)
 
     best_edges = None
     ties = []
     # Every numbering that sends each class onto its position block.
-    numberings = _assignments(
-        nv, [(members, range(start, start + len(members))) for _key, members, start in blocks]
-    )
-    for sigma in numberings:
+    for sigma in _assignments(nv, _class_blocks(graph, degs, loops)):
         cand = _renumber(graph.edges, sigma)
         cand.sort()
         if best_edges is None or cand < best_edges:
@@ -299,8 +295,8 @@ def _automorphism_pairs(rep: MulticurveGraph, vertex_perms):
 
 
 def _label_string(rep: MulticurveGraph) -> str:
-    decs = ";".join(f"{d.piece_genus},{d.piece_marked}" for d in rep.vertices)
-    edges = ";".join(f"{u}-{w}" for u, w in rep.edges)
+    decs = ";".join([f"{d.piece_genus},{d.piece_marked}" for d in rep.vertices])
+    edges = ";".join([f"{u}-{w}" for u, w in rep.edges])
     return f"v[{decs}]e[{edges}]"
 
 
@@ -386,6 +382,9 @@ def add_curve(graph: MulticurveGraph, v: int) -> list[MulticurveGraph]:
     if not 0 <= v < nv:
         raise InvalidMulticurve(f"no vertex {v} in graph with {nv} vertices")
     genus, marked = graph.vertices[v].piece_genus, graph.vertices[v].piece_marked
+    ends = [i for i, e in enumerate(graph.edges) for s in (0, 1) if e[s] == v]
+    if genus == 0 and marked + len(ends) < 4:
+        return []  # a pair of pants, or less, holds no essential curve
     found: list[MulticurveGraph] = []
     if genus > 0:
         verts = list(graph.vertices)
@@ -395,15 +394,17 @@ def add_curve(graph: MulticurveGraph, v: int) -> list[MulticurveGraph]:
     # A split is listed under the smaller of its own key and its mirror's:
     # the two halves' decorations, then the sorted edge list.  The other
     # vertices are the same in every split, so they need no place in it.
+    # When the first half is below the second its own key is the smaller,
+    # whatever the edges, so the mirror's edge list is sorted only for a
+    # split that has some half not below its other.
     swap = {v: nv, nv: v}
     seen = set()
     decorations = {}  # one VertexDecoration per (genus, marked) half
-    ends = [(i, s) for i, e in enumerate(graph.edges) for s in (0, 1) if e[s] == v]
-    for sides in product((v, nv), repeat=len(ends)):
-        if sides and sides[0] == nv:
-            break  # the rest move the first end: mirrors of splits above
-        moved = sides.count(nv)
-        # is_stable for both halves, each counting the new curve.
+    # The stable splits of the piece depend only on how many curve ends
+    # move to the new vertex, at most all but the first; is_stable for
+    # both halves, each counting the new curve.
+    by_moved = []
+    for moved in range(len(ends) or 1):
         halves = [
             ((g1, m1), (genus - g1, marked - m1))
             for g1 in range(genus + 1)
@@ -411,19 +412,31 @@ def add_curve(graph: MulticurveGraph, v: int) -> list[MulticurveGraph]:
             if 2 * g1 - 1 + m1 + len(ends) - moved > 0
             and 2 * (genus - g1) - 1 + marked - m1 + moved > 0
         ]
+        by_moved.append((halves, any(half >= other for half, other in halves)))
+    for sides in product((v, nv), repeat=len(ends)):
+        if sides and sides[0] == nv:
+            break  # the rest move the first end: mirrors of splits above
+        halves, mirrored = by_moved[sides.count(nv)]
         if not halves:
             continue
-        edges = [list(e) for e in graph.edges]
-        for (i, s), side in zip(ends, sides):
-            edges[i][s] = side
-        edges = tuple((a, b) if a <= b else (b, a) for a, b in edges) + ((v, nv),)
+        # A moved end of an edge becomes the new vertex, the highest.
+        edges = list(graph.edges)
+        for i, side in zip(ends, sides):
+            if side == nv:
+                a, b = edges[i]
+                edges[i] = (b if a == v else a, nv)
+        edges = tuple(edges) + ((v, nv),)
         own = tuple(sorted(edges))
-        mirror = tuple(sorted(
-            (a, b) if a <= b else (b, a)
-            for a, b in ((swap.get(a, a), swap.get(b, b)) for a, b in edges)
-        ))
+        if mirrored:
+            mirror = tuple(sorted(
+                (a, b) if a <= b else (b, a)
+                for a, b in ((swap.get(a, a), swap.get(b, b)) for a, b in edges)
+            ))
         for half, other in halves:
-            key = min((half, other, own), (other, half, mirror))
+            if half < other:
+                key = (half, other, own)
+            else:
+                key = min((half, other, own), (other, half, mirror))
             if key not in seen:
                 seen.add(key)
                 for pair in (half, other):

@@ -1,4 +1,7 @@
+import hashlib
+import json
 import random
+import re
 from itertools import permutations
 
 import numpy as np
@@ -67,17 +70,37 @@ def test_validate_rejects_disconnected():
         g.validate()
 
 
-def test_is_connected_matches_oracle():
-    # Random multigraphs, loops, isolated vertices and disconnected ones
-    # included, against the oracle's depth-first search.
-    rng = random.Random(5)
-    answers = set()
-    for _ in range(600):
+def test_validate_rejects_no_curves():
+    with pytest.raises(InvalidMulticurve, match="^curve system must contain at least one curve$"):
+        graph([(1, 2)], []).validate()
+
+
+@pytest.mark.parametrize("edge", [(0, 1), (-1, 0)])
+def test_validate_rejects_out_of_range_endpoints(edge):
+    # Edges are stored low-high, so (-1, 0) keeps its order.
+    g = graph([(0, 2)], [(0, 0), edge])
+    with pytest.raises(InvalidMulticurve, match=f"^edge 1 endpoints {re.escape(str(edge))} out of range$"):
+        g.validate()
+
+
+def random_multigraphs(seed: int, count: int):
+    """``count`` random multigraphs as ``(rng, nv, edges)``: loops,
+    parallel edges, isolated vertices and disconnected graphs included,
+    edges stored low-high."""
+    rng = random.Random(seed)
+    for _ in range(count):
         nv = rng.randint(1, 7)
         edges = [
             tuple(sorted((rng.randrange(nv), rng.randrange(nv))))
             for _ in range(rng.randint(0, 9))
         ]
+        yield rng, nv, edges
+
+
+def test_is_connected_matches_oracle():
+    # Random multigraphs against the oracle's depth-first search.
+    answers = set()
+    for _rng, nv, edges in random_multigraphs(5, 600):
         expected = _connected(nv, edges)
         assert graph([(0, 0)] * nv, edges).is_connected() == expected
         answers.add(expected)
@@ -91,11 +114,37 @@ def test_validate_rejects_unstable_vertex():
 
 
 def test_curve_count_bound_is_automatic():
-    # Stability forces |edges| <= 3g - 3 + n for the derived surface:
-    # summing 3g_v + n_v + deg_v >= 3 over vertices gives exactly that.
-    g = graph([(0, 4)], [(0, 0), (0, 0)])
-    g.validate()
-    assert len(g.edges) <= Surface(g.genus, g.marked_points).complexity
+    # validate checks no curve count: stability forces |edges| <=
+    # 3g - 3 + n for the derived surface.  Each stable vertex has
+    # 3g_v + n_v + deg_v >= 3, and summed over the vertices that reads
+    # 3(g - betti) + n + 2|edges| >= 3|vertices|, which is the bound as
+    # betti = |edges| - |vertices| + 1.  It is tight exactly when every
+    # piece is a pair of pants.  Random connected multigraphs, each vertex
+    # made a pair of pants half the time it can be, else decorated at
+    # random; those with an unstable vertex are skipped.
+    checked = tight = 0
+    for rng, nv, edges in random_multigraphs(11, 3000):
+        if not edges or not _connected(nv, edges):
+            continue
+        degs = [0] * nv
+        for u, w in edges:
+            degs[u] += 1
+            degs[w] += 1
+        decs = [
+            (0, 3 - deg) if deg <= 3 and rng.random() < 0.5 else (rng.randint(0, 1), rng.randint(0, 2))
+            for deg in degs
+        ]
+        if not all(is_stable(D(*dec), deg) for dec, deg in zip(decs, degs)):
+            continue
+        g = graph(decs, edges)
+        assert g.validate()[0] == degs
+        complexity = 3 * g.genus - 3 + g.marked_points
+        pants = all(3 * gv + n + deg == 3 for (gv, n), deg in zip(decs, degs))
+        assert len(edges) <= complexity
+        assert (len(edges) == complexity) == pants
+        checked += 1
+        tight += pants
+    assert checked > 1000 and tight > 40
 
 
 # -- canonical forms ---------------------------------------------------------
@@ -300,6 +349,33 @@ def test_add_curve_inverts_every_deletion(genus, marked):
                 for h in add_curve(face, v)
             }
             assert label in grown
+
+
+# sha256 of add_curve's output, in order, for every vertex of the bare
+# surface and of every orbit's canonical graph; the closure's steps follow
+# this order, which neither the face maps nor the orbit ids show.
+ADD_CURVE_DIGESTS = {
+    (0, 7): "96d3b984b23e08db7cd01b935d0e0aa7fdb6f72dbe640f1aa1165eb6dcaceb84",
+    (1, 4): "e1f54c128f1dfc7dbb45831d60d633a52001723e55eb3d2075e5ce73a1313e07",
+    (2, 1): "d255906fc8258f19817b853394060c1ddb50d481301d94e4dae62c6c86a9eaae",
+    (3, 0): "4f680576b5042c1b01c01ea8b03370b838f31d0a993f46c29d73cb49740608f0",
+    (0, 8): "f6b0222e9917615c5351aaf85a0815560e75b322da14000b99dde30582e483b3",
+    (2, 2): "7eaf077c319781ad59bd9385c28fe39fa358eea828608cf2f071ac51d0f92705",
+    (1, 5): "9a939b8e247f8765a9f7fdd564b3a511600260aa4649fac5b66e18166abe2544",
+}
+
+
+@pytest.mark.parametrize("genus,marked", list(ADD_CURVE_DIGESTS))
+def test_add_curve_output_matches_recorded_digest(genus, marked):
+    digest = hashlib.sha256()
+    for g in cut_graphs(genus, marked):
+        for v in range(len(g.vertices)):
+            grown = [
+                [[[d.piece_genus, d.piece_marked] for d in h.vertices], [list(e) for e in h.edges]]
+                for h in add_curve(g, v)
+            ]
+            digest.update(json.dumps(grown).encode("ascii"))
+    assert digest.hexdigest() == ADD_CURVE_DIGESTS[(genus, marked)]
 
 
 def test_add_curve_splits_loop_ends():
