@@ -98,9 +98,12 @@ class MulticurveGraph(Record):
     def is_connected(self) -> bool:
         """Whether every vertex is reached from vertex 0: each pass over
         the edges adds the far end of every edge with one end reached,
-        until every vertex is reached or a pass adds nothing.  The edges'
-        endpoints must be vertices."""
+        until every vertex is reached or a pass adds nothing.  An
+        endpoint that is no vertex raises :class:`InvalidMulticurve`."""
         nv = len(self.vertices)
+        for i, (u, w) in enumerate(self.edges):
+            if not 0 <= u <= w < nv:  # edges are stored low-high
+                raise InvalidMulticurve(f"edge {i} endpoints {(u, w)} out of range")
         if not nv:
             return False
         reached, size = {0}, 0
@@ -116,29 +119,26 @@ class MulticurveGraph(Record):
     def validate(self) -> tuple[list[int], list[int]]:
         """Raise :class:`InvalidMulticurve` with a diagnostic on any
         violation; otherwise return ``(degrees, loops)``, each vertex's
-        edge-endpoint count (a loop counts twice) and loop count, taken
-        in the same pass over the edges as the checks.
+        edge-endpoint count (a loop counts twice) and loop count, counted
+        unchecked: :meth:`is_connected` checks the endpoints.
 
         Stability bounds the curve count by itself: each vertex has
         ``3 g_v + n_v + deg_v >= 3``, and summed over the vertices that
         reads ``|edges| <= 3 genus - 3 + marked_points``."""
         if not self.edges:
             raise InvalidMulticurve("curve system must contain at least one curve")
+        if not self.is_connected():
+            raise InvalidMulticurve("cut graph must be connected")
         nv = len(self.vertices)
         degs, loops = [0] * nv, [0] * nv
-        for i, (u, w) in enumerate(self.edges):
-            if not (0 <= u < nv and 0 <= w < nv):
-                raise InvalidMulticurve(f"edge {i} endpoints {(u, w)} out of range")
+        for u, w in self.edges:
             degs[u] += 1
             degs[w] += 1
             loops[u] += u == w
-        if not self.is_connected():
-            raise InvalidMulticurve("cut graph must be connected")
         for v, dec in enumerate(self.vertices):
-            genus, marked = dec.piece_genus, dec.piece_marked
-            if 2 * genus - 2 + marked + degs[v] <= 0:  # not is_stable(dec, degs[v])
+            if not is_stable(dec, degs[v]):
                 raise InvalidMulticurve(
-                    f"vertex {v} with decoration ({genus}, {marked}) "
+                    f"vertex {v} with decoration ({dec.piece_genus}, {dec.piece_marked}) "
                     f"and degree {degs[v]} is unstable"
                 )
         return degs, loops
@@ -399,7 +399,6 @@ def add_curve(graph: MulticurveGraph, v: int) -> list[MulticurveGraph]:
     # split that has some half not below its other.
     swap = {v: nv, nv: v}
     seen = set()
-    decorations = {}  # one VertexDecoration per (genus, marked) half
     # The stable splits of the piece depend only on how many curve ends
     # move to the new vertex, at most all but the first; is_stable for
     # both halves, each counting the new curve.
@@ -439,12 +438,9 @@ def add_curve(graph: MulticurveGraph, v: int) -> list[MulticurveGraph]:
                 key = min((half, other, own), (other, half, mirror))
             if key not in seen:
                 seen.add(key)
-                for pair in (half, other):
-                    if pair not in decorations:
-                        decorations[pair] = VertexDecoration(*pair)
                 verts = (
-                    graph.vertices[:v] + (decorations[half],)
-                    + graph.vertices[v + 1:] + (decorations[other],)
+                    graph.vertices[:v] + (VertexDecoration(*half),)
+                    + graph.vertices[v + 1:] + (VertexDecoration(*other),)
                 )
                 found.append(MulticurveGraph(verts, edges))
     return found

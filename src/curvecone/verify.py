@@ -138,8 +138,10 @@ def _suite_automorphism_equivariance(cx, rng, samples):
 
 
 def _suite_complex_structure(cx, rng, samples):
-    """Dimension formula, pants condition, coface coverage, the diamond
-    property of deletion orders, and face/symmetry compatibility."""
+    """Dimension formula, pants condition, coface coverage, face/symmetry
+    compatibility, and the face table: a walk deleting spare curves
+    highest first (the table deletes lowest first) must reach the face at
+    the kept curves' mask, with its injection up to a face symmetry."""
     fails = 0
     try:
         cx.check_invariants()
@@ -162,23 +164,15 @@ def _suite_complex_structure(cx, rng, samples):
         size = int(rng.integers(1, k - 1))
         keep = sorted(rng.choice(k, size=size, replace=False).tolist())
         checked += 1
-        targets = set()
-        for _order in range(2):
-            cur = mid
-            cur_of = {f: f for f in keep}
-            while True:
-                kept = set(cur_of.values())
-                k_cur = cx.orbit(cur).n_edges
-                spare = [e for e in range(k_cur) if e not in kept]
-                if not spare:
-                    break
-                pick = spare[0] if _order == 0 else spare[-1]
-                fmap = cx.face(cur, pick)
-                inj = dict(fmap.edge_injection)
-                cur_of = {f: inj[c] for f, c in cur_of.items()}
-                cur = fmap.target
-            targets.add(cur)
-        if len(targets) != 1:
+        cur, cur_of = mid, {f: f for f in keep}  # each kept curve's edge in cur
+        while len(cur_of) < cx.orbit(cur).n_edges:
+            spare = set(range(cx.orbit(cur).n_edges)).difference(cur_of.values())
+            fmap = cx.face(cur, max(spare))
+            inj = dict(fmap.edge_injection)
+            cur, cur_of = fmap.target, {f: inj[c] for f, c in cur_of.items()}
+        fid, iota = cx.subfaces(mid)[sum(1 << f for f in keep)]
+        walked = sorted(cur_of, key=cur_of.get)  # the kept curve on each face edge
+        if fid != cur or all([iota[c] for c in a] != walked for a in cx.orbit(fid).automorphisms):
             fails += 1
     return fails == 0, checked, float(fails), f"{fails} failures" if fails else ""
 

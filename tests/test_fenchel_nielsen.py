@@ -114,6 +114,11 @@ def test_small_separation_no_cancellation():
     assert got > 0
 
 
+def test_fenchel_nielsen_point_takes_one_twist_per_length():
+    with pytest.raises(ValueError, match="^lengths and twists must align$"):
+        FenchelNielsenPoint("x", (0.1, 0.2), (0.0,))
+
+
 def test_half_plane_points_are_finite():
     # A nan abscissa used to be accepted, and its distances read nan.
     for x, y in ((math.nan, 1.0), (math.inf, 1.0), (0.0, math.inf), (0.0, math.nan)):

@@ -98,13 +98,42 @@ def random_multigraphs(seed: int, count: int):
 
 
 def test_is_connected_matches_oracle():
-    # Random multigraphs against the oracle's depth-first search.
+    # Random multigraphs against the oracle's depth-first search.  A
+    # quarter of those with edges get one endpoint out of range, negative
+    # or too large, which is_connected rejects with validate's message;
+    # it used to answer True for the first graph below.
+    for g, message in [
+        (graph([(0, 3), (0, 3)], [(0, 5)]), "edge 0 endpoints (0, 5) out of range"),
+        (graph([(0, 4)], [(0, 0), (-1, 0)]), "edge 1 endpoints (-1, 0) out of range"),
+    ]:
+        with pytest.raises(InvalidMulticurve, match=f"^{re.escape(message)}$"):
+            g.is_connected()
     answers = set()
-    for _rng, nv, edges in random_multigraphs(5, 600):
+    ranges = set()
+    for rng, nv, edges in random_multigraphs(5, 600):
+        if edges and rng.random() < 0.25:
+            i = rng.randrange(len(edges))
+            u, w = edges[i]
+            low = rng.random() < 0.5
+            edges[i] = (-rng.randint(1, 3), w) if low else (u, nv + rng.randrange(3))
+            g = graph([(0, 0)] * nv, edges)
+            message = f"^edge {i} endpoints {re.escape(str(g.edges[i]))} out of range$"
+            with pytest.raises(InvalidMulticurve, match=message):
+                g.is_connected()
+            with pytest.raises(InvalidMulticurve, match=message):
+                g.validate()
+            ranges.add(low)
+            continue
         expected = _connected(nv, edges)
         assert graph([(0, 0)] * nv, edges).is_connected() == expected
         answers.add(expected)
-    assert answers == {True, False}
+    assert answers == {True, False} and ranges == {True, False}
+
+
+def test_decoration_rejects_negative_counts():
+    for pair in ((-1, 0), (0, -2)):
+        with pytest.raises(InvalidMulticurve, match=f"^negative decoration {re.escape(str(pair))}$"):
+            D(*pair)
 
 
 def test_validate_rejects_unstable_vertex():

@@ -658,6 +658,17 @@ def test_invariants_check_every_face_map():
         QuotientComplex(cx.surface, cx.orbits, kept).check_invariants()
 
 
+def test_invariants_check_the_top_dimension_and_its_pieces():
+    # A complex short of its top orbits, and one whose top orbits claim a
+    # surface one curve smaller, so that they are not cut into pants.
+    cx = complex_for(1, 2)
+    low = [o for o in cx.orbits if o.dim == 0]
+    with pytest.raises(InvalidMulticurve, match=r"^top orbit dimension 0 != 1 for S_\{1,2\}$"):
+        QuotientComplex(cx.surface, low, ()).check_invariants()
+    with pytest.raises(InvalidMulticurve, match=r"^maximal orbit d0-\w+ has a non-pants piece at vertex 0$"):
+        QuotientComplex(Surface(1, 1), low, ()).check_invariants()
+
+
 def test_genus3_closed_builds():
     # The five top orbits are the five pants-decomposition types of the
     # closed genus-3 surface.

@@ -15,7 +15,16 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import complex_for, orbit_by_structure, report_for, run_cli, run_python
-from curvecone import QuotientComplex, SimplexOrbit, cone_point, fenchel_nielsen, run_verification
+from curvecone import (
+    QuotientComplex,
+    SimplexOrbit,
+    Surface,
+    build_complex,
+    cone_point,
+    fenchel_nielsen,
+    run_verification,
+    verify,
+)
 import curvecone.cli as cli
 from curvecone.cli import main
 from curvecone.lp import MAX_COORD
@@ -129,6 +138,24 @@ def test_every_suite_fails_under_a_mutation(s12, monkeypatch):
             report = run_verification(mutate(m, s12), seed=0, samples=10, mesh=0.5)
         result = next(r for r in report.results if r.name == name)
         assert not result.passed and result.worst > 0, (name, report.to_json())
+
+
+def test_complex_structure_reads_the_face_table():
+    # S(1,2) has no top orbit of three curves, so the mutations above
+    # never reach the walk; S(2,0)'s tops are the smallest it reaches.
+    # Rotating one top orbit's one-curve entries gives each a wrong
+    # injection, which no symmetry of a one-curve face mends.
+    good = verify._suite_complex_structure(complex_for(2, 0), np.random.default_rng(0), 10)
+    assert good[0] and good[2] == 0
+    cx = build_complex(Surface(2, 0))
+    top = cx.maximal_ids[0]
+    k = cx.orbit(top).n_edges
+    table = list(cx.subfaces(top))
+    for e in range(k):
+        table[1 << e] = (table[1 << e][0], ((e + 1) % k,))
+    cx._memo["subfaces"][(top,)] = tuple(table)
+    passed, _checked, worst, _note = verify._suite_complex_structure(cx, np.random.default_rng(0), 10)
+    assert not passed and worst > 0
 
 
 @pytest.mark.parametrize("seed, samples", [(-1, 20), (0, 0), (0, -3)])
